@@ -29,5 +29,9 @@ class TruncationError(TwistsenseError):
     """A Fock-space simulation leaked population into the truncation edge."""
 
 
+class PrecisionLossError(TwistsenseError):
+    """A result would be dominated by floating-point roundoff."""
+
+
 class BracketingError(TwistsenseError):
     """A root or threshold search interval does not bracket a sign change."""

@@ -20,8 +20,9 @@ internally, so every input is dimensionless):
 
 Each final state comes with the exact derivative of the state with respect
 to the field, evaluated at zero field: analytic factors where the field
-generator stands alone, the block-augmented propagator derivative where it
-does not commute with the twisting. No finite differences anywhere.
+generator stands alone, the eigenbasis (Daleckii-Krein) propagator
+derivative where it does not commute with the twisting. No finite
+differences anywhere.
 """
 
 from __future__ import annotations
@@ -160,8 +161,9 @@ def final_state(cfg: ProtocolConfig) -> SchemeState:
     The derivative follows the product rule term by term. Writing
     D(t) = exp(-i t omega G) for the sensing rotation, dD/domega at 0 is
     -i t G; factors where omega rides along a twisting generator get the
-    block-augmented derivative instead. For Cprime both the twist and the
-    untwist window contribute, because the echo reverses chi but not omega.
+    eigenbasis derivative of ``propagate_with_derivative`` instead. For
+    Cprime both the twist and the untwist window contribute, because the
+    echo reverses chi but not omega.
     """
     space = cfg.space
     G = _field_generator(space)

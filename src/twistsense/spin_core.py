@@ -29,13 +29,13 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln
 
 from .errors import (
     ContractViolationError,
     DimensionMismatchError,
     InvalidDimensionError,
+    PrecisionLossError,
 )
 
 # Tolerances for the construction-time operator and state checks. They sit
@@ -45,6 +45,12 @@ UNITARITY_ATOL = 1e-10
 NORM_ATOL = 1e-10
 
 OPERATOR_KINDS = ("hermitian", "unitary", "general")
+
+# Largest |duration| * max|eigenvalue| a propagator accepts. A phase of size
+# p carries an absolute roundoff of about p * 2.2e-16, so at 1e6 the phases,
+# and every amplitude built from them, are still good to about 1e-10; far
+# beyond it they are noise and the result would be a silently wrong number.
+MAX_PHASE = 1e6
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -244,35 +250,62 @@ def _require_matching(A: ComplexOperator, psi: StateVector) -> None:
         )
 
 
+def _phases(H: ComplexOperator, duration: float) -> np.ndarray:
+    """exp(-i duration lambda) over the eigenvalues of H, refused past MAX_PHASE."""
+    evals = H.eigensystem[0]
+    phase = abs(duration) * max(abs(evals[0]), abs(evals[-1]))
+    if not phase <= MAX_PHASE:
+        raise PrecisionLossError(
+            f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
+            "the propagator phases would be lost to roundoff"
+        )
+    return np.exp(-1j * duration * evals)
+
+
 def propagate(H: ComplexOperator, duration: float, psi: StateVector) -> StateVector:
     """Apply exp(-i duration H) to ``psi`` via eigendecomposition.
 
     Exact up to roundoff for Hermitian H; the eigendecomposition is
     memoized on the operator, so repeated calls with different durations
     cost O(dim^2) each. Unnormalized inputs (derivative vectors) are
-    propagated linearly and stay unnormalized.
+    propagated linearly and stay unnormalized. Raises PrecisionLossError
+    when |duration| * max|eigenvalue| exceeds MAX_PHASE, as do
+    ``propagator`` and ``propagate_with_derivative``.
     """
     _require_hermitian(H, "propagate")
     _require_matching(H, psi)
     if duration == 0:
         return psi
-    evals, evecs = H.eigensystem
-    phases = np.exp(-1j * duration * evals)
-    out = evecs @ (phases * (evecs.conj().T @ psi.amplitudes))
+    evecs = H.eigensystem[1]
+    out = evecs @ (_phases(H, duration) * (evecs.conj().T @ psi.amplitudes))
     return StateVector(out, normalized=psi.normalized)
 
 
 def propagator(H: ComplexOperator, duration: float) -> ComplexOperator:
     """The unitary exp(-i duration H) as an explicit matrix."""
     _require_hermitian(H, "propagator")
-    evals, evecs = H.eigensystem
-    phases = np.exp(-1j * duration * evals)
-    return ComplexOperator((evecs * phases) @ evecs.conj().T, "unitary")
+    evecs = H.eigensystem[1]
+    return ComplexOperator(
+        (evecs * _phases(H, duration)) @ evecs.conj().T, "unitary"
+    )
 
 
 class PropagationWithDerivative(NamedTuple):
     phi: StateVector
     dphi: StateVector
+
+
+@lru_cache(maxsize=2)
+def _in_eigenbasis(H0: ComplexOperator, G: ComplexOperator) -> np.ndarray:
+    """V^dag G V for the eigenvectors V of H0.
+
+    Two entries cover the twist/untwist pair of the echo schemes; a larger
+    cache would pin dense d x d matrices of generators no longer in use.
+    """
+    evecs = H0.eigensystem[1]
+    rotated = evecs.conj().T @ G.matrix @ evecs
+    rotated.setflags(write=False)
+    return rotated
 
 
 def propagate_with_derivative(
@@ -283,15 +316,23 @@ def propagate_with_derivative(
 ) -> PropagationWithDerivative:
     """Evolve under H0 + w G and differentiate with respect to w at w = 0.
 
-    Returns phi = exp(-i duration H0) psi together with the exact
-    derivative dphi = d/dw exp(-i duration (H0 + w G)) psi at w = 0,
-    computed from one exponential of the block upper-triangular generator
+    Returns phi = exp(-i d H0) psi, with d = duration, together with the
+    exact derivative dphi = d/dw exp(-i d (H0 + w G)) psi at w = 0. Both
+    come from the eigensystem H0 = V diag(lambda) V^dag that ``propagate``
+    already memoizes. With c = V^dag psi and G~ = V^dag G V,
 
-        [[-i H0, -i G], [0, -i H0]] * duration;
+        phi  = V (exp(-i d lambda) * c),
+        dphi = V ((G~ * Gamma) c),
+        Gamma_jk = -i d exp(-i d (lambda_j + lambda_k) / 2)
+                   * sinc(d (lambda_j - lambda_k) / 2),
 
-    the top-right block of the result applied to psi is dphi. This is the
-    standard augmented-matrix trick for derivatives of a matrix
-    exponential whose generator does not commute with its perturbation.
+    with sinc(x) = sin(x) / x. Gamma is the divided difference of
+    exp(-i d lambda) (the Daleckii-Krein form of the Frechet derivative;
+    Najfeld & Havel, Adv. Appl. Math. 16, 1995; Higham, Functions of
+    Matrices, 2008, ch. 3). Written with sinc it needs no case split and
+    stays exact on degenerate eigenvalues, where it tends to the diagonal
+    value -i d exp(-i d lambda_j); one-axis twisting has exactly degenerate
+    pairs. G~ is computed once per (H0, G) pair, so each call costs O(d^2).
     """
     _require_hermitian(H0, "propagate_with_derivative")
     _require_hermitian(G, "propagate_with_derivative")
@@ -304,14 +345,18 @@ def propagate_with_derivative(
         raise ContractViolationError(
             "propagate_with_derivative expects a normalized input state"
         )
-    d = H0.dim
-    block = np.zeros((2 * d, 2 * d), dtype=complex)
-    block[:d, :d] = -1j * duration * H0.matrix
-    block[d:, d:] = -1j * duration * H0.matrix
-    block[:d, d:] = -1j * duration * G.matrix
-    full = expm(block)
-    phi = StateVector(full[:d, :d] @ psi.amplitudes)
-    dphi = StateVector(full[:d, d:] @ psi.amplitudes, normalized=False)
+    if duration == 0:
+        zero = np.zeros(psi.dim, dtype=complex)
+        return PropagationWithDerivative(psi, StateVector(zero, normalized=False))
+    evals, evecs = H0.eigensystem
+    phases = _phases(H0, duration)
+    c = evecs.conj().T @ psi.amplitudes
+    # Gamma = -i d h_j h_k sinc(...) with h = exp(-i d lambda / 2).
+    half = np.exp(-0.5j * duration * evals)
+    sinc = np.sinc(np.subtract.outer(evals, evals) * (duration / (2 * np.pi)))
+    weighted = (_in_eigenbasis(H0, G) * sinc) @ (half * c)
+    phi = StateVector(evecs @ (phases * c))
+    dphi = StateVector(evecs @ (-1j * duration * half * weighted), normalized=False)
     return PropagationWithDerivative(phi=phi, dphi=dphi)
 
 

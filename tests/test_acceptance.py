@@ -197,7 +197,7 @@ def test_criterion_09_fock_closed_form_triangle():
 
 
 def test_criterion_10_derivative_engine():
-    with criterion(10, "block-propagator derivatives match finite differences"):
+    with criterion(10, "eigenbasis propagator derivatives match finite differences"):
         rng = np.random.default_rng(2026)
         for case in range(50):
             dim = int(rng.integers(2, 22))

@@ -67,6 +67,21 @@ class TestSweepCsv:
         assert code2 == 0 and silent == ""
         assert target.read_text() == out
 
+    @pytest.mark.parametrize(
+        "scheme, twist", [("B", "1e300"), ("C", "1e300"), ("C", "1e16")]
+    )
+    def test_lost_phase_precision_is_computation_error(self, capsys, scheme, twist):
+        # Phases of |duration| * max|eigenvalue| ~ 1e16 and beyond are pure
+        # roundoff; the run must fail, not print rows or blame the usage.
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--scheme", scheme, "--n", "10",
+            "--twist", twist, "--t-points", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "roundoff" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -2,28 +2,35 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from twistsense import (
     ComplexOperator,
     DickeSpace,
+    FockSpace,
     StateVector,
     apply_operator,
     collective_operators,
     expectation,
     fidelity,
+    fock_hamiltonian,
     initial_state,
     overlap,
     plus_state,
     propagate,
     propagate_with_derivative,
     propagator,
+    vacuum_state,
     variance,
 )
 from twistsense.errors import (
     ContractViolationError,
     DimensionMismatchError,
     InvalidDimensionError,
+    PrecisionLossError,
 )
+from twistsense.protocols import hamiltonian
+from twistsense.spin_core import MAX_PHASE
 
 from _helpers import random_hermitian, random_state, richardson_derivative
 
@@ -236,6 +243,63 @@ def test_derivative_matches_finite_difference_battery():
             np.linalg.norm(dphi.amplitudes), 1.0
         )
         assert err <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n, kind, strength",
+    [
+        (40, "oat", 8.0),
+        (40, "oat", -8.0),
+        (100, "oat", 8.0),
+        (100, "oat", -8.0),
+        (200, "tat", 1.0),
+        (None, "tat", 0.5),  # Fock space at the default truncation 400
+    ],
+)
+def test_derivative_matches_block_exponential_oracle(n, kind, strength):
+    # Independent reference: the top row of exp of the block generator
+    # [[-i d H0, -i d G], [0, -i d H0]] holds exp(-i d H0) and its
+    # derivative along G. One-axis twisting has exactly degenerate pairs.
+    if n is None:
+        space, build = FockSpace(), fock_hamiltonian
+        psi = vacuum_state(space)
+    else:
+        space, build = DickeSpace(n), hamiltonian
+        psi = initial_state(space)
+    H0 = build(space, kind, strength)
+    G = build(space, "field", 1.0)
+    phi, dphi = propagate_with_derivative(H0, G, 0.0, psi)
+    assert np.array_equal(phi.amplitudes, psi.amplitudes)
+    assert not np.any(dphi.amplitudes)
+    d = H0.dim
+    for duration in (0.05, 0.5, 1.0):
+        block = np.zeros((2 * d, 2 * d), dtype=complex)
+        block[:d, :d] = block[d:, d:] = -1j * duration * H0.matrix
+        block[:d, d:] = -1j * duration * G.matrix
+        full = expm(block)
+        phi, dphi = propagate_with_derivative(H0, G, duration, psi)
+        for got, ref in ((phi, full[:d, :d]), (dphi, full[:d, d:])):
+            ref = ref @ psi.amplitudes
+            err = np.linalg.norm(got.amplitudes - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12, (duration, err)
+
+
+def test_phase_guard_refuses_roundoff_dominated_durations():
+    space = DickeSpace(4)
+    ops = collective_operators(space)
+    psi = initial_state(space)
+    # Jz has max|eigenvalue| 2, so the guard sits at duration MAX_PHASE / 2.
+    at_bound = MAX_PHASE / 2
+    propagate(ops.Jz, -at_bound, psi)
+    propagator(ops.Jz, at_bound)
+    propagate_with_derivative(ops.Jz, ops.Jy, at_bound, psi)
+    for duration in (2 * at_bound, -2 * at_bound, 1e300):
+        with pytest.raises(PrecisionLossError):
+            propagate(ops.Jz, duration, psi)
+        with pytest.raises(PrecisionLossError):
+            propagator(ops.Jz, duration)
+        with pytest.raises(PrecisionLossError):
+            propagate_with_derivative(ops.Jz, ops.Jy, duration, psi)
 
 
 def test_derivative_requires_normalized_state_and_matching_dims():
