@@ -14,10 +14,11 @@ squeezing. Two independent routes to the same numbers live here:
 
   together with their optima over t/tau and the B-to-C enhancement ratio,
 
-* ``fock_simulate``: a truncated-Fock-space simulator that rebuilds each
-  protocol from displacement/squeezing generators and recomputes the
-  sensitivity with the same Fisher-information and error-propagation
-  machinery as the spin code. It shares no formulas with the closed forms,
+* ``fock_simulate``: the shared protocol pipelines of ``protocols`` and
+  the shared readout of ``metrology``, run on a bosonic carrier
+  (``fock_mode``: a truncated Fock space with displacement and squeezing
+  generators, the vacuum, a truncation-tail guard and the P readout). Its
+  independence is from the closed forms: it shares no formulas with them,
   so agreement between the two is a real cross-validation.
 
 The mapped generators keep the spin normalization: the field generator is
@@ -30,29 +31,21 @@ agreement with both the closed forms and the finite-N spin results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import e, exp, expm1, isfinite, sqrt
+from functools import lru_cache, partial
+from math import e, exp, expm1, isfinite
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
-    ContractViolationError,
     InvalidDimensionError,
+    PrecisionLossError,
     SingularParameterError,
     TruncationError,
 )
-from .metrology import SensitivityRecord, qfi
-from .protocols import ECHO_SCHEMES, SCHEMES, SchemeState
-from .spin_core import (
-    ComplexOperator,
-    StateVector,
-    propagate,
-    propagate_with_derivative,
-    variance,
-)
-
-FOCK_HAMILTONIAN_KINDS = ("field", "tat", "oat")
+from .metrology import SensitivityRecord, readout
+from .protocols import HAMILTONIAN_KINDS, SCHEMES, Mode
+from .spin_core import ComplexOperator, StateVector
 
 
 @dataclass(frozen=True)
@@ -104,16 +97,38 @@ class ClosedFormPoint:
             raise ValueError(f"value must be >= 0, got {self.value}")
 
 
-def _check_twist(scheme: str, twist_times_tau: float) -> None:
+def _check_point(
+    scheme: str, twist_times_tau: float, sensing_fraction: float | None = None
+) -> None:
+    """Argument checks shared by the closed forms and the Fock simulator."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if not isfinite(twist_times_tau) or twist_times_tau < 0:
         raise ValueError(
             f"twist_times_tau must be finite and >= 0, got {twist_times_tau!r}"
         )
+    if sensing_fraction is not None and not 0.0 <= sensing_fraction <= 1.0:
+        raise ValueError(
+            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
+        )
+
+
+def _check_regular(scheme: str, twist_times_tau: float) -> None:
     if scheme == "C" and twist_times_tau == 0.0:
         raise SingularParameterError(
             "the concurrent-twist closed form is singular at zero twist; "
             "use closed_form_c_small_twist near that point"
         )
+
+
+def _growth(fn, exponent: float) -> float:
+    """exp or expm1 of a twist exponent, refused past the double range."""
+    try:
+        return fn(exponent)
+    except OverflowError:
+        raise PrecisionLossError(
+            f"{fn.__name__}({exponent!r}) exceeds the double-precision range"
+        ) from None
 
 
 def closed_form(
@@ -125,20 +140,17 @@ def closed_form(
     singularity at zero twist (two diverging terms cancel); that point is
     rejected here and served by ``closed_form_c_small_twist`` instead.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    _check_twist(scheme, twist_times_tau)
+    _check_point(scheme, twist_times_tau, sensing_fraction)
+    _check_regular(scheme, twist_times_tau)
     s = sensing_fraction
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"sensing_fraction must lie in [0, 1], got {s}")
     x = twist_times_tau
     if scheme == "A":
         return 1.0
     if scheme == "B":
-        return s * exp(2.0 * x * (1.0 - s))
+        return s * _growth(exp, 2.0 * x * (1.0 - s))
     if scheme == "C":
         half = 1.0 / (2.0 * x)
-        return (s + half) * exp(2.0 * x * (1.0 - s)) - half
+        return (s + half) * _growth(exp, 2.0 * x * (1.0 - s)) - half
     if scheme == "Bprime":
         return x * s * (1.0 - s) / 2.0
     return (x / 4.0) * (1.0 - s * s)
@@ -154,9 +166,8 @@ def closed_form_c_small_twist(
     sensing fraction: with no twisting but the field on throughout, the
     concurrent scheme degenerates to the separable benchmark.
     """
+    _check_point("C", twist_times_tau, sensing_fraction)
     s = sensing_fraction
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"sensing_fraction must lie in [0, 1], got {s}")
     x = twist_times_tau
     return 1.0 + x * (1.0 - s * s) + (2.0 / 3.0) * x * x * (1.0 - s) ** 2 * (
         2.0 * s + 1.0
@@ -173,20 +184,19 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
     pair peaks at t/tau = 1/2 (value chi tau / 8) for Bprime and at
     t/tau = 0 (value chi tau / 4) for Cprime.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    _check_twist(scheme, twist_times_tau)
+    _check_point(scheme, twist_times_tau)
+    _check_regular(scheme, twist_times_tau)
     x = twist_times_tau
     if scheme == "A":
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
     if scheme == "B":
         if x > 0.5:
             return ClosedFormOptimum(
-                value=exp(2.0 * x - 1.0) / (2.0 * x), t_opt=1.0 / (2.0 * x)
+                value=_growth(exp, 2.0 * x - 1.0) / (2.0 * x), t_opt=1.0 / (2.0 * x)
             )
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
     if scheme == "C":
-        return ClosedFormOptimum(value=expm1(2.0 * x) / (2.0 * x), t_opt=0.0)
+        return ClosedFormOptimum(value=_growth(expm1, 2.0 * x) / (2.0 * x), t_opt=0.0)
     if scheme == "Bprime":
         return ClosedFormOptimum(value=x / 8.0, t_opt=0.5)
     return ClosedFormOptimum(value=x / 4.0, t_opt=0.0)
@@ -254,10 +264,9 @@ def fock_hamiltonian(space: FockSpace, kind: str, strength: float) -> ComplexOpe
     images of the spin generators under J-/sqrt(N) -> a, including the
     1/2 and 1/4 prefactors inherited from the spin normalization.
     """
-    if kind not in FOCK_HAMILTONIAN_KINDS:
+    if kind not in HAMILTONIAN_KINDS:
         raise ValueError(
-            f"unknown hamiltonian kind {kind!r}; "
-            f"expected one of {FOCK_HAMILTONIAN_KINDS}"
+            f"unknown hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}"
         )
     if not isfinite(strength):
         raise ValueError(f"strength must be finite, got {strength!r}")
@@ -274,7 +283,7 @@ def fock_hamiltonian(space: FockSpace, kind: str, strength: float) -> ComplexOpe
     return ComplexOperator(mat, "hermitian")
 
 
-def _check_tail(state: StateVector, space: FockSpace, stage: str) -> None:
+def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
     tail = float(np.sum(np.abs(state.amplitudes[-2:]) ** 2))
     if tail >= space.tail_tolerance:
         raise TruncationError(
@@ -282,6 +291,18 @@ def _check_tail(state: StateVector, space: FockSpace, stage: str) -> None:
             f"levels (truncation_dim={space.truncation_dim}, "
             f"tail_tolerance={space.tail_tolerance:.1e})"
         )
+
+
+def fock_mode(space: FockSpace) -> Mode:
+    """The truncated Fock mode: tail guard, P readout with vacuum spread 1."""
+    return Mode(
+        generator=partial(fock_hamiltonian, space),
+        initial=vacuum_state(space),
+        guard=partial(_check_tail, space),
+        readout_operator=lambda: momentum_quadrature(space),
+        spread=1.0,
+        spread_tolerance=1e-6,
+    )
 
 
 def fock_simulate(
@@ -292,96 +313,12 @@ def fock_simulate(
 ) -> SensitivityRecord:
     """Recompute one infinite-N sensitivity by direct bosonic simulation.
 
-    Mirrors the spin protocol composition at zero field on the truncated
-    Fock space, with exact derivatives throughout, and reports the same
+    Runs the shared protocol pipelines at zero field on the truncated Fock
+    mode, with exact derivatives throughout, and reports the same
     dimensionless figure of merit: Fisher information for A/B/C, error
     propagation on the P quadrature for the echo pair (whose zero-field
     spread is 1, asserted to 1e-6). Every normalized state along the way
     must pass the truncation tail check.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if not isfinite(twist_times_tau) or twist_times_tau < 0:
-        raise ValueError(
-            f"twist_times_tau must be finite and >= 0, got {twist_times_tau!r}"
-        )
-    s = sensing_fraction
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"sensing_fraction must lie in [0, 1], got {s}")
-    x = twist_times_tau
-    G = fock_hamiltonian(space, "field", 1.0)
-    vac = vacuum_state(space)
-    _check_tail(vac, space, "initial")
-
-    if scheme == "A":
-        psi = vac
-        dpsi = StateVector(-1j * (G.matrix @ vac.amplitudes), normalized=False)
-    elif scheme == "B":
-        H = fock_hamiltonian(space, "tat", x)
-        prep = propagate(H, 1.0 - s, vac)
-        _check_tail(prep, space, "post-twist")
-        psi = prep
-        dpsi = StateVector(
-            -1j * s * (G.matrix @ prep.amplitudes), normalized=False
-        )
-    elif scheme == "C":
-        H = fock_hamiltonian(space, "tat", x)
-        phi, dphi = propagate_with_derivative(H, G, 1.0 - s, vac)
-        _check_tail(phi, space, "post-twist")
-        psi = phi
-        dpsi = StateVector(
-            -1j * s * (G.matrix @ phi.amplitudes) + dphi.amplitudes,
-            normalized=False,
-        )
-    elif scheme == "Bprime":
-        t_prime = (1.0 - s) / 2.0
-        H = fock_hamiltonian(space, "oat", x)
-        prep = propagate(H, t_prime, vac)
-        _check_tail(prep, space, "post-twist")
-        psi = propagate(H, -t_prime, prep)
-        _check_tail(psi, space, "post-echo")
-        dpsi = propagate(
-            H,
-            -t_prime,
-            StateVector(-1j * s * (G.matrix @ prep.amplitudes), normalized=False),
-        )
-    else:
-        t_prime = (1.0 - s) / 2.0
-        H_plus = fock_hamiltonian(space, "oat", x)
-        H_minus = fock_hamiltonian(space, "oat", -x)
-        phi1, dphi1 = propagate_with_derivative(H_plus, G, t_prime, vac)
-        _check_tail(phi1, space, "post-twist")
-        phi2, dphi2 = propagate_with_derivative(H_minus, G, t_prime, phi1)
-        _check_tail(phi2, space, "post-echo")
-        psi = phi2
-        inner = StateVector(
-            -1j * s * (G.matrix @ phi1.amplitudes) + dphi1.amplitudes,
-            normalized=False,
-        )
-        dpsi = StateVector(
-            dphi2.amplitudes + propagate(H_minus, t_prime, inner).amplitudes,
-            normalized=False,
-        )
-
-    if scheme in ECHO_SCHEMES:
-        p_op = momentum_quadrature(space)
-        slope = 2.0 * np.vdot(psi.amplitudes, p_op.matrix @ dpsi.amplitudes).real
-        spread = sqrt(variance(p_op, psi))
-        if abs(spread - 1.0) > 1e-6:
-            raise ContractViolationError(
-                f"echo readout spread {spread!r} differs from the vacuum value 1"
-            )
-        value = abs(slope) / spread if slope != 0.0 else 0.0
-        method = "echo"
-    else:
-        value = sqrt(qfi(SchemeState(psi=psi, dpsi=dpsi)))
-        method = "qfi"
-
-    return SensitivityRecord(
-        scheme=scheme,
-        n_spins=None,
-        twist_strength=x,
-        sensing_fraction=s,
-        sensitivity=value,
-        method=method,
-    )
+    _check_point(scheme, twist_times_tau, sensing_fraction)
+    return readout(fock_mode(space), scheme, twist_times_tau, sensing_fraction, None)

@@ -30,7 +30,7 @@ class TruncationError(TwistsenseError):
 
 
 class PrecisionLossError(TwistsenseError):
-    """A result would be dominated by floating-point roundoff."""
+    """A result would be dominated by roundoff or overflow the double range."""
 
 
 class BracketingError(TwistsenseError):

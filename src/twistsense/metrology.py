@@ -32,11 +32,13 @@ from .protocols import (
     ECHO_SCHEMES,
     QFI_SCHEMES,
     SCHEMES,
+    Mode,
     ProtocolConfig,
     SchemeState,
-    final_state,
+    run_pipeline,
+    spin_mode,
 )
-from .spin_core import collective_operators, variance
+from .spin_core import variance
 
 METHODS = ("qfi", "echo", "closed_form")
 
@@ -96,65 +98,74 @@ def qfi(state: SchemeState) -> float:
     return max(4.0 * (grad2 - cross), 0.0)
 
 
-def _require_zero_field(cfg: ProtocolConfig, where: str) -> None:
+def readout(
+    mode: Mode,
+    scheme: str,
+    twist_strength: float,
+    sensing_fraction: float,
+    n_spins: int | None,
+) -> SensitivityRecord:
+    """Run one protocol at zero field on a carrier and read out its figure of merit.
+
+    Schemes A/B/C report sqrt(F) / tau. The echo pair reports
+    tau |d<R>/domega| / std(R) for the mode's readout operator R; the slope
+    uses the exact derivative, d<R>/domega = 2 Re <psi|R|dpsi>. At zero
+    field the echo returns the probe to its coherent initial state, whose
+    spread is the mode's ``spread``; that identity is asserted rather than
+    substituted, so a broken echo cannot silently inflate the sensitivity.
+    A vanishing slope reports a sensitivity of exactly 0.
+    """
+    state = run_pipeline(mode, scheme, twist_strength, sensing_fraction, 0.0)
+    if scheme in ECHO_SCHEMES:
+        R = mode.readout_operator()
+        psi, dpsi = state.psi.amplitudes, state.dpsi.amplitudes
+        slope = 2.0 * np.vdot(psi, R.matrix @ dpsi).real
+        spread = sqrt(variance(R, state.psi))
+        if abs(spread - mode.spread) > mode.spread_tolerance:
+            raise ContractViolationError(
+                f"echo readout spread {spread!r} differs from its coherent value "
+                f"{mode.spread!r}"
+            )
+        value, method = (abs(slope) / spread if slope != 0.0 else 0.0), "echo"
+    else:
+        value, method = sqrt(qfi(state)), "qfi"
+    return SensitivityRecord(
+        scheme=scheme,
+        n_spins=n_spins,
+        twist_strength=twist_strength,
+        sensing_fraction=sensing_fraction,
+        sensitivity=value,
+        method=method,
+    )
+
+
+def _spin_record(
+    cfg: ProtocolConfig, schemes: tuple[str, ...], where: str
+) -> SensitivityRecord:
+    """Read out one spin protocol run, refusing schemes outside ``schemes``."""
+    if cfg.scheme not in schemes:
+        raise WrongMethodError(f"{where} handles schemes {schemes}, got {cfg.scheme}")
     if cfg.omega != 0.0:
         raise ContractViolationError(
             f"{where} is defined at zero field; got omega = {cfg.omega}"
         )
+    return readout(
+        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, cfg.sensing_fraction,
+        cfg.n_spins,
+    )
 
 
 def qfi_sensitivity(cfg: ProtocolConfig) -> SensitivityRecord:
     """sqrt(F) / tau for the non-echo schemes A, B, C."""
-    if cfg.scheme not in QFI_SCHEMES:
-        raise WrongMethodError(
-            f"qfi_sensitivity handles schemes {QFI_SCHEMES}, got {cfg.scheme}"
-        )
-    _require_zero_field(cfg, "qfi_sensitivity")
-    value = sqrt(qfi(final_state(cfg)))
-    return SensitivityRecord(
-        scheme=cfg.scheme,
-        n_spins=cfg.n_spins,
-        twist_strength=cfg.twist_strength,
-        sensing_fraction=cfg.sensing_fraction,
-        sensitivity=value,
-        method="qfi",
-    )
+    return _spin_record(cfg, QFI_SCHEMES, "qfi_sensitivity")
 
 
 def echo_sensitivity(cfg: ProtocolConfig) -> SensitivityRecord:
     """tau |d<Jy>/domega| / std(Jy) at zero field for Bprime and Cprime.
 
-    The slope uses the exact derivative, d<Jy>/domega = 2 Re <psi|Jy|dpsi>.
-    At zero field the echo returns the probe to the coherent state, whose
-    Jy spread is sqrt(N)/2; that identity is asserted to 1e-9 rather than
-    substituted, so a broken echo cannot silently inflate the sensitivity.
-    A vanishing slope reports a sensitivity of exactly 0.
+    The echo spread std(Jy) = sqrt(N)/2 is asserted to 1e-9 (see ``readout``).
     """
-    if cfg.scheme not in ECHO_SCHEMES:
-        raise WrongMethodError(
-            f"echo_sensitivity handles schemes {ECHO_SCHEMES}, got {cfg.scheme}"
-        )
-    _require_zero_field(cfg, "echo_sensitivity")
-    state = final_state(cfg)
-    jy = collective_operators(cfg.space).Jy
-    slope = 2.0 * np.vdot(
-        state.psi.amplitudes, jy.matrix @ state.dpsi.amplitudes
-    ).real
-    spread = sqrt(variance(jy, state.psi))
-    expected = sqrt(cfg.n_spins) / 2.0
-    if abs(spread - expected) > 1e-9:
-        raise ContractViolationError(
-            f"echo readout spread {spread!r} differs from sqrt(N)/2 = {expected!r}"
-        )
-    value = abs(slope) / spread if slope != 0.0 else 0.0
-    return SensitivityRecord(
-        scheme=cfg.scheme,
-        n_spins=cfg.n_spins,
-        twist_strength=cfg.twist_strength,
-        sensing_fraction=cfg.sensing_fraction,
-        sensitivity=value,
-        method="echo",
-    )
+    return _spin_record(cfg, ECHO_SCHEMES, "echo_sensitivity")
 
 
 def closed_form_Bprime(

@@ -23,10 +23,15 @@ to the field, evaluated at zero field: analytic factors where the field
 generator stands alone, the eigenbasis (Daleckii-Krein) propagator
 derivative where it does not commute with the twisting. No finite
 differences anywhere.
+
+The pipelines are written once, in ``run_pipeline``, over a carrier
+``Mode``: the Dicke sector here (``spin_mode``), a truncated Fock mode in
+``bosonic_limit.fock_mode``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, sqrt
@@ -145,50 +150,90 @@ def hamiltonian(space: DickeSpace, kind: str, strength: float) -> ComplexOperato
     return ComplexOperator(mat, "hermitian")
 
 
-def _field_generator(space: DickeSpace) -> ComplexOperator:
-    """Jy / sqrt(N), the coefficient of omega in every field term."""
-    return hamiltonian(space, "field", 1.0)
-
-
 def _combined(H0: ComplexOperator, G: ComplexOperator, omega: float) -> ComplexOperator:
     """H0 + omega G, for building states at nonzero field."""
     return ComplexOperator(H0.matrix + omega * G.matrix, "hermitian")
 
 
-def final_state(cfg: ProtocolConfig) -> SchemeState:
-    """Final state and exact zero-field derivative for one protocol run.
+@dataclass(frozen=True, eq=False)
+class Mode:
+    """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
+
+    ``generator(kind, strength)`` builds one of the HAMILTONIAN_KINDS and
+    ``initial`` is the probe before any evolution. ``guard(state, stage)``
+    vets each normalized state along the way (stages "initial",
+    "post-twist", "post-echo") and raises if it cannot be trusted.
+    ``readout_operator()`` is the echo readout; on the echoed zero-field
+    state its spread must equal ``spread`` to within ``spread_tolerance``.
+    """
+
+    generator: Callable[[str, float], ComplexOperator]
+    initial: StateVector
+    guard: Callable[[StateVector, str], None]
+    readout_operator: Callable[[], ComplexOperator]
+    spread: float
+    spread_tolerance: float
+
+
+@lru_cache(maxsize=32)
+def spin_mode(space: DickeSpace) -> Mode:
+    """The Dicke sector: Jy readout with coherent spread sqrt(N)/2.
+
+    The sector is complete, not truncated, so its guard has nothing to vet.
+    Memoized per space, so a sweep builds its initial state once.
+    """
+    return Mode(
+        generator=lambda kind, strength: hamiltonian(space, kind, strength),
+        initial=initial_state(space),
+        guard=lambda state, stage: None,
+        readout_operator=lambda: collective_operators(space).Jy,
+        spread=sqrt(space.n_spins) / 2.0,
+        spread_tolerance=1e-9,
+    )
+
+
+def run_pipeline(
+    mode: Mode,
+    scheme: str,
+    twist_strength: float,
+    sensing_fraction: float,
+    omega: float,
+) -> SchemeState:
+    """Final state and exact zero-field derivative of one protocol on a carrier.
 
     The derivative follows the product rule term by term. Writing
     D(t) = exp(-i t omega G) for the sensing rotation, dD/domega at 0 is
     -i t G; factors where omega rides along a twisting generator get the
     eigenbasis derivative of ``propagate_with_derivative`` instead. For
     Cprime both the twist and the untwist window contribute, because the
-    echo reverses chi but not omega.
+    echo reverses chi but not omega. The mode's guard sees the initial
+    state, the twisted state and the echoed state.
     """
-    space = cfg.space
-    G = _field_generator(space)
-    psi0 = initial_state(space)
-    s = cfg.sensing_fraction
-    w = cfg.omega
+    G = mode.generator("field", 1.0)
+    psi0 = mode.initial
+    mode.guard(psi0, "initial")
+    s = sensing_fraction
+    w = omega
 
-    if cfg.scheme == "A":
+    if scheme == "A":
         # Sensing for the full budget; sensing_fraction does not enter.
         psi = propagate(G, w * 1.0, psi0)
         dpsi = apply_operator(G, psi0, prefactor=-1j)
         return SchemeState(psi=psi, dpsi=dpsi)
 
-    if cfg.scheme == "B":
-        t_prime = 1.0 - s
-        H = hamiltonian(space, "tat", cfg.twist_strength)
-        prep = propagate(H, t_prime, psi0)
+    if scheme == "B":
+        H = mode.generator("tat", twist_strength)
+        prep = propagate(H, 1.0 - s, psi0)
+        mode.guard(prep, "post-twist")
         psi = propagate(G, w * s, prep)
         dpsi = apply_operator(G, prep, prefactor=-1j * s)
         return SchemeState(psi=psi, dpsi=dpsi)
 
-    if cfg.scheme == "C":
+    if scheme == "C":
         t_prime = 1.0 - s
-        H = hamiltonian(space, "tat", cfg.twist_strength)
+        H = mode.generator("tat", twist_strength)
         phi, dphi = propagate_with_derivative(H, G, t_prime, psi0)
+        mode.guard(phi, "post-twist")
         dpsi = StateVector(
             -1j * s * (G.matrix @ phi.amplitudes) + dphi.amplitudes,
             normalized=False,
@@ -199,22 +244,32 @@ def final_state(cfg: ProtocolConfig) -> SchemeState:
             psi = propagate(G, w * s, propagate(_combined(H, G, w), t_prime, psi0))
         return SchemeState(psi=psi, dpsi=dpsi)
 
-    if cfg.scheme == "Bprime":
+    if scheme == "Bprime":
         t_prime = (1.0 - s) / 2.0
-        H = hamiltonian(space, "oat", cfg.twist_strength)
+        H = mode.generator("oat", twist_strength)
         prep = propagate(H, t_prime, psi0)
+        mode.guard(prep, "post-twist")
         sensed = propagate(G, w * s, prep)
         # The echo is the inverse twist, exp(+i t' H), i.e. duration -t'.
         psi = propagate(H, -t_prime, sensed)
+        mode.guard(psi, "post-echo")
         dpsi = propagate(H, -t_prime, apply_operator(G, prep, prefactor=-1j * s))
         return SchemeState(psi=psi, dpsi=dpsi)
 
-    if cfg.scheme == "Cprime":
+    if scheme == "Cprime":
         t_prime = (1.0 - s) / 2.0
-        H_plus = hamiltonian(space, "oat", cfg.twist_strength)
-        H_minus = hamiltonian(space, "oat", -cfg.twist_strength)
+        H_plus = mode.generator("oat", twist_strength)
+        H_minus = mode.generator("oat", -twist_strength)
         phi1, dphi1 = propagate_with_derivative(H_plus, G, t_prime, psi0)
+        mode.guard(phi1, "post-twist")
         phi2, dphi2 = propagate_with_derivative(H_minus, G, t_prime, phi1)
+        if w == 0:
+            psi = phi2
+        else:
+            stage1 = propagate(_combined(H_plus, G, w), t_prime, psi0)
+            stage2 = propagate(G, w * s, stage1)
+            psi = propagate(_combined(H_minus, G, w), t_prime, stage2)
+        mode.guard(psi, "post-echo")
         inner = StateVector(
             -1j * s * (G.matrix @ phi1.amplitudes) + dphi1.amplitudes,
             normalized=False,
@@ -223,12 +278,14 @@ def final_state(cfg: ProtocolConfig) -> SchemeState:
             dphi2.amplitudes + propagate(H_minus, t_prime, inner).amplitudes,
             normalized=False,
         )
-        if w == 0:
-            psi = phi2
-        else:
-            stage1 = propagate(_combined(H_plus, G, w), t_prime, psi0)
-            stage2 = propagate(G, w * s, stage1)
-            psi = propagate(_combined(H_minus, G, w), t_prime, stage2)
         return SchemeState(psi=psi, dpsi=dpsi)
 
-    raise ContractViolationError(f"unreachable scheme {cfg.scheme!r}")
+    raise ContractViolationError(f"unreachable scheme {scheme!r}")
+
+
+def final_state(cfg: ProtocolConfig) -> SchemeState:
+    """Final state and exact zero-field derivative for one spin protocol run."""
+    return run_pipeline(
+        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, cfg.sensing_fraction,
+        cfg.omega,
+    )

@@ -113,15 +113,8 @@ def evaluate_point(
     """One sensitivity evaluation through the chosen engine."""
     _validate_engine(scheme, n_spins, engine)
     if engine == "spin":
-        cfg = ProtocolConfig(
-            scheme=scheme,
-            n_spins=n_spins,
-            twist_strength=twist_value,
-            sensing_fraction=sensing_fraction,
-        )
-        if scheme in ECHO_SCHEMES:
-            return echo_sensitivity(cfg)
-        return qfi_sensitivity(cfg)
+        cfg = ProtocolConfig(scheme, n_spins, twist_value, sensing_fraction)
+        return (echo_sensitivity if scheme in ECHO_SCHEMES else qfi_sensitivity)(cfg)
     if engine == "fock":
         return fock_simulate(
             scheme, twist_value, sensing_fraction, fock_space or FockSpace()

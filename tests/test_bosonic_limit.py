@@ -83,6 +83,9 @@ class TestClosedForm:
             closed_form("B", np.inf, 0.5)
         with pytest.raises(ValueError):
             closed_form("B", 1.0, 1.5)
+        for bad_twist in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                closed_form_c_small_twist(bad_twist, 0.5)
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(x=st.floats(0.01, 10.0), s=st.floats(0.0, 1.0))

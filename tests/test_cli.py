@@ -82,6 +82,22 @@ class TestSweepCsv:
         assert out == ""
         assert err.startswith("error:") and "roundoff" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --scheme B --n inf --twist 1000 --t-points 3",
+            "oracle --scheme C --twist 400 --optimum",
+            "optimize --scheme B --n inf --twist 400",
+        ],
+    )
+    def test_closed_form_overflow_is_computation_error(self, capsys, argv):
+        # exp(2 x (1 - s)) leaves the double range near x = 355; the closed
+        # forms must fail with a typed error, not an OverflowError traceback.
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "double-precision range" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -6,6 +6,7 @@ import pytest
 from twistsense import (
     ComplexOperator,
     DickeSpace,
+    FockSpace,
     ProtocolConfig,
     collective_operators,
     final_state,
@@ -14,7 +15,9 @@ from twistsense import (
     overlap,
     propagate,
 )
+from twistsense.bosonic_limit import fock_mode
 from twistsense.errors import ContractViolationError
+from twistsense.protocols import run_pipeline
 
 from _helpers import richardson_derivative
 
@@ -163,20 +166,25 @@ class TestSchemeStates:
             ("C", 12, 2.0, 0.3),
             ("Bprime", 9, 6.0, 0.6),
             ("Cprime", 11, 4.0, 0.25),
+            # n = None runs the same pipelines on a 160-level Fock mode.
+            ("A", None, 0.0, 0.5),
+            ("B", None, 0.5, 0.4),
+            ("C", None, 0.5, 0.3),
+            ("Bprime", None, 4.0, 0.6),
+            ("Cprime", None, 4.0, 0.25),
         ],
     )
     def test_derivative_matches_finite_difference(self, scheme, n, twist, s):
-        cfg = make_config(scheme=scheme, n_spins=n, twist_strength=twist,
-                          sensing_fraction=s)
-        state = final_state(cfg)
+        def at_field(w):
+            if n is None:
+                mode = fock_mode(FockSpace(truncation_dim=160))
+                return run_pipeline(mode, scheme, twist, s, w)
+            return final_state(make_config(scheme=scheme, n_spins=n,
+                                           twist_strength=twist,
+                                           sensing_fraction=s, omega=w))
 
-        def along(w):
-            shifted = make_config(scheme=scheme, n_spins=n,
-                                  twist_strength=twist, sensing_fraction=s,
-                                  omega=w)
-            return final_state(shifted).psi.amplitudes
-
-        fd = richardson_derivative(along)
+        state = at_field(0.0)
+        fd = richardson_derivative(lambda w: at_field(w).psi.amplitudes)
         scale = max(np.linalg.norm(state.dpsi.amplitudes), 1.0)
         assert np.linalg.norm(state.dpsi.amplitudes - fd) / scale <= 1e-6
 
