@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import e, exp, expm1, isfinite
+from math import e, exp, expm1, isfinite, log
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +44,8 @@ from .errors import (
     TruncationError,
 )
 from .metrology import SensitivityRecord, readout
-from .protocols import HAMILTONIAN_KINDS, SCHEMES, Mode
-from .spin_core import ComplexOperator, StateVector
+from .protocols import SCHEMES, Mode, ladder_generator
+from .spin_core import BandedOperator, StateVector
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,21 @@ def _growth(fn, exponent: float) -> float:
         ) from None
 
 
+def _growth_over(fn, exponent: float, divisor: float) -> float:
+    """fn(exponent) / divisor for fn exp or expm1, also where fn overflows.
+
+    Past the exp range (exponent above about 709.78) the quotient can still
+    be a finite double; it is then computed as exp(exponent - log(divisor)),
+    good to about 1e-13 relative (the roundoff of an exponent near 700);
+    expm1 equals exp there to full precision. Below the range the quotient
+    is fn(exponent) / divisor, as it always was.
+    """
+    try:
+        return fn(exponent) / divisor
+    except OverflowError:
+        return _growth(exp, exponent - log(divisor))
+
+
 def closed_form(
     scheme: str, twist_times_tau: float, sensing_fraction: float
 ) -> float:
@@ -192,11 +207,11 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
     if scheme == "B":
         if x > 0.5:
             return ClosedFormOptimum(
-                value=_growth(exp, 2.0 * x - 1.0) / (2.0 * x), t_opt=1.0 / (2.0 * x)
+                value=_growth_over(exp, 2.0 * x - 1.0, 2.0 * x), t_opt=1.0 / (2.0 * x)
             )
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
     if scheme == "C":
-        return ClosedFormOptimum(value=_growth(expm1, 2.0 * x) / (2.0 * x), t_opt=0.0)
+        return ClosedFormOptimum(value=_growth_over(expm1, 2.0 * x, 2.0 * x), t_opt=0.0)
     if scheme == "Bprime":
         return ClosedFormOptimum(value=x / 8.0, t_opt=0.5)
     return ClosedFormOptimum(value=x / 4.0, t_opt=0.0)
@@ -236,11 +251,9 @@ def closed_form_point(
     )
 
 
-@lru_cache(maxsize=16)
-def _annihilation(truncation_dim: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1, truncation_dim)), 1).astype(complex)
-    a.setflags(write=False)
-    return a
+def _lowering_elements(space: FockSpace) -> np.ndarray:
+    """<k| a |k+1> = sqrt(k + 1) for k = 0 .. truncation_dim - 2."""
+    return np.sqrt(np.arange(1, space.truncation_dim))
 
 
 def vacuum_state(space: FockSpace) -> StateVector:
@@ -249,38 +262,25 @@ def vacuum_state(space: FockSpace) -> StateVector:
     return StateVector(amps)
 
 
-def momentum_quadrature(space: FockSpace) -> ComplexOperator:
+def momentum_quadrature(space: FockSpace) -> BandedOperator:
     """P = i(a - a^dag), the readout quadrature of the echo protocols."""
-    a = _annihilation(space.truncation_dim)
-    return ComplexOperator(1j * (a - a.conj().T), "hermitian")
+    return BandedOperator.hermitian(
+        space.truncation_dim, {1: 1j * _lowering_elements(space)}
+    )
 
 
 @lru_cache(maxsize=64)
-def fock_hamiltonian(space: FockSpace, kind: str, strength: float) -> ComplexOperator:
+def fock_hamiltonian(space: FockSpace, kind: str, strength: float) -> BandedOperator:
     """Bosonic image of one spin generator at dimensionless strength.
 
     field -> strength * P / 2, tat -> strength * i(a^2 - a^dag^2),
     oat -> strength * (a + a^dag)^2 / 4. These are exactly the large-N
     images of the spin generators under J-/sqrt(N) -> a, including the
     1/2 and 1/4 prefactors inherited from the spin normalization.
+
+    Built from the bands of a by ``ladder_generator`` (norm 1).
     """
-    if kind not in HAMILTONIAN_KINDS:
-        raise ValueError(
-            f"unknown hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}"
-        )
-    if not isfinite(strength):
-        raise ValueError(f"strength must be finite, got {strength!r}")
-    a = _annihilation(space.truncation_dim)
-    if kind == "field":
-        mat = strength * 1j * (a - a.conj().T) / 2.0
-    elif kind == "tat":
-        a2 = a @ a
-        mat = strength * 1j * (a2 - a2.conj().T)
-    else:
-        x = a + a.conj().T
-        x2 = x @ x
-        mat = strength * (x2 + x2.conj().T) / 8.0
-    return ComplexOperator(mat, "hermitian")
+    return ladder_generator(_lowering_elements(space), 1.0, kind, strength)
 
 
 def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:

@@ -119,7 +119,7 @@ def readout(
     if scheme in ECHO_SCHEMES:
         R = mode.readout_operator()
         psi, dpsi = state.psi.amplitudes, state.dpsi.amplitudes
-        slope = 2.0 * np.vdot(psi, R.matrix @ dpsi).real
+        slope = 2.0 * np.vdot(psi, R.matvec(dpsi)).real
         spread = sqrt(variance(R, state.psi))
         if abs(spread - mode.spread) > mode.spread_tolerance:
             raise ContractViolationError(

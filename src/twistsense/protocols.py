@@ -40,8 +40,10 @@ import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError
 from .spin_core import (
+    BandedOperator,
     ComplexOperator,
     DickeSpace,
+    Operator,
     StateVector,
     apply_operator,
     collective_operators,
@@ -123,13 +125,25 @@ class SchemeState:
             )
 
 
-@lru_cache(maxsize=64)
-def hamiltonian(space: DickeSpace, kind: str, strength: float) -> ComplexOperator:
-    """One of the three generators at the given dimensionless strength.
+def ladder_generator(
+    lowering: np.ndarray, norm: float, kind: str, strength: float
+) -> BandedOperator:
+    """One of the HAMILTONIAN_KINDS, built in O(d) from a lowering operator.
 
-    The products below are arranged so the returned matrix is Hermitian
-    exactly, not merely to roundoff: J-^2 is the exact transpose of J+^2
-    and Jx^2 is symmetrized after the matmul.
+    ``lowering`` holds l_k = <k| L |k+1>, the one band of the lowering
+    operator L: J- on a Dicke sector (``norm`` N) or the annihilation
+    operator a on a Fock mode (``norm`` 1). With X = (L + L^dag) / 2 the
+    generators, times ``strength``, are
+
+      field  i (L - L^dag) / (2 sqrt(norm)): upper band i l_k / (2 sqrt(norm)),
+      tat    i (L^2 - L^dag^2) / norm: offset-2 band i l_k l_{k+1} / norm,
+      oat    X^2 / norm: diagonal (l_{k-1}^2 + l_k^2) / (4 norm) and
+             offset-2 band l_k l_{k+1} / (4 norm).
+
+    X^2 is the product of the matrices as stored, so on a truncated Fock
+    space its top diagonal entry has only the l_{k-1}^2 term. The lower
+    bands are the exact conjugates of the upper ones
+    (``BandedOperator.hermitian``), so the result is Hermitian exactly.
     """
     if kind not in HAMILTONIAN_KINDS:
         raise ValueError(
@@ -137,21 +151,37 @@ def hamiltonian(space: DickeSpace, kind: str, strength: float) -> ComplexOperato
         )
     if not isfinite(strength):
         raise ValueError(f"strength must be finite, got {strength!r}")
-    n = space.n_spins
-    ops = collective_operators(space)
+    d = len(lowering) + 1
     if kind == "field":
-        mat = (strength / sqrt(n)) * ops.Jy.matrix
-    elif kind == "tat":
-        jp2 = ops.Jplus.matrix @ ops.Jplus.matrix
-        mat = 1j * strength * (jp2.conj().T - jp2) / n
-    else:
-        jx2 = ops.Jx.matrix @ ops.Jx.matrix
-        mat = strength * (jx2 + jx2.conj().T) / (2 * n)
-    return ComplexOperator(mat, "hermitian")
+        upper = (strength / (2.0 * sqrt(norm))) * 1j * lowering
+        return BandedOperator.hermitian(d, {1: upper})
+    pairs = lowering[:-1] * lowering[1:]
+    if kind == "tat":
+        return BandedOperator.hermitian(d, {2: 1j * strength * pairs / norm})
+    square = np.zeros(d)
+    square[1:] += lowering**2
+    square[:-1] += lowering**2
+    return BandedOperator.hermitian(
+        d, {2: strength * (pairs / 4.0) / norm}, diagonal=strength * (square / 4.0) / norm
+    )
 
 
-def _combined(H0: ComplexOperator, G: ComplexOperator, omega: float) -> ComplexOperator:
-    """H0 + omega G, for building states at nonzero field."""
+@lru_cache(maxsize=64)
+def hamiltonian(space: DickeSpace, kind: str, strength: float) -> BandedOperator:
+    """One of the three generators at the given dimensionless strength.
+
+    Jy / sqrt(N), i (J-^2 - J+^2) / N or Jx^2 / N, built from the bands of
+    J- by ``ladder_generator``.
+    """
+    return ladder_generator(space.ladder_elements(), space.n_spins, kind, strength)
+
+
+def _combined(H0: Operator, G: Operator, omega: float) -> ComplexOperator:
+    """H0 + omega G, for building states at nonzero field.
+
+    The sum has bands at offsets 0, 1 and 2, so it is a dense operator with
+    a dense eigendecomposition; it is built only at nonzero field.
+    """
     return ComplexOperator(H0.matrix + omega * G.matrix, "hermitian")
 
 
@@ -167,10 +197,10 @@ class Mode:
     state its spread must equal ``spread`` to within ``spread_tolerance``.
     """
 
-    generator: Callable[[str, float], ComplexOperator]
+    generator: Callable[[str, float], Operator]
     initial: StateVector
     guard: Callable[[StateVector, str], None]
-    readout_operator: Callable[[], ComplexOperator]
+    readout_operator: Callable[[], Operator]
     spread: float
     spread_tolerance: float
 
@@ -235,7 +265,7 @@ def run_pipeline(
         phi, dphi = propagate_with_derivative(H, G, t_prime, psi0)
         mode.guard(phi, "post-twist")
         dpsi = StateVector(
-            -1j * s * (G.matrix @ phi.amplitudes) + dphi.amplitudes,
+            -1j * s * G.matvec(phi.amplitudes) + dphi.amplitudes,
             normalized=False,
         )
         if w == 0:
@@ -258,24 +288,26 @@ def run_pipeline(
 
     if scheme == "Cprime":
         t_prime = (1.0 - s) / 2.0
-        H_plus = mode.generator("oat", twist_strength)
-        H_minus = mode.generator("oat", -twist_strength)
-        phi1, dphi1 = propagate_with_derivative(H_plus, G, t_prime, psi0)
+        H = mode.generator("oat", twist_strength)
+        phi1, dphi1 = propagate_with_derivative(H, G, t_prime, psi0)
         mode.guard(phi1, "post-twist")
-        phi2, dphi2 = propagate_with_derivative(H_minus, G, t_prime, phi1)
+        # The untwist exp(-i t' (-H + w G)) is exp(-i (-t') (H - w G)): the
+        # twist run backwards with the field reversed, so its derivative
+        # along w is minus the derivative of the twist at duration -t'.
+        phi2, minus_dphi2 = propagate_with_derivative(H, G, -t_prime, phi1)
         if w == 0:
             psi = phi2
         else:
-            stage1 = propagate(_combined(H_plus, G, w), t_prime, psi0)
+            stage1 = propagate(_combined(H, G, w), t_prime, psi0)
             stage2 = propagate(G, w * s, stage1)
-            psi = propagate(_combined(H_minus, G, w), t_prime, stage2)
+            psi = propagate(_combined(H, G, -w), -t_prime, stage2)
         mode.guard(psi, "post-echo")
         inner = StateVector(
-            -1j * s * (G.matrix @ phi1.amplitudes) + dphi1.amplitudes,
+            -1j * s * G.matvec(phi1.amplitudes) + dphi1.amplitudes,
             normalized=False,
         )
         dpsi = StateVector(
-            dphi2.amplitudes + propagate(H_minus, t_prime, inner).amplitudes,
+            propagate(H, -t_prime, inner).amplitudes - minus_dphi2.amplitudes,
             normalized=False,
         )
         return SchemeState(psi=psi, dpsi=dpsi)

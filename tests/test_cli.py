@@ -1,6 +1,10 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,7 @@ class TestSweepCsv:
             "sweep --scheme B --n inf --twist 1000 --t-points 3",
             "oracle --scheme C --twist 400 --optimum",
             "optimize --scheme B --n inf --twist 400",
+            "oracle --scheme B --twist 360 --optimum",
         ],
     )
     def test_closed_form_overflow_is_computation_error(self, capsys, argv):
@@ -200,6 +205,25 @@ class TestOracle:
         assert payload["value"] == 2.0
         assert payload["t_opt"] == 0.0
 
+    @pytest.mark.parametrize(
+        "scheme, twist, expected",
+        [
+            # e^711 / 712 and (e^710 - 1) / 710, to 15 digits.
+            ("B", "356", 8.52897103613763e305),
+            ("C", "355", 3.14647150163621e305),
+        ],
+    )
+    def test_optimum_just_past_the_exp_range(self, capsys, scheme, twist, expected):
+        # exp(2x - 1) or expm1(2x) overflows, but the optimum divided by 2x
+        # is still a finite double.
+        code, out, _ = run_cli(
+            capsys, "oracle", "--scheme", scheme, "--twist", twist, "--optimum"
+        )
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert np.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-12)
+
     def test_singular_point_is_computation_error(self, capsys):
         code, _, err = run_cli(
             capsys, "oracle", "--scheme", "C", "--twist", "0.0", "--t", "0.5"
@@ -267,3 +291,19 @@ class TestValidateSubcommand:
     def test_unmatched_filter_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "validate", "--only", "no_such_check")
         assert code == 2
+
+
+def test_module_entry_point_matches_main(capsys):
+    # ``python -m twistsense`` from a checkout, with only src on the path.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    ))
+    argv = ["oracle", "--scheme", "B", "--twist", "2", "--optimum"]
+    done = subprocess.run(
+        [sys.executable, "-m", "twistsense", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert done.returncode == code == 0
+    assert done.stdout == out

@@ -30,7 +30,7 @@ from twistsense.errors import (
     PrecisionLossError,
 )
 from twistsense.protocols import hamiltonian
-from twistsense.spin_core import MAX_PHASE
+from twistsense.spin_core import MAX_PHASE, BandedOperator
 
 from _helpers import random_hermitian, random_state, richardson_derivative
 
@@ -254,34 +254,55 @@ def test_derivative_matches_finite_difference_battery():
         (100, "oat", -8.0),
         (200, "tat", 1.0),
         (None, "tat", 0.5),  # Fock space at the default truncation 400
+        # Odd and even N, down to the one- and two-dimensional sectors,
+        # zero and negative strengths.
+        (1, "tat", 1.0),
+        (1, "oat", -3.0),
+        (2, "tat", -0.7),
+        (2, "oat", 5.0),
+        (41, "tat", 0.0),
+        (41, "oat", 0.0),
+        (41, "tat", -1.5),
+        (101, "oat", -11.5),
+        (101, "tat", 0.8),
+        # Fock spaces of odd size: parity blocks of unequal size.
+        pytest.param(FockSpace(3), "oat", 0.7, id="fock3-oat-0.7"),
+        pytest.param(FockSpace(3), "tat", -0.4, id="fock3-tat--0.4"),
+        pytest.param(FockSpace(401), "tat", 0.5, id="fock401-tat-0.5"),
     ],
 )
 def test_derivative_matches_block_exponential_oracle(n, kind, strength):
     # Independent reference: the top row of exp of the block generator
     # [[-i d H0, -i d G], [0, -i d H0]] holds exp(-i d H0) and its
     # derivative along G. One-axis twisting has exactly degenerate pairs.
-    if n is None:
-        space, build = FockSpace(), fock_hamiltonian
-        psi = vacuum_state(space)
+    # Each case starts from a state inside the even parity block and from
+    # one spread over both blocks.
+    if n is None or isinstance(n, FockSpace):
+        space, build = n or FockSpace(), fock_hamiltonian
+        mixed = np.zeros(space.truncation_dim, dtype=complex)
+        mixed[:2] = (1.0, 1j)
+        starts = (vacuum_state(space), StateVector(mixed / np.sqrt(2.0)))
     else:
         space, build = DickeSpace(n), hamiltonian
-        psi = initial_state(space)
+        starts = (initial_state(space), plus_state(space))
     H0 = build(space, kind, strength)
     G = build(space, "field", 1.0)
-    phi, dphi = propagate_with_derivative(H0, G, 0.0, psi)
-    assert np.array_equal(phi.amplitudes, psi.amplitudes)
-    assert not np.any(dphi.amplitudes)
+    for psi in starts:
+        phi, dphi = propagate_with_derivative(H0, G, 0.0, psi)
+        assert np.array_equal(phi.amplitudes, psi.amplitudes)
+        assert not np.any(dphi.amplitudes)
     d = H0.dim
-    for duration in (0.05, 0.5, 1.0):
+    for duration in (0.05, 0.5, 1.0, -0.7):
         block = np.zeros((2 * d, 2 * d), dtype=complex)
         block[:d, :d] = block[d:, d:] = -1j * duration * H0.matrix
         block[:d, d:] = -1j * duration * G.matrix
         full = expm(block)
-        phi, dphi = propagate_with_derivative(H0, G, duration, psi)
-        for got, ref in ((phi, full[:d, :d]), (dphi, full[:d, d:])):
-            ref = ref @ psi.amplitudes
-            err = np.linalg.norm(got.amplitudes - ref) / np.linalg.norm(ref)
-            assert err <= 1e-12, (duration, err)
+        for psi in starts:
+            phi, dphi = propagate_with_derivative(H0, G, duration, psi)
+            for got, ref in ((phi, full[:d, :d]), (dphi, full[:d, d:])):
+                ref = ref @ psi.amplitudes
+                err = np.linalg.norm(got.amplitudes - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12, (duration, err)
 
 
 def test_phase_guard_refuses_roundoff_dominated_durations():
@@ -338,6 +359,41 @@ def test_state_normalization_contract():
     assert ok.norm == pytest.approx(np.sqrt(2.0))
     with pytest.raises(InvalidDimensionError):
         StateVector(np.zeros((2, 2)))
+
+
+def test_banded_hermitian_contract():
+    upper = np.array([1.0 + 2.0j, -0.5j])
+    H = BandedOperator.hermitian(3, {1: upper}, diagonal=[0.5, -1.0, 2.0])
+    assert np.array_equal(H.matrix, H.matrix.conj().T)
+    with pytest.raises(ContractViolationError):
+        BandedOperator.hermitian(3, {1: upper}, diagonal=[0.5, 1j, 2.0])
+    with pytest.raises(ContractViolationError):
+        BandedOperator(3, {1: upper, -1: upper}, "hermitian")
+    with pytest.raises(ContractViolationError):
+        BandedOperator(3, {1: upper}, "hermitian")
+    with pytest.raises(InvalidDimensionError):
+        BandedOperator(3, {1: np.ones(3)})
+    with pytest.raises(ValueError):
+        H.bands[1][0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["field", "tat", "oat"])
+def test_banded_operator_matches_its_dense_matrix(kind):
+    # Matvec, chain blocks and the structured propagator against the dense
+    # matrix; N = 6 gives parity blocks of sizes 4 and 3.
+    rng = np.random.default_rng(5)
+    H = hamiltonian(DickeSpace(6), kind, -1.3)
+    dense = H.matrix
+    x = random_state(rng, H.dim)
+    assert np.abs(H.matvec(x) - dense @ x).max() <= 1e-14
+    for stride in (1, 2, 3):
+        for r in range(stride):
+            for q in range(stride):
+                assert np.array_equal(
+                    H.block(r, q, stride), dense[r::stride, q::stride]
+                )
+    U = propagator(H, 0.7).matrix
+    assert np.abs(U - expm(-0.7j * dense)).max() <= 1e-13
 
 
 def test_operator_kind_contracts():
