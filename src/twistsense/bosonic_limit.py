@@ -131,6 +131,19 @@ def _growth(fn, exponent: float) -> float:
         ) from None
 
 
+def _growth_times(factor: float, exponent: float) -> float:
+    """factor * exp(exponent) for factor > 0, also where exp overflows.
+
+    Past the exp range the product can still be a finite double; it is then
+    computed as exp(exponent + log(factor)), good to about 1e-13 relative.
+    Below the range it is factor * exp(exponent), as it always was.
+    """
+    try:
+        return factor * exp(exponent)
+    except OverflowError:
+        return _growth(exp, exponent + log(factor))
+
+
 def _growth_over(fn, exponent: float, divisor: float) -> float:
     """fn(exponent) / divisor for fn exp or expm1, also where fn overflows.
 
@@ -162,10 +175,11 @@ def closed_form(
     if scheme == "A":
         return 1.0
     if scheme == "B":
-        return s * _growth(exp, 2.0 * x * (1.0 - s))
+        # No sensing time, no signal: 0 even where the growth overflows.
+        return 0.0 if s == 0.0 else _growth_times(s, 2.0 * x * (1.0 - s))
     if scheme == "C":
         half = 1.0 / (2.0 * x)
-        return (s + half) * _growth(exp, 2.0 * x * (1.0 - s)) - half
+        return _growth_times(s + half, 2.0 * x * (1.0 - s)) - half
     if scheme == "Bprime":
         return x * s * (1.0 - s) / 2.0
     return (x / 4.0) * (1.0 - s * s)
@@ -270,17 +284,17 @@ def momentum_quadrature(space: FockSpace) -> BandedOperator:
 
 
 @lru_cache(maxsize=64)
-def fock_hamiltonian(space: FockSpace, kind: str, strength: float) -> BandedOperator:
-    """Bosonic image of one spin generator at dimensionless strength.
+def fock_hamiltonian(space: FockSpace, kind: str) -> BandedOperator:
+    """Bosonic image of one unit-strength spin generator.
 
-    field -> strength * P / 2, tat -> strength * i(a^2 - a^dag^2),
-    oat -> strength * (a + a^dag)^2 / 4. These are exactly the large-N
-    images of the spin generators under J-/sqrt(N) -> a, including the
-    1/2 and 1/4 prefactors inherited from the spin normalization.
+    field -> P / 2, tat -> i(a^2 - a^dag^2), oat -> (a + a^dag)^2 / 4.
+    These are exactly the large-N images of the spin generators under
+    J-/sqrt(N) -> a, including the 1/2 and 1/4 prefactors inherited from
+    the spin normalization. A strength enters as the propagation angle.
 
     Built from the bands of a by ``ladder_generator`` (norm 1).
     """
-    return ladder_generator(_lowering_elements(space), 1.0, kind, strength)
+    return ladder_generator(_lowering_elements(space), 1.0, kind)
 
 
 def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:

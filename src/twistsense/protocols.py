@@ -1,10 +1,10 @@
 """The five time-budgeted sensing protocols and their exact field derivatives.
 
-Builds the three generator types on a Dicke sector
+Builds the three generator types on a Dicke sector at unit strength
 
-  field   H_w   = w * Jy / sqrt(N)          (rotation by the unknown field)
-  tat     H_eta = i eta (J-^2 - J+^2) / N    (two-axis twisting)
-  oat     H_chi = chi Jx^2 / N               (one-axis twisting)
+  field   G = Jy / sqrt(N)         (rotated through the angle omega t)
+  tat     H = i (J-^2 - J+^2) / N   (two-axis twisting, angle eta t)
+  oat     H = Jx^2 / N              (one-axis twisting, angle chi t)
 
 and composes them, reading operator products right to left, into the final
 states of five protocols sharing one total time budget tau (fixed to 1
@@ -125,15 +125,13 @@ class SchemeState:
             )
 
 
-def ladder_generator(
-    lowering: np.ndarray, norm: float, kind: str, strength: float
-) -> BandedOperator:
+def ladder_generator(lowering: np.ndarray, norm: float, kind: str) -> BandedOperator:
     """One of the HAMILTONIAN_KINDS, built in O(d) from a lowering operator.
 
     ``lowering`` holds l_k = <k| L |k+1>, the one band of the lowering
     operator L: J- on a Dicke sector (``norm`` N) or the annihilation
     operator a on a Fock mode (``norm`` 1). With X = (L + L^dag) / 2 the
-    generators, times ``strength``, are
+    unit-strength generators are
 
       field  i (L - L^dag) / (2 sqrt(norm)): upper band i l_k / (2 sqrt(norm)),
       tat    i (L^2 - L^dag^2) / norm: offset-2 band i l_k l_{k+1} / norm,
@@ -149,55 +147,52 @@ def ladder_generator(
         raise ValueError(
             f"unknown hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}"
         )
-    if not isfinite(strength):
-        raise ValueError(f"strength must be finite, got {strength!r}")
     d = len(lowering) + 1
     if kind == "field":
-        upper = (strength / (2.0 * sqrt(norm))) * 1j * lowering
-        return BandedOperator.hermitian(d, {1: upper})
+        return BandedOperator.hermitian(d, {1: (0.5 / sqrt(norm)) * 1j * lowering})
     pairs = lowering[:-1] * lowering[1:]
     if kind == "tat":
-        return BandedOperator.hermitian(d, {2: 1j * strength * pairs / norm})
+        return BandedOperator.hermitian(d, {2: 1j * pairs / norm})
     square = np.zeros(d)
     square[1:] += lowering**2
     square[:-1] += lowering**2
     return BandedOperator.hermitian(
-        d, {2: strength * (pairs / 4.0) / norm}, diagonal=strength * (square / 4.0) / norm
+        d, {2: (pairs / 4.0) / norm}, diagonal=(square / 4.0) / norm
     )
 
 
 @lru_cache(maxsize=64)
-def hamiltonian(space: DickeSpace, kind: str, strength: float) -> BandedOperator:
-    """One of the three generators at the given dimensionless strength.
+def hamiltonian(space: DickeSpace, kind: str) -> BandedOperator:
+    """One of the three generators at unit strength.
 
     Jy / sqrt(N), i (J-^2 - J+^2) / N or Jx^2 / N, built from the bands of
-    J- by ``ladder_generator``.
+    J- by ``ladder_generator``; a strength is part of the propagation angle.
     """
-    return ladder_generator(space.ladder_elements(), space.n_spins, kind, strength)
+    return ladder_generator(space.ladder_elements(), space.n_spins, kind)
 
 
-def _combined(H0: Operator, G: Operator, omega: float) -> ComplexOperator:
-    """H0 + omega G, for building states at nonzero field.
+def _combined(H: Operator, x: float, G: Operator, omega: float) -> ComplexOperator:
+    """x H + omega G, for building states at nonzero field.
 
     The sum has bands at offsets 0, 1 and 2, so it is a dense operator with
     a dense eigendecomposition; it is built only at nonzero field.
     """
-    return ComplexOperator(H0.matrix + omega * G.matrix, "hermitian")
+    return ComplexOperator(x * H.matrix + omega * G.matrix, "hermitian")
 
 
 @dataclass(frozen=True, eq=False)
 class Mode:
     """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
 
-    ``generator(kind, strength)`` builds one of the HAMILTONIAN_KINDS and
-    ``initial`` is the probe before any evolution. ``guard(state, stage)``
+    ``generator(kind)`` builds one of the HAMILTONIAN_KINDS at unit strength
+    and ``initial`` is the probe before any evolution. ``guard(state, stage)``
     vets each normalized state along the way (stages "initial",
     "post-twist", "post-echo") and raises if it cannot be trusted.
     ``readout_operator()`` is the echo readout; on the echoed zero-field
     state its spread must equal ``spread`` to within ``spread_tolerance``.
     """
 
-    generator: Callable[[str, float], Operator]
+    generator: Callable[[str], Operator]
     initial: StateVector
     guard: Callable[[StateVector, str], None]
     readout_operator: Callable[[], Operator]
@@ -213,7 +208,7 @@ def spin_mode(space: DickeSpace) -> Mode:
     Memoized per space, so a sweep builds its initial state once.
     """
     return Mode(
-        generator=lambda kind, strength: hamiltonian(space, kind, strength),
+        generator=lambda kind: hamiltonian(space, kind),
         initial=initial_state(space),
         guard=lambda state, stage: None,
         readout_operator=lambda: collective_operators(space).Jy,
@@ -231,18 +226,20 @@ def run_pipeline(
 ) -> SchemeState:
     """Final state and exact zero-field derivative of one protocol on a carrier.
 
-    The derivative follows the product rule term by term. Writing
+    A twist x for a time t' turns the unit generator H through x t'. The
+    derivative follows the product rule term by term. Writing
     D(t) = exp(-i t omega G) for the sensing rotation, dD/domega at 0 is
-    -i t G; factors where omega rides along a twisting generator get the
+    -i t G; a window t' where omega rides along a twist gets t' times the
     eigenbasis derivative of ``propagate_with_derivative`` instead. For
     Cprime both the twist and the untwist window contribute, because the
     echo reverses chi but not omega. The mode's guard sees the initial
     state, the twisted state and the echoed state.
     """
-    G = mode.generator("field", 1.0)
+    G = mode.generator("field")
     psi0 = mode.initial
     mode.guard(psi0, "initial")
     s = sensing_fraction
+    x = twist_strength
     w = omega
 
     if scheme == "A":
@@ -252,8 +249,8 @@ def run_pipeline(
         return SchemeState(psi=psi, dpsi=dpsi)
 
     if scheme == "B":
-        H = mode.generator("tat", twist_strength)
-        prep = propagate(H, 1.0 - s, psi0)
+        H = mode.generator("tat")
+        prep = propagate(H, x * (1.0 - s), psi0)
         mode.guard(prep, "post-twist")
         psi = propagate(G, w * s, prep)
         dpsi = apply_operator(G, prep, prefactor=-1j * s)
@@ -261,53 +258,52 @@ def run_pipeline(
 
     if scheme == "C":
         t_prime = 1.0 - s
-        H = mode.generator("tat", twist_strength)
-        phi, dphi = propagate_with_derivative(H, G, t_prime, psi0)
+        H = mode.generator("tat")
+        phi, dphi = propagate_with_derivative(H, G, x * t_prime, psi0)
         mode.guard(phi, "post-twist")
         dpsi = StateVector(
-            -1j * s * G.matvec(phi.amplitudes) + dphi.amplitudes,
+            -1j * s * G.matvec(phi.amplitudes) + t_prime * dphi.amplitudes,
             normalized=False,
         )
         if w == 0:
             psi = phi
         else:
-            psi = propagate(G, w * s, propagate(_combined(H, G, w), t_prime, psi0))
+            psi = propagate(G, w * s, propagate(_combined(H, x, G, w), t_prime, psi0))
         return SchemeState(psi=psi, dpsi=dpsi)
 
     if scheme == "Bprime":
         t_prime = (1.0 - s) / 2.0
-        H = mode.generator("oat", twist_strength)
-        prep = propagate(H, t_prime, psi0)
+        H = mode.generator("oat")
+        prep = propagate(H, x * t_prime, psi0)
         mode.guard(prep, "post-twist")
         sensed = propagate(G, w * s, prep)
-        # The echo is the inverse twist, exp(+i t' H), i.e. duration -t'.
-        psi = propagate(H, -t_prime, sensed)
+        # The echo is the inverse twist, exp(+i x t' H), i.e. angle -x t'.
+        psi = propagate(H, -x * t_prime, sensed)
         mode.guard(psi, "post-echo")
-        dpsi = propagate(H, -t_prime, apply_operator(G, prep, prefactor=-1j * s))
+        dpsi = propagate(H, -x * t_prime, apply_operator(G, prep, prefactor=-1j * s))
         return SchemeState(psi=psi, dpsi=dpsi)
 
     if scheme == "Cprime":
         t_prime = (1.0 - s) / 2.0
-        H = mode.generator("oat", twist_strength)
-        phi1, dphi1 = propagate_with_derivative(H, G, t_prime, psi0)
+        H = mode.generator("oat")
+        phi1, dphi1 = propagate_with_derivative(H, G, x * t_prime, psi0)
         mode.guard(phi1, "post-twist")
-        # The untwist exp(-i t' (-H + w G)) is exp(-i (-t') (H - w G)): the
-        # twist run backwards with the field reversed, so its derivative
-        # along w is minus the derivative of the twist at duration -t'.
-        phi2, minus_dphi2 = propagate_with_derivative(H, G, -t_prime, phi1)
+        # The untwist exp(-i t' (-x H + w G)) turns H through the angle
+        # -x t' and G through w t'.
+        phi2, dphi2 = propagate_with_derivative(H, G, -x * t_prime, phi1)
         if w == 0:
             psi = phi2
         else:
-            stage1 = propagate(_combined(H, G, w), t_prime, psi0)
+            stage1 = propagate(_combined(H, x, G, w), t_prime, psi0)
             stage2 = propagate(G, w * s, stage1)
-            psi = propagate(_combined(H, G, -w), -t_prime, stage2)
+            psi = propagate(_combined(H, x, G, -w), -t_prime, stage2)
         mode.guard(psi, "post-echo")
         inner = StateVector(
-            -1j * s * G.matvec(phi1.amplitudes) + dphi1.amplitudes,
+            -1j * s * G.matvec(phi1.amplitudes) + t_prime * dphi1.amplitudes,
             normalized=False,
         )
         dpsi = StateVector(
-            propagate(H, -t_prime, inner).amplitudes - minus_dphi2.amplitudes,
+            propagate(H, -x * t_prime, inner).amplitudes + t_prime * dphi2.amplitudes,
             normalized=False,
         )
         return SchemeState(psi=psi, dpsi=dpsi)

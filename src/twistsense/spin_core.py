@@ -524,9 +524,9 @@ def _in_eigenbasis(H0: Operator, G: Operator) -> dict[tuple[int, int], np.ndarra
     The blocks below the diagonal are the adjoints of these. The field
     generator flips parity, so in a twisting eigenbasis only the even-odd
     block is nonzero. One entry is enough: every pipeline differentiates
-    around one twisting generator at a time (Cprime's untwist reuses the
-    twist at negative duration), and more would pin the blocks of
-    generators no longer in use.
+    around one unit-strength twisting generator (Cprime's untwist reuses it
+    at a negative angle), and more would pin the blocks of generators no
+    longer in use.
     """
     eig = H0.eigensystem
     blocks = {}
@@ -546,30 +546,31 @@ def _in_eigenbasis(H0: Operator, G: Operator) -> dict[tuple[int, int], np.ndarra
 def propagate_with_derivative(
     H0: Operator,
     G: Operator,
-    duration: float,
+    angle: float,
     psi: StateVector,
 ) -> PropagationWithDerivative:
-    """Evolve under H0 + w G and differentiate with respect to w at w = 0.
+    """Turn psi through an angle of H0 and differentiate along G at zero.
 
-    Returns phi = exp(-i d H0) psi, with d = duration, together with the
-    exact derivative dphi = d/dw exp(-i d (H0 + w G)) psi at w = 0. Both
-    come from the eigensystem H0 = V diag(lambda) V^dag that ``propagate``
-    already memoizes. With c = V^dag psi and G~ = V^dag G V,
+    Returns phi = exp(-i theta H0) psi, with theta = angle, and the exact
+    derivative dphi = d/du exp(-i (theta H0 + u G)) psi at u = 0 along the
+    field angle u (a field w on for a time t is u = w t: times t gives
+    d/dw). Both come from the eigensystem H0 = V diag(lambda) V^dag that
+    ``propagate`` already memoizes. With c = V^dag psi and G~ = V^dag G V,
 
-        phi  = V (exp(-i d lambda) * c),
+        phi  = V (exp(-i theta lambda) * c),
         dphi = V ((G~ * Gamma) c),
-        Gamma_jk = -i d exp(-i d (lambda_j + lambda_k) / 2)
-                   * sinc(d (lambda_j - lambda_k) / 2),
+        Gamma_jk = -i exp(-i theta (lambda_j + lambda_k) / 2)
+                   * sinc(theta (lambda_j - lambda_k) / 2),
 
-    with sinc(x) = sin(x) / x. Gamma is the divided difference of
-    exp(-i d lambda) (the Daleckii-Krein form of the Frechet derivative;
-    Najfeld & Havel, Adv. Appl. Math. 16, 1995; Higham, Functions of
-    Matrices, 2008, ch. 3). Written with sinc it needs no case split and
-    stays exact on degenerate eigenvalues, where it tends to the diagonal
-    value -i d exp(-i d lambda_j); one-axis twisting has exactly degenerate
-    pairs. G~ is computed once per (H0, G) pair and kept as its nonzero
-    chain blocks, so each call costs O(d^2), a quarter of that when G~ has
-    only the even-odd parity blocks.
+    with sinc(x) = sin(x) / x. theta Gamma is the divided difference of
+    exp(-i theta lambda) (the Daleckii-Krein form of the Frechet
+    derivative; Najfeld & Havel, Adv. Appl. Math. 16, 1995; Higham,
+    Functions of Matrices, 2008, ch. 3). Written with sinc it needs no case
+    split and stays exact on degenerate eigenvalues, where it tends to the
+    diagonal value -i exp(-i theta lambda_j); one-axis twisting has exactly
+    degenerate pairs. theta = 0 gives (psi, -i G psi). G~ is computed once
+    per (H0, G) pair and kept as its nonzero chain blocks, so each call
+    costs O(d^2), a quarter of that when G~ has only the even-odd blocks.
     """
     _require_hermitian(H0, "propagate_with_derivative")
     _require_hermitian(G, "propagate_with_derivative")
@@ -582,28 +583,25 @@ def propagate_with_derivative(
         raise ContractViolationError(
             "propagate_with_derivative expects a normalized input state"
         )
-    if duration == 0:
-        zero = np.zeros(psi.dim, dtype=complex)
-        return PropagationWithDerivative(psi, StateVector(zero, normalized=False))
+    if angle == 0:
+        return PropagationWithDerivative(psi, apply_operator(G, psi, prefactor=-1j))
     eig = H0.eigensystem
-    phases = _phases(eig, duration)
+    phases = _phases(eig, angle)
     coeffs = eig.analyze(psi.amplitudes)
-    # Gamma = -i d h_j h_k sinc(...) with h = exp(-i d lambda / 2).
-    halves = [np.exp(-0.5j * duration * v) for v in eig.values]
+    # Gamma = -i h_j h_k sinc(...) with h = exp(-i theta lambda / 2).
+    halves = [np.exp(-0.5j * angle * v) for v in eig.values]
     scaled = [h * c for h, c in zip(halves, coeffs)]
     weighted = [np.zeros_like(c) for c in coeffs]
     for (r, q), rotated in _in_eigenbasis(H0, G).items():
         gaps = np.subtract.outer(eig.values[r], eig.values[q])
-        kernel = rotated * np.sinc(gaps * (duration / (2 * np.pi)))
+        kernel = rotated * np.sinc(gaps * (angle / (2 * np.pi)))
         weighted[r] += kernel @ scaled[q]
         if r != q:
             # Block (q, r) is the adjoint of block (r, q); sinc is even.
             weighted[q] += np.conj(kernel.T @ np.conj(scaled[r]))
     phi = StateVector(eig.synthesize([ph * c for ph, c in zip(phases, coeffs)]))
     dphi = StateVector(
-        eig.synthesize(
-            [-1j * duration * h * w for h, w in zip(halves, weighted)]
-        ),
+        eig.synthesize([-1j * h * w for h, w in zip(halves, weighted)]),
         normalized=False,
     )
     return PropagationWithDerivative(phi=phi, dphi=dphi)

@@ -35,6 +35,7 @@ from .metrology import (
 )
 from .protocols import ProtocolConfig, final_state, hamiltonian
 from .spin_core import (
+    BandedOperator,
     ComplexOperator,
     DickeSpace,
     StateVector,
@@ -144,16 +145,16 @@ def check_derivative_vs_finite_difference() -> str:
         G = _random_hermitian(rng, dim)
         psi = _random_state(rng, dim)
         duration = float(rng.uniform(0.2, 1.5))
-        _, dphi = propagate_with_derivative(H0, G, duration, psi)
+        _, along_angle = propagate_with_derivative(H0, G, duration, psi)
+        # That derivative is along the field angle w * duration.
+        dphi = duration * along_angle.amplitudes
 
         def along(w: float) -> np.ndarray:
             mixed = ComplexOperator(H0.matrix + w * G.matrix, "hermitian")
             return propagate(mixed, duration, psi).amplitudes
 
         fd = _richardson_derivative(along)
-        err = np.linalg.norm(dphi.amplitudes - fd) / max(
-            np.linalg.norm(dphi.amplitudes), 1.0
-        )
+        err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
         worst = max(worst, err)
     if worst > 1e-6:
         return _fail(f"derivative vs finite difference error {worst:.3e} > 1e-6")
@@ -196,7 +197,7 @@ def check_single_spin_degeneracy() -> str:
     omega = 0.8
     ref = final_state(ProtocolConfig("A", 1, omega=omega))
     space = DickeSpace(1)
-    G = hamiltonian(space, "field", 1.0)
+    G = hamiltonian(space, "field")
     for scheme in ("C", "Cprime"):
         for s in (0.0, 0.4, 1.0):
             cfg = ProtocolConfig(scheme, 1, 3.0, sensing_fraction=s, omega=omega)
@@ -230,15 +231,19 @@ def check_echo_cancellation() -> str:
 
 
 def check_dimensionless_scaling() -> str:
-    # Doubling the strength while halving the duration is the identity the
-    # internal tau = 1 normalization relies on.
+    # A strength x is only a factor on the angle: exp(-i d (x H)) equals
+    # exp(-i (x d) H), the identity the unit-strength generators rely on.
     for n in (3, 12):
         space = DickeSpace(n)
         psi0 = initial_state(space)
         for kind in ("tat", "oat"):
+            H = hamiltonian(space, kind)
             for x, dur in ((0.8, 0.6), (2.5, 0.3)):
-                one = propagate(hamiltonian(space, kind, x), dur, psi0)
-                other = propagate(hamiltonian(space, kind, 2.0 * x), dur / 2.0, psi0)
+                diagonal = x * H.bands[0] if 0 in H.bands else None
+                upper = {k: x * band for k, band in H.bands.items() if k > 0}
+                scaled = BandedOperator.hermitian(H.dim, upper, diagonal)
+                one = propagate(H, x * dur, psi0)
+                other = propagate(scaled, dur, psi0)
                 dev = np.abs(one.amplitudes - other.amplitudes).max()
                 if dev > 1e-12:
                     return _fail(

@@ -186,19 +186,19 @@ class TestFockOperators:
 
     def test_field_generator_is_half_quadrature(self):
         space = FockSpace(truncation_dim=8)
-        G = fock_hamiltonian(space, "field", 1.0).matrix
+        G = fock_hamiltonian(space, "field").matrix
         P = momentum_quadrature(space).matrix
         assert np.abs(G - P / 2.0).max() <= 1e-15
 
     def test_generators_are_hermitian(self):
         space = FockSpace(truncation_dim=20)
         for kind in ("field", "tat", "oat"):
-            H = fock_hamiltonian(space, kind, 1.3).matrix
+            H = 1.3 * fock_hamiltonian(space, kind).matrix
             assert np.abs(H - H.conj().T).max() == 0.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            fock_hamiltonian(FockSpace(truncation_dim=4), "cubic", 1.0)
+            fock_hamiltonian(FockSpace(truncation_dim=4), "cubic")
 
 
 class TestFockSimulate:

@@ -1,5 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -102,6 +104,20 @@ class TestSweepCsv:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "double-precision range" in err
+
+    @pytest.mark.parametrize("scheme", ["B", "C"])
+    def test_closed_form_just_past_the_exp_range(self, capsys, scheme):
+        # exp(712) overflows at t = 0, but B is exactly 0 there and C is
+        # (e^712 - 1) / 712, about 2.3e306: both are finite doubles.
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--scheme", scheme, "--n", "inf",
+            "--twist", "356", "--t-points", "3",
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        values = [float(row[4]) for row in rows]
+        assert len(values) == 3 and all(np.isfinite(values))
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -307,3 +323,40 @@ def test_module_entry_point_matches_main(capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert done.returncode == code == 0
     assert done.stdout == out
+
+
+# The seven command lines shown in the README, in order. Their stdout is
+# recorded in tests/data/readme_cli.txt; rerecord it with
+# ``PYTHONPATH=src python tests/test_cli.py`` only when a change of the
+# printed numbers is intended and explained.
+README_COMMANDS = (
+    "sweep --scheme Bprime --n 100 --twist 8 11.5 --t-points 201",
+    "optimize --scheme C --n inf --twist 0.5 1 2 5",
+    "optimize --scheme B --n 500 --twist 1 --format csv",
+    "threshold --scheme Bprime --n 10 --interval 9 14",
+    "threshold --scheme Cprime --n inf --interval 1 9",
+    "oracle --scheme C --twist 1 --t 0.2",
+    "oracle --scheme B --twist 2 --optimum",
+)
+README_TRANSCRIPT = Path(__file__).resolve().parent / "data" / "readme_cli.txt"
+
+
+def readme_transcript() -> str:
+    """Each README command line, then its stdout."""
+    parts = []
+    for command in README_COMMANDS:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(command.split())
+        assert code == 0, command
+        parts.append(f"$ twistsense {command}\n{stdout.getvalue()}")
+    return "".join(parts)
+
+
+def test_readme_commands_print_the_recorded_output():
+    assert readme_transcript() == README_TRANSCRIPT.read_text()
+
+
+if __name__ == "__main__":
+    README_TRANSCRIPT.parent.mkdir(exist_ok=True)
+    README_TRANSCRIPT.write_text(readme_transcript())

@@ -15,9 +15,10 @@ from twistsense import (
     overlap,
     propagate,
 )
-from twistsense.bosonic_limit import fock_mode
+from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
 from twistsense.errors import ContractViolationError
 from twistsense.protocols import run_pipeline
+from twistsense.sweep_optimize import SweepSpec, sweep_curve
 
 from _helpers import richardson_derivative
 
@@ -68,37 +69,37 @@ class TestProtocolConfig:
 class TestHamiltonian:
     def test_field_two_spins(self):
         space = DickeSpace(2)
-        H = hamiltonian(space, "field", 3.0)
+        H = hamiltonian(space, "field")
         jy = collective_operators(space).Jy.matrix
-        assert np.abs(H.matrix - 3.0 * jy / np.sqrt(2)).max() <= 1e-15
+        assert np.abs(3.0 * H.matrix - 3.0 * jy / np.sqrt(2)).max() <= 1e-15
 
     def test_two_axis_twist_vanishes_for_single_spin(self):
         # J+^2 annihilates every state of a single spin 1/2.
-        H = hamiltonian(DickeSpace(1), "tat", 5.0)
-        assert np.abs(H.matrix).max() == 0.0
+        H = hamiltonian(DickeSpace(1), "tat")
+        assert np.abs(5.0 * H.matrix).max() == 0.0
 
     def test_one_axis_twist_single_spin_is_scalar(self):
         # Jx^2 = I/4 for one spin, so the generator is a global phase.
-        H = hamiltonian(DickeSpace(1), "oat", 2.0)
-        assert np.abs(H.matrix - 0.5 * np.eye(2)).max() <= 1e-15
+        H = hamiltonian(DickeSpace(1), "oat")
+        assert np.abs(2.0 * H.matrix - 0.5 * np.eye(2)).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", ["field", "tat", "oat"])
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_hermitian_by_construction(self, kind, n):
-        H = hamiltonian(DickeSpace(n), kind, 1.7)
-        assert np.abs(H.matrix - H.matrix.conj().T).max() == 0.0
+        H = 1.7 * hamiltonian(DickeSpace(n), kind).matrix
+        assert np.abs(H - H.conj().T).max() == 0.0
 
     def test_two_axis_twist_matches_ladder_form(self):
         space = DickeSpace(6)
         ops = collective_operators(space)
         jp2 = ops.Jplus.matrix @ ops.Jplus.matrix
         expected = 1.2j * (jp2.conj().T - jp2) / 6
-        H = hamiltonian(space, "tat", 1.2)
-        assert np.abs(H.matrix - expected).max() <= 1e-14
+        H = hamiltonian(space, "tat")
+        assert np.abs(1.2 * H.matrix - expected).max() <= 1e-14
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            hamiltonian(DickeSpace(2), "quadratic", 1.0)
+            hamiltonian(DickeSpace(2), "quadratic")
 
 
 class TestSchemeStates:
@@ -110,7 +111,7 @@ class TestSchemeStates:
         state = final_state(cfg)
         psi0 = initial_state(cfg.space)
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() == 0.0
-        G = hamiltonian(cfg.space, "field", 1.0)
+        G = hamiltonian(cfg.space, "field")
         expected = -1j * (G.matrix @ psi0.amplitudes)
         assert np.abs(state.dpsi.amplitudes - expected).max() <= 1e-14
 
@@ -134,7 +135,7 @@ class TestSchemeStates:
                           sensing_fraction=s)
         state = final_state(cfg)
         psi0 = initial_state(cfg.space)
-        G = hamiltonian(cfg.space, "field", 1.0)
+        G = hamiltonian(cfg.space, "field")
         expected = -1j * exposure * (G.matrix @ psi0.amplitudes)
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() <= 1e-12
         assert np.abs(state.dpsi.amplitudes - expected).max() <= 1e-12
@@ -211,12 +212,12 @@ class TestSchemeStates:
         omega = 0.9
         s = 0.7
         space = DickeSpace(1)
-        G = hamiltonian(space, "field", omega)
+        G = hamiltonian(space, "field")
         concurrent = final_state(
             make_config(scheme="C", n_spins=1, twist_strength=2.0,
                         sensing_fraction=s, omega=omega)
         )
-        expected = propagate(G, 1.0, initial_state(space))
+        expected = propagate(G, omega * 1.0, initial_state(space))
         assert np.abs(
             concurrent.psi.amplitudes - expected.amplitudes
         ).max() <= 1e-10
@@ -224,7 +225,7 @@ class TestSchemeStates:
             make_config(scheme="B", n_spins=1, twist_strength=2.0,
                         sensing_fraction=s, omega=omega)
         )
-        expected = propagate(G, s, initial_state(space))
+        expected = propagate(G, omega * s, initial_state(space))
         assert np.abs(
             sequential.psi.amplitudes - expected.amplitudes
         ).max() <= 1e-10
@@ -256,3 +257,31 @@ class TestSchemeStates:
         bad = StateVector(np.zeros(5, dtype=complex), normalized=False)
         with pytest.raises(Exception):
             SchemeState(psi=psi, dpsi=bad)
+
+
+@pytest.mark.parametrize("scheme", ["B", "C"])
+@pytest.mark.parametrize("n_spins, engine", [(20, "spin"), (None, "fock")])
+def test_eigensolves_do_not_grow_with_the_number_of_twists(
+    monkeypatch, scheme, n_spins, engine
+):
+    # A twist strength only scales the evolution angle, so a sweep over
+    # five twists must diagonalize exactly what a sweep over one does.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+
+    def eigensolves(twists):
+        hamiltonian.cache_clear()
+        fock_hamiltonian.cache_clear()
+        calls.clear()
+        sweep_curve(SweepSpec(scheme, n_spins, twists, t_grid=3, engine=engine))
+        return len(calls)
+
+    one = eigensolves((0.3,))
+    assert one > 0
+    assert eigensolves((0.1, 0.15, 0.2, 0.25, 0.3)) == one

@@ -195,8 +195,9 @@ def test_derivative_commuting_case_is_first_order():
     psi = plus_state(space)
     phi, dphi = propagate_with_derivative(zero, jy, 0.6, psi)
     assert np.abs(phi.amplitudes - psi.amplitudes).max() <= 1e-12
+    # The derivative is along the field angle w * 0.6.
     expected = -0.6j * (jy.matrix @ psi.amplitudes)
-    assert np.abs(dphi.amplitudes - expected).max() <= 1e-12
+    assert np.abs(0.6 * dphi.amplitudes - expected).max() <= 1e-12
 
 
 def test_derivative_matches_finite_difference_for_twisting():
@@ -230,18 +231,18 @@ def test_derivative_matches_finite_difference_battery():
         G = ComplexOperator(random_hermitian(rng, dim), "hermitian")
         psi = StateVector(random_state(rng, dim))
         duration = float(rng.uniform(0.2, 1.5))
-        phi, dphi = propagate_with_derivative(H0, G, duration, psi)
+        phi, along_angle = propagate_with_derivative(H0, G, duration, psi)
         assert abs(phi.norm - 1.0) <= 1e-10
-        assert abs(overlap(phi, dphi).real) <= 1e-8
+        assert abs(overlap(phi, along_angle).real) <= 1e-8
+        # The derivative is along the field angle w * duration.
+        dphi = duration * along_angle.amplitudes
 
         def along(w):
             mixed = ComplexOperator(H0.matrix + w * G.matrix, "hermitian")
             return propagate(mixed, duration, psi).amplitudes
 
         fd = richardson_derivative(along)
-        err = np.linalg.norm(dphi.amplitudes - fd) / max(
-            np.linalg.norm(dphi.amplitudes), 1.0
-        )
+        err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
         assert err <= 1e-6
 
 
@@ -273,10 +274,12 @@ def test_derivative_matches_finite_difference_battery():
 )
 def test_derivative_matches_block_exponential_oracle(n, kind, strength):
     # Independent reference: the top row of exp of the block generator
-    # [[-i d H0, -i d G], [0, -i d H0]] holds exp(-i d H0) and its
-    # derivative along G. One-axis twisting has exactly degenerate pairs.
-    # Each case starts from a state inside the even parity block and from
-    # one spread over both blocks.
+    # [[-i d x H, -i d G], [0, -i d x H]] holds exp(-i d x H) and the
+    # derivative along the field w of exp(-i d (x H + w G)), which is d
+    # times the engine's derivative along the field angle w d, taken at the
+    # twist angle x d on the unit generator H. One-axis twisting has
+    # exactly degenerate pairs. Each case starts from a state inside the
+    # even parity block and from one spread over both blocks.
     if n is None or isinstance(n, FockSpace):
         space, build = n or FockSpace(), fock_hamiltonian
         mixed = np.zeros(space.truncation_dim, dtype=complex)
@@ -285,23 +288,26 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
     else:
         space, build = DickeSpace(n), hamiltonian
         starts = (initial_state(space), plus_state(space))
-    H0 = build(space, kind, strength)
-    G = build(space, "field", 1.0)
+    H = build(space, kind)
+    G = build(space, "field")
     for psi in starts:
-        phi, dphi = propagate_with_derivative(H0, G, 0.0, psi)
+        phi, dphi = propagate_with_derivative(H, G, 0.0, psi)
         assert np.array_equal(phi.amplitudes, psi.amplitudes)
-        assert not np.any(dphi.amplitudes)
-    d = H0.dim
+        assert np.array_equal(dphi.amplitudes, -1j * G.matvec(psi.amplitudes))
+    d = H.dim
     for duration in (0.05, 0.5, 1.0, -0.7):
         block = np.zeros((2 * d, 2 * d), dtype=complex)
-        block[:d, :d] = block[d:, d:] = -1j * duration * H0.matrix
+        block[:d, :d] = block[d:, d:] = -1j * duration * (strength * H.matrix)
         block[:d, d:] = -1j * duration * G.matrix
         full = expm(block)
         for psi in starts:
-            phi, dphi = propagate_with_derivative(H0, G, duration, psi)
-            for got, ref in ((phi, full[:d, :d]), (dphi, full[:d, d:])):
+            phi, dphi = propagate_with_derivative(H, G, strength * duration, psi)
+            for got, ref in (
+                (phi.amplitudes, full[:d, :d]),
+                (duration * dphi.amplitudes, full[:d, d:]),
+            ):
                 ref = ref @ psi.amplitudes
-                err = np.linalg.norm(got.amplitudes - ref) / np.linalg.norm(ref)
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (duration, err)
 
 
@@ -380,9 +386,10 @@ def test_banded_hermitian_contract():
 @pytest.mark.parametrize("kind", ["field", "tat", "oat"])
 def test_banded_operator_matches_its_dense_matrix(kind):
     # Matvec, chain blocks and the structured propagator against the dense
-    # matrix; N = 6 gives parity blocks of sizes 4 and 3.
+    # matrix; N = 6 gives parity blocks of sizes 4 and 3. A strength of
+    # -1.3 is the angle -1.3 d on the unit generator.
     rng = np.random.default_rng(5)
-    H = hamiltonian(DickeSpace(6), kind, -1.3)
+    H = hamiltonian(DickeSpace(6), kind)
     dense = H.matrix
     x = random_state(rng, H.dim)
     assert np.abs(H.matvec(x) - dense @ x).max() <= 1e-14
@@ -392,8 +399,8 @@ def test_banded_operator_matches_its_dense_matrix(kind):
                 assert np.array_equal(
                     H.block(r, q, stride), dense[r::stride, q::stride]
                 )
-    U = propagator(H, 0.7).matrix
-    assert np.abs(U - expm(-0.7j * dense)).max() <= 1e-13
+    U = propagator(H, -1.3 * 0.7).matrix
+    assert np.abs(U - expm(-0.7j * (-1.3 * dense))).max() <= 1e-13
 
 
 def test_operator_kind_contracts():
