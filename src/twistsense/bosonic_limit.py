@@ -298,8 +298,9 @@ def fock_hamiltonian(space: FockSpace, kind: str) -> BandedOperator:
 
 
 def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
-    tail = float(np.sum(np.abs(state.amplitudes[-2:]) ** 2))
-    if tail >= space.tail_tolerance:
+    """Refuse a state, or any column of a block, that leaks into the top two levels."""
+    tail = float(np.max(np.sum(np.abs(state.amplitudes[-2:]) ** 2, axis=0)))
+    if not tail < space.tail_tolerance:
         raise TruncationError(
             f"{stage} state carries population {tail:.3e} in the top two Fock "
             f"levels (truncation_dim={space.truncation_dim}, "
@@ -335,4 +336,7 @@ def fock_simulate(
     must pass the truncation tail check.
     """
     _check_point(scheme, twist_times_tau, sensing_fraction)
-    return readout(fock_mode(space), scheme, twist_times_tau, sensing_fraction, None)
+    (record,) = readout(
+        fock_mode(space), scheme, twist_times_tau, [sensing_fraction], None
+    )
+    return record

@@ -19,7 +19,7 @@ oracle used to cross-check both against dense matrix algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin, sqrt
+from math import cos, sin
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .protocols import (
     run_pipeline,
     spin_mode,
 )
-from .spin_core import variance
+from .spin_core import apply_operator, overlap, variance
 
 METHODS = ("qfi", "echo", "closed_form")
 
@@ -83,60 +83,70 @@ class SensitivityRecord:
             raise ValueError(f"sensitivity must be >= 0, got {self.sensitivity}")
 
 
-def qfi(state: SchemeState) -> float:
+def qfi(state: SchemeState) -> float | np.ndarray:
     """Pure-state quantum Fisher information from an exact derivative.
 
     F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2), requiring psi normalized and
-    dpsi evaluated at zero field. Nonnegative by Cauchy-Schwarz; tiny
-    negative roundoff is clamped to 0.
+    dpsi evaluated at zero field; one value per column for a block. Each is
+    nonnegative by Cauchy-Schwarz; tiny negative roundoff is clamped to 0.
     """
     if not state.psi.normalized:
         raise ContractViolationError("qfi requires a normalized state")
-    dpsi = state.dpsi.amplitudes
-    grad2 = np.vdot(dpsi, dpsi).real
-    cross = abs(np.vdot(state.psi.amplitudes, dpsi)) ** 2
-    return max(4.0 * (grad2 - cross), 0.0)
+    grad2 = overlap(state.dpsi, state.dpsi).real
+    cross = abs(overlap(state.psi, state.dpsi)) ** 2
+    return np.maximum(4.0 * (grad2 - cross), 0.0)
 
 
 def readout(
     mode: Mode,
     scheme: str,
     twist_strength: float,
-    sensing_fraction: float,
+    sensing_fractions,
     n_spins: int | None,
-) -> SensitivityRecord:
-    """Run one protocol at zero field on a carrier and read out its figure of merit.
+) -> list[SensitivityRecord]:
+    """Run one protocol at zero field on a carrier and read out its figure of
+    merit at each of the 1-D array ``sensing_fractions``: a whole curve of
+    one twist in one pipeline call, or a batch of one.
 
     Schemes A/B/C report sqrt(F) / tau. The echo pair reports
     tau |d<R>/domega| / std(R) for the mode's readout operator R; the slope
     uses the exact derivative, d<R>/domega = 2 Re <psi|R|dpsi>. At zero
     field the echo returns the probe to its coherent initial state, whose
-    spread is the mode's ``spread``; that identity is asserted rather than
-    substituted, so a broken echo cannot silently inflate the sensitivity.
-    A vanishing slope reports a sensitivity of exactly 0.
+    spread is the mode's ``spread``; that identity is asserted on every
+    column rather than substituted, so a broken echo cannot silently
+    inflate the sensitivity. A vanishing slope reports a sensitivity of
+    exactly 0. All three are column-wise reductions of the (d, K) blocks.
     """
-    state = run_pipeline(mode, scheme, twist_strength, sensing_fraction, 0.0)
+    fractions = np.asarray(sensing_fractions, dtype=float)
+    if fractions.ndim != 1:
+        raise ValueError(
+            f"sensing_fractions must be one-dimensional, got shape {fractions.shape}"
+        )
+    state = run_pipeline(mode, scheme, twist_strength, fractions, 0.0)
     if scheme in ECHO_SCHEMES:
         R = mode.readout_operator()
-        psi, dpsi = state.psi.amplitudes, state.dpsi.amplitudes
-        slope = 2.0 * np.vdot(psi, R.matvec(dpsi)).real
-        spread = sqrt(variance(R, state.psi))
-        if abs(spread - mode.spread) > mode.spread_tolerance:
+        slope = 2.0 * overlap(state.psi, apply_operator(R, state.dpsi)).real
+        spread = np.sqrt(variance(R, state.psi))
+        off = ~(np.abs(spread - mode.spread) <= mode.spread_tolerance)
+        if off.any():
             raise ContractViolationError(
-                f"echo readout spread {spread!r} differs from its coherent value "
-                f"{mode.spread!r}"
+                f"echo readout spread {spread[off][0]!r} at t/tau = "
+                f"{fractions[off][0]!r} differs from its coherent value {mode.spread!r}"
             )
-        value, method = (abs(slope) / spread if slope != 0.0 else 0.0), "echo"
+        values, method = np.abs(slope) / spread, "echo"
     else:
-        value, method = sqrt(qfi(state)), "qfi"
-    return SensitivityRecord(
-        scheme=scheme,
-        n_spins=n_spins,
-        twist_strength=twist_strength,
-        sensing_fraction=sensing_fraction,
-        sensitivity=value,
-        method=method,
-    )
+        values, method = np.sqrt(qfi(state)), "qfi"
+    return [
+        SensitivityRecord(
+            scheme=scheme,
+            n_spins=n_spins,
+            twist_strength=twist_strength,
+            sensing_fraction=float(s),
+            sensitivity=float(value),
+            method=method,
+        )
+        for s, value in zip(fractions, values)
+    ]
 
 
 def _spin_record(
@@ -149,10 +159,11 @@ def _spin_record(
         raise ContractViolationError(
             f"{where} is defined at zero field; got omega = {cfg.omega}"
         )
-    return readout(
-        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, cfg.sensing_fraction,
+    (record,) = readout(
+        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, [cfg.sensing_fraction],
         cfg.n_spins,
     )
+    return record
 
 
 def qfi_sensitivity(cfg: ProtocolConfig) -> SensitivityRecord:

@@ -221,10 +221,16 @@ def run_pipeline(
     mode: Mode,
     scheme: str,
     twist_strength: float,
-    sensing_fraction: float,
+    sensing_fraction,
     omega: float,
 ) -> SchemeState:
-    """Final state and exact zero-field derivative of one protocol on a carrier.
+    """Final states and exact zero-field derivatives of one protocol on a carrier.
+
+    ``sensing_fraction`` is one t/tau, giving (d,) states, or a 1-D array of
+    K of them, giving (d, K) blocks with one column per sensing fraction:
+    the whole curve of one twist in one call. Every stage turns all K
+    columns at once, each through its own angle (see
+    ``spin_core.propagate``), and the mode's guard sees every column.
 
     A twist x for a time t' turns the unit generator H through x t'. The
     derivative follows the product rule term by term. Writing
@@ -238,14 +244,15 @@ def run_pipeline(
     G = mode.generator("field")
     psi0 = mode.initial
     mode.guard(psi0, "initial")
-    s = sensing_fraction
+    s = np.asarray(sensing_fraction, dtype=float)
     x = twist_strength
     w = omega
 
     if scheme == "A":
-        # Sensing for the full budget; sensing_fraction does not enter.
-        psi = propagate(G, w * 1.0, psi0)
-        dpsi = apply_operator(G, psi0, prefactor=-1j)
+        # Sensing for the full budget; sensing_fraction only sets the batch.
+        full = np.ones_like(s)
+        psi = propagate(G, w * full, psi0)
+        dpsi = apply_operator(G, psi0, prefactor=-1j * full)
         return SchemeState(psi=psi, dpsi=dpsi)
 
     if scheme == "B":

@@ -19,8 +19,17 @@ O(N), and their eigensystems are structured:
   real symmetric tridiagonal matrix with off-diagonal |e_i|,
 * the eigenvectors are kept as the real orthogonal eigenvectors of each
   chain plus its phase vector, so a propagation costs two real half-size
-  matrix-vector products per parity block, and a field generator that
-  flips parity has only even-odd blocks in the twisting eigenbasis.
+  matrix products per parity block, and a field generator that flips
+  parity has only even-odd blocks in the twisting eigenbasis,
+* each chain is solved on first use, and a propagation skips a chain on
+  which its input is exactly zero, so a state that stays in one parity
+  block never diagonalizes the other.
+
+States are vectors (d,) or blocks (d, K) of K states side by side. The
+propagators take one angle per column, so a whole curve of K sensing
+fractions turns through its K twist angles in one real matrix product per
+chain instead of K matrix-vector products; the reductions (expectations,
+variances, overlaps) give one value per column.
 
 Operators without this pattern (``ComplexOperator``: dense matrices, such
 as a twisting generator plus a field) are diagonalized by a dense complex
@@ -37,21 +46,21 @@ Conventions:
 
 All public objects are immutable after construction and every operation is
 a pure function of its inputs, so values can be shared freely across
-threads. The only lazily computed piece of state is the memoized
-eigendecomposition of an operator, which is idempotent and safe under
+threads. The only lazily computed pieces of state are the memoized chains
+of an operator's eigendecomposition, which are idempotent and safe under
 concurrent access.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import ldexp, sqrt
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ContractViolationError,
@@ -130,47 +139,68 @@ class DickeSpace:
         return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-class Eigensystem(NamedTuple):
+class Chain(NamedTuple):
+    """H on one chain: eigenvalues ``values`` (ascending) and eigenvectors
+    V_r = diag(phases) vectors. Blocks of coefficients and amplitudes are
+    (chain length, K), one column per state."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    phases: np.ndarray
+
+    def analyze(self, x: np.ndarray) -> np.ndarray:
+        """The coefficients V_r^dag x of this chain's slice x."""
+        return np.conj(_matmul(self.vectors.T, self.phases[:, None] * np.conj(x)))
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """V_r c, this chain's slice of the state with coefficients c."""
+        return self.phases[:, None] * _matmul(self.vectors, c)
+
+    def turns(self, angles) -> np.ndarray:
+        """exp(-i angle_k lambda_j), one column per angle (a vector for a
+        scalar angle), refused past MAX_PHASE."""
+        largest = max(abs(self.values[0]), abs(self.values[-1]))
+        phase = float(np.max(np.abs(angles))) * largest
+        if not phase <= MAX_PHASE:
+            raise PrecisionLossError(
+                f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
+                "the propagator phases would be lost to roundoff"
+            )
+        return np.exp(-1j * np.multiply.outer(self.values, angles))
+
+
+class Eigensystem:
     """H = V diag(lambda) V^dag, stored chain by chain.
 
     Chain r holds the basis indices r, r + stride, r + 2 stride, ..., and H
-    has no entries between chains. On chain r the eigenvalues are
-    ``values[r]`` (ascending) and V_r = diag(phases[r]) vectors[r]. A dense
-    eigensystem is one chain with unit phases and complex vectors; a banded
-    one has real orthogonal vectors.
+    has no entries between chains, so each chain is an eigenproblem of its
+    own. ``solve(r)`` returns chain r's (values, vectors, phases); it runs
+    on the first ``chain(r)`` and its result is kept. A dense eigensystem
+    is one chain with unit phases and complex vectors; a banded one has
+    real orthogonal vectors.
     """
 
-    stride: int
-    values: tuple[np.ndarray, ...]
-    vectors: tuple[np.ndarray, ...]
-    phases: tuple[np.ndarray, ...]
+    def __init__(self, stride: int, solve: Callable[[int], tuple]) -> None:
+        self.stride = stride
+        self._solve = solve
+        self._chains: dict[int, Chain] = {}
 
-    def analyze(self, x: np.ndarray) -> list[np.ndarray]:
-        """The coefficients V^dag x, chain by chain."""
-        return [
-            np.conj(_matmul(vecs.T, phases * np.conj(x[r :: self.stride])))
-            for r, (vecs, phases) in enumerate(zip(self.vectors, self.phases))
-        ]
-
-    def synthesize(self, coefficients: list[np.ndarray]) -> np.ndarray:
-        """V c for chain-wise coefficients c."""
-        out = np.empty(sum(len(c) for c in coefficients), dtype=complex)
-        for r, (vecs, phases, c) in enumerate(
-            zip(self.vectors, self.phases, coefficients)
-        ):
-            out[r :: self.stride] = phases * _matmul(vecs, c)
-        return out
-
-
-def _frozen_eigensystem(stride, values, vectors, phases) -> Eigensystem:
-    for arr in (*values, *vectors, *phases):
-        arr.setflags(write=False)
-    return Eigensystem(stride, tuple(values), tuple(vectors), tuple(phases))
+    def chain(self, r: int) -> Chain:
+        found = self._chains.get(r)
+        if found is None:
+            parts = self._solve(r)
+            for arr in parts:
+                arr.setflags(write=False)
+            found = self._chains[r] = Chain(*parts)
+        return found
 
 
 def _dense_eigensystem(matrix: np.ndarray) -> Eigensystem:
-    evals, evecs = np.linalg.eigh(matrix)
-    return _frozen_eigensystem(1, [evals], [evecs], [np.ones(len(evals))])
+    def solve(r: int) -> tuple:
+        evals, evecs = np.linalg.eigh(matrix)
+        return evals, evecs, np.ones(len(evals))
+
+    return Eigensystem(1, solve)
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,9 +333,11 @@ class BandedOperator:
         return mat
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector or, column by column, a (dim, K) block."""
         d = self.dim
-        out = np.zeros(d, dtype=complex)
+        out = np.zeros(x.shape, dtype=complex)
         for k, values in self.bands.items():
+            values = values.reshape(-1, *(1,) * (x.ndim - 1))
             if k >= 0:
                 out[: d - k] += values * x[k:]
             else:
@@ -329,8 +361,9 @@ class BandedOperator:
         """Eigendecomposition of a Hermitian operator, memoized.
 
         With at most one off-diagonal band, at offset b, this is b real
-        symmetric tridiagonal eigenproblems (see the module docstring);
-        with several, the dense matrix is diagonalized.
+        symmetric tridiagonal eigenproblems (see the module docstring),
+        each solved when a propagation first needs it; with several, the
+        dense matrix is diagonalized.
         """
         if self.kind != "hermitian":
             raise ContractViolationError(
@@ -343,8 +376,8 @@ class BandedOperator:
         stride = offsets[0] if offsets else 1
         diagonal = self.bands[0].real if 0 in self.bands else np.zeros(d)
         upper = self.bands.get(stride, np.zeros(d - stride))
-        values, vectors, phases = [], [], []
-        for r in range(stride):
+
+        def solve(r: int) -> tuple:
             e = upper[r::stride]
             size = np.abs(e)
             unit = np.ones(len(e), dtype=complex)
@@ -358,10 +391,9 @@ class BandedOperator:
             i = np.arange(len(e))
             tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = size
             evals, evecs = np.linalg.eigh(tridiagonal)
-            values.append(evals)
-            vectors.append(evecs)
-            phases.append(p)
-        return _frozen_eigensystem(stride, values, vectors, phases)
+            return evals, evecs, p
+
+        return Eigensystem(stride, solve)
 
 
 Operator = ComplexOperator | BandedOperator
@@ -369,10 +401,12 @@ Operator = ComplexOperator | BandedOperator
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitude vector in the Dicke (or Fock) basis.
+    """Complex amplitudes in the Dicke (or Fock) basis: one state of shape
+    (d,), or a block of K states side by side, shape (d, K).
 
-    ``normalized=True`` asserts unit norm at construction; derivative
-    vectors carry ``normalized=False`` and skip the check.
+    ``normalized=True`` asserts unit norm at construction, column by column
+    for a block; derivative vectors carry ``normalized=False`` and skip the
+    check.
     """
 
     amplitudes: np.ndarray
@@ -380,16 +414,17 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amps = _frozen_array(self.amplitudes)
-        if amps.ndim != 1:
+        if amps.ndim not in (1, 2):
             raise InvalidDimensionError(
-                f"state amplitudes must be one-dimensional, got shape {amps.shape}"
+                f"state amplitudes must be a vector or a block of column vectors, "
+                f"got shape {amps.shape}"
             )
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
-            norm = np.linalg.norm(amps)
-            if abs(norm - 1.0) > NORM_ATOL:
+            defect = np.max(np.abs(np.linalg.norm(amps, axis=0) - 1.0))
+            if not defect <= NORM_ATOL:
                 raise ContractViolationError(
-                    f"state tagged normalized has norm {norm!r}"
+                    f"state tagged normalized has |norm - 1| = {defect!r}"
                 )
 
     @property
@@ -397,8 +432,20 @@ class StateVector:
         return self.amplitudes.shape[0]
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """The norm, one per column for a block."""
+        return _per_column(np.linalg.norm(self.amplitudes, axis=0))
+
+
+def _per_column(values: np.ndarray):
+    """A reduction over the basis: a Python scalar for one state, an array
+    with one entry per column for a block."""
+    return values.item() if values.ndim == 0 else values
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> column by column (a 0-d array for two vectors)."""
+    return np.sum(np.conj(a) * b, axis=0)
 
 
 class CollectiveOperators(NamedTuple):
@@ -440,16 +487,20 @@ def initial_state(space: DickeSpace) -> StateVector:
 def plus_state(space: DickeSpace) -> StateVector:
     """The maximal Jx eigenstate, all spins along +x.
 
-    Built binomially: the amplitude at index k is sqrt(C(N, k)) / 2^(N/2),
-    evaluated in log space so large N neither overflows nor underflows.
+    The amplitude at index k is sqrt(C(N, k) / 2^N). The binomials are exact
+    integers and each amplitude is formed as sqrt(f) 2^((e - N) / 2) from
+    the correctly rounded f = C(N, k) / 2^e in [0.5, 2), so it is good to
+    about one ulp at any N; a log-gamma form loses about 1e-12 relative at
+    N = 2000 to the cancellation of logs near 1e4.
     """
     n = space.n_spins
-    k = np.arange(space.dim)
-    log_amp = 0.5 * (
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-    ) - 0.5 * n * np.log(2.0)
-    amps = np.exp(log_amp).astype(complex)
-    amps /= np.linalg.norm(amps)
+    amps = np.empty(space.dim)
+    binomial = 1
+    for k in range(space.dim):
+        e = binomial.bit_length()
+        e -= (e - n) % 2
+        amps[k] = ldexp(sqrt(binomial / (1 << e)), (e - n) // 2)
+        binomial = binomial * (n - k) // (k + 1)
     return StateVector(amps)
 
 
@@ -465,38 +516,64 @@ def _require_matching(A: Operator, psi: StateVector) -> None:
         )
 
 
-def _phases(eig: Eigensystem, duration: float) -> list[np.ndarray]:
-    """exp(-i duration lambda) per chain, refused past MAX_PHASE."""
-    largest = max(max(abs(v[0]), abs(v[-1])) for v in eig.values)
-    phase = abs(duration) * largest
-    if not phase <= MAX_PHASE:
-        raise PrecisionLossError(
-            f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
-            "the propagator phases would be lost to roundoff"
+def _columns(angle, psi: StateVector) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """One angle per column: the angles (K,), psi's amplitudes as a (d, 1)
+    or (d, K) block, and the shape of the result.
+
+    A scalar angle turns every column of psi; a vector psi is shared by
+    every angle. The result is a block if either is batched.
+    """
+    angles = np.asarray(angle, dtype=float)
+    if angles.ndim > 1:
+        raise InvalidDimensionError(
+            f"angles must be a scalar or one-dimensional, got shape {angles.shape}"
         )
-    return [np.exp(-1j * duration * v) for v in eig.values]
+    x = psi.amplitudes.reshape(psi.dim, -1)
+    k = angles.size if angles.ndim else x.shape[1]
+    if x.shape[1] not in (1, k):
+        raise DimensionMismatchError(
+            f"{angles.size} angles for a block of {x.shape[1]} states"
+        )
+    batched = angles.ndim == 1 or psi.amplitudes.ndim == 2
+    return np.broadcast_to(angles, (k,)), x, ((psi.dim, k) if batched else (psi.dim,))
 
 
-def propagate(H: Operator, duration: float, psi: StateVector) -> StateVector:
-    """Apply exp(-i duration H) to ``psi`` via eigendecomposition.
+def propagate(H: Operator, angle, psi: StateVector) -> StateVector:
+    """Apply exp(-i theta H) to ``psi`` via eigendecomposition.
 
-    Exact up to roundoff for Hermitian H; the eigendecomposition is
-    memoized on the operator, so repeated calls with different durations
-    cost one product with the eigenvectors and one with their adjoint each.
-    Unnormalized inputs (derivative vectors) are propagated linearly and
-    stay unnormalized. Raises PrecisionLossError when
-    |duration| * max|eigenvalue| exceeds MAX_PHASE, as do ``propagator``
-    and ``propagate_with_derivative``.
+    ``angle`` is a scalar or one angle theta_k per column: psi may be one
+    state (shared by every angle) or a (d, K) block, and the result is a
+    block whenever either is. On each chain of H's eigensystem all K
+    columns cost one real matrix product with the eigenvectors and one with
+    their transpose, V (exp(-i theta_k lambda) * (V^dag psi_k)). Columns
+    with theta_k = 0 are copied from psi exactly, and a chain on which psi is
+    exactly zero is skipped and never solved: twisting the lowest-weight
+    state, or the vacuum, never diagonalizes the odd parity block.
+
+    Exact up to roundoff for Hermitian H; the eigensystem is memoized on
+    the operator. Unnormalized inputs (derivative vectors) are propagated
+    linearly and stay unnormalized. Raises PrecisionLossError when some
+    |theta_k| * max|eigenvalue| on a propagated chain exceeds MAX_PHASE, as
+    do ``propagator`` and ``propagate_with_derivative``.
     """
     _require_hermitian(H, "propagate")
     _require_matching(H, psi)
-    if duration == 0:
+    angles, x, shape = _columns(angle, psi)
+    still = angles == 0
+    if still.all() and psi.amplitudes.shape == shape:
         return psi
-    eig = H.eigensystem
-    phases = _phases(eig, duration)
-    coeffs = eig.analyze(psi.amplitudes)
-    out = eig.synthesize([ph * c for ph, c in zip(phases, coeffs)])
-    return StateVector(out, normalized=psi.normalized)
+    out = np.zeros((psi.dim, angles.size), dtype=complex)
+    if not still.all():
+        eig = H.eigensystem
+        for r in range(eig.stride):
+            xr = x[r :: eig.stride]
+            if xr.any():
+                chain = eig.chain(r)
+                out[r :: eig.stride] = chain.synthesize(
+                    chain.turns(angles) * chain.analyze(xr)
+                )
+    out[:, still] = np.broadcast_to(x, out.shape)[:, still]
+    return StateVector(out.reshape(shape), normalized=psi.normalized)
 
 
 def propagator(H: Operator, duration: float) -> ComplexOperator:
@@ -504,11 +581,11 @@ def propagator(H: Operator, duration: float) -> ComplexOperator:
     _require_hermitian(H, "propagator")
     eig = H.eigensystem
     unitary = np.zeros((H.dim, H.dim), dtype=complex)
-    for r, (vecs, phases, ph) in enumerate(
-        zip(eig.vectors, eig.phases, _phases(eig, duration))
-    ):
-        v = phases[:, None] * vecs
-        unitary[r :: eig.stride, r :: eig.stride] = (v * ph) @ v.conj().T
+    for r in range(eig.stride):
+        chain = eig.chain(r)
+        v = chain.phases[:, None] * chain.vectors
+        block = (v * chain.turns(duration)) @ v.conj().T
+        unitary[r :: eig.stride, r :: eig.stride] = block
     return ComplexOperator(unitary, "unitary")
 
 
@@ -535,9 +612,10 @@ def _in_eigenbasis(H0: Operator, G: Operator) -> dict[tuple[int, int], np.ndarra
             sub = G.block(r, q, eig.stride)
             if not sub.any():
                 continue
-            sub = eig.phases[r].conj()[:, None] * sub * eig.phases[q]
-            right = _matmul(eig.vectors[q].T, sub.T).T
-            rotated = np.conj(_matmul(eig.vectors[r].T, np.conj(right)))
+            row, col = eig.chain(r), eig.chain(q)
+            sub = row.phases.conj()[:, None] * sub * col.phases
+            right = _matmul(col.vectors.T, sub.T).T
+            rotated = np.conj(_matmul(row.vectors.T, np.conj(right)))
             rotated.setflags(write=False)
             blocks[r, q] = rotated
     return blocks
@@ -546,7 +624,7 @@ def _in_eigenbasis(H0: Operator, G: Operator) -> dict[tuple[int, int], np.ndarra
 def propagate_with_derivative(
     H0: Operator,
     G: Operator,
-    angle: float,
+    angle,
     psi: StateVector,
 ) -> PropagationWithDerivative:
     """Turn psi through an angle of H0 and differentiate along G at zero.
@@ -568,9 +646,14 @@ def propagate_with_derivative(
     Functions of Matrices, 2008, ch. 3). Written with sinc it needs no case
     split and stays exact on degenerate eigenvalues, where it tends to the
     diagonal value -i exp(-i theta lambda_j); one-axis twisting has exactly
-    degenerate pairs. theta = 0 gives (psi, -i G psi). G~ is computed once
-    per (H0, G) pair and kept as its nonzero chain blocks, so each call
-    costs O(d^2), a quarter of that when G~ has only the even-odd blocks.
+    degenerate pairs. theta = 0 gives (psi, -i G psi) exactly. G~ is
+    computed once per (H0, G) pair and kept as its nonzero chain blocks.
+
+    Angles and states are batched as in ``propagate``. The coefficients
+    and both syntheses are one matrix product per chain for all columns,
+    but the kernel G~ * Gamma depends on theta, so each turned column
+    still costs its own O(d^2) kernel, a quarter of that when G~ has only
+    the even-odd blocks.
     """
     _require_hermitian(H0, "propagate_with_derivative")
     _require_hermitian(G, "propagate_with_derivative")
@@ -583,71 +666,93 @@ def propagate_with_derivative(
         raise ContractViolationError(
             "propagate_with_derivative expects a normalized input state"
         )
-    if angle == 0:
-        return PropagationWithDerivative(psi, apply_operator(G, psi, prefactor=-1j))
-    eig = H0.eigensystem
-    phases = _phases(eig, angle)
-    coeffs = eig.analyze(psi.amplitudes)
-    # Gamma = -i h_j h_k sinc(...) with h = exp(-i theta lambda / 2).
-    halves = [np.exp(-0.5j * angle * v) for v in eig.values]
-    scaled = [h * c for h, c in zip(halves, coeffs)]
-    weighted = [np.zeros_like(c) for c in coeffs]
-    for (r, q), rotated in _in_eigenbasis(H0, G).items():
-        gaps = np.subtract.outer(eig.values[r], eig.values[q])
-        kernel = rotated * np.sinc(gaps * (angle / (2 * np.pi)))
-        weighted[r] += kernel @ scaled[q]
-        if r != q:
-            # Block (q, r) is the adjoint of block (r, q); sinc is even.
-            weighted[q] += np.conj(kernel.T @ np.conj(scaled[r]))
-    phi = StateVector(eig.synthesize([ph * c for ph, c in zip(phases, coeffs)]))
-    dphi = StateVector(
-        eig.synthesize([-1j * h * w for h, w in zip(halves, weighted)]),
-        normalized=False,
+    angles, x, shape = _columns(angle, psi)
+    still = angles == 0
+    phi = np.zeros((psi.dim, angles.size), dtype=complex)
+    dphi = np.zeros_like(phi)
+    if not still.all():
+        eig = H0.eigensystem
+        chains = [eig.chain(r) for r in range(eig.stride)]
+        coeffs = [c.analyze(x[r :: eig.stride]) for r, c in enumerate(chains)]
+        turns = [c.turns(angles) for c in chains]
+        # Gamma = -i h_j h_k sinc(...) with h = exp(-i theta lambda / 2).
+        halves = [np.exp(-0.5j * np.multiply.outer(c.values, angles)) for c in chains]
+        scaled = [h * c for h, c in zip(halves, coeffs)]
+        weighted = [np.zeros_like(c) for c in scaled]
+        for (r, q), rotated in _in_eigenbasis(H0, G).items():
+            gaps = np.subtract.outer(chains[r].values, chains[q].values)
+            for k in np.flatnonzero(~still):
+                kernel = rotated * np.sinc(gaps * (angles[k] / (2 * np.pi)))
+                weighted[r][:, k] += kernel @ scaled[q][:, k]
+                if r != q:
+                    # Block (q, r) is the adjoint of block (r, q); sinc is even.
+                    weighted[q][:, k] += np.conj(kernel.T @ np.conj(scaled[r][:, k]))
+        for r, chain in enumerate(chains):
+            phi[r :: eig.stride] = chain.synthesize(turns[r] * coeffs[r])
+            dphi[r :: eig.stride] = chain.synthesize(-1j * halves[r] * weighted[r])
+    start = np.broadcast_to(x, phi.shape)[:, still]
+    phi[:, still] = start
+    dphi[:, still] = -1j * G.matvec(start)
+    return PropagationWithDerivative(
+        phi=StateVector(phi.reshape(shape)),
+        dphi=StateVector(dphi.reshape(shape), normalized=False),
     )
-    return PropagationWithDerivative(phi=phi, dphi=dphi)
 
 
 def apply_operator(
-    A: Operator, psi: StateVector, prefactor: complex = 1.0
+    A: Operator, psi: StateVector, prefactor=1.0
 ) -> StateVector:
-    """prefactor * A |psi> as an unnormalized vector."""
+    """prefactor * A |psi> as an unnormalized vector or block.
+
+    A vector prefactor scales the columns one by one; a vector psi is then
+    shared by every column.
+    """
     _require_matching(A, psi)
-    return StateVector(prefactor * A.matvec(psi.amplitudes), normalized=False)
+    image = A.matvec(psi.amplitudes)
+    if np.ndim(prefactor) and image.ndim == 1:
+        image = image[:, None]
+    return StateVector(prefactor * image, normalized=False)
 
 
-def expectation(A: Operator, psi: StateVector) -> complex:
-    """<psi| A |psi>. For hermitian A the imaginary part must vanish."""
+def expectation(A: Operator, psi: StateVector) -> complex | np.ndarray:
+    """<psi| A |psi>, one per column for a block. For hermitian A the
+    imaginary part must vanish."""
     _require_matching(A, psi)
-    value = complex(np.vdot(psi.amplitudes, A.matvec(psi.amplitudes)))
-    if A.kind == "hermitian" and abs(value.imag) > 1e-10:
+    value = _inner(psi.amplitudes, A.matvec(psi.amplitudes))
+    if A.kind == "hermitian" and np.any(np.abs(value.imag) > 1e-10):
         raise ContractViolationError(
-            f"hermitian expectation has imaginary part {value.imag:.3e}"
+            f"hermitian expectation has imaginary part {np.max(np.abs(value.imag)):.3e}"
         )
-    return value
+    return _per_column(value)
 
 
-def variance(A: Operator, psi: StateVector) -> float:
-    """<A^2> - <A>^2 for hermitian A on a normalized state, clamped at 0."""
+def variance(A: Operator, psi: StateVector) -> float | np.ndarray:
+    """<A^2> - <A>^2 for hermitian A on a normalized state, clamped at 0;
+    one per column for a block."""
     _require_hermitian(A, "variance")
     _require_matching(A, psi)
     if not psi.normalized:
         raise ContractViolationError("variance requires a normalized state")
     a_psi = A.matvec(psi.amplitudes)
-    mean = np.vdot(psi.amplitudes, a_psi).real
-    second = np.vdot(a_psi, a_psi).real
+    mean = _inner(psi.amplitudes, a_psi).real
+    second = _inner(a_psi, a_psi).real
     var = second - mean * mean
-    if var < -1e-12:
-        raise ContractViolationError(f"variance evaluated to {var:.3e} < -1e-12")
-    return max(var, 0.0)
+    if np.any(var < -1e-12):
+        raise ContractViolationError(
+            f"variance evaluated to {np.min(var):.3e} < -1e-12"
+        )
+    return _per_column(np.maximum(var, 0.0))
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """<a|b>."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"state dims differ: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+def overlap(a: StateVector, b: StateVector) -> complex | np.ndarray:
+    """<a|b>, one per column for blocks."""
+    if a.amplitudes.shape != b.amplitudes.shape:
+        raise DimensionMismatchError(
+            f"state shapes differ: {a.amplitudes.shape} vs {b.amplitudes.shape}"
+        )
+    return _per_column(_inner(a.amplitudes, b.amplitudes))
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
+def fidelity(a: StateVector, b: StateVector) -> float | np.ndarray:
     """|<a|b>|^2, the global-phase-insensitive state comparison."""
     return abs(overlap(a, b)) ** 2

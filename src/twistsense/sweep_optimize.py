@@ -1,20 +1,23 @@
 """Outer-loop numerics: curves over the sensing fraction, optima, thresholds.
 
-Three interchangeable engines evaluate one (scheme, twist, t/tau) point:
+Three interchangeable engines evaluate a (scheme, twist, t/tau) point:
 
   spin          exact finite-N Dicke simulation,
   fock          truncated-Fock bosonic simulation (infinite N),
   closed_form   the analytic infinite-N expressions.
 
-On top of the pointwise evaluation sit a deterministic grid sweep, a
-grid-then-refine optimizer over the sensing fraction, and a bisection
-search for the break-even twist strength where a protocol first beats the
-separable benchmark of 1.
+On top of them sit a deterministic grid sweep, a grid-then-refine
+optimizer over the sensing fraction, and a bisection search for the
+break-even twist strength where a protocol first beats the separable
+benchmark of 1. A grid of one twist is a curve: the spin engine computes
+it in one pipeline call (``metrology.readout`` over all its sensing
+fractions; a few calls for grids too wide for CURVE_BLOCK_AMPLITUDES),
+the other engines point by point. The golden-section refinement of the
+optimizer evaluates one point at a time.
 
-Every evaluation is a pure function of its arguments, so sweep points can
-be computed concurrently; assembly preserves the deterministic ordering
-(twist outer, sensing fraction inner, both ascending) regardless of
-execution order.
+Every evaluation is a pure function of its arguments, and results come in
+a deterministic order: twist outer, sensing fraction inner, both
+ascending.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from .metrology import (
     SensitivityRecord,
     echo_sensitivity,
     qfi_sensitivity,
+    readout,
 )
-from .protocols import ECHO_SCHEMES, SCHEMES, ProtocolConfig
+from .protocols import ECHO_SCHEMES, SCHEMES, ProtocolConfig, spin_mode
 
 ENGINES = ("spin", "fock", "closed_form")
 BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
@@ -40,6 +44,12 @@ BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
 # advantage; the sequential scheme approaches 1 from below at full sensing
 # time, so plain equality must not qualify.
 BENCHMARK_MARGIN = 1e-9
+
+# Largest number of amplitudes in one (d, K) block of a spin curve. A curve
+# holds a few such complex blocks at once, so this bounds its memory (8 MiB
+# a block) whatever the grid; wider grids take several pipeline calls. A
+# 201-point grid is one call up to N = 2607.
+CURVE_BLOCK_AMPLITUDES = 2**19
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - sqrt(5.0)) / 2.0
@@ -130,15 +140,48 @@ def evaluate_point(
     )
 
 
+def _curve(
+    scheme: str,
+    n_spins: int | None,
+    twist_value: float,
+    ts: np.ndarray,
+    engine: str,
+    fock_space: FockSpace | None,
+) -> list[SensitivityRecord]:
+    """One twist at every sensing fraction of ``ts``, in order.
+
+    The spin engine runs the curve through one readout call per
+    CURVE_BLOCK_AMPLITUDES block (one call for all but huge grids); the
+    other engines evaluate it point by point.
+    """
+    if engine != "spin":
+        return [
+            evaluate_point(scheme, n_spins, twist_value, float(t), engine, fock_space)
+            for t in ts
+        ]
+    cfg = ProtocolConfig(scheme, n_spins, twist_value)
+    width = max(1, CURVE_BLOCK_AMPLITUDES // cfg.space.dim)
+    return [
+        record
+        for start in range(0, len(ts), width)
+        for record in readout(
+            spin_mode(cfg.space), scheme, cfg.twist_strength,
+            ts[start : start + width], cfg.n_spins,
+        )
+    ]
+
+
 def sweep_curve(
     spec: SweepSpec, fock_space: FockSpace | None = None
 ) -> list[SensitivityRecord]:
     """Evaluate the full grid of a spec, twist outer, t/tau inner."""
     ts = np.linspace(0.0, 1.0, spec.t_grid)
     return [
-        evaluate_point(spec.scheme, spec.n_spins, x, float(t), spec.engine, fock_space)
+        record
         for x in spec.twist_values
-        for t in ts
+        for record in _curve(
+            spec.scheme, spec.n_spins, x, ts, spec.engine, fock_space
+        )
     ]
 
 
@@ -179,8 +222,9 @@ def optimize_t(
     """Best sensitivity over the sensing fraction at one twist value.
 
     A uniform grid (default 201 points, endpoints included as first-class
-    candidates) brackets the maximum; golden-section refinement then
-    narrows the bracket to a sensing-fraction width of 1e-6. Curves can be
+    candidates, evaluated as one curve) brackets the maximum;
+    golden-section refinement then narrows the bracket, point by point, to
+    a sensing-fraction width of 1e-6. Curves can be
     multimodal for over-squeezed finite-N regimes, which is what the grid
     stage guards against. If several grid points tie within 1e-12 the
     largest sensing fraction wins (least preparation among equals); the
@@ -198,7 +242,10 @@ def optimize_t(
         ).sensitivity
 
     ts = np.linspace(0.0, 1.0, t_grid)
-    vals = [f(float(t)) for t in ts]
+    vals = [
+        r.sensitivity
+        for r in _curve(scheme, n_spins, twist_value, ts, engine, fock_space)
+    ]
     vmax = max(vals)
     idx = max(i for i, v in enumerate(vals) if v >= vmax - 1e-12)
     best_t, best_v = float(ts[idx]), vals[idx]

@@ -20,11 +20,16 @@ from twistsense import (
     qfi_sensitivity,
     relative_difference,
 )
+from twistsense.bosonic_limit import FockSpace, fock_mode
 from twistsense.errors import (
     ContractViolationError,
     InvalidDimensionError,
+    PrecisionLossError,
+    TruncationError,
     WrongMethodError,
 )
+from twistsense.metrology import readout
+from twistsense.protocols import hamiltonian, spin_mode
 
 
 def config(scheme, n, twist, s, omega=0.0):
@@ -267,3 +272,54 @@ def test_relative_difference_convention():
     assert relative_difference(0.0, 0.0) == 0.0
     # Denominator never drops below 1, so tiny numbers compare absolutely.
     assert relative_difference(1e-12, 0.0) == pytest.approx(1e-12)
+
+
+# Twists per scheme (0 included) that the 200-level Fock mode holds at every
+# sensing fraction; the spin sectors take the same ones.
+CURVE_TWISTS = {
+    "A": (0.0,),
+    "B": (0.0, 0.3),
+    "C": (0.0, 0.3),
+    "Bprime": (0.0, 2.0, 8.0),
+    "Cprime": (0.0, 2.0, 8.0),
+}
+CURVE_GRIDS = (np.linspace(0.0, 1.0, 11), np.array([1.0, 0.37, 0.0, 0.93]))
+
+
+@pytest.mark.parametrize("scheme", list(CURVE_TWISTS))
+@pytest.mark.parametrize("n", [1, 2, 7, 60, None], ids=lambda n: f"n{n or '_fock200'}")
+def test_a_curve_equals_its_points(scheme, n):
+    mode = spin_mode(DickeSpace(n)) if n else fock_mode(FockSpace(200))
+    for twist in CURVE_TWISTS[scheme]:
+        for grid in CURVE_GRIDS:
+            curve = readout(mode, scheme, twist, grid, n)
+            assert [r.sensing_fraction for r in curve] == list(grid)
+            for s, record in zip(grid, curve):
+                (point,) = readout(mode, scheme, twist, [s], n)
+                assert record.method == point.method
+                gap = relative_difference(record.sensitivity, point.sensitivity)
+                assert gap <= 1e-12, (twist, s, record, point)
+
+
+def test_one_leaking_column_fails_the_whole_curve():
+    # At twist 1 the B squeezer leaks into the top levels of a 200-level
+    # mode only with no sensing time (squeeze 2 at s = 0; 1 at s = 0.5).
+    mode = fock_mode(FockSpace(200))
+    readout(mode, "B", 1.0, [0.5, 0.75, 1.0], None)
+    with pytest.raises(TruncationError):
+        readout(mode, "B", 1.0, [0.5, 0.0, 1.0], None)
+
+
+def test_one_column_past_the_phase_guard_fails_the_whole_curve():
+    space = DickeSpace(4)
+    largest = np.abs(hamiltonian(space, "tat").eigensystem.chain(0).values).max()
+    # Only s = 0 turns the twisting generator through more than MAX_PHASE.
+    twist = 1.5e6 / largest
+    readout(spin_mode(space), "B", twist, [0.5, 1.0], 4)
+    with pytest.raises(PrecisionLossError):
+        readout(spin_mode(space), "B", twist, [0.5, 0.0, 1.0], 4)
+
+
+def test_readout_takes_a_one_dimensional_grid():
+    with pytest.raises(ValueError):
+        readout(spin_mode(DickeSpace(3)), "B", 1.0, 0.5, 3)

@@ -17,7 +17,7 @@ from twistsense import (
 )
 from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
 from twistsense.errors import ContractViolationError
-from twistsense.protocols import run_pipeline
+from twistsense.protocols import run_pipeline, spin_mode
 from twistsense.sweep_optimize import SweepSpec, sweep_curve
 
 from _helpers import richardson_derivative
@@ -285,3 +285,39 @@ def test_eigensolves_do_not_grow_with_the_number_of_twists(
     one = eigensolves((0.3,))
     assert one > 0
     assert eigensolves((0.1, 0.15, 0.2, 0.25, 0.3)) == one
+
+
+@pytest.mark.parametrize("n_spins, engine", [(20, "spin"), (None, "fock")])
+def test_twisting_solves_only_the_parity_blocks_it_propagates(
+    monkeypatch, n_spins, engine
+):
+    # B twists the lowest-weight state (or the vacuum), which stays in the
+    # even block, and never propagates G psi: one eigensolve. Bprime echoes
+    # the odd vector G psi back through the twist: both blocks.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for scheme, twist, solves in (("B", 0.3, 1), ("Bprime", 2.0, 2)):
+        hamiltonian.cache_clear()
+        fock_hamiltonian.cache_clear()
+        calls.clear()
+        sweep_curve(SweepSpec(scheme, n_spins, (twist,), t_grid=5, engine=engine))
+        assert len(calls) == solves, scheme
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C", "Bprime", "Cprime"])
+@pytest.mark.parametrize("omega", [0.0, 0.3])
+def test_a_grid_of_fractions_runs_each_column_as_its_own_point(scheme, omega):
+    mode = spin_mode(DickeSpace(7))
+    grid = np.array([0.0, 0.25, 0.6, 1.0])
+    batch = run_pipeline(mode, scheme, 2.0, grid, omega)
+    assert batch.psi.amplitudes.shape == batch.dpsi.amplitudes.shape == (8, 4)
+    for k, s in enumerate(grid):
+        point = run_pipeline(mode, scheme, 2.0, s, omega)
+        assert np.abs(batch.psi.amplitudes[:, k] - point.psi.amplitudes).max() <= 1e-13
+        assert np.abs(batch.dpsi.amplitudes[:, k] - point.dpsi.amplitudes).max() <= 1e-13

@@ -1,8 +1,12 @@
 """Operator algebra, states, propagators, and exact derivatives."""
 
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from twistsense import (
     ComplexOperator,
@@ -95,6 +99,45 @@ def test_plus_state_binomial_amplitudes():
     assert np.allclose(one.amplitudes, [1 / np.sqrt(2)] * 2)
     two = plus_state(DickeSpace(2))
     assert np.allclose(two.amplitudes, [0.5, 1 / np.sqrt(2), 0.5])
+
+
+def _squared_errors(amps, n):
+    """|a_k^2 / (C(n, k) / 2^n) - 1| per amplitude, in exact rational arithmetic."""
+    return np.array([
+        float(abs(Fraction(float(a)) ** 2 * 2**n / comb(n, k) - 1))
+        for k, a in enumerate(amps)
+    ])
+
+
+def _gammaln_form(n):
+    k = np.arange(n + 1)
+    log_amp = 0.5 * (
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    ) - 0.5 * n * np.log(2.0)
+    amps = np.exp(log_amp)
+    return amps / np.linalg.norm(amps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 1000, 2000])
+def test_plus_state_amplitudes_are_correctly_rounded(n):
+    amps = plus_state(DickeSpace(n)).amplitudes
+    assert not amps.imag.any()
+    # A correctly rounded a_k has a_k^2 within about two ulps of C(n, k) / 2^n.
+    assert _squared_errors(amps.real, n).max() <= 4.5e-16
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 1000, 2000])
+def test_plus_state_agrees_with_the_gammaln_form(n):
+    amps = plus_state(DickeSpace(n)).amplitudes.real
+    reference = _gammaln_form(n)
+    gap = np.abs(amps - reference).max()
+    if n <= 7:
+        assert gap <= 1e-15
+    else:
+        # The log-gamma form cancels logs near n log n, so at large n its
+        # own error sets the gap: about 1e-13 absolute at n = 2000.
+        own = (_squared_errors(reference, n) * reference / 2).max()
+        assert gap <= own + 1e-16
 
 
 @pytest.mark.parametrize("n", [2, 9, 40])
@@ -329,6 +372,88 @@ def test_phase_guard_refuses_roundoff_dominated_durations():
             propagate_with_derivative(ops.Jz, ops.Jy, duration, psi)
 
 
+@pytest.mark.parametrize("kind", ["tat", "oat"])
+def test_propagate_turns_each_column_through_its_own_angle(kind):
+    rng = np.random.default_rng(7)
+    space = DickeSpace(9)
+    H = hamiltonian(space, kind)
+    angles = np.array([0.0, 0.4, -1.3, 2.5, 0.0])
+    shared = StateVector(random_state(rng, space.dim))
+    block = StateVector(
+        np.stack([random_state(rng, space.dim) for _ in angles], axis=1)
+    )
+    columns = [StateVector(block.amplitudes[:, k]) for k in range(len(angles))]
+    for psi, inputs in ((shared, [shared] * len(angles)), (block, columns)):
+        out = propagate(H, angles, psi)
+        assert out.amplitudes.shape == (space.dim, len(angles))
+        for k, (angle, alone) in enumerate(zip(angles, inputs)):
+            turned = propagate(H, angle, alone).amplitudes
+            assert np.abs(out.amplitudes[:, k] - turned).max() <= 1e-14
+            if angle == 0:
+                assert np.array_equal(out.amplitudes[:, k], alone.amplitudes)
+    # One angle turns every column of a block.
+    same = propagate(H, np.full(len(angles), 0.7), block).amplitudes
+    assert np.array_equal(propagate(H, 0.7, block).amplitudes, same)
+    with pytest.raises(DimensionMismatchError):
+        propagate(H, angles[:3], block)
+
+
+def test_derivative_batches_one_angle_per_column():
+    space = DickeSpace(8)
+    H = hamiltonian(space, "oat")
+    G = hamiltonian(space, "field")
+    angles = np.array([0.0, 0.9, -2.1])
+    psi = propagate(H, np.array([0.3, 0.6, 1.2]), initial_state(space))
+    phi, dphi = propagate_with_derivative(H, G, angles, psi)
+    for k, angle in enumerate(angles):
+        column = StateVector(psi.amplitudes[:, k])
+        alone = propagate_with_derivative(H, G, angle, column)
+        assert np.abs(phi.amplitudes[:, k] - alone.phi.amplitudes).max() <= 1e-14
+        assert np.abs(dphi.amplitudes[:, k] - alone.dphi.amplitudes).max() <= 1e-13
+    assert np.array_equal(phi.amplitudes[:, 0], psi.amplitudes[:, 0])
+    assert np.array_equal(
+        dphi.amplitudes[:, 0], -1j * G.matvec(psi.amplitudes[:, 0])
+    )
+
+
+def test_propagate_solves_only_the_chains_it_turns(monkeypatch):
+    # The lowest-weight state lies in the even parity block of a twisting
+    # generator, which never couples the blocks: the odd block is never solved.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    space = DickeSpace(10)
+    H = BandedOperator(space.dim, hamiltonian(space, "tat").bands, "hermitian")
+    psi = propagate(H, np.array([0.5, 1.0]), initial_state(space))
+    assert calls == [6]
+    assert not psi.amplitudes[1::2].any()
+    # An odd input needs the odd block too, solved once.
+    G = hamiltonian(space, "field")
+    propagate(H, 1.0, apply_operator(G, StateVector(psi.amplitudes[:, 0])))
+    propagate(H, 2.0, apply_operator(G, StateVector(psi.amplitudes[:, 1])))
+    assert calls == [6, 5]
+
+
+def test_phase_guard_checks_every_column():
+    space = DickeSpace(4)
+    jz = collective_operators(space).Jz
+    psi = initial_state(space)
+    # Jz has max|eigenvalue| 2: only the last angle is past the guard.
+    within = np.array([1.0, MAX_PHASE / 4, MAX_PHASE / 2])
+    propagate(jz, within, psi)
+    propagate_with_derivative(jz, collective_operators(space).Jy, within, psi)
+    beyond = np.append(within, MAX_PHASE)
+    with pytest.raises(PrecisionLossError):
+        propagate(jz, beyond, psi)
+    with pytest.raises(PrecisionLossError):
+        propagate_with_derivative(jz, collective_operators(space).Jy, beyond, psi)
+
+
 def test_derivative_requires_normalized_state_and_matching_dims():
     space = DickeSpace(3)
     ops = collective_operators(space)
@@ -364,7 +489,14 @@ def test_state_normalization_contract():
     ok = StateVector([1.0, 1.0], normalized=False)
     assert ok.norm == pytest.approx(np.sqrt(2.0))
     with pytest.raises(InvalidDimensionError):
+        StateVector(np.zeros((2, 2, 2)))
+    # A (d, K) block holds K states; its norm is checked column by column.
+    block = StateVector(np.eye(3)[:, :2])
+    assert np.array_equal(block.norm, [1.0, 1.0])
+    with pytest.raises(ContractViolationError):
         StateVector(np.zeros((2, 2)))
+    with pytest.raises(ContractViolationError):
+        StateVector(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_banded_hermitian_contract():

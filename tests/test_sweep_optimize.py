@@ -13,6 +13,7 @@ from twistsense import (
     optimize_t,
     sweep_curve,
 )
+from twistsense import metrology, sweep_optimize
 from twistsense.errors import BracketingError
 
 
@@ -217,3 +218,57 @@ class TestFindThreshold:
             find_threshold("B", None, "closed_form", (2.0, 1.0))
         with pytest.raises(ValueError):
             find_threshold("B", None, "closed_form", (-1.0, 2.0))
+
+
+@pytest.mark.parametrize("t_grid", [3, 21, 201])
+def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
+    sizes = []
+    run_pipeline = metrology.run_pipeline
+
+    def counted(mode, scheme, twist, sensing_fraction, omega):
+        sizes.append(np.size(sensing_fraction))
+        return run_pipeline(mode, scheme, twist, sensing_fraction, omega)
+
+    monkeypatch.setattr(metrology, "run_pipeline", counted)
+    sweep_curve(SweepSpec("Bprime", 6, (2.0, 5.0, 8.0), t_grid=t_grid))
+    assert sizes == [t_grid] * 3
+    sizes.clear()
+    # The grid is one call; the golden-section refinement is point by point.
+    optimize_t("B", 6, 1.0, "spin", t_grid)
+    assert sizes[0] == t_grid
+    assert len(sizes) > 1 and set(sizes[1:]) == {1}
+
+
+def test_a_curve_wider_than_the_block_budget_is_split(monkeypatch):
+    sizes = []
+    run_pipeline = metrology.run_pipeline
+
+    def counted(mode, scheme, twist, sensing_fraction, omega):
+        sizes.append(np.size(sensing_fraction))
+        return run_pipeline(mode, scheme, twist, sensing_fraction, omega)
+
+    whole = sweep_curve(SweepSpec("Bprime", 9, (8.0,), t_grid=25))
+    monkeypatch.setattr(metrology, "run_pipeline", counted)
+    # Ten amplitudes per block: one column of the 10-level sector per call.
+    monkeypatch.setattr(sweep_optimize, "CURVE_BLOCK_AMPLITUDES", 10)
+    split = sweep_curve(SweepSpec("Bprime", 9, (8.0,), t_grid=25))
+    assert sizes == [1] * 25
+    assert [r.sensing_fraction for r in split] == [r.sensing_fraction for r in whole]
+    for a, b in zip(split, whole):
+        assert abs(a.sensitivity - b.sensitivity) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme, twist", [("B", 1.0), ("C", 0.7), ("Cprime", 8.0)])
+def test_spin_sweep_equals_pointwise_evaluation(scheme, twist):
+    records = sweep_curve(SweepSpec(scheme, 9, (0.0, twist), t_grid=7))
+    ts = np.linspace(0.0, 1.0, 7)
+    expected = [
+        evaluate_point(scheme, 9, x, float(t), "spin") for x in (0.0, twist) for t in ts
+    ]
+    for got, want in zip(records, expected, strict=True):
+        assert (got.twist_strength, got.sensing_fraction, got.method) == (
+            want.twist_strength, want.sensing_fraction, want.method
+        )
+        assert abs(got.sensitivity - want.sensitivity) <= 1e-12 * max(
+            abs(want.sensitivity), 1.0
+        )
