@@ -178,8 +178,13 @@ def closed_form(
         # No sensing time, no signal: 0 even where the growth overflows.
         return 0.0 if s == 0.0 else _growth_times(s, 2.0 * x * (1.0 - s))
     if scheme == "C":
-        half = 1.0 / (2.0 * x)
-        return _growth_times(s + half, 2.0 * x * (1.0 - s)) - half
+        # (s + 1/2x) e^y - 1/2x with y = 2x(1 - s), written without the
+        # cancellation of the two 1/2x terms that loses every digit at
+        # small twist: s e^y + (1 - s) expm1(y) / y, whose last factor is 1
+        # at y = 0.
+        y = 2.0 * x * (1.0 - s)
+        grown = 0.0 if s == 0.0 else _growth_times(s, y)
+        return grown + (1.0 - s) * (1.0 if y == 0.0 else _growth_over(expm1, y, y))
     if scheme == "Bprime":
         return x * s * (1.0 - s) / 2.0
     return (x / 4.0) * (1.0 - s * s)

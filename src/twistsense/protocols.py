@@ -41,9 +41,7 @@ import numpy as np
 from .errors import ContractViolationError, DimensionMismatchError
 from .spin_core import (
     BandedOperator,
-    ComplexOperator,
     DickeSpace,
-    Operator,
     StateVector,
     apply_operator,
     collective_operators,
@@ -171,13 +169,24 @@ def hamiltonian(space: DickeSpace, kind: str) -> BandedOperator:
     return ladder_generator(space.ladder_elements(), space.n_spins, kind)
 
 
-def _combined(H: Operator, x: float, G: Operator, omega: float) -> ComplexOperator:
+def _combined(
+    H: BandedOperator, x: float, G: BandedOperator, omega: float
+) -> BandedOperator:
     """x H + omega G, for building states at nonzero field.
 
-    The sum has bands at offsets 0, 1 and 2, so it is a dense operator with
-    a dense eigendecomposition; it is built only at nonzero field.
+    Band by band, x H_k + omega G_k, so its matrix is x H.matrix +
+    omega G.matrix entry for entry and it is Hermitian exactly. With bands
+    at offsets 1 and 2 it has a dense eigendecomposition; it is built only
+    at nonzero field.
     """
-    return ComplexOperator(x * H.matrix + omega * G.matrix, "hermitian")
+    d = H.dim
+
+    def band(k: int) -> np.ndarray:
+        zero = np.zeros(d - k)
+        return x * H.bands.get(k, zero) + omega * G.bands.get(k, zero)
+
+    upper = {k for k in (*H.bands, *G.bands) if k > 0}
+    return BandedOperator.hermitian(d, {k: band(k) for k in upper}, band(0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +201,10 @@ class Mode:
     state its spread must equal ``spread`` to within ``spread_tolerance``.
     """
 
-    generator: Callable[[str], Operator]
+    generator: Callable[[str], BandedOperator]
     initial: StateVector
     guard: Callable[[StateVector, str], None]
-    readout_operator: Callable[[], Operator]
+    readout_operator: Callable[[], BandedOperator]
     spread: float
     spread_tolerance: float
 

@@ -3,11 +3,12 @@
 Collective spin operators, basis states, Hermitian propagators, and exact
 parameter derivatives of propagators, all in double precision. The
 symmetric sector of N spin-1/2 particles is (N + 1)-dimensional, and every
-operator the protocols use is banded in the Jz basis: the collective spins
-and the field generator couple m only to m +- 1, and both twisting
-generators couple m only to m +- 2 (Kitagawa & Ueda, PRA 47, 5138, 1993).
-Such operators are stored by their bands (``BandedOperator``) and built in
-O(N), and their eigensystems are structured:
+operator the protocols use is Hermitian and banded in the Jz basis: the
+collective spins and the field generator couple m only to m +- 1, and both
+twisting generators couple m only to m +- 2 (Kitagawa & Ueda, PRA 47, 5138,
+1993). There is one operator type, ``BandedOperator``: stored by its bands,
+built in O(N), Hermitian exactly by construction, and with a structured
+eigensystem when it has at most one off-diagonal band:
 
 * an operator whose only off-diagonal band sits at offset b splits into b
   interleaved chains, the basis indices r, r + b, r + 2b, ..., with no
@@ -31,9 +32,9 @@ fractions turns through its K twist angles in one real matrix product per
 chain instead of K matrix-vector products; the reductions (expectations,
 variances, overlaps) give one value per column.
 
-Operators without this pattern (``ComplexOperator``: dense matrices, such
-as a twisting generator plus a field) are diagonalized by a dense complex
-``eigh``. Both kinds present the same ``Eigensystem``.
+An operator with several off-diagonal bands (a twisting generator plus a
+field, built only at nonzero field) is diagonalized by a dense complex
+``eigh`` instead, and presents the same ``Eigensystem`` as one chain.
 
 Conventions:
 
@@ -69,13 +70,9 @@ from .errors import (
     PrecisionLossError,
 )
 
-# Tolerances for the construction-time operator and state checks. They sit
-# one to two digits above double-precision accumulation for dim <= 2001.
-HERMITICITY_RTOL = 1e-12
-UNITARITY_ATOL = 1e-10
+# Tolerance for the construction-time state norm check, one to two digits
+# above double-precision accumulation for dim <= 2001.
 NORM_ATOL = 1e-10
-
-OPERATOR_KINDS = ("hermitian", "unitary", "general")
 
 # Largest |duration| * max|eigenvalue| a propagator accepts. A phase of size
 # p carries an absolute roundoff of about p * 2.2e-16, so at 1e6 the phases,
@@ -175,9 +172,9 @@ class Eigensystem:
     Chain r holds the basis indices r, r + stride, r + 2 stride, ..., and H
     has no entries between chains, so each chain is an eigenproblem of its
     own. ``solve(r)`` returns chain r's (values, vectors, phases); it runs
-    on the first ``chain(r)`` and its result is kept. A dense eigensystem
-    is one chain with unit phases and complex vectors; a banded one has
-    real orthogonal vectors.
+    on the first ``chain(r)`` and its result is kept. An operator with
+    several off-diagonal bands is one chain with unit phases and complex
+    vectors; otherwise the vectors are real and orthogonal.
     """
 
     def __init__(self, stride: int, solve: Callable[[int], tuple]) -> None:
@@ -195,99 +192,27 @@ class Eigensystem:
         return found
 
 
-def _dense_eigensystem(matrix: np.ndarray) -> Eigensystem:
-    def solve(r: int) -> tuple:
-        evals, evecs = np.linalg.eigh(matrix)
-        return evals, evecs, np.ones(len(evals))
-
-    return Eigensystem(1, solve)
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexOperator:
-    """Dense complex square matrix tagged with its intended role.
-
-    ``kind`` is one of "hermitian", "unitary", "general"; the first two are
-    verified at construction time. Instances compare and hash by identity
-    (the payload is an array), and the matrix itself is read-only.
-    """
-
-    matrix: np.ndarray
-    kind: str = "general"
-
-    def __post_init__(self) -> None:
-        mat = _frozen_array(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise InvalidDimensionError(
-                f"operator must be a square matrix, got shape {mat.shape}"
-            )
-        object.__setattr__(self, "matrix", mat)
-        if self.kind not in OPERATOR_KINDS:
-            raise ContractViolationError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "hermitian":
-            defect = np.abs(mat - mat.conj().T).max()
-            bound = HERMITICITY_RTOL * max(np.abs(mat).max(), 0.0)
-            if defect > bound:
-                raise ContractViolationError(
-                    f"operator tagged hermitian has |A - A^dag| = {defect:.3e} "
-                    f"exceeding {bound:.3e}"
-                )
-        elif self.kind == "unitary":
-            defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
-            if defect > UNITARITY_ATOL:
-                raise ContractViolationError(
-                    f"operator tagged unitary has |A^dag A - I| = {defect:.3e} "
-                    f"exceeding {UNITARITY_ATOL:.1e}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
-    def block(self, r: int, q: int, stride: int) -> np.ndarray:
-        """The rows r, r + stride, ... and columns q, q + stride, ..."""
-        return self.matrix[r::stride, q::stride]
-
-    @cached_property
-    def eigensystem(self) -> Eigensystem:
-        """Dense eigendecomposition of a Hermitian operator, memoized."""
-        if self.kind != "hermitian":
-            raise ContractViolationError(
-                "eigensystem is only defined for hermitian operators"
-            )
-        return _dense_eigensystem(self.matrix)
-
-
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
-    """Square matrix stored by its nonzero diagonals, tagged with its role.
+    """Hermitian square matrix stored by its nonzero diagonals.
 
     ``bands`` maps an offset k to the entries A[i, i + k] in order of
-    increasing row (the layout of ``np.diag(A, k)``). ``kind`` is
-    "hermitian" or "general". A hermitian operator must have a real
-    diagonal and, for every upper band, a lower band that is exactly its
-    conjugate, so it is Hermitian exactly, not merely to roundoff; both are
-    verified at construction, and ``hermitian`` builds the lower bands from
-    the upper ones. Compares and hashes by identity; the bands are
-    read-only and the dense ``matrix`` is built only on request.
+    increasing row (the layout of ``np.diag(A, k)``). The diagonal must be
+    real and every upper band must have a lower band that is exactly its
+    conjugate, so the operator is Hermitian exactly, not merely to roundoff;
+    both are verified at construction, and ``hermitian`` builds the lower
+    bands from the upper ones. Compares and hashes by identity; the bands
+    are read-only and the dense ``matrix`` is built only on request.
     """
 
     dim: int
     bands: Mapping[int, np.ndarray]
-    kind: str = "general"
 
     def __post_init__(self) -> None:
         d = self.dim
         if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
             raise InvalidDimensionError(f"dim must be a positive integer, got {d!r}")
         object.__setattr__(self, "dim", int(d))
-        if self.kind not in ("hermitian", "general"):
-            raise ContractViolationError(
-                f"banded operators are hermitian or general, got {self.kind!r}"
-            )
         bands = {}
         for k, values in sorted(self.bands.items()):
             values = _frozen_array(values)
@@ -297,19 +222,15 @@ class BandedOperator:
                 )
             bands[int(k)] = values
         object.__setattr__(self, "bands", MappingProxyType(bands))
-        if self.kind == "hermitian":
-            if 0 in bands and np.any(bands[0].imag):
+        if 0 in bands and np.any(bands[0].imag):
+            raise ContractViolationError("operator has a non-real diagonal")
+        for k in bands:
+            if k != 0 and not np.array_equal(
+                bands.get(-k, np.zeros(0)), bands[k].conj()
+            ):
                 raise ContractViolationError(
-                    "operator tagged hermitian has a non-real diagonal"
+                    f"operator has band {-k} unequal to the conjugate of band {k}"
                 )
-            for k in bands:
-                if k != 0 and not np.array_equal(
-                    bands.get(-k, np.zeros(0)), bands[k].conj()
-                ):
-                    raise ContractViolationError(
-                        f"operator tagged hermitian has band {-k} unequal to "
-                        f"the conjugate of band {k}"
-                    )
 
     @classmethod
     def hermitian(
@@ -320,7 +241,7 @@ class BandedOperator:
         for k, values in upper.items():
             bands[k] = values
             bands[-k] = np.conj(values)
-        return cls(dim, bands, "hermitian")
+        return cls(dim, bands)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -358,20 +279,21 @@ class BandedOperator:
 
     @cached_property
     def eigensystem(self) -> Eigensystem:
-        """Eigendecomposition of a Hermitian operator, memoized.
+        """The eigendecomposition, memoized.
 
         With at most one off-diagonal band, at offset b, this is b real
         symmetric tridiagonal eigenproblems (see the module docstring),
-        each solved when a propagation first needs it; with several, the
-        dense matrix is diagonalized.
+        each solved when a propagation first needs it; with several, it is
+        one chain: the dense matrix's complex eigenvectors, unit phases.
         """
-        if self.kind != "hermitian":
-            raise ContractViolationError(
-                "eigensystem is only defined for hermitian operators"
-            )
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
-            return _dense_eigensystem(self.matrix)
+
+            def dense(r: int) -> tuple:
+                evals, evecs = np.linalg.eigh(self.matrix)
+                return evals, evecs, np.ones(len(evals))
+
+            return Eigensystem(1, dense)
         d = self.dim
         stride = offsets[0] if offsets else 1
         diagonal = self.bands[0].real if 0 in self.bands else np.zeros(d)
@@ -394,9 +316,6 @@ class BandedOperator:
             return evals, evecs, p
 
         return Eigensystem(stride, solve)
-
-
-Operator = ComplexOperator | BandedOperator
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,8 +371,6 @@ class CollectiveOperators(NamedTuple):
     Jx: BandedOperator
     Jy: BandedOperator
     Jz: BandedOperator
-    Jplus: BandedOperator
-    Jminus: BandedOperator
 
 
 @lru_cache(maxsize=32)
@@ -472,8 +389,6 @@ def collective_operators(space: DickeSpace) -> CollectiveOperators:
         Jx=BandedOperator.hermitian(d, {1: off / 2}),
         Jy=BandedOperator.hermitian(d, {1: 0.5j * off}),
         Jz=BandedOperator.hermitian(d, {}, diagonal=space.m_values()),
-        Jplus=BandedOperator(d, {-1: off}),
-        Jminus=BandedOperator(d, {1: off}),
     )
 
 
@@ -504,12 +419,7 @@ def plus_state(space: DickeSpace) -> StateVector:
     return StateVector(amps)
 
 
-def _require_hermitian(A: Operator, where: str) -> None:
-    if A.kind != "hermitian":
-        raise ContractViolationError(f"{where} requires a hermitian generator")
-
-
-def _require_matching(A: Operator, psi: StateVector) -> None:
+def _require_matching(A: BandedOperator, psi: StateVector) -> None:
     if A.dim != psi.dim:
         raise DimensionMismatchError(
             f"operator dim {A.dim} does not match state dim {psi.dim}"
@@ -538,7 +448,7 @@ def _columns(angle, psi: StateVector) -> tuple[np.ndarray, np.ndarray, tuple]:
     return np.broadcast_to(angles, (k,)), x, ((psi.dim, k) if batched else (psi.dim,))
 
 
-def propagate(H: Operator, angle, psi: StateVector) -> StateVector:
+def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     """Apply exp(-i theta H) to ``psi`` via eigendecomposition.
 
     ``angle`` is a scalar or one angle theta_k per column: psi may be one
@@ -550,13 +460,13 @@ def propagate(H: Operator, angle, psi: StateVector) -> StateVector:
     exactly zero is skipped and never solved: twisting the lowest-weight
     state, or the vacuum, never diagonalizes the odd parity block.
 
-    Exact up to roundoff for Hermitian H; the eigensystem is memoized on
-    the operator. Unnormalized inputs (derivative vectors) are propagated
-    linearly and stay unnormalized. Raises PrecisionLossError when some
-    |theta_k| * max|eigenvalue| on a propagated chain exceeds MAX_PHASE, as
-    do ``propagator`` and ``propagate_with_derivative``.
+    Exact up to roundoff; the eigensystem is memoized on the operator. The
+    unitary itself is the propagation of the identity block,
+    ``propagate(H, theta, StateVector(np.eye(d)))``. Unnormalized inputs
+    (derivative vectors) are propagated linearly and stay unnormalized.
+    Raises PrecisionLossError when some |theta_k| * max|eigenvalue| on a
+    propagated chain exceeds MAX_PHASE, as does ``propagate_with_derivative``.
     """
-    _require_hermitian(H, "propagate")
     _require_matching(H, psi)
     angles, x, shape = _columns(angle, psi)
     still = angles == 0
@@ -576,26 +486,15 @@ def propagate(H: Operator, angle, psi: StateVector) -> StateVector:
     return StateVector(out.reshape(shape), normalized=psi.normalized)
 
 
-def propagator(H: Operator, duration: float) -> ComplexOperator:
-    """The unitary exp(-i duration H) as an explicit matrix."""
-    _require_hermitian(H, "propagator")
-    eig = H.eigensystem
-    unitary = np.zeros((H.dim, H.dim), dtype=complex)
-    for r in range(eig.stride):
-        chain = eig.chain(r)
-        v = chain.phases[:, None] * chain.vectors
-        block = (v * chain.turns(duration)) @ v.conj().T
-        unitary[r :: eig.stride, r :: eig.stride] = block
-    return ComplexOperator(unitary, "unitary")
-
-
 class PropagationWithDerivative(NamedTuple):
     phi: StateVector
     dphi: StateVector
 
 
 @lru_cache(maxsize=1)
-def _in_eigenbasis(H0: Operator, G: Operator) -> dict[tuple[int, int], np.ndarray]:
+def _in_eigenbasis(
+    H0: BandedOperator, G: BandedOperator
+) -> dict[tuple[int, int], np.ndarray]:
     """The nonzero chain blocks (r, q), r <= q, of V^dag G V for H0's V.
 
     The blocks below the diagonal are the adjoints of these. The field
@@ -622,8 +521,8 @@ def _in_eigenbasis(H0: Operator, G: Operator) -> dict[tuple[int, int], np.ndarra
 
 
 def propagate_with_derivative(
-    H0: Operator,
-    G: Operator,
+    H0: BandedOperator,
+    G: BandedOperator,
     angle,
     psi: StateVector,
 ) -> PropagationWithDerivative:
@@ -655,8 +554,6 @@ def propagate_with_derivative(
     still costs its own O(d^2) kernel, a quarter of that when G~ has only
     the even-odd blocks.
     """
-    _require_hermitian(H0, "propagate_with_derivative")
-    _require_hermitian(G, "propagate_with_derivative")
     if H0.dim != G.dim:
         raise DimensionMismatchError(
             f"generator dims differ: {H0.dim} vs {G.dim}"
@@ -699,9 +596,7 @@ def propagate_with_derivative(
     )
 
 
-def apply_operator(
-    A: Operator, psi: StateVector, prefactor=1.0
-) -> StateVector:
+def apply_operator(A: BandedOperator, psi: StateVector, prefactor=1.0) -> StateVector:
     """prefactor * A |psi> as an unnormalized vector or block.
 
     A vector prefactor scales the columns one by one; a vector psi is then
@@ -714,22 +609,21 @@ def apply_operator(
     return StateVector(prefactor * image, normalized=False)
 
 
-def expectation(A: Operator, psi: StateVector) -> complex | np.ndarray:
-    """<psi| A |psi>, one per column for a block. For hermitian A the
-    imaginary part must vanish."""
+def expectation(A: BandedOperator, psi: StateVector) -> complex | np.ndarray:
+    """<psi| A |psi>, one per column for a block; its imaginary part must
+    vanish."""
     _require_matching(A, psi)
     value = _inner(psi.amplitudes, A.matvec(psi.amplitudes))
-    if A.kind == "hermitian" and np.any(np.abs(value.imag) > 1e-10):
+    if np.any(np.abs(value.imag) > 1e-10):
         raise ContractViolationError(
             f"hermitian expectation has imaginary part {np.max(np.abs(value.imag)):.3e}"
         )
     return _per_column(value)
 
 
-def variance(A: Operator, psi: StateVector) -> float | np.ndarray:
-    """<A^2> - <A>^2 for hermitian A on a normalized state, clamped at 0;
-    one per column for a block."""
-    _require_hermitian(A, "variance")
+def variance(A: BandedOperator, psi: StateVector) -> float | np.ndarray:
+    """<A^2> - <A>^2 on a normalized state, clamped at 0; one per column
+    for a block."""
     _require_matching(A, psi)
     if not psi.normalized:
         raise ContractViolationError("variance requires a normalized state")

@@ -33,10 +33,9 @@ from .metrology import (
     qfi_sensitivity,
     relative_difference,
 )
-from .protocols import ProtocolConfig, final_state, hamiltonian
+from .protocols import ProtocolConfig, _combined, final_state, hamiltonian
 from .spin_core import (
     BandedOperator,
-    ComplexOperator,
     DickeSpace,
     StateVector,
     collective_operators,
@@ -60,9 +59,13 @@ def _ok() -> str:
     return ""
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int) -> ComplexOperator:
+def _random_hermitian(rng: np.random.Generator, dim: int) -> BandedOperator:
+    """(raw + raw^dag) / 2 for a complex Gaussian raw, stored by its bands;
+    that matrix is exactly Hermitian, so the operator equals it."""
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return ComplexOperator((raw + raw.conj().T) / 2.0, "hermitian")
+    matrix = (raw + raw.conj().T) / 2.0
+    upper = {k: np.diag(matrix, k) for k in range(1, dim)}
+    return BandedOperator.hermitian(dim, upper, np.diag(matrix))
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -150,7 +153,7 @@ def check_derivative_vs_finite_difference() -> str:
         dphi = duration * along_angle.amplitudes
 
         def along(w: float) -> np.ndarray:
-            mixed = ComplexOperator(H0.matrix + w * G.matrix, "hermitian")
+            mixed = _combined(H0, 1.0, G, w)
             return propagate(mixed, duration, psi).amplitudes
 
         fd = _richardson_derivative(along)
@@ -378,10 +381,10 @@ def check_moment_oracle_matrix() -> str:
     worst = 0.0
     for n in range(2, 21):
         space = DickeSpace(n)
-        ops = collective_operators(space)
         plus = plus_state(space).amplitudes
         m = space.m_values()
-        jm2 = ops.Jminus.matrix @ ops.Jminus.matrix
+        jm = np.diag(space.ladder_elements(), 1)
+        jm2 = jm @ jm
         for phase in (0.1, 0.3, 1.0):
             direct = complex(
                 np.vdot(plus, jm2 @ (np.exp(-2j * phase * m) * plus))

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from twistsense.spin_core import BandedOperator
+
 
 def rel_diff(a, b):
     """|a - b| / max(|a|, |b|, 1), the comparison convention used package-wide."""
@@ -16,6 +18,13 @@ def richardson_derivative(f, h=1e-5):
 def random_hermitian(rng, dim):
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (raw + raw.conj().T) / 2.0
+
+
+def dense_hermitian(matrix):
+    """The operator with the diagonal and upper bands of a Hermitian matrix."""
+    dim = len(matrix)
+    upper = {k: np.diag(matrix, k) for k in range(1, dim)}
+    return BandedOperator.hermitian(dim, upper, np.diag(matrix))
 
 
 def random_state(rng, dim):

@@ -10,7 +10,6 @@ from math import e, sqrt
 import numpy as np
 
 from twistsense import (
-    ComplexOperator,
     FockSpace,
     ProtocolConfig,
     StateVector,
@@ -31,7 +30,12 @@ from twistsense import (
 )
 from twistsense.validate import CHECKS
 
-from _helpers import random_hermitian, random_state, richardson_derivative
+from _helpers import (
+    dense_hermitian,
+    random_hermitian,
+    random_state,
+    richardson_derivative,
+)
 
 
 @contextmanager
@@ -161,8 +165,8 @@ def test_criterion_10_derivative_engine():
         rng = np.random.default_rng(2026)
         for case in range(50):
             dim = int(rng.integers(2, 22))
-            H0 = ComplexOperator(random_hermitian(rng, dim), "hermitian")
-            G = ComplexOperator(random_hermitian(rng, dim), "hermitian")
+            H0 = dense_hermitian(random_hermitian(rng, dim))
+            G = dense_hermitian(random_hermitian(rng, dim))
             psi = StateVector(random_state(rng, dim))
             duration = float(rng.uniform(0.1, 2.0))
             # The engine differentiates along the field angle w * duration.
@@ -170,7 +174,7 @@ def test_criterion_10_derivative_engine():
             dphi = duration * along_angle.amplitudes
 
             def along(w):
-                mixed = ComplexOperator(H0.matrix + w * G.matrix, "hermitian")
+                mixed = dense_hermitian(H0.matrix + w * G.matrix)
                 return propagate(mixed, duration, psi).amplitudes
 
             fd = richardson_derivative(along)

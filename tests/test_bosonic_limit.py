@@ -1,5 +1,7 @@
 """Infinite-N closed forms and the truncated-Fock cross-check."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +60,19 @@ class TestClosedForm:
                 exact = closed_form("C", x, s)
                 series = closed_form_c_small_twist(x, s)
                 assert abs(exact - series) <= tol
+
+    @pytest.mark.parametrize("x", [1e-320, 1e-300, 1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    def test_concurrent_keeps_every_digit_at_small_twist(self, x, s):
+        # (s + 1/2x) e^y - 1/2x with y = 2x(1 - s), in exact decimal
+        # arithmetic at 400 digits: enough that neither the cancellation
+        # of the 1/2x terms nor e^y - 1 at y = 2e-320 costs a digit.
+        with localcontext() as ctx:
+            ctx.prec = 400
+            xd, sd = Decimal(x), Decimal(s)
+            half = 1 / (2 * xd)
+            exact = float((sd + half) * (2 * xd * (1 - sd)).exp() - half)
+        assert closed_form("C", x, s) == pytest.approx(exact, rel=1e-14, abs=0)
 
     def test_series_zero_twist_limit_is_one(self):
         for s in (0.0, 0.25, 1.0):

@@ -119,6 +119,17 @@ class TestSweepCsv:
         values = [float(row[4]) for row in rows]
         assert len(values) == 3 and all(np.isfinite(values))
 
+    def test_concurrent_closed_form_at_a_subnormal_twist(self, capsys):
+        # At twist 1e-320 the C closed form's two 1/2x terms are about
+        # 5e319 each; left to cancel, they give nan.
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--scheme", "C", "--n", "inf",
+            "--twist", "1e-320", "--t-points", "3",
+        )
+        assert code == 0
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["1"] * 3
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from twistsense import (
-    ComplexOperator,
     DickeSpace,
     FockSpace,
     ProtocolConfig,
@@ -17,7 +16,8 @@ from twistsense import (
 )
 from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
 from twistsense.errors import ContractViolationError
-from twistsense.protocols import run_pipeline, spin_mode
+from twistsense.protocols import _combined, run_pipeline, spin_mode
+from twistsense.spin_core import BandedOperator, StateVector
 from twistsense.sweep_optimize import SweepSpec, sweep_curve
 
 from _helpers import richardson_derivative
@@ -91,8 +91,8 @@ class TestHamiltonian:
 
     def test_two_axis_twist_matches_ladder_form(self):
         space = DickeSpace(6)
-        ops = collective_operators(space)
-        jp2 = ops.Jplus.matrix @ ops.Jplus.matrix
+        jplus = np.diag(space.ladder_elements(), -1)
+        jp2 = jplus @ jplus
         expected = 1.2j * (jp2.conj().T - jp2) / 6
         H = hamiltonian(space, "tat")
         assert np.abs(1.2 * H.matrix - expected).max() <= 1e-14
@@ -239,6 +239,32 @@ class TestSchemeStates:
         a = final_state(cfg0).psi.amplitudes
         b = final_state(cfg1).psi.amplitudes
         assert np.abs(a - b).max() <= 1e-7
+
+    @pytest.mark.parametrize("kind", ["tat", "oat"])
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            lambda kind: hamiltonian(DickeSpace(7), kind),
+            lambda kind: fock_hamiltonian(FockSpace(40), kind),
+        ],
+        ids=["spin7", "fock40"],
+    )
+    def test_nonzero_field_generator_is_the_dense_sum(self, generator, kind):
+        # x H + omega G, the generator of a twist window at nonzero field,
+        # built band by band: its matrix is the dense sum entry for entry
+        # and it propagates as the dense matrix exponential.
+        from scipy.linalg import expm
+
+        x, omega = 1.3, 0.3
+        H, G = generator(kind), generator("field")
+        mixed = _combined(H, x, G, omega)
+        assert isinstance(mixed, BandedOperator)
+        dense = x * H.matrix + omega * G.matrix
+        assert np.array_equal(mixed.matrix, dense)
+        identity = StateVector(np.eye(H.dim))
+        for duration in (0.37, -0.8):
+            unitary = propagate(mixed, duration, identity).amplitudes
+            assert np.abs(unitary - expm(-1j * duration * dense)).max() <= 1e-12
 
     def test_states_are_normalized_across_schemes(self):
         for scheme in ("A", "B", "C", "Bprime", "Cprime"):

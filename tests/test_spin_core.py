@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from twistsense import (
-    ComplexOperator,
     DickeSpace,
     FockSpace,
     StateVector,
@@ -23,7 +22,6 @@ from twistsense import (
     plus_state,
     propagate,
     propagate_with_derivative,
-    propagator,
     vacuum_state,
     variance,
 )
@@ -36,7 +34,12 @@ from twistsense.errors import (
 from twistsense.protocols import hamiltonian
 from twistsense.spin_core import MAX_PHASE, BandedOperator
 
-from _helpers import random_hermitian, random_state, richardson_derivative
+from _helpers import (
+    dense_hermitian,
+    random_hermitian,
+    random_state,
+    richardson_derivative,
+)
 
 
 def test_space_dimension_and_quantum_numbers():
@@ -60,8 +63,8 @@ def test_single_spin_jz_is_half_pauli():
 def test_two_spin_ladder_matrix_element():
     # Raising the lowest-weight state of two spins gives sqrt(2) times the
     # middle basis state.
-    ops = collective_operators(DickeSpace(2))
-    raised = ops.Jplus.matrix @ np.array([1.0, 0.0, 0.0])
+    jplus = np.diag(DickeSpace(2).ladder_elements(), -1)
+    raised = jplus @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(raised, [0.0, np.sqrt(2.0), 0.0])
 
 
@@ -81,7 +84,9 @@ def test_su2_algebra_and_casimir(n):
     casimir = jx @ jx + jy @ jy + jz @ jz
     expected = space.j * (space.j + 1) * np.eye(space.dim)
     assert np.abs(casimir - expected).max() <= 1e-10
-    assert np.abs(ops.Jplus.matrix - ops.Jminus.matrix.conj().T).max() == 0.0
+    # Jx + i Jy is the raising operator, which sits below the diagonal.
+    jplus = np.diag(space.ladder_elements(), -1)
+    assert np.abs(jx + 1j * jy - jplus).max() == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 3, 17])
@@ -179,9 +184,10 @@ def test_propagate_half_turn_flips_all_spins(n):
 def test_propagate_rejects_non_hermitian_and_mismatch():
     space = DickeSpace(3)
     psi = initial_state(space)
-    skew = ComplexOperator(np.triu(np.ones((4, 4))), "general")
+    # A non-Hermitian operator cannot be built, so it can never be propagated.
+    skew = np.triu(np.ones((4, 4)))
     with pytest.raises(ContractViolationError):
-        propagate(skew, 1.0, psi)
+        BandedOperator(4, {k: np.diag(skew, k) for k in range(-3, 4)})
     jz_small = collective_operators(DickeSpace(2)).Jz
     with pytest.raises(DimensionMismatchError):
         propagate(jz_small, 1.0, psi)
@@ -191,7 +197,7 @@ def test_propagate_preserves_norm_battery():
     rng = np.random.default_rng(42)
     for _ in range(20):
         dim = int(rng.integers(2, 40))
-        H = ComplexOperator(random_hermitian(rng, dim), "hermitian")
+        H = dense_hermitian(random_hermitian(rng, dim))
         psi = StateVector(random_state(rng, dim))
         out = propagate(H, float(rng.uniform(-4, 4)), psi)
         assert abs(out.norm - 1.0) <= 1e-10
@@ -201,7 +207,7 @@ def test_propagate_composes_over_durations():
     rng = np.random.default_rng(7)
     for _ in range(12):
         dim = int(rng.integers(2, 25))
-        H = ComplexOperator(random_hermitian(rng, dim), "hermitian")
+        H = dense_hermitian(random_hermitian(rng, dim))
         psi = StateVector(random_state(rng, dim))
         t1, t2 = rng.uniform(0, 2, size=2)
         joint = propagate(H, float(t1 + t2), psi)
@@ -212,18 +218,19 @@ def test_propagate_composes_over_durations():
 def test_propagator_matrix_is_unitary_and_consistent():
     rng = np.random.default_rng(11)
     dim = 9
-    H = ComplexOperator(random_hermitian(rng, dim), "hermitian")
-    U = propagator(H, 1.3)
-    assert U.kind == "unitary"
+    H = dense_hermitian(random_hermitian(rng, dim))
+    # The unitary is the propagation of the identity block.
+    U = propagate(H, 1.3, StateVector(np.eye(dim))).amplitudes
+    assert np.abs(U.conj().T @ U - np.eye(dim)).max() <= 1e-12
     psi = StateVector(random_state(rng, dim))
     direct = propagate(H, 1.3, psi)
-    assert np.abs(U.matrix @ psi.amplitudes - direct.amplitudes).max() <= 1e-12
+    assert np.abs(U @ psi.amplitudes - direct.amplitudes).max() <= 1e-12
 
 
 def test_derivative_zero_perturbation_gives_zero():
     space = DickeSpace(5)
     ops = collective_operators(space)
-    zero = ComplexOperator(np.zeros((space.dim, space.dim)), "hermitian")
+    zero = dense_hermitian(np.zeros((space.dim, space.dim)))
     phi, dphi = propagate_with_derivative(ops.Jz, zero, 0.9, initial_state(space))
     assert np.abs(dphi.amplitudes).max() <= 1e-14
     assert not dphi.normalized
@@ -234,7 +241,7 @@ def test_derivative_zero_perturbation_gives_zero():
 def test_derivative_commuting_case_is_first_order():
     space = DickeSpace(4)
     jy = collective_operators(space).Jy
-    zero = ComplexOperator(np.zeros((space.dim, space.dim)), "hermitian")
+    zero = dense_hermitian(np.zeros((space.dim, space.dim)))
     psi = plus_state(space)
     phi, dphi = propagate_with_derivative(zero, jy, 0.6, psi)
     assert np.abs(phi.amplitudes - psi.amplitudes).max() <= 1e-12
@@ -249,14 +256,15 @@ def test_derivative_matches_finite_difference_for_twisting():
     n = 10
     space = DickeSpace(n)
     ops = collective_operators(space)
-    jp2 = ops.Jplus.matrix @ ops.Jplus.matrix
-    H0 = ComplexOperator(1j * (jp2.conj().T - jp2) / n, "hermitian")
-    G = ComplexOperator(ops.Jy.matrix / np.sqrt(n), "hermitian")
+    jplus = np.diag(space.ladder_elements(), -1)
+    jp2 = jplus @ jplus
+    H0 = dense_hermitian(1j * (jp2.conj().T - jp2) / n)
+    G = dense_hermitian(ops.Jy.matrix / np.sqrt(n))
     psi = initial_state(space)
     _, dphi = propagate_with_derivative(H0, G, 1.0, psi)
 
     def along(w):
-        mixed = ComplexOperator(H0.matrix + w * G.matrix, "hermitian")
+        mixed = dense_hermitian(H0.matrix + w * G.matrix)
         return propagate(mixed, 1.0, psi).amplitudes
 
     fd = richardson_derivative(along)
@@ -270,8 +278,8 @@ def test_derivative_matches_finite_difference_battery():
     rng = np.random.default_rng(314)
     for _ in range(12):
         dim = int(rng.integers(2, 22))
-        H0 = ComplexOperator(random_hermitian(rng, dim), "hermitian")
-        G = ComplexOperator(random_hermitian(rng, dim), "hermitian")
+        H0 = dense_hermitian(random_hermitian(rng, dim))
+        G = dense_hermitian(random_hermitian(rng, dim))
         psi = StateVector(random_state(rng, dim))
         duration = float(rng.uniform(0.2, 1.5))
         phi, along_angle = propagate_with_derivative(H0, G, duration, psi)
@@ -281,7 +289,7 @@ def test_derivative_matches_finite_difference_battery():
         dphi = duration * along_angle.amplitudes
 
         def along(w):
-            mixed = ComplexOperator(H0.matrix + w * G.matrix, "hermitian")
+            mixed = dense_hermitian(H0.matrix + w * G.matrix)
             return propagate(mixed, duration, psi).amplitudes
 
         fd = richardson_derivative(along)
@@ -360,14 +368,15 @@ def test_phase_guard_refuses_roundoff_dominated_durations():
     psi = initial_state(space)
     # Jz has max|eigenvalue| 2, so the guard sits at duration MAX_PHASE / 2.
     at_bound = MAX_PHASE / 2
+    identity = StateVector(np.eye(space.dim))
     propagate(ops.Jz, -at_bound, psi)
-    propagator(ops.Jz, at_bound)
+    propagate(ops.Jz, at_bound, identity)
     propagate_with_derivative(ops.Jz, ops.Jy, at_bound, psi)
     for duration in (2 * at_bound, -2 * at_bound, 1e300):
         with pytest.raises(PrecisionLossError):
             propagate(ops.Jz, duration, psi)
         with pytest.raises(PrecisionLossError):
-            propagator(ops.Jz, duration)
+            propagate(ops.Jz, duration, identity)
         with pytest.raises(PrecisionLossError):
             propagate_with_derivative(ops.Jz, ops.Jy, duration, psi)
 
@@ -428,7 +437,7 @@ def test_propagate_solves_only_the_chains_it_turns(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     space = DickeSpace(10)
-    H = BandedOperator(space.dim, hamiltonian(space, "tat").bands, "hermitian")
+    H = BandedOperator(space.dim, hamiltonian(space, "tat").bands)
     psi = propagate(H, np.array([0.5, 1.0]), initial_state(space))
     assert calls == [6]
     assert not psi.amplitudes[1::2].any()
@@ -506,9 +515,9 @@ def test_banded_hermitian_contract():
     with pytest.raises(ContractViolationError):
         BandedOperator.hermitian(3, {1: upper}, diagonal=[0.5, 1j, 2.0])
     with pytest.raises(ContractViolationError):
-        BandedOperator(3, {1: upper, -1: upper}, "hermitian")
+        BandedOperator(3, {1: upper, -1: upper})
     with pytest.raises(ContractViolationError):
-        BandedOperator(3, {1: upper}, "hermitian")
+        BandedOperator(3, {1: upper})
     with pytest.raises(InvalidDimensionError):
         BandedOperator(3, {1: np.ones(3)})
     with pytest.raises(ValueError):
@@ -531,19 +540,8 @@ def test_banded_operator_matches_its_dense_matrix(kind):
                 assert np.array_equal(
                     H.block(r, q, stride), dense[r::stride, q::stride]
                 )
-    U = propagator(H, -1.3 * 0.7).matrix
+    U = propagate(H, -1.3 * 0.7, StateVector(np.eye(H.dim))).amplitudes
     assert np.abs(U - expm(-0.7j * (-1.3 * dense))).max() <= 1e-13
-
-
-def test_operator_kind_contracts():
-    with pytest.raises(ContractViolationError):
-        ComplexOperator(np.triu(np.ones((3, 3))), "hermitian")
-    with pytest.raises(ContractViolationError):
-        ComplexOperator(2.0 * np.eye(3), "unitary")
-    with pytest.raises(ContractViolationError):
-        ComplexOperator(np.eye(3), "bogus")
-    with pytest.raises(InvalidDimensionError):
-        ComplexOperator(np.ones((2, 3)))
 
 
 def test_operator_matrix_is_read_only():
