@@ -80,23 +80,6 @@ class ClosedFormOptimum(NamedTuple):
     t_opt: float
 
 
-@dataclass(frozen=True)
-class ClosedFormPoint:
-    """One evaluated analytic point, optionally with its optimum attached."""
-
-    scheme: str
-    twist_times_tau: float
-    sensing_fraction: float
-    value: float
-    optimum: ClosedFormOptimum | None = None
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.value >= 0.0:
-            raise ValueError(f"value must be >= 0, got {self.value}")
-
-
 def _check_point(
     scheme: str, twist_times_tau: float, sensing_fraction: float | None = None
 ) -> None:
@@ -119,6 +102,22 @@ def _check_regular(scheme: str, twist_times_tau: float) -> None:
             "the concurrent-twist closed form is singular at zero twist; "
             "use closed_form_c_small_twist near that point"
         )
+
+
+def _exponent(twist_times_tau: float, span: float) -> float:
+    """The growth exponent 2 x span of twist x over a span of the budget.
+
+    Doubled last, so a zero span gives exactly 0 at any twist; doubling is
+    exact, so ordinary twists keep every bit. A non-finite exponent is
+    refused: exp would return inf without raising.
+    """
+    y = 2.0 * (twist_times_tau * span)
+    if not isfinite(y):
+        raise PrecisionLossError(
+            f"twist {twist_times_tau!r} puts the growth exponent beyond the "
+            "double-precision range"
+        )
+    return y
 
 
 def _growth(fn, exponent: float) -> float:
@@ -176,13 +175,13 @@ def closed_form(
         return 1.0
     if scheme == "B":
         # No sensing time, no signal: 0 even where the growth overflows.
-        return 0.0 if s == 0.0 else _growth_times(s, 2.0 * x * (1.0 - s))
+        return 0.0 if s == 0.0 else _growth_times(s, _exponent(x, 1.0 - s))
     if scheme == "C":
         # (s + 1/2x) e^y - 1/2x with y = 2x(1 - s), written without the
         # cancellation of the two 1/2x terms that loses every digit at
         # small twist: s e^y + (1 - s) expm1(y) / y, whose last factor is 1
         # at y = 0.
-        y = 2.0 * x * (1.0 - s)
+        y = _exponent(x, 1.0 - s)
         grown = 0.0 if s == 0.0 else _growth_times(s, y)
         return grown + (1.0 - s) * (1.0 if y == 0.0 else _growth_over(expm1, y, y))
     if scheme == "Bprime":
@@ -225,12 +224,12 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
     if scheme == "B":
         if x > 0.5:
-            return ClosedFormOptimum(
-                value=_growth_over(exp, 2.0 * x - 1.0, 2.0 * x), t_opt=1.0 / (2.0 * x)
-            )
+            y = _exponent(x, 1.0)
+            return ClosedFormOptimum(value=_growth_over(exp, y - 1.0, y), t_opt=1.0 / y)
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
     if scheme == "C":
-        return ClosedFormOptimum(value=_growth_over(expm1, 2.0 * x, 2.0 * x), t_opt=0.0)
+        y = _exponent(x, 1.0)
+        return ClosedFormOptimum(value=_growth_over(expm1, y, y), t_opt=0.0)
     if scheme == "Bprime":
         return ClosedFormOptimum(value=x / 8.0, t_opt=0.5)
     return ClosedFormOptimum(value=x / 4.0, t_opt=0.0)
@@ -248,26 +247,6 @@ def enhancement_ratio(eta_tau: float) -> float:
     if eta_tau > 0.5:
         return e * -expm1(-2.0 * eta_tau)
     return expm1(2.0 * eta_tau) / (2.0 * eta_tau)
-
-
-def closed_form_point(
-    scheme: str,
-    twist_times_tau: float,
-    sensing_fraction: float,
-    include_optimum: bool = False,
-) -> ClosedFormPoint:
-    """Bundle one closed-form evaluation, optionally with its optimum."""
-    value = closed_form(scheme, twist_times_tau, sensing_fraction)
-    optimum = (
-        closed_form_optimum(scheme, twist_times_tau) if include_optimum else None
-    )
-    return ClosedFormPoint(
-        scheme=scheme,
-        twist_times_tau=twist_times_tau,
-        sensing_fraction=sensing_fraction,
-        value=value,
-        optimum=optimum,
-    )
 
 
 def _lowering_elements(space: FockSpace) -> np.ndarray:

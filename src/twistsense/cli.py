@@ -23,14 +23,14 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
-from .bosonic_limit import closed_form_optimum, closed_form_point
+from .bosonic_limit import closed_form, closed_form_optimum
 from .errors import TwistsenseError
 from .metrology import SensitivityRecord
 from .protocols import SCHEMES
 from .sweep_optimize import (
     ENGINES,
-    OptimumResult,
     SweepSpec,
     find_threshold,
     optimize_t,
@@ -92,26 +92,6 @@ def _records_csv(records: list[SensitivityRecord], engine: str) -> str:
     return buffer.getvalue()
 
 
-def _record_json(rec: SensitivityRecord) -> dict:
-    return {
-        "scheme": rec.scheme,
-        "n_spins": rec.n_spins,
-        "twist_strength": rec.twist_strength,
-        "sensing_fraction": rec.sensing_fraction,
-        "sensitivity": rec.sensitivity,
-        "method": rec.method,
-    }
-
-
-def _optimum_json(result: OptimumResult) -> dict:
-    return {
-        "twist_value": result.twist_value,
-        "best_sensitivity": result.best_sensitivity,
-        "t_opt": result.t_opt,
-        "boundary": result.boundary,
-    }
-
-
 def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -134,7 +114,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "scheme": args.scheme,
                 "n_spins": args.n,
                 "engine": engine,
-                "records": [_record_json(rec) for rec in records],
+                "records": [asdict(rec) for rec in records],
             }
         )
     _write_output(args.out, text)
@@ -167,7 +147,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
                 "scheme": args.scheme,
                 "n_spins": args.n,
                 "engine": engine,
-                "results": [_optimum_json(result) for result in results],
+                "results": [asdict(result) for result in results],
             }
         )
     _write_output(args.out, text)
@@ -192,22 +172,12 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    payload = {"scheme": args.scheme, "twist_times_tau": args.twist}
     if args.optimum:
-        best = closed_form_optimum(args.scheme, args.twist)
-        payload = {
-            "scheme": args.scheme,
-            "twist_times_tau": args.twist,
-            "value": best.value,
-            "t_opt": best.t_opt,
-        }
+        payload.update(closed_form_optimum(args.scheme, args.twist)._asdict())
     else:
-        point = closed_form_point(args.scheme, args.twist, args.t)
-        payload = {
-            "scheme": point.scheme,
-            "twist_times_tau": point.twist_times_tau,
-            "sensing_fraction": point.sensing_fraction,
-            "value": point.value,
-        }
+        payload["sensing_fraction"] = args.t
+        payload["value"] = closed_form(args.scheme, args.twist, args.t)
     _write_output(args.out, _dump_json(payload))
     return 0
 

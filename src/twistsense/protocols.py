@@ -18,6 +18,11 @@ internally, so every input is dimensionless):
   Cprime  as Bprime but with the field also on during twist and untwist
           (the echo reverses the twisting only, never the field).
 
+A scheme is its shape, one ``SHAPES`` entry: the twist kind, whether an
+echo untwists before readout, and whether the field rides along the
+twist. So C is B with the field on during the twist, Cprime is Bprime
+with it on, and A is B sensing for the whole budget.
+
 Each final state comes with the exact derivative of the state with respect
 to the field, evaluated at zero field: analytic factors where the field
 generator stands alone, the eigenbasis (Daleckii-Krein) propagator
@@ -38,7 +43,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import ContractViolationError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .spin_core import (
     BandedOperator,
     DickeSpace,
@@ -50,9 +55,18 @@ from .spin_core import (
     propagate_with_derivative,
 )
 
-SCHEMES = ("A", "B", "C", "Bprime", "Cprime")
-QFI_SCHEMES = ("A", "B", "C")
-ECHO_SCHEMES = ("Bprime", "Cprime")
+# scheme: (twist kind, echo, concurrent). The one place that says which
+# schemes echo and where the field rides along the twist.
+SHAPES = {
+    "A": ("tat", False, False),
+    "B": ("tat", False, False),
+    "C": ("tat", False, True),
+    "Bprime": ("oat", True, False),
+    "Cprime": ("oat", True, True),
+}
+SCHEMES = tuple(SHAPES)
+ECHO_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if echo)
+QFI_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if not echo)
 HAMILTONIAN_KINDS = ("field", "tat", "oat")
 
 
@@ -241,90 +255,67 @@ def run_pipeline(
     columns at once, each through its own angle (see
     ``spin_core.propagate``), and the mode's guard sees every column.
 
-    A twist x for a time t' turns the unit generator H through x t'. The
-    derivative follows the product rule term by term. Writing
-    D(t) = exp(-i t omega G) for the sensing rotation, dD/domega at 0 is
-    -i t G; a window t' where omega rides along a twist gets t' times the
-    eigenbasis derivative of ``propagate_with_derivative`` instead. For
-    Cprime both the twist and the untwist window contribute, because the
-    echo reverses chi but not omega. The mode's guard sees the initial
-    state, the twisted state and the echoed state.
+    Every scheme is one pass over the windows of its ``SHAPES`` entry:
+    twist for t', sense for s, and, with an echo, untwist for t', where
+    t' = 1 - s, or (1 - s)/2 with an echo. Scheme A is B sensing for the
+    whole budget (s = 1, so its twist angle is exactly 0). A twist x for a
+    time t' turns the unit generator H through x t'. The derivative follows
+    the product rule window by window. Writing D(s) = exp(-i s omega G) for
+    the sensing rotation, dD/domega at 0 is -i s G; a concurrent window,
+    where omega rides along the twist, adds t' times the eigenbasis
+    derivative of ``propagate_with_derivative``. The echo reverses the
+    twist but not omega, so a concurrent untwist contributes too. At
+    nonzero omega the state is rebuilt along the same windows, a
+    concurrent window turning x H + omega G (``_combined``). The mode's
+    guard sees the initial state, the twisted state and the echoed state.
     """
+    kind, echo, concurrent = SHAPES[scheme]
     G = mode.generator("field")
+    H = mode.generator(kind)
     psi0 = mode.initial
     mode.guard(psi0, "initial")
     s = np.asarray(sensing_fraction, dtype=float)
+    if scheme == "A":
+        s = np.ones_like(s)  # A senses for the whole budget
+    t = (1.0 - s) / 2.0 if echo else 1.0 - s
     x = twist_strength
     w = omega
 
-    if scheme == "A":
-        # Sensing for the full budget; sensing_fraction only sets the batch.
-        full = np.ones_like(s)
-        psi = propagate(G, w * full, psi0)
-        dpsi = apply_operator(G, psi0, prefactor=-1j * full)
-        return SchemeState(psi=psi, dpsi=dpsi)
+    def window(
+        sign: float, state: StateVector
+    ) -> tuple[StateVector, np.ndarray | None]:
+        """Twist (sign 1) or untwist (sign -1) at zero field for t', with
+        t' times the field derivative when the field rides along."""
+        if not concurrent:
+            return propagate(H, sign * x * t, state), None
+        phi, dphi = propagate_with_derivative(H, G, sign * x * t, state)
+        return phi, t * dphi.amplitudes
 
-    if scheme == "B":
-        H = mode.generator("tat")
-        prep = propagate(H, x * (1.0 - s), psi0)
-        mode.guard(prep, "post-twist")
-        psi = propagate(G, w * s, prep)
-        dpsi = apply_operator(G, prep, prefactor=-1j * s)
-        return SchemeState(psi=psi, dpsi=dpsi)
+    def at_field(sign: float, state: StateVector) -> StateVector:
+        """The same window at field omega. A concurrent untwist,
+        exp(-i t' (-x H + omega G)), turns x H - omega G through -t'."""
+        if not concurrent:
+            return propagate(H, sign * x * t, state)
+        return propagate(_combined(H, x, G, sign * w), sign * t, state)
 
-    if scheme == "C":
-        t_prime = 1.0 - s
-        H = mode.generator("tat")
-        phi, dphi = propagate_with_derivative(H, G, x * t_prime, psi0)
-        mode.guard(phi, "post-twist")
-        dpsi = StateVector(
-            -1j * s * G.matvec(phi.amplitudes) + t_prime * dphi.amplitudes,
-            normalized=False,
-        )
-        if w == 0:
-            psi = phi
-        else:
-            psi = propagate(G, w * s, propagate(_combined(H, x, G, w), t_prime, psi0))
-        return SchemeState(psi=psi, dpsi=dpsi)
-
-    if scheme == "Bprime":
-        t_prime = (1.0 - s) / 2.0
-        H = mode.generator("oat")
-        prep = propagate(H, x * t_prime, psi0)
-        mode.guard(prep, "post-twist")
-        sensed = propagate(G, w * s, prep)
-        # The echo is the inverse twist, exp(+i x t' H), i.e. angle -x t'.
-        psi = propagate(H, -x * t_prime, sensed)
+    phi, term = window(1.0, psi0)
+    mode.guard(phi, "post-twist")
+    psi = phi if w == 0 else propagate(G, w * s, at_field(1.0, psi0))
+    dpsi = _plus(apply_operator(G, phi, prefactor=-1j * s), term)
+    if echo:
+        phi, term = window(-1.0, phi)
+        psi = phi if w == 0 else at_field(-1.0, psi)
         mode.guard(psi, "post-echo")
-        dpsi = propagate(H, -x * t_prime, apply_operator(G, prep, prefactor=-1j * s))
-        return SchemeState(psi=psi, dpsi=dpsi)
+        dpsi = _plus(propagate(H, -x * t, dpsi), term)
+    return SchemeState(psi=psi, dpsi=dpsi)
 
-    if scheme == "Cprime":
-        t_prime = (1.0 - s) / 2.0
-        H = mode.generator("oat")
-        phi1, dphi1 = propagate_with_derivative(H, G, x * t_prime, psi0)
-        mode.guard(phi1, "post-twist")
-        # The untwist exp(-i t' (-x H + w G)) turns H through the angle
-        # -x t' and G through w t'.
-        phi2, dphi2 = propagate_with_derivative(H, G, -x * t_prime, phi1)
-        if w == 0:
-            psi = phi2
-        else:
-            stage1 = propagate(_combined(H, x, G, w), t_prime, psi0)
-            stage2 = propagate(G, w * s, stage1)
-            psi = propagate(_combined(H, x, G, -w), -t_prime, stage2)
-        mode.guard(psi, "post-echo")
-        inner = StateVector(
-            -1j * s * G.matvec(phi1.amplitudes) + t_prime * dphi1.amplitudes,
-            normalized=False,
-        )
-        dpsi = StateVector(
-            propagate(H, -x * t_prime, inner).amplitudes + t_prime * dphi2.amplitudes,
-            normalized=False,
-        )
-        return SchemeState(psi=psi, dpsi=dpsi)
 
-    raise ContractViolationError(f"unreachable scheme {scheme!r}")
+def _plus(dpsi: StateVector, term: np.ndarray | None) -> StateVector:
+    """dpsi plus a concurrent window's derivative term, if the window has
+    one; adding zeros instead would turn -0.0 amplitudes into 0.0."""
+    if term is None:
+        return dpsi
+    return StateVector(dpsi.amplitudes + term, normalized=False)
 
 
 def final_state(cfg: ProtocolConfig) -> SchemeState:

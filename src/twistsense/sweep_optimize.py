@@ -9,11 +9,12 @@ Three interchangeable engines evaluate a (scheme, twist, t/tau) point:
 On top of them sit a deterministic grid sweep, a grid-then-refine
 optimizer over the sensing fraction, and a bisection search for the
 break-even twist strength where a protocol first beats the separable
-benchmark of 1. A grid of one twist is a curve: the spin engine computes
-it in one pipeline call (``metrology.readout`` over all its sensing
-fractions; a few calls for grids too wide for CURVE_BLOCK_AMPLITUDES),
-the other engines point by point. The golden-section refinement of the
-optimizer evaluates one point at a time.
+benchmark of 1. A grid of one twist is a curve, and ``_curve`` is the one
+place that dispatches on the engine: the spin engine computes a curve in
+one pipeline call (``metrology.readout`` over all its sensing fractions; a
+few calls for grids too wide for CURVE_BLOCK_AMPLITUDES), the other
+engines point by point. ``evaluate_point`` is a curve of one point; the
+golden-section refinement of the optimizer evaluates one at a time.
 
 Every evaluation is a pure function of its arguments, and results come in
 a deterministic order: twist outer, sensing fraction inner, both
@@ -29,13 +30,8 @@ import numpy as np
 
 from .bosonic_limit import FockSpace, closed_form, fock_simulate
 from .errors import BracketingError
-from .metrology import (
-    SensitivityRecord,
-    echo_sensitivity,
-    qfi_sensitivity,
-    readout,
-)
-from .protocols import ECHO_SCHEMES, SCHEMES, ProtocolConfig, spin_mode
+from .metrology import SensitivityRecord, readout
+from .protocols import SCHEMES, ProtocolConfig, spin_mode
 
 ENGINES = ("spin", "fock", "closed_form")
 BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
@@ -120,24 +116,18 @@ def evaluate_point(
     engine: str,
     fock_space: FockSpace | None = None,
 ) -> SensitivityRecord:
-    """One sensitivity evaluation through the chosen engine."""
+    """One sensitivity evaluation through the chosen engine: a curve of one
+    point."""
     _validate_engine(scheme, n_spins, engine)
-    if engine == "spin":
-        cfg = ProtocolConfig(scheme, n_spins, twist_value, sensing_fraction)
-        return (echo_sensitivity if scheme in ECHO_SCHEMES else qfi_sensitivity)(cfg)
-    if engine == "fock":
-        return fock_simulate(
-            scheme, twist_value, sensing_fraction, fock_space or FockSpace()
+    if not 0.0 <= sensing_fraction <= 1.0:
+        raise ValueError(
+            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
         )
-    value = closed_form(scheme, twist_value, sensing_fraction)
-    return SensitivityRecord(
-        scheme=scheme,
-        n_spins=None,
-        twist_strength=twist_value,
-        sensing_fraction=sensing_fraction,
-        sensitivity=value,
-        method="closed_form",
+    (record,) = _curve(
+        scheme, n_spins, twist_value, np.array([sensing_fraction], dtype=float),
+        engine, fock_space,
     )
+    return record
 
 
 def _curve(
@@ -150,13 +140,23 @@ def _curve(
 ) -> list[SensitivityRecord]:
     """One twist at every sensing fraction of ``ts``, in order.
 
-    The spin engine runs the curve through one readout call per
-    CURVE_BLOCK_AMPLITUDES block (one call for all but huge grids); the
-    other engines evaluate it point by point.
+    The one engine dispatch. The spin engine runs the curve through one
+    readout call per CURVE_BLOCK_AMPLITUDES block (one call for all but huge
+    grids); the Fock and closed-form engines evaluate it point by point.
     """
-    if engine != "spin":
+    if engine == "fock":
+        space = fock_space or FockSpace()
+        return [fock_simulate(scheme, twist_value, float(t), space) for t in ts]
+    if engine == "closed_form":
         return [
-            evaluate_point(scheme, n_spins, twist_value, float(t), engine, fock_space)
+            SensitivityRecord(
+                scheme=scheme,
+                n_spins=None,
+                twist_strength=twist_value,
+                sensing_fraction=float(t),
+                sensitivity=closed_form(scheme, twist_value, float(t)),
+                method="closed_form",
+            )
             for t in ts
         ]
     cfg = ProtocolConfig(scheme, n_spins, twist_value)

@@ -12,7 +12,6 @@ from twistsense import (
     closed_form,
     closed_form_c_small_twist,
     closed_form_optimum,
-    closed_form_point,
     enhancement_ratio,
     fock_hamiltonian,
     fock_simulate,
@@ -43,6 +42,14 @@ class TestClosedForm:
     def test_sequential_full_sensing_is_benchmark(self):
         for x in (0.3, 2.0, 11.0):
             assert closed_form("B", x, 1.0) == 1.0
+
+    def test_edges_at_the_largest_twists(self):
+        # 2 x overflows to inf at x = 1e308, but with no twisting time (s = 1)
+        # the exponent is exactly 0, and with no sensing time (s = 0) B has
+        # no signal.
+        assert closed_form("B", 1e308, 1.0) == 1.0
+        assert closed_form("C", 1e308, 1.0) == 1.0
+        assert closed_form("B", 1e308, 0.0) == 0.0
 
     def test_concurrent_exceeds_sequential_pointwise(self):
         # The field is live during twisting in scheme C, which can only help.
@@ -133,13 +140,6 @@ class TestClosedFormOptimum:
         assert (b.value, b.t_opt) == (1.0, 0.5)
         c = closed_form_optimum("Cprime", 8.0)
         assert (c.value, c.t_opt) == (2.0, 0.0)
-
-    def test_point_bundles_optimum_on_request(self):
-        bare = closed_form_point("B", 1.0, 0.5)
-        assert bare.optimum is None
-        rich = closed_form_point("B", 1.0, 0.5, include_optimum=True)
-        assert rich.value == pytest.approx(1.3591409142295225, rel=1e-15)
-        assert rich.optimum.t_opt == 0.5
 
 
 class TestEnhancementRatio:

@@ -95,11 +95,19 @@ class TestSweepCsv:
             "oracle --scheme C --twist 400 --optimum",
             "optimize --scheme B --n inf --twist 400",
             "oracle --scheme B --twist 360 --optimum",
+            "oracle --scheme B --twist 1e308 --optimum",
+            "oracle --scheme C --twist 1e308 --optimum",
+            "oracle --scheme B --twist 1e308 --t 0.5",
+            "oracle --scheme C --twist 1e308 --t 0.5",
+            "sweep --scheme B --n inf --twist 1e308 --t-points 3",
+            "sweep --scheme C --n inf --twist 1e308 --t-points 3",
+            "optimize --scheme B --n inf --twist 1e308",
         ],
     )
     def test_closed_form_overflow_is_computation_error(self, capsys, argv):
         # exp(2 x (1 - s)) leaves the double range near x = 355; the closed
         # forms must fail with a typed error, not an OverflowError traceback.
+        # Past x = 8.99e307, 2 x itself is inf, and exp(inf) does not raise.
         code, out, err = run_cli(capsys, *argv.split())
         assert code == 1
         assert out == ""

@@ -65,6 +65,14 @@ class TestEvaluatePoint:
         assert rec.n_spins is None
         assert rec.sensitivity == pytest.approx(2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("s", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize(
+        "engine,n", [("spin", 6), ("fock", None), ("closed_form", None)]
+    )
+    def test_refuses_sensing_fraction_outside_the_budget(self, engine, n, s):
+        with pytest.raises(ValueError, match="sensing_fraction"):
+            evaluate_point("B", n, 1.0, s, engine)
+
 
 class TestSweepCurve:
     def test_ordering_twist_outer_t_inner(self):
