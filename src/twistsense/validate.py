@@ -25,6 +25,7 @@ from .bosonic_limit import (
     enhancement_ratio,
     fock_simulate,
 )
+from .errors import BracketingError
 from .metrology import (
     closed_form_Bprime,
     echo_sensitivity,
@@ -46,7 +47,12 @@ from .spin_core import (
     propagate_with_derivative,
     variance,
 )
-from .sweep_optimize import evaluate_point, find_threshold, optimize_t
+from .sweep_optimize import (
+    BENCHMARK_MARGIN,
+    evaluate_point,
+    find_threshold,
+    optimize_t,
+)
 
 FD_STEP = 1e-5
 
@@ -564,6 +570,53 @@ def check_threshold_monotonicity() -> str:
     return _ok()
 
 
+def reference_threshold(
+    scheme: str,
+    n_spins: int | None,
+    engine: str,
+    search_interval: tuple[float, float],
+    t_grid: int,
+) -> float:
+    """``find_threshold`` as documented, bisecting on the full ``optimize_t``
+    at every step: the reference its staged steps must reproduce exactly."""
+
+    def exceeds(x: float) -> bool:
+        best = optimize_t(scheme, n_spins, x, engine, t_grid).best_sensitivity
+        return best > 1.0 + BENCHMARK_MARGIN
+
+    lo, hi = float(search_interval[0]), float(search_interval[1])
+    if exceeds(lo) or not exceeds(hi):
+        raise BracketingError(f"({lo}, {hi}) does not bracket the break-even twist")
+    while hi - lo > 1e-3:
+        mid = (lo + hi) / 2.0
+        if exceeds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0
+
+
+def check_staged_threshold() -> str:
+    cases = (
+        ("B", 30, "spin", (0.4, 0.7)),
+        ("Bprime", 20, "spin", (9.0, 10.0)),
+        ("Cprime", 10, "spin", (4.5, 5.5)),
+        ("B", None, "fock", (0.4, 0.6)),
+        ("B", None, "closed_form", (0.05, 2.0)),
+        ("Bprime", None, "closed_form", (2.0, 16.0)),
+        ("Cprime", None, "closed_form", (1.0, 9.0)),
+    )
+    for scheme, n, engine, interval in cases:
+        staged = find_threshold(scheme, n, engine, interval, t_grid=21)
+        reference = reference_threshold(scheme, n, engine, interval, t_grid=21)
+        if staged != reference:
+            return _fail(
+                f"{scheme} ({engine}, N={n}) threshold {staged!r} differs from "
+                f"the optimize_t bisection {reference!r}"
+            )
+    return _ok()
+
+
 def check_t_opt_convergence() -> str:
     # Convergence of the optimal sensing fraction slows as the twist grows
     # (stronger squeezing probes the curvature of the finite sphere), so
@@ -667,6 +720,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("sweep.tie_break_and_boundaries", check_tie_break_and_boundaries),
     ("sweep.closed_form_thresholds", check_closed_form_thresholds),
     ("sweep.threshold_monotonicity", check_threshold_monotonicity),
+    ("sweep.staged_threshold", check_staged_threshold),
     ("sweep.t_opt_convergence", check_t_opt_convergence),
     ("cli.determinism", check_cli_determinism),
     ("cli.csv_schema", check_cli_csv_schema),

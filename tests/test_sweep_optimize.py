@@ -15,6 +15,7 @@ from twistsense import (
 )
 from twistsense import metrology, sweep_optimize
 from twistsense.errors import BracketingError
+from twistsense.validate import reference_threshold
 
 
 class TestSweepSpec:
@@ -228,8 +229,7 @@ class TestFindThreshold:
             find_threshold("B", None, "closed_form", (-1.0, 2.0))
 
 
-@pytest.mark.parametrize("t_grid", [3, 21, 201])
-def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
+def _count_pipeline_sizes(monkeypatch) -> list[int]:
     sizes = []
     run_pipeline = metrology.run_pipeline
 
@@ -238,6 +238,12 @@ def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
         return run_pipeline(mode, scheme, twist, sensing_fraction, omega)
 
     monkeypatch.setattr(metrology, "run_pipeline", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("t_grid", [3, 21, 201])
+def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
+    sizes = _count_pipeline_sizes(monkeypatch)
     sweep_curve(SweepSpec("Bprime", 6, (2.0, 5.0, 8.0), t_grid=t_grid))
     assert sizes == [t_grid] * 3
     sizes.clear()
@@ -248,15 +254,8 @@ def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
 
 
 def test_a_curve_wider_than_the_block_budget_is_split(monkeypatch):
-    sizes = []
-    run_pipeline = metrology.run_pipeline
-
-    def counted(mode, scheme, twist, sensing_fraction, omega):
-        sizes.append(np.size(sensing_fraction))
-        return run_pipeline(mode, scheme, twist, sensing_fraction, omega)
-
     whole = sweep_curve(SweepSpec("Bprime", 9, (8.0,), t_grid=25))
-    monkeypatch.setattr(metrology, "run_pipeline", counted)
+    sizes = _count_pipeline_sizes(monkeypatch)
     # Ten amplitudes per block: one column of the 10-level sector per call.
     monkeypatch.setattr(sweep_optimize, "CURVE_BLOCK_AMPLITUDES", 10)
     split = sweep_curve(SweepSpec("Bprime", 9, (8.0,), t_grid=25))
@@ -279,4 +278,74 @@ def test_spin_sweep_equals_pointwise_evaluation(scheme, twist):
         )
         assert abs(got.sensitivity - want.sensitivity) <= 1e-12 * max(
             abs(want.sensitivity), 1.0
+        )
+
+
+class TestStagedThresholdStep:
+    def test_a_step_decided_by_the_coarse_pass_refines_nothing(self, monkeypatch):
+        sizes = _count_pipeline_sizes(monkeypatch)
+        # Well above the ten-spin echo threshold (about 11.5): every 10th of
+        # 201 grid points, both ends included, already beats the benchmark.
+        assert sweep_optimize._beats_benchmark("Bprime", 10, 14.0, "spin", 201, None)
+        assert sizes == [21]
+
+    def test_a_step_decided_by_the_full_grid_refines_nothing(self, monkeypatch):
+        sizes = _count_pipeline_sizes(monkeypatch)
+        # Just past the ten-spin echo threshold the curve beats 1 (by 3e-3)
+        # only near t/tau = 0.625; the coarse samples at 0.6 and 0.65 do not.
+        curve = sweep_curve(SweepSpec("Bprime", 10, (11.6,), t_grid=201))
+        values = [r.sensitivity for r in curve]
+        assert max(values[::10]) < 1.0 < max(values)
+        sizes.clear()
+        assert sweep_optimize._beats_benchmark("Bprime", 10, 11.6, "spin", 201, None)
+        assert sizes == [21, 201]
+
+    def test_a_step_below_the_benchmark_costs_one_refinement(self, monkeypatch):
+        sizes = _count_pipeline_sizes(monkeypatch)
+        optimum = optimize_t("Bprime", 10, 9.0, "spin", 201)
+        assert optimum.best_sensitivity < 1.0
+        refinement = sizes[1:]
+        assert len(refinement) > 1 and set(refinement) == {1}
+        sizes.clear()
+        assert not sweep_optimize._beats_benchmark("Bprime", 10, 9.0, "spin", 201, None)
+        assert sizes == [21, 201] + refinement
+
+    @pytest.mark.parametrize("t_grid", [3, 4, 21, 201])
+    @pytest.mark.parametrize(
+        "scheme, n, engine, interval",
+        [
+            ("Bprime", 10, "spin", (9.0, 14.0)),
+            ("B", 30, "spin", (0.3, 0.8)),
+            ("Cprime", None, "closed_form", (1.0, 9.0)),
+        ],
+    )
+    def test_threshold_equals_bisection_on_optimize_t(
+        self, scheme, n, engine, interval, t_grid
+    ):
+        staged = find_threshold(scheme, n, engine, interval, t_grid)
+        assert staged == reference_threshold(scheme, n, engine, interval, t_grid)
+
+
+class TestTGridValidation:
+    @pytest.mark.parametrize("t_grid", [3.5, 5.0, True, "21", None])
+    def test_optimize_and_spec_reject_non_integer_grids(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid"):
+            optimize_t("B", 4, 1.0, "spin", t_grid=t_grid)
+        with pytest.raises(ValueError, match="t_grid"):
+            SweepSpec("B", 4, (1.0,), t_grid=t_grid)
+
+    @pytest.mark.parametrize("t_grid", [2, 3.5, False])
+    def test_threshold_rejects_the_grid_before_evaluating(self, monkeypatch, t_grid):
+        def unexpected(*args):
+            raise AssertionError("evaluated before validating t_grid")
+
+        monkeypatch.setattr(sweep_optimize, "_curve", unexpected)
+        with pytest.raises(ValueError, match="t_grid"):
+            find_threshold("Bprime", 10, "spin", (9.0, 14.0), t_grid=t_grid)
+
+    def test_numpy_integer_grids_are_accepted(self):
+        spec = SweepSpec("B", 4, (1.0,), t_grid=np.int64(5))
+        assert len(sweep_curve(spec)) == 5
+        assert optimize_t("B", 4, 1.0, "spin", t_grid=np.int64(5)) == optimize_t(
+            "B", 4, 1.0, "spin", t_grid=5
         )
