@@ -37,12 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InvalidDimensionError,
-    PrecisionLossError,
-    SingularParameterError,
-    TruncationError,
-)
+from .errors import InvalidDimensionError, PrecisionLossError, TruncationError
 from .metrology import SensitivityRecord, readout
 from .protocols import SCHEMES, Mode, ladder_generator
 from .spin_core import BandedOperator, StateVector
@@ -93,14 +88,6 @@ def _check_point(
     if sensing_fraction is not None and not 0.0 <= sensing_fraction <= 1.0:
         raise ValueError(
             f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
-        )
-
-
-def _check_regular(scheme: str, twist_times_tau: float) -> None:
-    if scheme == "C" and twist_times_tau == 0.0:
-        raise SingularParameterError(
-            "the concurrent-twist closed form is singular at zero twist; "
-            "use closed_form_c_small_twist near that point"
         )
 
 
@@ -163,12 +150,11 @@ def closed_form(
 ) -> float:
     """Infinite-N sensitivity of one scheme at one sensing fraction.
 
-    Scheme A is the constant benchmark 1. Scheme C keeps a removable
-    singularity at zero twist (two diverging terms cancel); that point is
-    rejected here and served by ``closed_form_c_small_twist`` instead.
+    Scheme A is the constant benchmark 1. Scheme C's textbook form has a
+    removable singularity at zero twist (two diverging terms cancel); it is
+    evaluated in a form that is regular there, and exactly 1 at zero twist.
     """
     _check_point(scheme, twist_times_tau, sensing_fraction)
-    _check_regular(scheme, twist_times_tau)
     s = sensing_fraction
     x = twist_times_tau
     if scheme == "A":
@@ -213,12 +199,12 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
     B has two regimes: below twist 1/2 the whole budget goes to sensing
     (value 1, no advantage); above it the optimum sits at t/tau equal to
     1/(2 eta tau) with value exp(2 eta tau - 1)/(2 eta tau). C always
-    prefers t/tau -> 0, value (exp(2 eta tau) - 1)/(2 eta tau). The echo
-    pair peaks at t/tau = 1/2 (value chi tau / 8) for Bprime and at
-    t/tau = 0 (value chi tau / 4) for Cprime.
+    prefers t/tau -> 0, value (exp(2 eta tau) - 1)/(2 eta tau); at zero
+    twist every t/tau gives 1, and t/tau = 0 is the limit from positive
+    twist. The echo pair peaks at t/tau = 1/2 (value chi tau / 8) for
+    Bprime and at t/tau = 0 (value chi tau / 4) for Cprime.
     """
     _check_point(scheme, twist_times_tau)
-    _check_regular(scheme, twist_times_tau)
     x = twist_times_tau
     if scheme == "A":
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
@@ -229,7 +215,8 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
     if scheme == "C":
         y = _exponent(x, 1.0)
-        return ClosedFormOptimum(value=_growth_over(expm1, y, y), t_opt=0.0)
+        value = 1.0 if y == 0.0 else _growth_over(expm1, y, y)
+        return ClosedFormOptimum(value=value, t_opt=0.0)
     if scheme == "Bprime":
         return ClosedFormOptimum(value=x / 8.0, t_opt=0.5)
     return ClosedFormOptimum(value=x / 4.0, t_opt=0.0)

@@ -21,10 +21,6 @@ class WrongMethodError(TwistsenseError):
     """A scheme was routed to the wrong figure of merit."""
 
 
-class SingularParameterError(TwistsenseError):
-    """A parameter sits on a removable singularity of a closed form."""
-
-
 class TruncationError(TwistsenseError):
     """A Fock-space simulation leaked population into the truncation edge."""
 

@@ -24,7 +24,15 @@ eigensystem when it has at most one off-diagonal band:
   parity has only even-odd blocks in the twisting eigenbasis,
 * each chain is solved on first use, and a propagation skips a chain on
   which its input is exactly zero, so a state that stays in one parity
-  block never diagonalizes the other.
+  block never diagonalizes the other,
+* the ladder elements of a Dicke sector are mirror-symmetric,
+  l_k = l_{N-1-k} (the reflection m -> -m), so a chain's real tridiagonal
+  matrix is either its own mirror image (every chain at even N, and the
+  one chain of a field generator) and is solved as two half-size
+  eigenproblems, or the mirror image of another chain (the two parity
+  blocks at odd N) and reuses that chain's solution; both are detected by
+  exact equality, so a Fock chain (l_k = sqrt(k + 1)) takes one full-size
+  ``eigh``.
 
 States are vectors (d,) or blocks (d, K) of K states side by side. The
 propagators take one angle per column, so a whole curve of K sensing
@@ -283,8 +291,13 @@ class BandedOperator:
 
         With at most one off-diagonal band, at offset b, this is b real
         symmetric tridiagonal eigenproblems (see the module docstring),
-        each solved when a propagation first needs it; with several, it is
-        one chain: the dense matrix's complex eigenvectors, unit phases.
+        each solved when a propagation first needs it: as two half-size
+        ``eigh`` calls when its matrix equals its own reverse, by reversing
+        the rows of an already solved chain's vectors when its matrix is the
+        reverse of that chain's, and by one ``eigh`` otherwise. Either way a
+        chain has ascending values and one real orthogonal vector matrix.
+        With several bands, it is one chain: the dense matrix's complex
+        eigenvectors, unit phases.
         """
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
@@ -298,8 +311,11 @@ class BandedOperator:
         stride = offsets[0] if offsets else 1
         diagonal = self.bands[0].real if 0 in self.bands else np.zeros(d)
         upper = self.bands.get(stride, np.zeros(d - stride))
+        # chain r -> (its real diagonal, its |e| band, values, vectors)
+        solved: dict[int, tuple] = {}
 
         def solve(r: int) -> tuple:
+            a = diagonal[r::stride]
             e = upper[r::stride]
             size = np.abs(e)
             unit = np.ones(len(e), dtype=complex)
@@ -309,13 +325,90 @@ class BandedOperator:
             # running product's roundoff cannot make diag(p) non-unitary.
             p = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
             p /= np.abs(p)
-            tridiagonal = np.diag(diagonal[r::stride])
-            i = np.arange(len(e))
-            tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = size
-            evals, evecs = np.linalg.eigh(tridiagonal)
+            for a_q, size_q, evals, evecs in solved.values():
+                if _reverses(a, size, a_q, size_q):
+                    # T_r = J T_q J with J the reversal: same values, V_r = J V_q.
+                    return evals, np.ascontiguousarray(evecs[::-1]), p
+            if len(a) > 1 and _reverses(a, size, a, size):
+                evals, evecs = _persymmetric_eigh(a, size)
+            else:
+                evals, evecs = _tridiagonal_eigh(a, size)
+            solved[r] = a, size, evals, evecs
             return evals, evecs, p
 
         return Eigensystem(stride, solve)
+
+
+def _reverses(
+    diagonal: np.ndarray,
+    off: np.ndarray,
+    other_diagonal: np.ndarray,
+    other_off: np.ndarray,
+) -> bool:
+    """Whether the symmetric tridiagonal matrix T with this diagonal and
+    off-diagonal is exactly J T' J, the reverse of the other one T'."""
+    return np.array_equal(diagonal, other_diagonal[::-1]) and np.array_equal(
+        off, other_off[::-1]
+    )
+
+
+def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
+    """Ascending eigenvalues and orthogonal eigenvectors of the real symmetric
+    tridiagonal matrix with this diagonal and off-diagonal."""
+    tridiagonal = np.diag(diagonal)
+    i = np.arange(len(off))
+    tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
+    return np.linalg.eigh(tridiagonal)
+
+
+def _persymmetric_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
+    """``_tridiagonal_eigh`` of a matrix that is its own reverse, T = J T J
+    with n >= 2, from its mirror-even and mirror-odd halves.
+
+    T commutes with the reversal J, so its eigenvectors can be taken
+    mirror-even (x = J x) or mirror-odd (x = -J x), and T is exactly block
+    diagonal in the orthonormal basis (e_i +- e_{n-1-i}) / sqrt(2), i < n/2,
+    plus e_h at the middle h = (n - 1) / 2 of an odd n (Cantoni & Butler,
+    Linear Algebra Appl. 13, 275, 1976). Each block is the leading
+    tridiagonal of T, changed only where the middle link b = off[n//2 - 1]
+    joins it to its mirror image:
+
+    * even n: two h x h blocks, h = n / 2, with b added to (even) or
+      subtracted from (odd) the last diagonal entry,
+    * odd n: the even block of size h + 1 keeps the middle element, joined
+      by sqrt(2) b; the odd block of size h lacks it.
+
+    Two half-size ``eigh`` calls cost about a quarter of one full-size call.
+    The values are merged ascending and each half's vectors are mapped back
+    to the full basis, so the result is one real orthogonal n x n matrix.
+    """
+    n = len(diagonal)
+    h = n // 2
+    link = off[h - 1]
+    inner = off[: h - 1]
+    if n % 2:
+        even = _tridiagonal_eigh(diagonal[: h + 1], np.append(inner, sqrt(2.0) * link))
+        odd = _tridiagonal_eigh(diagonal[:h], inner)
+    else:
+        corner = np.zeros(h)
+        corner[-1] = link
+        even = _tridiagonal_eigh(diagonal[:h] + corner, inner)
+        odd = _tridiagonal_eigh(diagonal[:h] - corner, inner)
+    values = np.concatenate((even[0], odd[0]))
+    order = np.argsort(values, kind="stable")
+    column = np.empty(n, dtype=int)
+    column[order] = np.arange(n)
+    to_even, to_odd = column[: len(even[0])], column[len(even[0]) :]
+    top_even = even[1][:h] * sqrt(0.5)
+    top_odd = odd[1] * sqrt(0.5)
+    vectors = np.zeros((n, n))
+    vectors[:h, to_even] = top_even
+    vectors[n - h :, to_even] = top_even[::-1]
+    vectors[:h, to_odd] = top_odd
+    vectors[n - h :, to_odd] = -top_odd[::-1]
+    if n % 2:
+        vectors[h, to_even] = even[1][h]
+    return values[order], vectors
 
 
 @dataclass(frozen=True, eq=False)

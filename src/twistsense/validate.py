@@ -170,6 +170,39 @@ def check_derivative_vs_finite_difference() -> str:
     return _ok()
 
 
+def check_mirror_split() -> str:
+    # Each chain of a Dicke generator is its own mirror image (solved as two
+    # halves) or the mirror image of the other chain (solved once): both
+    # must reproduce a dense eigh of the same real tridiagonal matrix.
+    for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201):
+        space = DickeSpace(n)
+        for kind in ("tat", "oat", "field"):
+            H = hamiltonian(space, kind)
+            eig = BandedOperator(H.dim, H.bands).eigensystem
+            diagonal = H.bands[0].real if 0 in H.bands else np.zeros(H.dim)
+            for r in range(eig.stride):
+                chain = eig.chain(r)
+                off = np.abs(H.bands[eig.stride][r :: eig.stride])
+                tridiagonal = np.diag(diagonal[r :: eig.stride])
+                i = np.arange(len(off))
+                tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
+                dense = np.linalg.eigh(tridiagonal)[0]
+                values, vectors = chain.values, chain.vectors
+                where = f"N={n} {kind} chain {r}"
+                if np.any(np.diff(values) < 0):
+                    return _fail(f"{where}: eigenvalues not ascending")
+                gap = np.abs(values - dense).max()
+                if gap > 1e-12 * np.abs(dense).max():
+                    return _fail(f"{where}: eigenvalues differ from eigh by {gap:.3e}")
+                residual = np.abs(tridiagonal @ vectors - vectors * values).max()
+                if residual > 1e-12:
+                    return _fail(f"{where}: max |TV - V Lambda| = {residual:.3e}")
+                defect = np.abs(vectors.T @ vectors - np.eye(len(values))).max()
+                if defect > 1e-12:
+                    return _fail(f"{where}: max |V^T V - I| = {defect:.3e}")
+    return _ok()
+
+
 def check_full_sensing_reduction() -> str:
     for n in (1, 2, 10, 50):
         ref = final_state(ProtocolConfig("A", n))
@@ -696,6 +729,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("spin_core.propagator_unitarity", check_propagator_unitarity),
     ("spin_core.propagator_composition", check_propagator_composition),
     ("spin_core.derivative_vs_finite_difference", check_derivative_vs_finite_difference),
+    ("spin_core.mirror_split", check_mirror_split),
     ("protocols.full_sensing_reduction", check_full_sensing_reduction),
     ("protocols.zero_twist_reduction", check_zero_twist_reduction),
     ("protocols.single_spin_degeneracy", check_single_spin_degeneracy),

@@ -20,11 +20,7 @@ from twistsense import (
     vacuum_state,
     variance,
 )
-from twistsense.errors import (
-    InvalidDimensionError,
-    SingularParameterError,
-    TruncationError,
-)
+from twistsense.errors import InvalidDimensionError, TruncationError
 
 
 class TestClosedForm:
@@ -57,9 +53,12 @@ class TestClosedForm:
             for s in (0.1, 0.5, 0.9):
                 assert closed_form("C", x, s) > closed_form("B", x, s)
 
-    def test_concurrent_rejects_zero_twist(self):
-        with pytest.raises(SingularParameterError):
-            closed_form("C", 0.0, 0.5)
+    def test_concurrent_zero_twist_is_the_benchmark(self):
+        # With no twisting the concurrent scheme is the separable benchmark:
+        # exactly 1 at every fraction, and its optimum is the x -> 0+ limit.
+        for s in (0.0, 0.1, 1 / 3, 0.5, 0.7, 1.0):
+            assert closed_form("C", 0.0, s) == 1.0
+        assert closed_form_optimum("C", 0.0) == (1.0, 0.0)
 
     def test_concurrent_series_matches_exact_near_zero(self):
         for s in (0.0, 0.4, 1.0):

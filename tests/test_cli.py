@@ -138,6 +138,17 @@ class TestSweepCsv:
         assert code == 0
         assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["1"] * 3
 
+    @pytest.mark.parametrize("engine", ["closed_form", "fock"])
+    def test_concurrent_zero_twist_is_the_benchmark(self, capsys, engine):
+        # With no twisting, scheme C senses for the whole budget like A.
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--scheme", "C", "--n", "inf", "--engine", engine,
+            "--twist", "0", "--t-points", "3",
+        )
+        assert code == 0
+        assert [line.split(",")[4] for line in out.splitlines()[1:]] == ["1"] * 3
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -259,12 +270,18 @@ class TestOracle:
         assert np.isfinite(value)
         assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_singular_point_is_computation_error(self, capsys):
-        code, _, err = run_cli(
+    def test_concurrent_zero_twist_is_the_benchmark(self, capsys):
+        code, out, _ = run_cli(
             capsys, "oracle", "--scheme", "C", "--twist", "0.0", "--t", "0.5"
         )
-        assert code == 1
-        assert "singular" in err
+        assert code == 0
+        assert json.loads(out)["value"] == 1.0
+        code, out, _ = run_cli(
+            capsys, "oracle", "--scheme", "C", "--twist", "0.0", "--optimum"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["value"], payload["t_opt"]) == (1.0, 0.0)
 
     def test_requires_exactly_one_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -313,13 +313,23 @@ def test_eigensolves_do_not_grow_with_the_number_of_twists(
     assert eigensolves((0.1, 0.15, 0.2, 0.25, 0.3)) == one
 
 
-@pytest.mark.parametrize("n_spins, engine", [(20, "spin"), (None, "fock")])
+@pytest.mark.parametrize(
+    "n_spins, engine, b_solves, bprime_solves",
+    [
+        pytest.param(20, "spin", 2, 4, id="20-spin"),
+        pytest.param(21, "spin", 1, 1, id="21-spin"),
+        pytest.param(None, "fock", 1, 2, id="None-fock"),
+    ],
+)
 def test_twisting_solves_only_the_parity_blocks_it_propagates(
-    monkeypatch, n_spins, engine
+    monkeypatch, n_spins, engine, b_solves, bprime_solves
 ):
     # B twists the lowest-weight state (or the vacuum), which stays in the
-    # even block, and never propagates G psi: one eigensolve. Bprime echoes
-    # the odd vector G psi back through the twist: both blocks.
+    # even block, and never propagates G psi: one block. Bprime echoes the
+    # odd vector G psi back through the twist: both blocks. At even N each
+    # Dicke block is its own mirror image and is solved as two halves; at
+    # odd N the blocks are each other's mirror images and one solve serves
+    # both. The Fock blocks have no mirror symmetry: one solve per block.
     calls = []
     eigh = np.linalg.eigh
 
@@ -328,7 +338,10 @@ def test_twisting_solves_only_the_parity_blocks_it_propagates(
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    for scheme, twist, solves in (("B", 0.3, 1), ("Bprime", 2.0, 2)):
+    for scheme, twist, solves in (
+        ("B", 0.3, b_solves),
+        ("Bprime", 2.0, bprime_solves),
+    ):
         hamiltonian.cache_clear()
         fock_hamiltonian.cache_clear()
         calls.clear()
