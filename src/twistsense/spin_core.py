@@ -26,13 +26,12 @@ eigensystem when it has at most one off-diagonal band:
   which its input is exactly zero, so a state that stays in one parity
   block never diagonalizes the other,
 * the ladder elements of a Dicke sector are mirror-symmetric,
-  l_k = l_{N-1-k} (the reflection m -> -m), so a chain's real tridiagonal
-  matrix is either its own mirror image (every chain at even N, and the
-  one chain of a field generator) and is solved as two half-size
-  eigenproblems, or the mirror image of another chain (the two parity
-  blocks at odd N) and reuses that chain's solution; both are detected by
-  exact equality, so a Fock chain (l_k = sqrt(k + 1)) takes one full-size
-  ``eigh``.
+  l_k = l_{N-1-k} (the reflection m -> -m), so a chain whose real
+  tridiagonal matrix is its own mirror image (every chain at even N, and
+  the one chain of a field generator) is solved as two half-size
+  eigenproblems; this is detected by exact equality, so a Fock chain
+  (l_k = sqrt(k + 1)) and each parity block at odd N (the two blocks are
+  each other's mirror images) take one full-size ``eigh``.
 
 States are vectors (d,) or blocks (d, K) of K states side by side. The
 propagators take one angle per column, so a whole curve of K sensing
@@ -292,10 +291,9 @@ class BandedOperator:
         With at most one off-diagonal band, at offset b, this is b real
         symmetric tridiagonal eigenproblems (see the module docstring),
         each solved when a propagation first needs it: as two half-size
-        ``eigh`` calls when its matrix equals its own reverse, by reversing
-        the rows of an already solved chain's vectors when its matrix is the
-        reverse of that chain's, and by one ``eigh`` otherwise. Either way a
-        chain has ascending values and one real orthogonal vector matrix.
+        ``eigh`` calls when its matrix equals its own reverse and by one
+        ``eigh`` otherwise. Either way a chain has ascending values and one
+        real orthogonal vector matrix.
         With several bands, it is one chain: the dense matrix's complex
         eigenvectors, unit phases.
         """
@@ -311,8 +309,6 @@ class BandedOperator:
         stride = offsets[0] if offsets else 1
         diagonal = self.bands[0].real if 0 in self.bands else np.zeros(d)
         upper = self.bands.get(stride, np.zeros(d - stride))
-        # chain r -> (its real diagonal, its |e| band, values, vectors)
-        solved: dict[int, tuple] = {}
 
         def solve(r: int) -> tuple:
             a = diagonal[r::stride]
@@ -325,31 +321,19 @@ class BandedOperator:
             # running product's roundoff cannot make diag(p) non-unitary.
             p = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
             p /= np.abs(p)
-            for a_q, size_q, evals, evecs in solved.values():
-                if _reverses(a, size, a_q, size_q):
-                    # T_r = J T_q J with J the reversal: same values, V_r = J V_q.
-                    return evals, np.ascontiguousarray(evecs[::-1]), p
-            if len(a) > 1 and _reverses(a, size, a, size):
+            if len(a) > 1 and _is_persymmetric(a, size):
                 evals, evecs = _persymmetric_eigh(a, size)
             else:
                 evals, evecs = _tridiagonal_eigh(a, size)
-            solved[r] = a, size, evals, evecs
             return evals, evecs, p
 
         return Eigensystem(stride, solve)
 
 
-def _reverses(
-    diagonal: np.ndarray,
-    off: np.ndarray,
-    other_diagonal: np.ndarray,
-    other_off: np.ndarray,
-) -> bool:
+def _is_persymmetric(diagonal: np.ndarray, off: np.ndarray) -> bool:
     """Whether the symmetric tridiagonal matrix T with this diagonal and
-    off-diagonal is exactly J T' J, the reverse of the other one T'."""
-    return np.array_equal(diagonal, other_diagonal[::-1]) and np.array_equal(
-        off, other_off[::-1]
-    )
+    off-diagonal is exactly its own reverse J T J."""
+    return np.array_equal(diagonal, diagonal[::-1]) and np.array_equal(off, off[::-1])
 
 
 def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:

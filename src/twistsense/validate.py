@@ -171,9 +171,9 @@ def check_derivative_vs_finite_difference() -> str:
 
 
 def check_mirror_split() -> str:
-    # Each chain of a Dicke generator is its own mirror image (solved as two
-    # halves) or the mirror image of the other chain (solved once): both
-    # must reproduce a dense eigh of the same real tridiagonal matrix.
+    # A chain of a Dicke generator that is its own mirror image is solved as
+    # two halves, any other by one eigh: both must reproduce a dense eigh of
+    # the same real tridiagonal matrix.
     for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201):
         space = DickeSpace(n)
         for kind in ("tat", "oat", "field"):
