@@ -122,7 +122,7 @@ def readout(
         raise ValueError(
             f"sensing_fractions must be one-dimensional, got shape {fractions.shape}"
         )
-    state = run_pipeline(mode, scheme, twist_strength, fractions, 0.0)
+    state = run_pipeline(mode, scheme, twist_strength, fractions)
     if scheme in ECHO_SCHEMES:
         R = mode.readout_operator()
         slope = 2.0 * overlap(state.psi, apply_operator(R, state.dpsi)).real
@@ -155,10 +155,6 @@ def _spin_record(
     """Read out one spin protocol run, refusing schemes outside ``schemes``."""
     if cfg.scheme not in schemes:
         raise WrongMethodError(f"{where} handles schemes {schemes}, got {cfg.scheme}")
-    if cfg.omega != 0.0:
-        raise ContractViolationError(
-            f"{where} is defined at zero field; got omega = {cfg.omega}"
-        )
     (record,) = readout(
         spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, [cfg.sensing_fraction],
         cfg.n_spins,

@@ -23,11 +23,12 @@ echo untwists before readout, and whether the field rides along the
 twist. So C is B with the field on during the twist, Cprime is Bprime
 with it on, and A is B sensing for the whole budget.
 
-Each final state comes with the exact derivative of the state with respect
-to the field, evaluated at zero field: analytic factors where the field
-generator stands alone, the eigenbasis (Daleckii-Krein) propagator
-derivative where it does not commute with the twisting. No finite
-differences anywhere.
+Every number is read at zero field, so the states are built at omega = 0
+only. Each comes with the exact derivative of the state with respect to
+the field there: analytic factors where the field generator stands alone,
+the eigenbasis (Daleckii-Krein) propagator derivative where it does not
+commute with the twisting. No finite differences anywhere; the dense
+reference in ``validate`` checks both against the definitions above.
 
 The pipelines are written once, in ``run_pipeline``, over a carrier
 ``Mode``: the Dicke sector here (``spin_mode``), a truncated Fock mode in
@@ -77,15 +78,13 @@ class ProtocolConfig:
     ``twist_strength`` is the dimensionless eta*tau (schemes B, C) or
     chi*tau (Bprime, Cprime) and is ignored by scheme A.
     ``sensing_fraction`` is t/tau; scheme A always senses for the whole
-    budget regardless of it. ``omega`` is the scaled field, nonzero only
-    for derivative cross-checks.
+    budget regardless of it. The run is at zero field.
     """
 
     scheme: str
     n_spins: int
     twist_strength: float = 0.0
     sensing_fraction: float = 1.0
-    omega: float = 0.0
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -99,7 +98,7 @@ class ProtocolConfig:
         if self.n_spins < 1:
             raise ValueError(f"n_spins must be >= 1, got {self.n_spins}")
         object.__setattr__(self, "n_spins", int(self.n_spins))
-        for name in ("twist_strength", "sensing_fraction", "omega"):
+        for name in ("twist_strength", "sensing_fraction"):
             value = getattr(self, name)
             if not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -120,10 +119,10 @@ class ProtocolConfig:
 
 @dataclass(frozen=True, eq=False)
 class SchemeState:
-    """Final state of a protocol plus its exact zero-field derivative.
+    """Final state of a protocol at zero field plus its exact derivative.
 
-    ``psi`` is evaluated at the config's omega; ``dpsi`` is always the
-    derivative with respect to omega at omega = 0 and is unnormalized.
+    ``dpsi`` is the derivative of ``psi`` with respect to the field omega
+    at omega = 0 and is unnormalized.
     """
 
     psi: StateVector
@@ -183,26 +182,6 @@ def hamiltonian(space: DickeSpace, kind: str) -> BandedOperator:
     return ladder_generator(space.ladder_elements(), space.n_spins, kind)
 
 
-def _combined(
-    H: BandedOperator, x: float, G: BandedOperator, omega: float
-) -> BandedOperator:
-    """x H + omega G, for building states at nonzero field.
-
-    Band by band, x H_k + omega G_k, so its matrix is x H.matrix +
-    omega G.matrix entry for entry and it is Hermitian exactly. With bands
-    at offsets 1 and 2 it has a dense eigendecomposition; it is built only
-    at nonzero field.
-    """
-    d = H.dim
-
-    def band(k: int) -> np.ndarray:
-        zero = np.zeros(d - k)
-        return x * H.bands.get(k, zero) + omega * G.bands.get(k, zero)
-
-    upper = {k for k in (*H.bands, *G.bands) if k > 0}
-    return BandedOperator.hermitian(d, {k: band(k) for k in upper}, band(0))
-
-
 @dataclass(frozen=True, eq=False)
 class Mode:
     """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
@@ -245,7 +224,6 @@ def run_pipeline(
     scheme: str,
     twist_strength: float,
     sensing_fraction,
-    omega: float,
 ) -> SchemeState:
     """Final states and exact zero-field derivatives of one protocol on a carrier.
 
@@ -259,15 +237,14 @@ def run_pipeline(
     twist for t', sense for s, and, with an echo, untwist for t', where
     t' = 1 - s, or (1 - s)/2 with an echo. Scheme A is B sensing for the
     whole budget (s = 1, so its twist angle is exactly 0). A twist x for a
-    time t' turns the unit generator H through x t'. The derivative follows
-    the product rule window by window. Writing D(s) = exp(-i s omega G) for
-    the sensing rotation, dD/domega at 0 is -i s G; a concurrent window,
-    where omega rides along the twist, adds t' times the eigenbasis
-    derivative of ``propagate_with_derivative``. The echo reverses the
-    twist but not omega, so a concurrent untwist contributes too. At
-    nonzero omega the state is rebuilt along the same windows, a
-    concurrent window turning x H + omega G (``_combined``). The mode's
-    guard sees the initial state, the twisted state and the echoed state.
+    time t' turns the unit generator H through x t'. At zero field the
+    sensing window is the identity. The derivative follows the product
+    rule window by window. Writing D(s) = exp(-i s omega G) for the sensing
+    rotation, dD/domega at 0 is -i s G; a concurrent window, where omega
+    rides along the twist, adds t' times the eigenbasis derivative of
+    ``propagate_with_derivative``. The echo reverses the twist but not
+    omega, so a concurrent untwist contributes too. The mode's guard sees
+    the initial state, the twisted state and the echoed state.
     """
     kind, echo, concurrent = SHAPES[scheme]
     G = mode.generator("field")
@@ -279,32 +256,22 @@ def run_pipeline(
         s = np.ones_like(s)  # A senses for the whole budget
     t = (1.0 - s) / 2.0 if echo else 1.0 - s
     x = twist_strength
-    w = omega
 
     def window(
         sign: float, state: StateVector
     ) -> tuple[StateVector, np.ndarray | None]:
-        """Twist (sign 1) or untwist (sign -1) at zero field for t', with
-        t' times the field derivative when the field rides along."""
+        """Twist (sign 1) or untwist (sign -1) for t', with t' times the
+        field derivative when the field rides along."""
         if not concurrent:
             return propagate(H, sign * x * t, state), None
         phi, dphi = propagate_with_derivative(H, G, sign * x * t, state)
         return phi, t * dphi.amplitudes
 
-    def at_field(sign: float, state: StateVector) -> StateVector:
-        """The same window at field omega. A concurrent untwist,
-        exp(-i t' (-x H + omega G)), turns x H - omega G through -t'."""
-        if not concurrent:
-            return propagate(H, sign * x * t, state)
-        return propagate(_combined(H, x, G, sign * w), sign * t, state)
-
-    phi, term = window(1.0, psi0)
-    mode.guard(phi, "post-twist")
-    psi = phi if w == 0 else propagate(G, w * s, at_field(1.0, psi0))
-    dpsi = _plus(apply_operator(G, phi, prefactor=-1j * s), term)
+    psi, term = window(1.0, psi0)
+    mode.guard(psi, "post-twist")
+    dpsi = _plus(apply_operator(G, psi, prefactor=-1j * s), term)
     if echo:
-        phi, term = window(-1.0, phi)
-        psi = phi if w == 0 else at_field(-1.0, psi)
+        psi, term = window(-1.0, psi)
         mode.guard(psi, "post-echo")
         dpsi = _plus(propagate(H, -x * t, dpsi), term)
     return SchemeState(psi=psi, dpsi=dpsi)
@@ -321,6 +288,5 @@ def _plus(dpsi: StateVector, term: np.ndarray | None) -> StateVector:
 def final_state(cfg: ProtocolConfig) -> SchemeState:
     """Final state and exact zero-field derivative for one spin protocol run."""
     return run_pipeline(
-        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, cfg.sensing_fraction,
-        cfg.omega,
+        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, cfg.sensing_fraction
     )

@@ -7,8 +7,10 @@ operator the protocols use is Hermitian and banded in the Jz basis: the
 collective spins and the field generator couple m only to m +- 1, and both
 twisting generators couple m only to m +- 2 (Kitagawa & Ueda, PRA 47, 5138,
 1993). There is one operator type, ``BandedOperator``: stored by its bands,
-built in O(N), Hermitian exactly by construction, and with a structured
-eigensystem when it has at most one off-diagonal band:
+built in O(N) and Hermitian exactly by construction. Every protocol runs
+at zero field, so an operator that is propagated has at most one
+off-diagonal band (one with several is refused), and its eigensystem is
+structured:
 
 * an operator whose only off-diagonal band sits at offset b splits into b
   interleaved chains, the basis indices r, r + b, r + 2b, ..., with no
@@ -38,10 +40,6 @@ propagators take one angle per column, so a whole curve of K sensing
 fractions turns through its K twist angles in one real matrix product per
 chain instead of K matrix-vector products; the reductions (expectations,
 variances, overlaps) give one value per column.
-
-An operator with several off-diagonal bands (a twisting generator plus a
-field, built only at nonzero field) is diagonalized by a dense complex
-``eigh`` instead, and presents the same ``Eigensystem`` as one chain.
 
 Conventions:
 
@@ -96,10 +94,8 @@ def _frozen_array(values) -> np.ndarray:
 
 
 def _matmul(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for complex x; a real A multiplies x's real and imaginary parts
-    in one real product instead of being copied to complex."""
-    if np.iscomplexobj(A):
-        return A @ x
+    """A @ x for a real A and complex x: x's real and imaginary parts in one
+    real product instead of A copied to complex."""
     x = np.ascontiguousarray(x, dtype=complex)
     pairs = x.view(np.float64).reshape(x.shape[0], -1)
     return (A @ pairs).view(complex).reshape(A.shape[0], *x.shape[1:])
@@ -179,9 +175,9 @@ class Eigensystem:
     Chain r holds the basis indices r, r + stride, r + 2 stride, ..., and H
     has no entries between chains, so each chain is an eigenproblem of its
     own. ``solve(r)`` returns chain r's (values, vectors, phases); it runs
-    on the first ``chain(r)`` and its result is kept. An operator with
-    several off-diagonal bands is one chain with unit phases and complex
-    vectors; otherwise the vectors are real and orthogonal.
+    on the first ``chain(r)`` and its result is kept. H has at most one
+    off-diagonal band, at offset ``stride``, and each chain's vectors are
+    real and orthogonal.
     """
 
     def __init__(self, stride: int, solve: Callable[[int], tuple]) -> None:
@@ -293,18 +289,15 @@ class BandedOperator:
         each solved when a propagation first needs it: as two half-size
         ``eigh`` calls when its matrix equals its own reverse and by one
         ``eigh`` otherwise. Either way a chain has ascending values and one
-        real orthogonal vector matrix.
-        With several bands, it is one chain: the dense matrix's complex
-        eigenvectors, unit phases.
+        real orthogonal vector matrix. An operator with several
+        off-diagonal bands is refused.
         """
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
-
-            def dense(r: int) -> tuple:
-                evals, evecs = np.linalg.eigh(self.matrix)
-                return evals, evecs, np.ones(len(evals))
-
-            return Eigensystem(1, dense)
+            raise ContractViolationError(
+                f"operator has off-diagonal bands at offsets {offsets}; "
+                "only one can be propagated"
+            )
         d = self.dim
         stride = offsets[0] if offsets else 1
         diagonal = self.bands[0].real if 0 in self.bands else np.zeros(d)
@@ -542,16 +535,17 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     ``propagate(H, theta, StateVector(np.eye(d)))``. Unnormalized inputs
     (derivative vectors) are propagated linearly and stay unnormalized.
     Raises PrecisionLossError when some |theta_k| * max|eigenvalue| on a
-    propagated chain exceeds MAX_PHASE, as does ``propagate_with_derivative``.
+    propagated chain exceeds MAX_PHASE, and ContractViolationError for an H
+    with several off-diagonal bands, as does ``propagate_with_derivative``.
     """
     _require_matching(H, psi)
+    eig = H.eigensystem
     angles, x, shape = _columns(angle, psi)
     still = angles == 0
     if still.all() and psi.amplitudes.shape == shape:
         return psi
     out = np.zeros((psi.dim, angles.size), dtype=complex)
     if not still.all():
-        eig = H.eigensystem
         for r in range(eig.stride):
             xr = x[r :: eig.stride]
             if xr.any():
@@ -640,12 +634,12 @@ def propagate_with_derivative(
         raise ContractViolationError(
             "propagate_with_derivative expects a normalized input state"
         )
+    eig = H0.eigensystem
     angles, x, shape = _columns(angle, psi)
     still = angles == 0
     phi = np.zeros((psi.dim, angles.size), dtype=complex)
     dphi = np.zeros_like(phi)
     if not still.all():
-        eig = H0.eigensystem
         chains = [eig.chain(r) for r in range(eig.stride)]
         coeffs = [c.analyze(x[r :: eig.stride]) for r, c in enumerate(chains)]
         turns = [c.turns(angles) for c in chains]

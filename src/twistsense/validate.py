@@ -11,7 +11,7 @@ the exit code. A check raising is reported as FAIL with the exception.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import replace
+from functools import partial
 from math import e, exp, sqrt
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from .bosonic_limit import (
     closed_form_c_small_twist,
     closed_form_optimum,
     enhancement_ratio,
+    fock_mode,
     fock_simulate,
 )
 from .errors import BracketingError
@@ -34,7 +35,14 @@ from .metrology import (
     qfi_sensitivity,
     relative_difference,
 )
-from .protocols import ProtocolConfig, _combined, final_state, hamiltonian
+from .protocols import (
+    SCHEMES,
+    ProtocolConfig,
+    final_state,
+    hamiltonian,
+    run_pipeline,
+    spin_mode,
+)
 from .spin_core import (
     BandedOperator,
     DickeSpace,
@@ -57,14 +65,6 @@ from .sweep_optimize import (
 FD_STEP = 1e-5
 
 
-def _fail(detail: str) -> str:
-    return detail
-
-
-def _ok() -> str:
-    return ""
-
-
 def _random_hermitian(rng: np.random.Generator, dim: int) -> BandedOperator:
     """(raw + raw^dag) / 2 for a complex Gaussian raw, stored by its bands;
     that matrix is exactly Hermitian, so the operator equals it."""
@@ -72,6 +72,14 @@ def _random_hermitian(rng: np.random.Generator, dim: int) -> BandedOperator:
     matrix = (raw + raw.conj().T) / 2.0
     upper = {k: np.diag(matrix, k) for k in range(1, dim)}
     return BandedOperator.hermitian(dim, upper, np.diag(matrix))
+
+
+def random_banded_hermitian(rng: np.random.Generator, dim: int) -> BandedOperator:
+    """A Gaussian real diagonal and one complex Gaussian band at a random
+    offset 1 <= b < dim: the shape of operator a propagation accepts."""
+    b = int(rng.integers(1, dim))
+    band = rng.standard_normal(dim - b) + 1j * rng.standard_normal(dim - b)
+    return BandedOperator.hermitian(dim, {b: band}, rng.standard_normal(dim))
 
 
 def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -84,6 +92,62 @@ def _richardson_derivative(f, h: float = FD_STEP) -> np.ndarray:
     return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
 
 
+def dense_propagator(generator: np.ndarray, angle: float) -> np.ndarray:
+    """exp(-i angle H) of a dense Hermitian H, as V exp(-i angle Lambda) V^dag."""
+    values, vectors = np.linalg.eigh(generator)
+    return (vectors * np.exp(-1j * angle * values)) @ vectors.conj().T
+
+
+def reference_generators(lowering: np.ndarray, norm: float) -> dict:
+    """Dense field, tat and oat generators from the band of a lowering
+    operator L (J- with norm N, or a with norm 1): i (L - L^dag) / (2
+    sqrt(norm)), i (L^2 - L^dag^2) / norm and X X / norm, X = (L + L^dag) / 2."""
+    L = np.diag(lowering.astype(complex), 1)
+    Ld, X = L.conj().T, (L + L.conj().T) / 2.0
+    return {
+        "field": 1j * (L - Ld) / (2.0 * sqrt(norm)),
+        "tat": 1j * (L @ L - Ld @ Ld) / norm,
+        "oat": X @ X / norm,
+    }
+
+
+def reference_state(lowering, norm, scheme, x, s, w) -> np.ndarray:
+    """One scheme's final state at field w from dense matrices, written from
+    the definitions in the ``protocols`` docstring (tau = 1), not from the
+    pipeline: the first basis vector turned by the propagators, right to left."""
+    gen = reference_generators(lowering, norm)
+    G, tat, oat, U = gen["field"], gen["tat"], gen["oat"], dense_propagator
+    psi0, t = np.eye(len(G))[0], (1.0 - s) / 2.0
+    products = {
+        "A": lambda: U(G, w) @ psi0,
+        "B": lambda: U(G, w * s) @ U(tat, x * (1.0 - s)) @ psi0,
+        "C": lambda: U(G, w * s) @ U(x * tat + w * G, 1.0 - s) @ psi0,
+        "Bprime": lambda: U(oat, -x * t) @ U(G, w * s) @ U(oat, x * t) @ psi0,
+        "Cprime": lambda: U(w * G - x * oat, t) @ U(G, w * s)
+        @ U(w * G + x * oat, t) @ psi0,
+    }
+    return products[scheme]()
+
+
+def reference_gaps(scheme, n_spins, twist, s) -> tuple[float, float]:
+    """max |psi - psi_ref| of ``run_pipeline`` at zero field, and its
+    |dpsi - fd| / max(|dpsi|, 1) against the reference's finite difference
+    in the field. ``n_spins`` None is a 160-level Fock mode."""
+    if n_spins is None:
+        mode, lowering, norm = fock_mode(FockSpace(160)), np.sqrt(np.arange(1, 160)), 1
+    else:
+        space = DickeSpace(n_spins)
+        mode, lowering, norm = spin_mode(space), space.ladder_elements(), n_spins
+    state = run_pipeline(mode, scheme, twist, s)
+    dpsi = state.dpsi.amplitudes
+    ref = partial(reference_state, lowering, norm, scheme, twist, s)
+    fd = _richardson_derivative(ref)
+    return (
+        np.abs(state.psi.amplitudes - ref(0.0)).max(),
+        np.linalg.norm(dpsi - fd) / max(np.linalg.norm(dpsi), 1.0),
+    )
+
+
 def check_su2_commutators() -> str:
     worst = 0.0
     for n in range(1, 51):
@@ -92,8 +156,8 @@ def check_su2_commutators() -> str:
         for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
             worst = max(worst, np.abs(a @ b - b @ a - 1j * c).max())
     if worst > 1e-12:
-        return _fail(f"commutator defect {worst:.3e} exceeds 1e-12")
-    return _ok()
+        return f"commutator defect {worst:.3e} exceeds 1e-12"
+    return ""
 
 
 def check_casimir() -> str:
@@ -109,8 +173,8 @@ def check_casimir() -> str:
         expected = space.j * (space.j + 1) * np.eye(space.dim)
         worst = max(worst, np.abs(total - expected).max())
     if worst > 1e-10:
-        return _fail(f"Casimir defect {worst:.3e} exceeds 1e-10")
-    return _ok()
+        return f"Casimir defect {worst:.3e} exceeds 1e-10"
+    return ""
 
 
 def check_propagator_unitarity() -> str:
@@ -118,13 +182,13 @@ def check_propagator_unitarity() -> str:
     worst = 0.0
     for _ in range(25):
         dim = int(rng.integers(2, 31))
-        H = _random_hermitian(rng, dim)
+        H = random_banded_hermitian(rng, dim)
         psi = _random_state(rng, dim)
         duration = float(rng.uniform(-3.0, 3.0))
         worst = max(worst, abs(propagate(H, duration, psi).norm - 1.0))
     if worst > 1e-10:
-        return _fail(f"propagated norm drifts by {worst:.3e} > 1e-10")
-    return _ok()
+        return f"propagated norm drifts by {worst:.3e} > 1e-10"
+    return ""
 
 
 def check_propagator_composition() -> str:
@@ -132,7 +196,7 @@ def check_propagator_composition() -> str:
     worst = 0.0
     for _ in range(15):
         dim = int(rng.integers(2, 25))
-        H = _random_hermitian(rng, dim)
+        H = random_banded_hermitian(rng, dim)
         psi = _random_state(rng, dim)
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
@@ -140,8 +204,8 @@ def check_propagator_composition() -> str:
         stepped = propagate(H, t2, propagate(H, t1, psi))
         worst = max(worst, np.abs(joint.amplitudes - stepped.amplitudes).max())
     if worst > 1e-9:
-        return _fail(f"composition defect {worst:.3e} exceeds 1e-9")
-    return _ok()
+        return f"composition defect {worst:.3e} exceeds 1e-9"
+    return ""
 
 
 def check_derivative_vs_finite_difference() -> str:
@@ -150,7 +214,7 @@ def check_derivative_vs_finite_difference() -> str:
     for _ in range(20):
         n = int(rng.integers(2, 21))
         dim = n + 1
-        H0 = _random_hermitian(rng, dim)
+        H0 = random_banded_hermitian(rng, dim)
         G = _random_hermitian(rng, dim)
         psi = _random_state(rng, dim)
         duration = float(rng.uniform(0.2, 1.5))
@@ -158,16 +222,15 @@ def check_derivative_vs_finite_difference() -> str:
         # That derivative is along the field angle w * duration.
         dphi = duration * along_angle.amplitudes
 
-        def along(w: float) -> np.ndarray:
-            mixed = _combined(H0, 1.0, G, w)
-            return propagate(mixed, duration, psi).amplitudes
-
-        fd = _richardson_derivative(along)
+        fd = _richardson_derivative(
+            lambda w: dense_propagator(H0.matrix + w * G.matrix, duration)
+            @ psi.amplitudes
+        )
         err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
         worst = max(worst, err)
     if worst > 1e-6:
-        return _fail(f"derivative vs finite difference error {worst:.3e} > 1e-6")
-    return _ok()
+        return f"derivative vs finite difference error {worst:.3e} > 1e-6"
+    return ""
 
 
 def check_mirror_split() -> str:
@@ -190,17 +253,17 @@ def check_mirror_split() -> str:
                 values, vectors = chain.values, chain.vectors
                 where = f"N={n} {kind} chain {r}"
                 if np.any(np.diff(values) < 0):
-                    return _fail(f"{where}: eigenvalues not ascending")
+                    return f"{where}: eigenvalues not ascending"
                 gap = np.abs(values - dense).max()
                 if gap > 1e-12 * np.abs(dense).max():
-                    return _fail(f"{where}: eigenvalues differ from eigh by {gap:.3e}")
+                    return f"{where}: eigenvalues differ from eigh by {gap:.3e}"
                 residual = np.abs(tridiagonal @ vectors - vectors * values).max()
                 if residual > 1e-12:
-                    return _fail(f"{where}: max |TV - V Lambda| = {residual:.3e}")
+                    return f"{where}: max |TV - V Lambda| = {residual:.3e}"
                 defect = np.abs(vectors.T @ vectors - np.eye(len(values))).max()
                 if defect > 1e-12:
-                    return _fail(f"{where}: max |V^T V - I| = {defect:.3e}")
-    return _ok()
+                    return f"{where}: max |V^T V - I| = {defect:.3e}"
+    return ""
 
 
 def check_full_sensing_reduction() -> str:
@@ -211,14 +274,14 @@ def check_full_sensing_reduction() -> str:
                 cfg = ProtocolConfig(scheme, n, twist, sensing_fraction=1.0)
                 state = final_state(cfg)
                 if fidelity(state.psi, ref.psi) < 1.0 - 1e-10:
-                    return _fail(f"{scheme} at full sensing differs from A (N={n})")
+                    return f"{scheme} at full sensing differs from A (N={n})"
                 dev = np.abs(state.dpsi.amplitudes - ref.dpsi.amplitudes).max()
                 if dev > 1e-9:
-                    return _fail(
+                    return (
                         f"{scheme} derivative at full sensing differs from A "
                         f"(N={n}, dev={dev:.3e})"
                     )
-    return _ok()
+    return ""
 
 
 def check_zero_twist_reduction() -> str:
@@ -229,31 +292,27 @@ def check_zero_twist_reduction() -> str:
                 cfg = ProtocolConfig(scheme, n, 0.0, sensing_fraction=s)
                 state = final_state(cfg)
                 if fidelity(state.psi, ref.psi) < 1.0 - 1e-10:
-                    return _fail(
-                        f"{scheme} at zero twist differs from A (N={n}, s={s})"
-                    )
-    return _ok()
+                    return f"{scheme} at zero twist differs from A (N={n}, s={s})"
+    return ""
 
 
 def check_single_spin_degeneracy() -> str:
-    omega = 0.8
-    ref = final_state(ProtocolConfig("A", 1, omega=omega))
+    # One spin never twists (tat = 0, oat = I/4): C and Cprime sense for the
+    # whole budget as A does, B and Bprime give (psi0, -i s G psi0).
     space = DickeSpace(1)
-    G = hamiltonian(space, "field")
-    for scheme in ("C", "Cprime"):
+    psi0 = initial_state(space).amplitudes
+    kick = -1j * hamiltonian(space, "field").matvec(psi0)
+    ref = final_state(ProtocolConfig("A", 1))
+    whole = (ref.psi.amplitudes, ref.dpsi.amplitudes)
+    for scheme in ("C", "Cprime", "B", "Bprime"):
         for s in (0.0, 0.4, 1.0):
-            cfg = ProtocolConfig(scheme, 1, 3.0, sensing_fraction=s, omega=omega)
-            if fidelity(final_state(cfg).psi, ref.psi) < 1.0 - 1e-10:
-                return _fail(f"{scheme} on a single spin differs from A (s={s})")
-    for scheme in ("B", "Bprime"):
-        for s in (0.0, 0.4, 1.0):
-            cfg = ProtocolConfig(scheme, 1, 3.0, sensing_fraction=s, omega=omega)
-            bare = propagate(G, omega * s, initial_state(space))
-            if fidelity(final_state(cfg).psi, bare) < 1.0 - 1e-10:
-                return _fail(
-                    f"{scheme} on a single spin is not a bare field rotation (s={s})"
-                )
-    return _ok()
+            state = final_state(ProtocolConfig(scheme, 1, 3.0, sensing_fraction=s))
+            got = (state.psi.amplitudes, state.dpsi.amplitudes)
+            expected = whole if "C" in scheme else (psi0, s * kick)
+            dev = max(np.abs(a - b).max() for a, b in zip(got, expected))
+            if dev > 1e-10:
+                return f"{scheme} on a single spin deviates by {dev:.3e} (s={s})"
+    return ""
 
 
 def check_echo_cancellation() -> str:
@@ -265,11 +324,11 @@ def check_echo_cancellation() -> str:
                 psi = final_state(cfg).psi
                 dev = np.abs(psi.amplitudes - psi0.amplitudes).max()
                 if dev > 1e-12:
-                    return _fail(
+                    return (
                         f"echo fails to cancel at N={n}, twist={twist}, s={s} "
                         f"(dev={dev:.3e})"
                     )
-    return _ok()
+    return ""
 
 
 def check_dimensionless_scaling() -> str:
@@ -288,34 +347,25 @@ def check_dimensionless_scaling() -> str:
                 other = propagate(scaled, dur, psi0)
                 dev = np.abs(one.amplitudes - other.amplitudes).max()
                 if dev > 1e-12:
-                    return _fail(
-                        f"scaled {kind} propagation differs (N={n}, dev={dev:.3e})"
-                    )
-    return _ok()
+                    return f"scaled {kind} propagation differs (N={n}, dev={dev:.3e})"
+    return ""
 
 
-def check_pipeline_derivative_fd() -> str:
-    cases = (
-        ProtocolConfig("C", 12, 2.0, sensing_fraction=0.3),
-        ProtocolConfig("Cprime", 8, 6.0, sensing_fraction=0.4),
-        ProtocolConfig("Bprime", 10, 11.0, sensing_fraction=0.6),
-    )
-    for cfg in cases:
-        state = final_state(cfg)
-
-        def along(w: float) -> np.ndarray:
-            return final_state(replace(cfg, omega=w)).psi.amplitudes
-
-        fd = _richardson_derivative(along)
-        err = np.linalg.norm(state.dpsi.amplitudes - fd) / max(
-            np.linalg.norm(state.dpsi.amplitudes), 1.0
-        )
-        if err > 1e-6:
-            return _fail(
-                f"pipeline derivative differs from finite difference for "
-                f"{cfg.scheme} (err={err:.3e})"
+def check_dense_reference() -> str:
+    # Every scheme at six spin points, then the five schemes on the
+    # 160-level Fock mode (n_spins None) at twists its truncation holds.
+    spin = ((1, 3.0, 0.4), (8, 6.0, 0.4), (12, 2.0, 0.3), (10, 11.0, 0.6),
+            (21, 1.5, 0.0), (9, 4.0, 0.25))
+    fock = (("A", None, 0.0, 0.5), ("B", None, 0.5, 0.4), ("C", None, 0.5, 0.3),
+            ("Bprime", None, 4.0, 0.6), ("Cprime", None, 4.0, 0.25))
+    for case in [(scheme, *point) for point in spin for scheme in SCHEMES] + [*fock]:
+        psi_gap, dpsi_gap = reference_gaps(*case)
+        if psi_gap > 1e-12 or dpsi_gap > 1e-6:
+            return (
+                f"{case}: psi off the reference by {psi_gap:.3e} (gate 1e-12), "
+                f"dpsi off its finite difference by {dpsi_gap:.3e} (gate 1e-6)"
             )
-    return _ok()
+    return ""
 
 
 def check_benchmark_scheme_a() -> str:
@@ -324,8 +374,8 @@ def check_benchmark_scheme_a() -> str:
         rec = qfi_sensitivity(ProtocolConfig("A", n))
         worst = max(worst, abs(rec.sensitivity - 1.0))
     if worst > 1e-9:
-        return _fail(f"separable benchmark deviates by {worst:.3e} > 1e-9")
-    return _ok()
+        return f"separable benchmark deviates by {worst:.3e} > 1e-9"
+    return ""
 
 
 def check_qfi_bounds() -> str:
@@ -338,11 +388,11 @@ def check_qfi_bounds() -> str:
                     np.vdot(state.dpsi.amplitudes, state.dpsi.amplitudes).real
                 )
                 if f_val < 0.0 or f_val > 4.0 * grad2 + 1e-12:
-                    return _fail(
+                    return (
                         f"Fisher information out of bounds for {scheme} "
                         f"(N={n}, s={s}): F={f_val}, 4<d|d>={4 * grad2}"
                     )
-    return _ok()
+    return ""
 
 
 def check_echo_matches_closed_form() -> str:
@@ -354,8 +404,8 @@ def check_echo_matches_closed_form() -> str:
                 ref = closed_form_Bprime(n, twist, s)
                 worst = max(worst, relative_difference(rec.sensitivity, ref))
     if worst > 1e-6:
-        return _fail(f"echo sensitivity vs closed form differs by {worst:.3e}")
-    return _ok()
+        return f"echo sensitivity vs closed form differs by {worst:.3e}"
+    return ""
 
 
 def check_echo_variance_identity() -> str:
@@ -370,8 +420,8 @@ def check_echo_variance_identity() -> str:
                     spread = sqrt(variance(jy, state.psi))
                     worst = max(worst, abs(spread - sqrt(n) / 2.0))
     if worst > 1e-9:
-        return _fail(f"echo readout spread deviates from sqrt(N)/2 by {worst:.3e}")
-    return _ok()
+        return f"echo readout spread deviates from sqrt(N)/2 by {worst:.3e}"
+    return ""
 
 
 def check_large_n_convergence() -> str:
@@ -381,10 +431,10 @@ def check_large_n_convergence() -> str:
         rec = qfi_sensitivity(ProtocolConfig("B", n, 1.0, 0.5))
         errors.append(abs(rec.sensitivity - target))
     if not all(a > b for a, b in zip(errors, errors[1:])):
-        return _fail(f"error sequence not decreasing: {errors}")
+        return f"error sequence not decreasing: {errors}"
     if errors[-1] > 0.05 * target:
-        return _fail(f"N=500 error {errors[-1]:.3e} above 5% of {target:.5f}")
-    return _ok()
+        return f"N=500 error {errors[-1]:.3e} above 5% of {target:.5f}"
+    return ""
 
 
 def check_dominance_c_over_b() -> str:
@@ -392,16 +442,14 @@ def check_dominance_c_over_b() -> str:
         b = optimize_t("B", None, twist, "closed_form").best_sensitivity
         c = optimize_t("C", None, twist, "closed_form").best_sensitivity
         if c < b - 1e-9 or b < 1.0 - 1e-9:
-            return _fail(f"closed-form dominance broken at twist {twist}: C={c}, B={b}")
+            return f"closed-form dominance broken at twist {twist}: C={c}, B={b}"
     for n in (2, 10):
         for twist in (0.3, 1.0, 2.0):
             b = optimize_t("B", n, twist, "spin").best_sensitivity
             c = optimize_t("C", n, twist, "spin").best_sensitivity
             if c < b - 1e-9:
-                return _fail(
-                    f"spin dominance broken at N={n}, twist {twist}: C={c}, B={b}"
-                )
-    return _ok()
+                return f"spin dominance broken at N={n}, twist {twist}: C={c}, B={b}"
+    return ""
 
 
 def check_scheme_c_positive_twist() -> str:
@@ -409,11 +457,11 @@ def check_scheme_c_positive_twist() -> str:
         for twist in (0.2, 0.4, 1.0):
             c = optimize_t("C", n, twist, "spin").best_sensitivity
             if c <= 1.0 + 1e-9:
-                return _fail(
+                return (
                     f"concurrent twisting gives no advantage at N={n}, "
                     f"twist {twist}: {c}"
                 )
-    return _ok()
+    return ""
 
 
 def check_moment_oracle_matrix() -> str:
@@ -433,48 +481,46 @@ def check_moment_oracle_matrix() -> str:
                 worst, abs(direct - ref) / max(abs(direct), abs(ref), 1.0)
             )
     if worst > 1e-10:
-        return _fail(f"moment oracle vs matrix evaluation differs by {worst:.3e}")
-    return _ok()
+        return f"moment oracle vs matrix evaluation differs by {worst:.3e}"
+    return ""
 
 
 def check_branch_continuity() -> str:
     at_half = closed_form_optimum("B", 0.5)
     above = exp(2.0 * 0.5 - 1.0) / (2.0 * 0.5)
     if abs(at_half.value - 1.0) > 1e-12 or abs(above - 1.0) > 1e-12:
-        return _fail(
-            f"optimum branches disagree at twist 0.5: {at_half.value} vs {above}"
-        )
+        return f"optimum branches disagree at twist 0.5: {at_half.value} vs {above}"
     if abs(at_half.t_opt - 1.0) > 1e-12:
-        return _fail(f"below-threshold optimum should sit at t=1, got {at_half.t_opt}")
-    return _ok()
+        return f"below-threshold optimum should sit at t=1, got {at_half.t_opt}"
+    return ""
 
 
 def check_enhancement_ratio_bounds() -> str:
     for x in np.geomspace(1e-3, 10.0, 60):
         r = enhancement_ratio(float(x))
         if r < 1.0 - 1e-12:
-            return _fail(f"enhancement ratio {r} below 1 at twist {x}")
+            return f"enhancement ratio {r} below 1 at twist {x}"
     if abs(enhancement_ratio(50.0) - e) > 1e-9:
-        return _fail("enhancement ratio does not saturate at e")
+        return "enhancement ratio does not saturate at e"
     if relative_difference(enhancement_ratio(5.0), e) > 0.01:
-        return _fail("enhancement ratio at twist 5 not within 1% of e")
+        return "enhancement ratio at twist 5 not within 1% of e"
     if relative_difference(enhancement_ratio(1e-3), 1.0) > 1e-3:
-        return _fail("enhancement ratio does not approach 1 at weak twist")
+        return "enhancement ratio does not approach 1 at weak twist"
     ratio = (
         closed_form_optimum("C", 1.0).value / closed_form_optimum("B", 1.0).value
     )
     if abs(ratio - enhancement_ratio(1.0)) > 1e-12:
-        return _fail("enhancement ratio inconsistent with the two optima")
-    return _ok()
+        return "enhancement ratio inconsistent with the two optima"
+    return ""
 
 
 def check_full_sensing_closed_form() -> str:
     for x in (0.1, 0.5, 1.0, 3.0, 7.5):
         if abs(closed_form("B", x, 1.0) - 1.0) > 1e-12:
-            return _fail(f"sequential closed form at full sensing is not 1 (x={x})")
+            return f"sequential closed form at full sensing is not 1 (x={x})"
         if abs(closed_form("C", x, 1.0) - 1.0) > 1e-12:
-            return _fail(f"concurrent closed form at full sensing is not 1 (x={x})")
-    return _ok()
+            return f"concurrent closed form at full sensing is not 1 (x={x})"
+    return ""
 
 
 def check_closed_form_optimum_grid() -> str:
@@ -489,30 +535,28 @@ def check_closed_form_optimum_grid() -> str:
             best = closed_form_optimum(scheme, x)
             dense = max(closed_form(scheme, x, float(s)) for s in grid)
             if best.value < dense - 1e-9:
-                return _fail(
+                return (
                     f"{scheme} optimum {best.value} below dense-grid max {dense} "
                     f"at twist {x}"
                 )
             direct = closed_form(scheme, x, best.t_opt)
             if abs(direct - best.value) > 1e-9:
-                return _fail(
+                return (
                     f"{scheme} optimum value {best.value} does not match the curve "
                     f"at t_opt ({direct})"
                 )
-    return _ok()
+    return ""
 
 
 def check_series_limit_c() -> str:
     for s in (0.0, 0.3, 0.7, 1.0):
         if abs(closed_form_c_small_twist(0.0, s) - 1.0) > 1e-15:
-            return _fail(f"series limit at zero twist is not 1 (s={s})")
+            return f"series limit at zero twist is not 1 (s={s})"
         for x in (1e-3, 1e-2):
             gap = abs(closed_form("C", x, s) - closed_form_c_small_twist(x, s))
             if gap > 10.0 * x**3:
-                return _fail(
-                    f"series deviates from closed form by {gap:.3e} at x={x}, s={s}"
-                )
-    return _ok()
+                return f"series deviates from closed form by {gap:.3e} at x={x}, s={s}"
+    return ""
 
 
 def check_fock_triangle() -> str:
@@ -527,14 +571,14 @@ def check_fock_triangle() -> str:
         sim = fock_simulate(scheme, twist, s, space).sensitivity
         ref = closed_form(scheme, twist, s)
         if relative_difference(sim, ref) > 1e-4:
-            return _fail(
+            return (
                 f"Fock simulation vs closed form differs at ({scheme}, {twist}, "
                 f"{s}): {sim} vs {ref}"
             )
     bench = fock_simulate("A", 0.0, 1.0, FockSpace(16)).sensitivity
     if abs(bench - 1.0) > 1e-9:
-        return _fail(f"Fock benchmark is {bench}, expected 1")
-    return _ok()
+        return f"Fock benchmark is {bench}, expected 1"
+    return ""
 
 
 def check_refinement_dominance() -> str:
@@ -552,30 +596,30 @@ def check_refinement_dominance() -> str:
         for s in np.linspace(0.0, 1.0, 51):
             v = evaluate_point(scheme, n, twist, float(s), engine).sensitivity
             if result.best_sensitivity < v - 1e-9:
-                return _fail(
+                return (
                     f"optimizer result {result.best_sensitivity} below grid sample "
                     f"{v} at s={s} ({scheme}, {engine})"
                 )
-    return _ok()
+    return ""
 
 
 def check_tie_break_and_boundaries() -> str:
     flat = optimize_t("A", 5, 0.0, "spin")
     if flat.t_opt != 1.0 or flat.boundary != "right_edge":
-        return _fail(
+        return (
             f"flat curve should tie-break to the largest sensing fraction, got "
             f"t_opt={flat.t_opt}, boundary={flat.boundary}"
         )
     left = optimize_t("C", None, 1.0, "closed_form")
     if left.boundary != "left_edge" or left.t_opt != 0.0:
-        return _fail(f"concurrent optimum should sit at t=0, got {left.t_opt}")
+        return f"concurrent optimum should sit at t=0, got {left.t_opt}"
     right = optimize_t("B", None, 0.3, "closed_form")
     if right.boundary != "right_edge" or right.t_opt != 1.0:
-        return _fail(f"weak-twist optimum should sit at t=1, got {right.t_opt}")
+        return f"weak-twist optimum should sit at t=1, got {right.t_opt}"
     mid = optimize_t("Bprime", None, 8.0, "closed_form")
     if mid.boundary != "interior" or abs(mid.t_opt - 0.5) > 1e-6:
-        return _fail(f"echo optimum should sit at t=1/2, got {mid.t_opt}")
-    return _ok()
+        return f"echo optimum should sit at t=1/2, got {mid.t_opt}"
+    return ""
 
 
 def check_closed_form_thresholds() -> str:
@@ -587,20 +631,18 @@ def check_closed_form_thresholds() -> str:
     for scheme, interval, expected in cases:
         found = find_threshold(scheme, None, "closed_form", interval)
         if abs(found - expected) > 1e-3:
-            return _fail(
-                f"{scheme} break-even twist {found} differs from {expected}"
-            )
-    return _ok()
+            return f"{scheme} break-even twist {found} differs from {expected}"
+    return ""
 
 
 def check_threshold_monotonicity() -> str:
     small = find_threshold("Bprime", 10, "spin", (9.0, 14.0))
     large = find_threshold("Bprime", 100, "spin", (6.0, 10.0))
     if not small > large:
-        return _fail(f"threshold should drop with N: N=10 gives {small}, N=100 {large}")
+        return f"threshold should drop with N: N=10 gives {small}, N=100 {large}"
     if not large > 8.0 - 1e-3:
-        return _fail(f"N=100 threshold {large} fell below the infinite-N value 8")
-    return _ok()
+        return f"N=100 threshold {large} fell below the infinite-N value 8"
+    return ""
 
 
 def reference_threshold(
@@ -643,11 +685,11 @@ def check_staged_threshold() -> str:
         staged = find_threshold(scheme, n, engine, interval, t_grid=21)
         reference = reference_threshold(scheme, n, engine, interval, t_grid=21)
         if staged != reference:
-            return _fail(
+            return (
                 f"{scheme} ({engine}, N={n}) threshold {staged!r} differs from "
                 f"the optimize_t bisection {reference!r}"
             )
-    return _ok()
+    return ""
 
 
 def check_t_opt_convergence() -> str:
@@ -661,16 +703,16 @@ def check_t_opt_convergence() -> str:
             for n in (100, 200, 500)
         ]
         if not gaps[0] > gaps[1] > gaps[2]:
-            return _fail(
+            return (
                 f"optimal sensing fraction is not converging with N at twist "
                 f"{twist}: gaps {gaps}"
             )
         if gaps[-1] > band:
-            return _fail(
+            return (
                 f"N=500 optimal sensing fraction differs from the infinite-N "
                 f"value {limit.t_opt} by {gaps[-1]} at twist {twist}"
             )
-    return _ok()
+    return ""
 
 
 def check_cli_determinism() -> str:
@@ -685,20 +727,20 @@ def check_cli_determinism() -> str:
         for path in paths:
             code = _cli.main(argv + ["--out", path])
             if code != 0:
-                return _fail(f"sweep exited with {code}")
+                return f"sweep exited with {code}"
         blobs = [Path(p).read_bytes() for p in paths]
         if blobs[0] != blobs[1]:
-            return _fail("repeated identical sweeps produced different bytes")
+            return "repeated identical sweeps produced different bytes"
         json_paths = [str(Path(tmp) / f"opt{i}.json") for i in (1, 2)]
         argv = ["optimize", "--scheme", "C", "--twist", "1.0", "--engine",
                 "closed_form"]
         for path in json_paths:
             code = _cli.main(argv + ["--out", path])
             if code != 0:
-                return _fail(f"optimize exited with {code}")
+                return f"optimize exited with {code}"
         if Path(json_paths[0]).read_bytes() != Path(json_paths[1]).read_bytes():
-            return _fail("repeated identical optimizations produced different bytes")
-    return _ok()
+            return "repeated identical optimizations produced different bytes"
+    return ""
 
 
 def check_cli_csv_schema() -> str:
@@ -711,16 +753,16 @@ def check_cli_csv_schema() -> str:
              "--t-points", "5", "--out", path]
         )
         if code != 0:
-            return _fail(f"sweep exited with {code}")
+            return f"sweep exited with {code}"
         lines = Path(path).read_text().splitlines()
         header = "scheme,n_spins,twist_times_tau,t_over_tau,sensitivity,method,engine"
         if lines[0] != header:
-            return _fail(f"unexpected CSV header {lines[0]!r}")
+            return f"unexpected CSV header {lines[0]!r}"
         sample = lines[2].split(",")
         value = float(sample[4])
         if sample[4] != format(value, ".12g"):
-            return _fail(f"sensitivity field {sample[4]!r} is not 12-significant-digit")
-    return _ok()
+            return f"sensitivity field {sample[4]!r} is not 12-significant-digit"
+    return ""
 
 
 CHECKS: tuple[tuple[str, object], ...] = (
@@ -735,7 +777,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("protocols.single_spin_degeneracy", check_single_spin_degeneracy),
     ("protocols.echo_cancellation", check_echo_cancellation),
     ("protocols.dimensionless_scaling", check_dimensionless_scaling),
-    ("protocols.pipeline_derivative_fd", check_pipeline_derivative_fd),
+    ("protocols.dense_reference", check_dense_reference),
     ("metrology.benchmark_scheme_a", check_benchmark_scheme_a),
     ("metrology.qfi_bounds", check_qfi_bounds),
     ("metrology.echo_matches_closed_form", check_echo_matches_closed_form),

@@ -21,9 +21,10 @@ def random_hermitian(rng, dim):
 
 
 def dense_hermitian(matrix):
-    """The operator with the diagonal and upper bands of a Hermitian matrix."""
+    """The operator with the diagonal and the nonzero upper bands of a
+    Hermitian matrix."""
     dim = len(matrix)
-    upper = {k: np.diag(matrix, k) for k in range(1, dim)}
+    upper = {k: np.diag(matrix, k) for k in range(1, dim) if np.diag(matrix, k).any()}
     return BandedOperator.hermitian(dim, upper, np.diag(matrix))
 
 

@@ -22,7 +22,6 @@ from twistsense import (
 )
 from twistsense.bosonic_limit import FockSpace, fock_mode
 from twistsense.errors import (
-    ContractViolationError,
     InvalidDimensionError,
     PrecisionLossError,
     TruncationError,
@@ -32,13 +31,12 @@ from twistsense.metrology import readout
 from twistsense.protocols import hamiltonian, spin_mode
 
 
-def config(scheme, n, twist, s, omega=0.0):
+def config(scheme, n, twist, s):
     return ProtocolConfig(
         scheme=scheme,
         n_spins=n,
         twist_strength=twist,
         sensing_fraction=s,
-        omega=omega,
     )
 
 
@@ -79,10 +77,6 @@ class TestQfiSensitivity:
     def test_rejects_echo_schemes(self, scheme):
         with pytest.raises(WrongMethodError):
             qfi_sensitivity(config(scheme, 4, 1.0, 0.5))
-
-    def test_rejects_nonzero_field(self):
-        with pytest.raises(ContractViolationError):
-            qfi_sensitivity(config("B", 4, 1.0, 0.5, omega=0.1))
 
     def test_qfi_nonnegative_and_clamped(self):
         state = final_state(config("A", 3, 0.0, 1.0))
@@ -135,10 +129,6 @@ class TestEchoSensitivity:
     def test_rejects_qfi_schemes(self, scheme):
         with pytest.raises(WrongMethodError):
             echo_sensitivity(config(scheme, 4, 1.0, 0.5))
-
-    def test_rejects_nonzero_field(self):
-        with pytest.raises(ContractViolationError):
-            echo_sensitivity(config("Bprime", 4, 1.0, 0.5, omega=1e-3))
 
 
 class TestClosedFormBprime:

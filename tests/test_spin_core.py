@@ -33,6 +33,7 @@ from twistsense.errors import (
 )
 from twistsense.protocols import hamiltonian
 from twistsense.spin_core import MAX_PHASE, BandedOperator
+from twistsense.validate import dense_propagator, random_banded_hermitian
 
 from _helpers import (
     dense_hermitian,
@@ -197,7 +198,7 @@ def test_propagate_preserves_norm_battery():
     rng = np.random.default_rng(42)
     for _ in range(20):
         dim = int(rng.integers(2, 40))
-        H = dense_hermitian(random_hermitian(rng, dim))
+        H = random_banded_hermitian(rng, dim)
         psi = StateVector(random_state(rng, dim))
         out = propagate(H, float(rng.uniform(-4, 4)), psi)
         assert abs(out.norm - 1.0) <= 1e-10
@@ -207,7 +208,7 @@ def test_propagate_composes_over_durations():
     rng = np.random.default_rng(7)
     for _ in range(12):
         dim = int(rng.integers(2, 25))
-        H = dense_hermitian(random_hermitian(rng, dim))
+        H = random_banded_hermitian(rng, dim)
         psi = StateVector(random_state(rng, dim))
         t1, t2 = rng.uniform(0, 2, size=2)
         joint = propagate(H, float(t1 + t2), psi)
@@ -218,7 +219,7 @@ def test_propagate_composes_over_durations():
 def test_propagator_matrix_is_unitary_and_consistent():
     rng = np.random.default_rng(11)
     dim = 9
-    H = dense_hermitian(random_hermitian(rng, dim))
+    H = random_banded_hermitian(rng, dim)
     # The unitary is the propagation of the identity block.
     U = propagate(H, 1.3, StateVector(np.eye(dim))).amplitudes
     assert np.abs(U.conj().T @ U - np.eye(dim)).max() <= 1e-12
@@ -241,7 +242,7 @@ def test_derivative_zero_perturbation_gives_zero():
 def test_derivative_commuting_case_is_first_order():
     space = DickeSpace(4)
     jy = collective_operators(space).Jy
-    zero = dense_hermitian(np.zeros((space.dim, space.dim)))
+    zero = BandedOperator.hermitian(space.dim, {})
     psi = plus_state(space)
     phi, dphi = propagate_with_derivative(zero, jy, 0.6, psi)
     assert np.abs(phi.amplitudes - psi.amplitudes).max() <= 1e-12
@@ -264,8 +265,7 @@ def test_derivative_matches_finite_difference_for_twisting():
     _, dphi = propagate_with_derivative(H0, G, 1.0, psi)
 
     def along(w):
-        mixed = dense_hermitian(H0.matrix + w * G.matrix)
-        return propagate(mixed, 1.0, psi).amplitudes
+        return dense_propagator(H0.matrix + w * G.matrix, 1.0) @ psi.amplitudes
 
     fd = richardson_derivative(along)
     err = np.linalg.norm(dphi.amplitudes - fd) / max(
@@ -278,7 +278,7 @@ def test_derivative_matches_finite_difference_battery():
     rng = np.random.default_rng(314)
     for _ in range(12):
         dim = int(rng.integers(2, 22))
-        H0 = dense_hermitian(random_hermitian(rng, dim))
+        H0 = random_banded_hermitian(rng, dim)
         G = dense_hermitian(random_hermitian(rng, dim))
         psi = StateVector(random_state(rng, dim))
         duration = float(rng.uniform(0.2, 1.5))
@@ -289,8 +289,8 @@ def test_derivative_matches_finite_difference_battery():
         dphi = duration * along_angle.amplitudes
 
         def along(w):
-            mixed = dense_hermitian(H0.matrix + w * G.matrix)
-            return propagate(mixed, duration, psi).amplitudes
+            mixed = H0.matrix + w * G.matrix
+            return dense_propagator(mixed, duration) @ psi.amplitudes
 
         fd = richardson_derivative(along)
         err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
@@ -360,6 +360,22 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
                 ref = ref @ psi.amplitudes
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (duration, err)
+
+
+def test_several_off_diagonal_bands_are_refused():
+    # Every protocol runs at zero field, so no propagated operator is a
+    # twist plus a field; one with bands at two offsets has no eigensystem,
+    # at any angle.
+    two = BandedOperator.hermitian(5, {1: np.ones(4), 3: 1j * np.ones(2)})
+    jz = collective_operators(DickeSpace(4)).Jz
+    psi = initial_state(DickeSpace(4))
+    for angle in (0.7, 0.0):
+        with pytest.raises(ContractViolationError, match=r"offsets \[1, 3\]"):
+            propagate(two, angle, psi)
+        with pytest.raises(ContractViolationError, match=r"offsets \[1, 3\]"):
+            propagate_with_derivative(two, jz, angle, psi)
+    # As the field direction it is only multiplied, never diagonalized.
+    propagate_with_derivative(jz, two, 0.7, psi)
 
 
 def test_phase_guard_refuses_roundoff_dominated_durations():

@@ -233,9 +233,9 @@ def _count_pipeline_sizes(monkeypatch) -> list[int]:
     sizes = []
     run_pipeline = metrology.run_pipeline
 
-    def counted(mode, scheme, twist, sensing_fraction, omega):
+    def counted(mode, scheme, twist, sensing_fraction):
         sizes.append(np.size(sensing_fraction))
-        return run_pipeline(mode, scheme, twist, sensing_fraction, omega)
+        return run_pipeline(mode, scheme, twist, sensing_fraction)
 
     monkeypatch.setattr(metrology, "run_pipeline", counted)
     return sizes
