@@ -13,10 +13,10 @@ from twistsense import (
     initial_state,
     overlap,
 )
-from twistsense.bosonic_limit import fock_hamiltonian
+from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
 from twistsense.protocols import run_pipeline, spin_mode
 from twistsense.sweep_optimize import SweepSpec, sweep_curve
-from twistsense.validate import reference_gaps, reference_generators
+from twistsense.validate import reference_gaps, reference_generators, reference_state
 
 
 def make_config(**overrides):
@@ -206,6 +206,23 @@ class TestSchemeStates:
             dense = reference_generators(space.ladder_elements(), n)
         assert np.abs(H.matrix - dense[kind]).max() <= 1e-14 * np.abs(dense[kind]).max()
 
+    @pytest.mark.parametrize(
+        "scheme,exposure",
+        [("A", 1.0), ("B", 0.7), ("C", 1.0), ("Bprime", 0.7), ("Cprime", 1.0)],
+    )
+    def test_reference_evolves_single_spin_exactly(self, scheme, exposure):
+        # The reference at nonzero field, where its finite difference is
+        # taken. One spin never twists (tat = 0, oat = I/4), so each scheme
+        # is the bare rotation exp(-i omega exposure G), with G^2 = I/4:
+        # the whole budget for A, C and Cprime, the sensing window s = 0.7
+        # for B and Bprime.
+        omega = 0.9
+        G = hamiltonian(DickeSpace(1), "field").matrix
+        psi = reference_state(np.ones(1), 1, scheme, 2.0, 0.7, omega)
+        angle = omega * exposure
+        rotation = np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * G
+        assert np.abs(psi - rotation[:, 0]).max() <= 1e-12
+
     def test_states_are_normalized_across_schemes(self):
         for scheme in ("A", "B", "C", "Bprime", "Cprime"):
             cfg = make_config(scheme=scheme, n_spins=10, twist_strength=2.0,
@@ -290,12 +307,18 @@ def test_twisting_solves_only_the_parity_blocks_it_propagates(
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C", "Bprime", "Cprime"])
-def test_a_grid_of_fractions_runs_each_column_as_its_own_point(scheme):
-    mode = spin_mode(DickeSpace(7))
+@pytest.mark.parametrize(
+    "carrier,twist",
+    [(lambda: spin_mode(DickeSpace(7)), 2.0), (lambda: fock_mode(FockSpace(160)), 0.5)],
+    ids=["spin7", "fock160"],
+)
+def test_a_grid_of_fractions_runs_each_column_as_its_own_point(carrier, twist, scheme):
+    mode = carrier()
     grid = np.array([0.0, 0.25, 0.6, 1.0])
-    batch = run_pipeline(mode, scheme, 2.0, grid)
-    assert batch.psi.amplitudes.shape == batch.dpsi.amplitudes.shape == (8, 4)
+    batch = run_pipeline(mode, scheme, twist, grid)
+    dim = len(mode.initial.amplitudes)
+    assert batch.psi.amplitudes.shape == batch.dpsi.amplitudes.shape == (dim, 4)
     for k, s in enumerate(grid):
-        point = run_pipeline(mode, scheme, 2.0, s)
+        point = run_pipeline(mode, scheme, twist, s)
         assert np.abs(batch.psi.amplitudes[:, k] - point.psi.amplitudes).max() <= 1e-13
         assert np.abs(batch.dpsi.amplitudes[:, k] - point.dpsi.amplitudes).max() <= 1e-13
