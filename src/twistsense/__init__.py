@@ -11,58 +11,22 @@ from .bosonic_limit import (
     ClosedFormOptimum,
     FockSpace,
     closed_form,
-    closed_form_c_small_twist,
     closed_form_optimum,
     enhancement_ratio,
-    fock_hamiltonian,
     fock_simulate,
-    momentum_quadrature,
-    vacuum_state,
 )
 from .errors import (
     BracketingError,
     ContractViolationError,
     DimensionMismatchError,
     InvalidDimensionError,
+    PrecisionLossError,
     TruncationError,
     TwistsenseError,
     WrongMethodError,
 )
-from .metrology import (
-    SensitivityRecord,
-    closed_form_Bprime,
-    echo_sensitivity,
-    generating_function,
-    moment_oracle,
-    qfi,
-    qfi_sensitivity,
-    relative_difference,
-)
-from .protocols import (
-    ECHO_SCHEMES,
-    QFI_SCHEMES,
-    SCHEMES,
-    ProtocolConfig,
-    SchemeState,
-    final_state,
-    hamiltonian,
-)
-from .spin_core import (
-    CollectiveOperators,
-    DickeSpace,
-    PropagationWithDerivative,
-    StateVector,
-    apply_operator,
-    collective_operators,
-    expectation,
-    fidelity,
-    initial_state,
-    overlap,
-    plus_state,
-    propagate,
-    propagate_with_derivative,
-    variance,
-)
+from .metrology import SensitivityRecord, closed_form_Bprime
+from .protocols import SCHEMES
 from .sweep_optimize import (
     ENGINES,
     OptimumResult,
@@ -75,58 +39,31 @@ from .sweep_optimize import (
 
 __version__ = "0.1.0"
 
+# What the README's Library section documents; everything else is internal
+# and imported from its module.
 __all__ = [
     "BracketingError",
     "ClosedFormOptimum",
-    "CollectiveOperators",
     "ContractViolationError",
-    "DickeSpace",
     "DimensionMismatchError",
-    "ECHO_SCHEMES",
     "ENGINES",
     "FockSpace",
     "InvalidDimensionError",
     "OptimumResult",
-    "PropagationWithDerivative",
-    "ProtocolConfig",
-    "QFI_SCHEMES",
+    "PrecisionLossError",
     "SCHEMES",
-    "SchemeState",
     "SensitivityRecord",
-    "StateVector",
     "SweepSpec",
     "TruncationError",
     "TwistsenseError",
     "WrongMethodError",
-    "apply_operator",
     "closed_form",
     "closed_form_Bprime",
-    "closed_form_c_small_twist",
     "closed_form_optimum",
-    "collective_operators",
-    "echo_sensitivity",
     "enhancement_ratio",
     "evaluate_point",
-    "expectation",
-    "fidelity",
-    "final_state",
     "find_threshold",
-    "fock_hamiltonian",
     "fock_simulate",
-    "generating_function",
-    "hamiltonian",
-    "initial_state",
-    "momentum_quadrature",
-    "moment_oracle",
     "optimize_t",
-    "overlap",
-    "plus_state",
-    "propagate",
-    "propagate_with_derivative",
-    "qfi",
-    "qfi_sensitivity",
-    "relative_difference",
     "sweep_curve",
-    "vacuum_state",
-    "variance",
 ]

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, PrecisionLossError, TruncationError
 from .metrology import SensitivityRecord, readout
-from .protocols import SCHEMES, Mode, ladder_generator
+from .protocols import Mode, check_point, ladder_generator
 from .spin_core import BandedOperator, StateVector
 
 
@@ -73,22 +73,6 @@ class FockSpace:
 class ClosedFormOptimum(NamedTuple):
     value: float
     t_opt: float
-
-
-def _check_point(
-    scheme: str, twist_times_tau: float, sensing_fraction: float | None = None
-) -> None:
-    """Argument checks shared by the closed forms and the Fock simulator."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if not isfinite(twist_times_tau) or twist_times_tau < 0:
-        raise ValueError(
-            f"twist_times_tau must be finite and >= 0, got {twist_times_tau!r}"
-        )
-    if sensing_fraction is not None and not 0.0 <= sensing_fraction <= 1.0:
-        raise ValueError(
-            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
-        )
 
 
 def _exponent(twist_times_tau: float, span: float) -> float:
@@ -154,7 +138,7 @@ def closed_form(
     removable singularity at zero twist (two diverging terms cancel); it is
     evaluated in a form that is regular there, and exactly 1 at zero twist.
     """
-    _check_point(scheme, twist_times_tau, sensing_fraction)
+    check_point(scheme, twist_times_tau, sensing_fraction)
     s = sensing_fraction
     x = twist_times_tau
     if scheme == "A":
@@ -185,7 +169,7 @@ def closed_form_c_small_twist(
     sensing fraction: with no twisting but the field on throughout, the
     concurrent scheme degenerates to the separable benchmark.
     """
-    _check_point("C", twist_times_tau, sensing_fraction)
+    check_point("C", twist_times_tau, sensing_fraction)
     s = sensing_fraction
     x = twist_times_tau
     return 1.0 + x * (1.0 - s * s) + (2.0 / 3.0) * x * x * (1.0 - s) ** 2 * (
@@ -204,7 +188,7 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
     twist. The echo pair peaks at t/tau = 1/2 (value chi tau / 8) for
     Bprime and at t/tau = 0 (value chi tau / 4) for Cprime.
     """
-    _check_point(scheme, twist_times_tau)
+    check_point(scheme, twist_times_tau)
     x = twist_times_tau
     if scheme == "A":
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
@@ -306,7 +290,7 @@ def fock_simulate(
     spread is 1, asserted to 1e-6). Every normalized state along the way
     must pass the truncation tail check.
     """
-    _check_point(scheme, twist_times_tau, sensing_fraction)
+    check_point(scheme, twist_times_tau, sensing_fraction)
     (record,) = readout(
         fock_mode(space), scheme, twist_times_tau, [sensing_fraction], None
     )

@@ -33,12 +33,11 @@ from .protocols import (
     QFI_SCHEMES,
     SCHEMES,
     Mode,
-    ProtocolConfig,
     SchemeState,
+    check_point,
     run_pipeline,
-    spin_mode,
 )
-from .spin_core import apply_operator, overlap, variance
+from .spin_core import DickeSpace, apply_operator, overlap, variance
 
 METHODS = ("qfi", "echo", "closed_form")
 
@@ -149,32 +148,6 @@ def readout(
     ]
 
 
-def _spin_record(
-    cfg: ProtocolConfig, schemes: tuple[str, ...], where: str
-) -> SensitivityRecord:
-    """Read out one spin protocol run, refusing schemes outside ``schemes``."""
-    if cfg.scheme not in schemes:
-        raise WrongMethodError(f"{where} handles schemes {schemes}, got {cfg.scheme}")
-    (record,) = readout(
-        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, [cfg.sensing_fraction],
-        cfg.n_spins,
-    )
-    return record
-
-
-def qfi_sensitivity(cfg: ProtocolConfig) -> SensitivityRecord:
-    """sqrt(F) / tau for the non-echo schemes A, B, C."""
-    return _spin_record(cfg, QFI_SCHEMES, "qfi_sensitivity")
-
-
-def echo_sensitivity(cfg: ProtocolConfig) -> SensitivityRecord:
-    """tau |d<Jy>/domega| / std(Jy) at zero field for Bprime and Cprime.
-
-    The echo spread std(Jy) = sqrt(N)/2 is asserted to 1e-9 (see ``readout``).
-    """
-    return _spin_record(cfg, ECHO_SCHEMES, "echo_sensitivity")
-
-
 def closed_form_Bprime(
     n_spins: int, chi_tau: float, sensing_fraction: float
 ) -> float:
@@ -185,20 +158,12 @@ def closed_form_Bprime(
     and at theta = 0 (no twisting); for N = 1 the twist is a global phase
     and the result is identically 0.
     """
-    if isinstance(n_spins, bool) or n_spins < 1:
-        raise InvalidDimensionError(f"n_spins must be >= 1, got {n_spins!r}")
-    if not 0.0 <= sensing_fraction <= 1.0:
-        raise ValueError(
-            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
-        )
-    if n_spins == 1:
+    n = DickeSpace(n_spins).n_spins
+    check_point("Bprime", chi_tau, sensing_fraction)
+    if n == 1:
         return 0.0
-    theta = chi_tau * (1.0 - sensing_fraction) / (2.0 * n_spins)
-    return (
-        sensing_fraction
-        * (n_spins - 1)
-        * abs(sin(theta) * cos(theta) ** (n_spins - 2))
-    )
+    theta = chi_tau * (1.0 - sensing_fraction) / (2.0 * n)
+    return sensing_fraction * (n - 1) * abs(sin(theta) * cos(theta) ** (n - 2))
 
 
 def generating_function(
@@ -214,12 +179,11 @@ def generating_function(
     pull down lowering operators on the left, alpha derivatives raising
     operators on the right.
     """
-    if isinstance(n_spins, bool) or n_spins < 1:
-        raise InvalidDimensionError(f"n_spins must be >= 1, got {n_spins!r}")
+    n = DickeSpace(n_spins).n_spins
     base = 0.5 * np.exp(-beta / 2.0) + 0.5 * np.exp(beta / 2.0) * (alpha + 1.0) * (
         gamma + 1.0
     )
-    return complex(base**n_spins)
+    return complex(base**n)
 
 
 def moment_oracle(n_spins: int, phase: float) -> complex:
@@ -230,12 +194,7 @@ def moment_oracle(n_spins: int, phase: float) -> complex:
     the closed form above. Undefined for N < 2 (J-^2 annihilates the
     two-dimensional sector's reachable moments).
     """
-    if isinstance(n_spins, bool) or n_spins < 2:
-        raise InvalidDimensionError(
-            f"moment_oracle requires n_spins >= 2, got {n_spins!r}"
-        )
-    return (
-        (n_spins * (n_spins - 1) / 4.0)
-        * cos(phase) ** (n_spins - 2)
-        * complex(np.exp(-2j * phase))
-    )
+    n = DickeSpace(n_spins).n_spins
+    if n < 2:
+        raise InvalidDimensionError(f"moment_oracle requires n_spins >= 2, got {n}")
+    return (n * (n - 1) / 4.0) * cos(phase) ** (n - 2) * complex(np.exp(-2j * phase))

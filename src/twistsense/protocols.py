@@ -71,50 +71,21 @@ QFI_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if not echo)
 HAMILTONIAN_KINDS = ("field", "tat", "oat")
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """One fully determined protocol run.
-
-    ``twist_strength`` is the dimensionless eta*tau (schemes B, C) or
-    chi*tau (Bprime, Cprime) and is ignored by scheme A.
-    ``sensing_fraction`` is t/tau; scheme A always senses for the whole
-    budget regardless of it. The run is at zero field.
-    """
-
-    scheme: str
-    n_spins: int
-    twist_strength: float = 0.0
-    sensing_fraction: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
-            )
-        if isinstance(self.n_spins, bool) or not isinstance(
-            self.n_spins, (int, np.integer)
-        ):
-            raise ValueError(f"n_spins must be an integer, got {self.n_spins!r}")
-        if self.n_spins < 1:
-            raise ValueError(f"n_spins must be >= 1, got {self.n_spins}")
-        object.__setattr__(self, "n_spins", int(self.n_spins))
-        for name in ("twist_strength", "sensing_fraction"):
-            value = getattr(self, name)
-            if not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if self.twist_strength < 0:
-            raise ValueError(
-                f"twist_strength must be >= 0, got {self.twist_strength}"
-            )
-        if not 0.0 <= self.sensing_fraction <= 1.0:
-            raise ValueError(
-                f"sensing_fraction must lie in [0, 1], got {self.sensing_fraction}"
-            )
-
-    @property
-    def space(self) -> DickeSpace:
-        return DickeSpace(self.n_spins)
+def check_point(
+    scheme: str, twist_times_tau: float, sensing_fraction: float | None = None
+) -> None:
+    """The argument checks of one (scheme, twist, t/tau) point, shared by
+    every engine, the closed forms and the Fock simulator."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    if not isfinite(twist_times_tau) or twist_times_tau < 0:
+        raise ValueError(
+            f"twist_times_tau must be finite and >= 0, got {twist_times_tau!r}"
+        )
+    if sensing_fraction is not None and not 0.0 <= sensing_fraction <= 1.0:
+        raise ValueError(
+            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,9 +255,3 @@ def _plus(dpsi: StateVector, term: np.ndarray | None) -> StateVector:
         return dpsi
     return StateVector(dpsi.amplitudes + term, normalized=False)
 
-
-def final_state(cfg: ProtocolConfig) -> SchemeState:
-    """Final state and exact zero-field derivative for one spin protocol run."""
-    return run_pipeline(
-        spin_mode(cfg.space), cfg.scheme, cfg.twist_strength, cfg.sensing_fraction
-    )

@@ -39,7 +39,8 @@ import numpy as np
 from .bosonic_limit import FockSpace, closed_form, fock_simulate
 from .errors import BracketingError
 from .metrology import SensitivityRecord, readout
-from .protocols import SCHEMES, ProtocolConfig, spin_mode
+from .protocols import check_point, spin_mode
+from .spin_core import DickeSpace
 
 ENGINES = ("spin", "fock", "closed_form")
 BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
@@ -73,9 +74,7 @@ _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - sqrt(5.0)) / 2.0
 
 
-def _validate_engine(scheme: str, n_spins: int | None, engine: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+def _validate_engine(n_spins: int | None, engine: str) -> None:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if engine == "spin":
@@ -109,13 +108,12 @@ class SweepSpec:
     engine: str = "spin"
 
     def __post_init__(self) -> None:
-        _validate_engine(self.scheme, self.n_spins, self.engine)
+        _validate_engine(self.n_spins, self.engine)
         twists = tuple(float(x) for x in self.twist_values)
         if not twists:
             raise ValueError("twist_values must be nonempty")
         for x in twists:
-            if not isfinite(x) or x < 0:
-                raise ValueError(f"twist values must be finite and >= 0, got {x!r}")
+            check_point(self.scheme, x)
         object.__setattr__(self, "twist_values", twists)
         _validate_t_grid(self.t_grid)
 
@@ -146,11 +144,8 @@ def evaluate_point(
 ) -> SensitivityRecord:
     """One sensitivity evaluation through the chosen engine: a curve of one
     point."""
-    _validate_engine(scheme, n_spins, engine)
-    if not 0.0 <= sensing_fraction <= 1.0:
-        raise ValueError(
-            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
-        )
+    _validate_engine(n_spins, engine)
+    check_point(scheme, twist_value, sensing_fraction)
     (record,) = _curve(scheme, n_spins, twist_value, engine, fock_space)(
         np.array([sensing_fraction], dtype=float)
     )
@@ -168,40 +163,40 @@ def _curve(
     sensing fractions to their records, in order.
 
     The one engine dispatch. Everything that depends only on the twist (the
-    spin config checks, the Dicke sector and its mode) is built here, once,
-    so a refinement evaluating one point at a time pays only the readout.
-    The spin engine runs a curve through one readout call per
-    CURVE_BLOCK_AMPLITUDES block (one call for all but huge grids); the
-    Fock and closed-form engines evaluate it point by point.
+    point checks of scheme and twist, the twist as a float, the Dicke sector
+    and its mode) is built here, once, so a refinement evaluating one point
+    at a time pays only the readout. The spin engine runs a curve through
+    one readout call per CURVE_BLOCK_AMPLITUDES block (one call for all but
+    huge grids); the Fock and closed-form engines evaluate it point by
+    point.
     """
+    check_point(scheme, twist_value)
+    x = float(twist_value)
     if engine == "fock":
         space = fock_space or FockSpace()
-        return lambda ts: [
-            fock_simulate(scheme, twist_value, float(t), space) for t in ts
-        ]
+        return lambda ts: [fock_simulate(scheme, x, float(t), space) for t in ts]
     if engine == "closed_form":
         return lambda ts: [
             SensitivityRecord(
                 scheme=scheme,
                 n_spins=None,
-                twist_strength=twist_value,
+                twist_strength=x,
                 sensing_fraction=float(t),
-                sensitivity=closed_form(scheme, twist_value, float(t)),
+                sensitivity=closed_form(scheme, x, float(t)),
                 method="closed_form",
             )
             for t in ts
         ]
-    cfg = ProtocolConfig(scheme, n_spins, twist_value)
-    mode = spin_mode(cfg.space)
-    width = max(1, CURVE_BLOCK_AMPLITUDES // cfg.space.dim)
+    space = DickeSpace(n_spins)
+    mode = spin_mode(space)
+    width = max(1, CURVE_BLOCK_AMPLITUDES // space.dim)
 
     def curve(ts: np.ndarray) -> list[SensitivityRecord]:
         return [
             record
             for start in range(0, len(ts), width)
             for record in readout(
-                mode, scheme, cfg.twist_strength, ts[start : start + width],
-                cfg.n_spins,
+                mode, scheme, x, ts[start : start + width], space.n_spins
             )
         ]
 
@@ -301,7 +296,7 @@ def optimize_t(
     exact grid optima (edges included) survive untouched. The returned
     value is never below the best grid sample.
     """
-    _validate_engine(scheme, n_spins, engine)
+    _validate_engine(n_spins, engine)
     _validate_t_grid(t_grid)
     curve = _curve(scheme, n_spins, twist_value, engine, fock_space)
     ts = np.linspace(0.0, 1.0, t_grid)
@@ -344,7 +339,7 @@ def find_threshold(
     exactly one ``optimize_t``; the answers, and so the threshold, are the
     same as bisecting on ``optimize_t`` itself.
     """
-    _validate_engine(scheme, n_spins, engine)
+    _validate_engine(n_spins, engine)
     _validate_t_grid(t_grid)
     lo, hi = (float(search_interval[0]), float(search_interval[1]))
     if not (isfinite(lo) and isfinite(hi)) or not 0.0 <= lo < hi:

@@ -27,22 +27,8 @@ from .bosonic_limit import (
     fock_simulate,
 )
 from .errors import BracketingError
-from .metrology import (
-    closed_form_Bprime,
-    echo_sensitivity,
-    moment_oracle,
-    qfi,
-    qfi_sensitivity,
-    relative_difference,
-)
-from .protocols import (
-    SCHEMES,
-    ProtocolConfig,
-    final_state,
-    hamiltonian,
-    run_pipeline,
-    spin_mode,
-)
+from .metrology import closed_form_Bprime, moment_oracle, qfi, relative_difference
+from .protocols import SCHEMES, hamiltonian, run_pipeline, spin_mode
 from .spin_core import (
     BandedOperator,
     DickeSpace,
@@ -65,12 +51,17 @@ from .sweep_optimize import (
 FD_STEP = 1e-5
 
 
-def _random_hermitian(rng: np.random.Generator, dim: int) -> BandedOperator:
-    """(raw + raw^dag) / 2 for a complex Gaussian raw, stored by its bands;
-    that matrix is exactly Hermitian, so the operator equals it."""
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """(raw + raw^dag) / 2 for a complex Gaussian raw: exactly Hermitian."""
     raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    matrix = (raw + raw.conj().T) / 2.0
-    upper = {k: np.diag(matrix, k) for k in range(1, dim)}
+    return (raw + raw.conj().T) / 2.0
+
+
+def banded(matrix: np.ndarray) -> BandedOperator:
+    """The operator with the diagonal and the nonzero upper bands of a
+    Hermitian matrix; it equals the matrix."""
+    dim = len(matrix)
+    upper = {k: np.diag(matrix, k) for k in range(1, dim) if np.diag(matrix, k).any()}
     return BandedOperator.hermitian(dim, upper, np.diag(matrix))
 
 
@@ -82,13 +73,13 @@ def random_banded_hermitian(rng: np.random.Generator, dim: int) -> BandedOperato
     return BandedOperator.hermitian(dim, {b: band}, rng.standard_normal(dim))
 
 
-def _random_state(rng: np.random.Generator, dim: int) -> StateVector:
+def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(raw / np.linalg.norm(raw))
 
 
-def _richardson_derivative(f, h: float = FD_STEP) -> np.ndarray:
-    """Fourth-order central difference of a vector-valued f at 0."""
+def richardson_derivative(f, h: float = FD_STEP) -> np.ndarray:
+    """Fourth-order central difference of a vector- or scalar-valued f at 0."""
     return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
 
 
@@ -141,7 +132,7 @@ def reference_gaps(scheme, n_spins, twist, s) -> tuple[float, float]:
     state = run_pipeline(mode, scheme, twist, s)
     dpsi = state.dpsi.amplitudes
     ref = partial(reference_state, lowering, norm, scheme, twist, s)
-    fd = _richardson_derivative(ref)
+    fd = richardson_derivative(ref)
     return (
         np.abs(state.psi.amplitudes - ref(0.0)).max(),
         np.linalg.norm(dpsi - fd) / max(np.linalg.norm(dpsi), 1.0),
@@ -183,7 +174,7 @@ def check_propagator_unitarity() -> str:
     for _ in range(25):
         dim = int(rng.integers(2, 31))
         H = random_banded_hermitian(rng, dim)
-        psi = _random_state(rng, dim)
+        psi = random_state(rng, dim)
         duration = float(rng.uniform(-3.0, 3.0))
         worst = max(worst, abs(propagate(H, duration, psi).norm - 1.0))
     if worst > 1e-10:
@@ -197,7 +188,7 @@ def check_propagator_composition() -> str:
     for _ in range(15):
         dim = int(rng.integers(2, 25))
         H = random_banded_hermitian(rng, dim)
-        psi = _random_state(rng, dim)
+        psi = random_state(rng, dim)
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
         joint = propagate(H, t1 + t2, psi)
@@ -209,25 +200,29 @@ def check_propagator_composition() -> str:
 
 
 def check_derivative_vs_finite_difference() -> str:
-    rng = np.random.default_rng(1234)
+    # Two seeded draws: (seed, cases, dimension range, duration range).
     worst = 0.0
-    for _ in range(20):
-        n = int(rng.integers(2, 21))
-        dim = n + 1
-        H0 = random_banded_hermitian(rng, dim)
-        G = _random_hermitian(rng, dim)
-        psi = _random_state(rng, dim)
-        duration = float(rng.uniform(0.2, 1.5))
-        _, along_angle = propagate_with_derivative(H0, G, duration, psi)
-        # That derivative is along the field angle w * duration.
-        dphi = duration * along_angle.amplitudes
+    for seed, cases, dims, durations in (
+        (1234, 20, (3, 22), (0.2, 1.5)),
+        (2026, 50, (2, 22), (0.1, 2.0)),
+    ):
+        rng = np.random.default_rng(seed)
+        for _ in range(cases):
+            dim = int(rng.integers(*dims))
+            H0 = random_banded_hermitian(rng, dim)
+            G = banded(random_hermitian(rng, dim))
+            psi = random_state(rng, dim)
+            duration = float(rng.uniform(*durations))
+            _, along_angle = propagate_with_derivative(H0, G, duration, psi)
+            # That derivative is along the field angle w * duration.
+            dphi = duration * along_angle.amplitudes
 
-        fd = _richardson_derivative(
-            lambda w: dense_propagator(H0.matrix + w * G.matrix, duration)
-            @ psi.amplitudes
-        )
-        err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
-        worst = max(worst, err)
+            fd = richardson_derivative(
+                lambda w: dense_propagator(H0.matrix + w * G.matrix, duration)
+                @ psi.amplitudes
+            )
+            err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
+            worst = max(worst, err)
     if worst > 1e-6:
         return f"derivative vs finite difference error {worst:.3e} > 1e-6"
     return ""
@@ -268,11 +263,11 @@ def check_mirror_split() -> str:
 
 def check_full_sensing_reduction() -> str:
     for n in (1, 2, 10, 50):
-        ref = final_state(ProtocolConfig("A", n))
+        mode = spin_mode(DickeSpace(n))
+        ref = run_pipeline(mode, "A", 0.0, 1.0)
         for scheme in ("B", "C"):
             for twist in (0.7, 2.0):
-                cfg = ProtocolConfig(scheme, n, twist, sensing_fraction=1.0)
-                state = final_state(cfg)
+                state = run_pipeline(mode, scheme, twist, 1.0)
                 if fidelity(state.psi, ref.psi) < 1.0 - 1e-10:
                     return f"{scheme} at full sensing differs from A (N={n})"
                 dev = np.abs(state.dpsi.amplitudes - ref.dpsi.amplitudes).max()
@@ -286,11 +281,11 @@ def check_full_sensing_reduction() -> str:
 
 def check_zero_twist_reduction() -> str:
     for n in (1, 2, 10, 50):
-        ref = final_state(ProtocolConfig("A", n))
+        mode = spin_mode(DickeSpace(n))
+        ref = run_pipeline(mode, "A", 0.0, 1.0)
         for scheme in ("B", "C", "Bprime", "Cprime"):
-            for s in (0.0, 0.3, 0.8, 1.0):
-                cfg = ProtocolConfig(scheme, n, 0.0, sensing_fraction=s)
-                state = final_state(cfg)
+            for s in (0.0, 0.3, 0.4, 0.8, 1.0):
+                state = run_pipeline(mode, scheme, 0.0, s)
                 if fidelity(state.psi, ref.psi) < 1.0 - 1e-10:
                     return f"{scheme} at zero twist differs from A (N={n}, s={s})"
     return ""
@@ -300,13 +295,14 @@ def check_single_spin_degeneracy() -> str:
     # One spin never twists (tat = 0, oat = I/4): C and Cprime sense for the
     # whole budget as A does, B and Bprime give (psi0, -i s G psi0).
     space = DickeSpace(1)
+    mode = spin_mode(space)
     psi0 = initial_state(space).amplitudes
     kick = -1j * hamiltonian(space, "field").matvec(psi0)
-    ref = final_state(ProtocolConfig("A", 1))
+    ref = run_pipeline(mode, "A", 0.0, 1.0)
     whole = (ref.psi.amplitudes, ref.dpsi.amplitudes)
     for scheme in ("C", "Cprime", "B", "Bprime"):
         for s in (0.0, 0.4, 1.0):
-            state = final_state(ProtocolConfig(scheme, 1, 3.0, sensing_fraction=s))
+            state = run_pipeline(mode, scheme, 3.0, s)
             got = (state.psi.amplitudes, state.dpsi.amplitudes)
             expected = whole if "C" in scheme else (psi0, s * kick)
             dev = max(np.abs(a - b).max() for a, b in zip(got, expected))
@@ -317,11 +313,11 @@ def check_single_spin_degeneracy() -> str:
 
 def check_echo_cancellation() -> str:
     for n in (2, 10, 60):
-        psi0 = initial_state(DickeSpace(n))
+        mode = spin_mode(DickeSpace(n))
+        psi0 = mode.initial
         for twist in (5.0, 50.0):
             for s in (0.0, 0.4, 0.9):
-                cfg = ProtocolConfig("Bprime", n, twist, sensing_fraction=s)
-                psi = final_state(cfg).psi
+                psi = run_pipeline(mode, "Bprime", twist, s).psi
                 dev = np.abs(psi.amplitudes - psi0.amplitudes).max()
                 if dev > 1e-12:
                     return (
@@ -371,7 +367,7 @@ def check_dense_reference() -> str:
 def check_benchmark_scheme_a() -> str:
     worst = 0.0
     for n in range(1, 101):
-        rec = qfi_sensitivity(ProtocolConfig("A", n))
+        rec = evaluate_point("A", n, 0.0, 1.0, "spin")
         worst = max(worst, abs(rec.sensitivity - 1.0))
     if worst > 1e-9:
         return f"separable benchmark deviates by {worst:.3e} > 1e-9"
@@ -382,7 +378,7 @@ def check_qfi_bounds() -> str:
     for scheme, twist in (("B", 1.0), ("B", 3.0), ("C", 0.5), ("C", 2.0)):
         for n in (2, 6, 15):
             for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-                state = final_state(ProtocolConfig(scheme, n, twist, s))
+                state = run_pipeline(spin_mode(DickeSpace(n)), scheme, twist, s)
                 f_val = qfi(state)
                 grad2 = float(
                     np.vdot(state.dpsi.amplitudes, state.dpsi.amplitudes).real
@@ -400,7 +396,7 @@ def check_echo_matches_closed_form() -> str:
     for n in (2, 5, 10, 50):
         for twist in (1.0, 4.0, 11.5, 50.0):
             for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-                rec = echo_sensitivity(ProtocolConfig("Bprime", n, twist, s))
+                rec = evaluate_point("Bprime", n, twist, s, "spin")
                 ref = closed_form_Bprime(n, twist, s)
                 worst = max(worst, relative_difference(rec.sensitivity, ref))
     if worst > 1e-6:
@@ -409,18 +405,23 @@ def check_echo_matches_closed_form() -> str:
 
 
 def check_echo_variance_identity() -> str:
-    worst = 0.0
-    for scheme in ("Bprime", "Cprime"):
-        for n in (2, 5, 10, 50):
-            for twist in (1.0, 4.0, 11.5, 50.0):
-                for s in (0.1, 0.5, 0.9):
-                    cfg = ProtocolConfig(scheme, n, twist, s)
-                    state = final_state(cfg)
-                    jy = collective_operators(cfg.space).Jy
-                    spread = sqrt(variance(jy, state.psi))
-                    worst = max(worst, abs(spread - sqrt(n) / 2.0))
-    if worst > 1e-9:
-        return f"echo readout spread deviates from sqrt(N)/2 by {worst:.3e}"
+    # The echoed probe keeps its coherent readout spread: sqrt(N)/2 for Jy on
+    # a Dicke sector (to 1e-9), 1 for P on the 400-level Fock mode (to 1e-6).
+    cases = [
+        (spin_mode(DickeSpace(n)), scheme, twist, s, 1e-9)
+        for scheme in ("Bprime", "Cprime")
+        for n in (2, 5, 10, 50)
+        for twist in (1.0, 4.0, 11.5, 50.0)
+        for s in (0.1, 0.3, 0.5, 0.7, 0.9)
+    ] + [(fock_mode(FockSpace(400)), "Bprime", 8.0, 0.5, 1e-6)]
+    for mode, scheme, twist, s, tolerance in cases:
+        psi = run_pipeline(mode, scheme, twist, s).psi
+        gap = abs(sqrt(variance(mode.readout_operator(), psi)) - mode.spread)
+        if gap > tolerance:
+            return (
+                f"echo readout spread of {scheme} (twist {twist}, s={s}) is "
+                f"{gap:.3e} off its coherent value {mode.spread} (gate {tolerance})"
+            )
     return ""
 
 
@@ -428,7 +429,7 @@ def check_large_n_convergence() -> str:
     target = closed_form("B", 1.0, 0.5)
     errors = []
     for n in (50, 100, 200, 500):
-        rec = qfi_sensitivity(ProtocolConfig("B", n, 1.0, 0.5))
+        rec = evaluate_point("B", n, 1.0, 0.5, "spin")
         errors.append(abs(rec.sensitivity - target))
     if not all(a > b for a, b in zip(errors, errors[1:])):
         return f"error sequence not decreasing: {errors}"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsense import (
+from twistsense.bosonic_limit import (
     FockSpace,
     closed_form,
     closed_form_c_small_twist,
@@ -16,11 +16,11 @@ from twistsense import (
     fock_hamiltonian,
     fock_simulate,
     momentum_quadrature,
-    relative_difference,
     vacuum_state,
-    variance,
 )
 from twistsense.errors import InvalidDimensionError, TruncationError
+from twistsense.metrology import relative_difference
+from twistsense.spin_core import variance
 
 
 class TestClosedForm:

@@ -5,21 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistsense import (
-    DickeSpace,
-    ProtocolConfig,
-    SensitivityRecord,
-    closed_form_Bprime,
-    collective_operators,
-    echo_sensitivity,
-    final_state,
-    generating_function,
-    moment_oracle,
-    plus_state,
-    qfi,
-    qfi_sensitivity,
-    relative_difference,
-)
+from twistsense import SensitivityRecord, closed_form_Bprime, evaluate_point
 from twistsense.bosonic_limit import FockSpace, fock_mode
 from twistsense.errors import (
     InvalidDimensionError,
@@ -27,24 +13,22 @@ from twistsense.errors import (
     TruncationError,
     WrongMethodError,
 )
-from twistsense.metrology import readout
-from twistsense.protocols import hamiltonian, spin_mode
-
-
-def config(scheme, n, twist, s):
-    return ProtocolConfig(
-        scheme=scheme,
-        n_spins=n,
-        twist_strength=twist,
-        sensing_fraction=s,
-    )
+from twistsense.metrology import (
+    generating_function,
+    moment_oracle,
+    qfi,
+    readout,
+    relative_difference,
+)
+from twistsense.protocols import hamiltonian, run_pipeline, spin_mode
+from twistsense.spin_core import DickeSpace, collective_operators, plus_state
 
 
 class TestQfiSensitivity:
     @pytest.mark.parametrize("n", [1, 2, 17, 128])
     @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
     def test_separable_benchmark_is_exactly_one(self, n, s):
-        rec = qfi_sensitivity(config("A", n, 0.0, s))
+        rec = evaluate_point("A", n, 0.0, s, "spin")
         assert rec.sensitivity == 1.0
         assert rec.method == "qfi"
 
@@ -52,12 +36,12 @@ class TestQfiSensitivity:
     def test_sequential_zero_twist_equals_sensing_fraction(self, s):
         # With no twisting the probe only accumulates phase during the
         # sensing window, so the sensitivity is t/tau times the benchmark.
-        rec = qfi_sensitivity(config("B", 2, 0.0, s))
+        rec = evaluate_point("B", 2, 0.0, s, "spin")
         assert rec.sensitivity == pytest.approx(s, abs=1e-12)
 
     def test_full_sensing_sequential_equals_separable(self):
-        a = qfi_sensitivity(config("A", 12, 3.0, 1.0)).sensitivity
-        b = qfi_sensitivity(config("B", 12, 3.0, 1.0)).sensitivity
+        a = evaluate_point("A", 12, 3.0, 1.0, "spin").sensitivity
+        b = evaluate_point("B", 12, 3.0, 1.0, "spin").sensitivity
         assert b == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize("scheme", ["B", "C"])
@@ -66,20 +50,15 @@ class TestQfiSensitivity:
         # the sensing-window aperture; check the loose version sqrt(N).
         n = 20
         for twist in (0.5, 2.0, 6.0):
-            rec = qfi_sensitivity(config(scheme, n, twist, 0.5))
+            rec = evaluate_point(scheme, n, twist, 0.5, "spin")
             assert rec.sensitivity <= np.sqrt(n) + 1e-9
 
     def test_twisting_beats_benchmark(self):
-        rec = qfi_sensitivity(config("C", 40, 2.0, 0.5))
+        rec = evaluate_point("C", 40, 2.0, 0.5, "spin")
         assert rec.sensitivity > 1.0
 
-    @pytest.mark.parametrize("scheme", ["Bprime", "Cprime"])
-    def test_rejects_echo_schemes(self, scheme):
-        with pytest.raises(WrongMethodError):
-            qfi_sensitivity(config(scheme, 4, 1.0, 0.5))
-
     def test_qfi_nonnegative_and_clamped(self):
-        state = final_state(config("A", 3, 0.0, 1.0))
+        state = run_pipeline(spin_mode(DickeSpace(3)), "A", 0.0, 1.0)
         assert qfi(state) >= 0.0
 
 
@@ -88,7 +67,7 @@ class TestEchoSensitivity:
         for n in (2, 5, 12, 40):
             for chi_tau in (0.5, 3.0, 10.0):
                 for s in (0.1, 0.5, 0.9):
-                    rec = echo_sensitivity(config("Bprime", n, chi_tau, s))
+                    rec = evaluate_point("Bprime", n, chi_tau, s, "spin")
                     exact = closed_form_Bprime(n, chi_tau, s)
                     assert relative_difference(rec.sensitivity, exact) <= 1e-10
 
@@ -100,18 +79,18 @@ class TestEchoSensitivity:
     @pytest.mark.parametrize("scheme", ["Bprime", "Cprime"])
     def test_full_sensing_leaves_no_echo_signal(self, scheme):
         # t = tau means zero twisting windows, so the readout slope vanishes.
-        rec = echo_sensitivity(config(scheme, 8, 5.0, 1.0))
+        rec = evaluate_point(scheme, 8, 5.0, 1.0, "spin")
         assert rec.sensitivity == 0.0
 
     @pytest.mark.parametrize("scheme", ["Bprime", "Cprime"])
     def test_single_spin_cannot_twist(self, scheme):
         # One spin has no pairwise interaction; the twist is a global phase
         # and the echo slope is pure roundoff.
-        rec = echo_sensitivity(config(scheme, 1, 5.0, 0.5))
+        rec = evaluate_point(scheme, 1, 5.0, 0.5, "spin")
         assert rec.sensitivity <= 1e-12
 
     def test_zero_twist_echo_has_zero_slope(self):
-        rec = echo_sensitivity(config("Cprime", 6, 0.0, 0.5))
+        rec = evaluate_point("Cprime", 6, 0.0, 0.5, "spin")
         assert rec.sensitivity == 0.0
 
     def test_concurrent_echo_approaches_quarter_twist(self):
@@ -120,15 +99,10 @@ class TestEchoSensitivity:
         # relative error.
         errors = []
         for n in (25, 50, 100):
-            rec = echo_sensitivity(config("Cprime", n, 8.0, 0.0))
+            rec = evaluate_point("Cprime", n, 8.0, 0.0, "spin")
             errors.append(relative_difference(rec.sensitivity, 2.0))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] <= 0.05
-
-    @pytest.mark.parametrize("scheme", ["A", "B", "C"])
-    def test_rejects_qfi_schemes(self, scheme):
-        with pytest.raises(WrongMethodError):
-            echo_sensitivity(config(scheme, 4, 1.0, 0.5))
 
 
 class TestClosedFormBprime:
@@ -210,6 +184,29 @@ class TestMomentOracle:
     def test_rejects_single_spin(self):
         with pytest.raises(InvalidDimensionError):
             moment_oracle(1, 0.5)
+
+
+@pytest.mark.parametrize(
+    "oracle, args, error, match",
+    [
+        (closed_form_Bprime, (2.5, 8.0, 0.5), InvalidDimensionError, "n_spins"),
+        (closed_form_Bprime, (np.nan, 8.0, 0.5), InvalidDimensionError, "n_spins"),
+        (closed_form_Bprime, (10, np.nan, 0.5), ValueError, "twist_times_tau"),
+        (closed_form_Bprime, (10, np.inf, 0.5), ValueError, "twist_times_tau"),
+        (closed_form_Bprime, (10, -1.0, 0.5), ValueError, "twist_times_tau"),
+        (moment_oracle, (2.5, 0.3), InvalidDimensionError, "n_spins"),
+        (generating_function, (0.1, 0.1, 0.1, 2.5), InvalidDimensionError, "n_spins"),
+    ],
+    ids=[
+        "Bprime-count-2.5", "Bprime-count-nan", "Bprime-twist-nan",
+        "Bprime-twist-inf", "Bprime-twist-negative", "moment-count-2.5",
+        "generating-count-2.5",
+    ],
+)
+def test_exact_oracles_refuse_meaningless_counts_and_twists(oracle, args, error, match):
+    # Spin counts go through DickeSpace, twists through the shared point check.
+    with pytest.raises(error, match=match):
+        oracle(*args)
 
 
 class TestSensitivityRecord:

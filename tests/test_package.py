@@ -1,13 +1,16 @@
 """The package's public surface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import twistsense
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves_once():
@@ -16,17 +19,27 @@ def test_every_exported_name_resolves_once():
     assert [name for name in names if not hasattr(twistsense, name)] == []
 
 
+def test_exports_are_the_names_the_readme_documents():
+    # Every name in backticks in the Library section, up to its example.
+    section = README.read_text().split("## Library", 1)[1].split("```python", 1)[0]
+    assert set(re.findall(r"`(\w+)`", section)) == set(twistsense.__all__)
+
+
 def test_dense_reference_check_runs_on_numpy_alone():
-    # The runtime depends on numpy only, so the command line and its dense
-    # reference check must never import scipy.
+    # The runtime depends on numpy only, so the command line, its dense
+    # reference check and the README's library example must never import
+    # scipy.
     script = (
-        "import sys, twistsense.cli\n"
+        "import re, sys, twistsense.cli\n"
         "assert twistsense.cli.main(['validate', '--only', 'dense_reference']) == 0\n"
+        "text = open(sys.argv[1]).read()\n"
+        "(block,) = re.findall(r'```python\\n(.*?)```', text, re.S)\n"
+        "exec(block, {})\n"
         "assert 'scipy' not in sys.modules\n"
     )
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     run = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, str(README)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

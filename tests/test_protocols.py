@@ -1,60 +1,58 @@
-"""Scheme pipelines: configs, Hamiltonians, final states, derivatives."""
+"""Scheme pipelines: point checks, Hamiltonians, final states, derivatives."""
 
 import numpy as np
 import pytest
 
-from twistsense import (
+from twistsense import FockSpace, SweepSpec, evaluate_point, sweep_curve
+from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
+from twistsense.errors import InvalidDimensionError
+from twistsense.protocols import SchemeState, hamiltonian, run_pipeline, spin_mode
+from twistsense.spin_core import (
     DickeSpace,
-    FockSpace,
-    ProtocolConfig,
+    StateVector,
     collective_operators,
-    final_state,
-    hamiltonian,
     initial_state,
     overlap,
 )
-from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
-from twistsense.protocols import run_pipeline, spin_mode
-from twistsense.sweep_optimize import SweepSpec, sweep_curve
 from twistsense.validate import reference_gaps, reference_generators, reference_state
 
 
-def make_config(**overrides):
-    base = dict(
-        scheme="B",
-        n_spins=8,
-        twist_strength=1.0,
-        sensing_fraction=0.5,
-    )
-    base.update(overrides)
-    return ProtocolConfig(**base)
+def point(scheme="B", n_spins=8, twist=1.0, s=0.5):
+    """One spin-engine point through ``evaluate_point``."""
+    return evaluate_point(scheme, n_spins, twist, s, "spin")
 
 
-class TestProtocolConfig:
+def spin_state(scheme, n_spins, twist, s):
+    """The final state and derivative of one spin protocol run."""
+    return run_pipeline(spin_mode(DickeSpace(n_spins)), scheme, twist, s)
+
+
+class TestPointChecks:
     def test_valid_config_roundtrip(self):
-        cfg = make_config(scheme="Cprime", twist_strength=2.5)
-        assert cfg.scheme == "Cprime"
-        assert cfg.space.n_spins == 8
+        record = point(scheme="Cprime", twist=2.5)
+        assert record.scheme == "Cprime"
+        assert record.n_spins == 8
+        assert record.twist_strength == 2.5
 
     @pytest.mark.parametrize("scheme", ["a", "D", "bprime", "", "B "])
     def test_rejects_unknown_scheme(self, scheme):
-        with pytest.raises(ValueError):
-            make_config(scheme=scheme)
+        with pytest.raises(ValueError, match="scheme"):
+            point(scheme=scheme)
 
     @pytest.mark.parametrize("twist", [-0.1, np.nan, np.inf])
     def test_rejects_bad_twist(self, twist):
-        with pytest.raises(ValueError):
-            make_config(twist_strength=twist)
+        with pytest.raises(ValueError, match="twist"):
+            point(twist=twist)
 
     @pytest.mark.parametrize("frac", [-0.01, 1.01, np.nan])
     def test_rejects_bad_sensing_fraction(self, frac):
-        with pytest.raises(ValueError):
-            make_config(sensing_fraction=frac)
+        with pytest.raises(ValueError, match="sensing_fraction"):
+            point(s=frac)
 
     @pytest.mark.parametrize("n", [0, -2, 1.5])
     def test_rejects_bad_spin_count(self, n):
-        with pytest.raises(Exception):
-            make_config(n_spins=n)
+        with pytest.raises(InvalidDimensionError):
+            point(n_spins=n)
 
 
 class TestHamiltonian:
@@ -97,21 +95,19 @@ class TestSchemeStates:
     def test_separable_scheme_state_and_derivative(self):
         # Scheme A at zero field leaves the spin-coherent state untouched
         # and the derivative is -i tau G acting on it.
-        n = 9
-        cfg = make_config(scheme="A", n_spins=n, twist_strength=0.0)
-        state = final_state(cfg)
-        psi0 = initial_state(cfg.space)
+        space = DickeSpace(9)
+        state = spin_state("A", 9, 0.0, 0.5)
+        psi0 = initial_state(space)
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() == 0.0
-        G = hamiltonian(cfg.space, "field")
+        G = hamiltonian(space, "field")
         expected = -1j * (G.matrix @ psi0.amplitudes)
         assert np.abs(state.dpsi.amplitudes - expected).max() <= 1e-14
 
     def test_sequential_full_sensing_reduces_to_separable(self):
         # Scheme B with all time spent sensing never twists, so psi and
         # dpsi agree with scheme A exactly.
-        kwargs = dict(n_spins=7, twist_strength=2.0, sensing_fraction=1.0)
-        seq = final_state(make_config(scheme="B", **kwargs))
-        sep = final_state(make_config(scheme="A", **kwargs))
+        seq = spin_state("B", 7, 2.0, 1.0)
+        sep = spin_state("A", 7, 2.0, 1.0)
         assert np.abs(seq.psi.amplitudes - sep.psi.amplitudes).max() <= 1e-12
         assert np.abs(seq.dpsi.amplitudes - sep.dpsi.amplitudes).max() <= 1e-12
 
@@ -120,13 +116,10 @@ class TestSchemeStates:
         # Without twisting, the sequential scheme only sees the field for
         # the sensing window, while the concurrent scheme keeps it on for
         # the whole budget and degenerates to the separable protocol.
-        n = 6
-        s = 0.35
-        cfg = make_config(scheme=scheme, n_spins=n, twist_strength=0.0,
-                          sensing_fraction=s)
-        state = final_state(cfg)
-        psi0 = initial_state(cfg.space)
-        G = hamiltonian(cfg.space, "field")
+        space = DickeSpace(6)
+        state = spin_state(scheme, 6, 0.0, 0.35)
+        psi0 = initial_state(space)
+        G = hamiltonian(space, "field")
         expected = -1j * exposure * (G.matrix @ psi0.amplitudes)
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() <= 1e-12
         assert np.abs(state.dpsi.amplitudes - expected).max() <= 1e-12
@@ -135,19 +128,15 @@ class TestSchemeStates:
     def test_echo_cancels_twisting_at_zero_field(self, scheme):
         # The reversed second window undoes the first, so the final state
         # is the initial one up to numerical noise.
-        cfg = make_config(scheme=scheme, n_spins=14, twist_strength=3.0,
-                          sensing_fraction=0.4)
-        state = final_state(cfg)
-        psi0 = initial_state(cfg.space)
+        state = spin_state(scheme, 14, 3.0, 0.4)
+        psi0 = initial_state(DickeSpace(14))
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() <= 1e-12
 
     def test_sequential_echo_cancellation_is_exact(self):
         # Scheme B-echo applies U and U^dagger built from the same
         # eigendecomposition, so cancellation is exact to rounding.
-        cfg = make_config(scheme="Bprime", n_spins=10, twist_strength=4.0,
-                          sensing_fraction=0.2)
-        state = final_state(cfg)
-        psi0 = initial_state(cfg.space)
+        state = spin_state("Bprime", 10, 4.0, 0.2)
+        psi0 = initial_state(DickeSpace(10))
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() <= 1e-13
 
     @pytest.mark.parametrize(
@@ -186,9 +175,7 @@ class TestSchemeStates:
     )
     def test_derivative_overlap_is_imaginary(self, scheme, twist, s):
         # <psi|dpsi> must be purely imaginary for a normalized family.
-        cfg = make_config(scheme=scheme, n_spins=13, twist_strength=twist,
-                          sensing_fraction=s)
-        state = final_state(cfg)
+        state = spin_state(scheme, 13, twist, s)
         assert abs(overlap(state.psi, state.dpsi).real) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["field", "tat", "oat"])
@@ -225,17 +212,13 @@ class TestSchemeStates:
 
     def test_states_are_normalized_across_schemes(self):
         for scheme in ("A", "B", "C", "Bprime", "Cprime"):
-            cfg = make_config(scheme=scheme, n_spins=10, twist_strength=2.0,
-                              sensing_fraction=0.3)
-            state = final_state(cfg)
+            state = spin_state(scheme, 10, 2.0, 0.3)
             assert abs(state.psi.norm - 1.0) <= 1e-10
             assert state.psi.normalized
             assert not state.dpsi.normalized
 
     def test_rejects_unnormalized_usage_signature(self):
         # SchemeState construction itself enforces the dimension contract.
-        from twistsense import SchemeState, StateVector
-
         psi = initial_state(DickeSpace(3))
         bad = StateVector(np.zeros(5, dtype=complex), normalized=False)
         with pytest.raises(Exception):

@@ -8,23 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from twistsense import (
-    DickeSpace,
-    FockSpace,
-    StateVector,
-    apply_operator,
-    collective_operators,
-    expectation,
-    fidelity,
-    fock_hamiltonian,
-    initial_state,
-    overlap,
-    plus_state,
-    propagate,
-    propagate_with_derivative,
-    vacuum_state,
-    variance,
-)
+from twistsense.bosonic_limit import FockSpace, fock_hamiltonian, vacuum_state
 from twistsense.errors import (
     ContractViolationError,
     DimensionMismatchError,
@@ -32,11 +16,26 @@ from twistsense.errors import (
     PrecisionLossError,
 )
 from twistsense.protocols import hamiltonian
-from twistsense.spin_core import MAX_PHASE, BandedOperator
-from twistsense.validate import dense_propagator, random_banded_hermitian
-
-from _helpers import (
-    dense_hermitian,
+from twistsense.spin_core import (
+    MAX_PHASE,
+    BandedOperator,
+    DickeSpace,
+    StateVector,
+    apply_operator,
+    collective_operators,
+    expectation,
+    fidelity,
+    initial_state,
+    overlap,
+    plus_state,
+    propagate,
+    propagate_with_derivative,
+    variance,
+)
+from twistsense.validate import (
+    banded,
+    dense_propagator,
+    random_banded_hermitian,
     random_hermitian,
     random_state,
     richardson_derivative,
@@ -199,7 +198,7 @@ def test_propagate_preserves_norm_battery():
     for _ in range(20):
         dim = int(rng.integers(2, 40))
         H = random_banded_hermitian(rng, dim)
-        psi = StateVector(random_state(rng, dim))
+        psi = random_state(rng, dim)
         out = propagate(H, float(rng.uniform(-4, 4)), psi)
         assert abs(out.norm - 1.0) <= 1e-10
 
@@ -209,7 +208,7 @@ def test_propagate_composes_over_durations():
     for _ in range(12):
         dim = int(rng.integers(2, 25))
         H = random_banded_hermitian(rng, dim)
-        psi = StateVector(random_state(rng, dim))
+        psi = random_state(rng, dim)
         t1, t2 = rng.uniform(0, 2, size=2)
         joint = propagate(H, float(t1 + t2), psi)
         stepped = propagate(H, float(t2), propagate(H, float(t1), psi))
@@ -223,7 +222,7 @@ def test_propagator_matrix_is_unitary_and_consistent():
     # The unitary is the propagation of the identity block.
     U = propagate(H, 1.3, StateVector(np.eye(dim))).amplitudes
     assert np.abs(U.conj().T @ U - np.eye(dim)).max() <= 1e-12
-    psi = StateVector(random_state(rng, dim))
+    psi = random_state(rng, dim)
     direct = propagate(H, 1.3, psi)
     assert np.abs(U @ psi.amplitudes - direct.amplitudes).max() <= 1e-12
 
@@ -231,7 +230,7 @@ def test_propagator_matrix_is_unitary_and_consistent():
 def test_derivative_zero_perturbation_gives_zero():
     space = DickeSpace(5)
     ops = collective_operators(space)
-    zero = dense_hermitian(np.zeros((space.dim, space.dim)))
+    zero = banded(np.zeros((space.dim, space.dim)))
     phi, dphi = propagate_with_derivative(ops.Jz, zero, 0.9, initial_state(space))
     assert np.abs(dphi.amplitudes).max() <= 1e-14
     assert not dphi.normalized
@@ -259,8 +258,8 @@ def test_derivative_matches_finite_difference_for_twisting():
     ops = collective_operators(space)
     jplus = np.diag(space.ladder_elements(), -1)
     jp2 = jplus @ jplus
-    H0 = dense_hermitian(1j * (jp2.conj().T - jp2) / n)
-    G = dense_hermitian(ops.Jy.matrix / np.sqrt(n))
+    H0 = banded(1j * (jp2.conj().T - jp2) / n)
+    G = banded(ops.Jy.matrix / np.sqrt(n))
     psi = initial_state(space)
     _, dphi = propagate_with_derivative(H0, G, 1.0, psi)
 
@@ -279,8 +278,8 @@ def test_derivative_matches_finite_difference_battery():
     for _ in range(12):
         dim = int(rng.integers(2, 22))
         H0 = random_banded_hermitian(rng, dim)
-        G = dense_hermitian(random_hermitian(rng, dim))
-        psi = StateVector(random_state(rng, dim))
+        G = banded(random_hermitian(rng, dim))
+        psi = random_state(rng, dim)
         duration = float(rng.uniform(0.2, 1.5))
         phi, along_angle = propagate_with_derivative(H0, G, duration, psi)
         assert abs(phi.norm - 1.0) <= 1e-10
@@ -403,9 +402,9 @@ def test_propagate_turns_each_column_through_its_own_angle(kind):
     space = DickeSpace(9)
     H = hamiltonian(space, kind)
     angles = np.array([0.0, 0.4, -1.3, 2.5, 0.0])
-    shared = StateVector(random_state(rng, space.dim))
+    shared = random_state(rng, space.dim)
     block = StateVector(
-        np.stack([random_state(rng, space.dim) for _ in angles], axis=1)
+        np.stack([random_state(rng, space.dim).amplitudes for _ in angles], axis=1)
     )
     columns = [StateVector(block.amplitudes[:, k]) for k in range(len(angles))]
     for psi, inputs in ((shared, [shared] * len(angles)), (block, columns)):
@@ -550,7 +549,7 @@ def test_banded_operator_matches_its_dense_matrix(kind):
     rng = np.random.default_rng(5)
     H = hamiltonian(DickeSpace(6), kind)
     dense = H.matrix
-    x = random_state(rng, H.dim)
+    x = random_state(rng, H.dim).amplitudes
     assert np.abs(H.matvec(x) - dense @ x).max() <= 1e-14
     for stride in (1, 2, 3):
         for r in range(stride):

@@ -74,6 +74,13 @@ class TestEvaluatePoint:
         with pytest.raises(ValueError, match="sensing_fraction"):
             evaluate_point("B", n, 1.0, s, engine)
 
+    @pytest.mark.parametrize(
+        "engine,n", [("spin", 6), ("fock", None), ("closed_form", None)]
+    )
+    def test_records_carry_a_float_twist(self, engine, n):
+        rec = evaluate_point("B", n, 1, 0.5, engine)
+        assert type(rec.twist_strength) is float and rec.twist_strength == 1.0
+
 
 class TestSweepCurve:
     def test_ordering_twist_outer_t_inner(self):
