@@ -19,7 +19,7 @@ oracle used to cross-check both against dense matrix algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, isfinite, sin
 
 import numpy as np
 
@@ -197,4 +197,6 @@ def moment_oracle(n_spins: int, phase: float) -> complex:
     n = DickeSpace(n_spins).n_spins
     if n < 2:
         raise InvalidDimensionError(f"moment_oracle requires n_spins >= 2, got {n}")
+    if not isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase!r}")
     return (n * (n - 1) / 4.0) * cos(phase) ** (n - 2) * complex(np.exp(-2j * phase))

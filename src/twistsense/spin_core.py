@@ -33,7 +33,11 @@ structured:
   the one chain of a field generator) is solved as two half-size
   eigenproblems; this is detected by exact equality, so a Fock chain
   (l_k = sqrt(k + 1)) and each parity block at odd N (the two blocks are
-  each other's mirror images) take one full-size ``eigh``.
+  each other's mirror images) take one full-size ``eigh``,
+* a mirror chain of at least FOLD_MIN elements is kept as its two halves
+  (``FoldedChain``): its values are not ascending, and a product with its
+  eigenvectors is two half-size products; every other chain keeps one
+  real orthogonal matrix and ascending values.
 
 States are vectors (d,) or blocks (d, K) of K states side by side. The
 propagators take one angle per column, so a whole curve of K sensing
@@ -85,6 +89,14 @@ NORM_ATOL = 1e-10
 # beyond it they are noise and the result would be a silently wrong number.
 MAX_PHASE = 1e6
 
+# Shortest mirror-symmetric chain kept folded as its two mirror halves
+# (``FoldedChain``). Measured on one BLAS thread, analyze + synthesize: for
+# one vector the fold's fixed cost makes the folded form dearer than one
+# assembled matrix up to chain length 301 (by 8-20 us) and cheaper from 401
+# on; for a 201-column curve it is cheaper at every length tried (101-501).
+# Chains below the cut stay assembled, and their results bit-identical.
+FOLD_MIN = 256
+
 
 def _frozen_array(values) -> np.ndarray:
     """Copy input into an immutable complex array."""
@@ -93,12 +105,17 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """x as a complex C-ordered array viewed as real (rows, 2 columns) pairs;
+    a view of x itself when x is one already."""
+    x = np.ascontiguousarray(x, dtype=complex)
+    return x.view(np.float64).reshape(x.shape[0], -1)
+
+
 def _matmul(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A @ x for a real A and complex x: x's real and imaginary parts in one
     real product instead of A copied to complex."""
-    x = np.ascontiguousarray(x, dtype=complex)
-    pairs = x.view(np.float64).reshape(x.shape[0], -1)
-    return (A @ pairs).view(complex).reshape(A.shape[0], *x.shape[1:])
+    return (A @ _pairs(x)).view(complex).reshape(A.shape[0], *np.shape(x)[1:])
 
 
 @dataclass(frozen=True)
@@ -139,28 +156,43 @@ class DickeSpace:
         return np.sqrt(j * (j + 1) - m * (m + 1))
 
 
-class Chain(NamedTuple):
-    """H on one chain: eigenvalues ``values`` (ascending) and eigenvectors
-    V_r = diag(phases) vectors. Blocks of coefficients and amplitudes are
-    (chain length, K), one column per state."""
+def _per_row(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``values`` shaped to scale the rows of a vector or a block x."""
+    return values.reshape(-1, *(1,) * (x.ndim - 1))
 
-    values: np.ndarray
-    vectors: np.ndarray
-    phases: np.ndarray
+
+class Chain:
+    """H on one chain: eigenvalues ``values``, their largest magnitude
+    ``largest``, and eigenvectors V_r = diag(phases) V with V real
+    orthogonal. Here V is stored whole and the values are ascending; a
+    ``FoldedChain`` stores it as two halves and its values are not.
+    Coefficients and amplitudes are vectors or blocks (chain length, K),
+    one column per state."""
+
+    def __init__(self, values: np.ndarray, vectors: np.ndarray, phases: np.ndarray):
+        self.values = values
+        self.vectors = vectors
+        self.phases = phases
+        self.largest = float(np.abs(values).max())
+        for arr in (values, vectors, phases):
+            arr.setflags(write=False)
+
+    def analyze_real(self, y: np.ndarray) -> np.ndarray:
+        """V^T y, the coefficients of y in the real chain basis."""
+        return _matmul(self.vectors.T, y)
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """The coefficients V_r^dag x of this chain's slice x."""
-        return np.conj(_matmul(self.vectors.T, self.phases[:, None] * np.conj(x)))
+        return np.conj(self.analyze_real(_per_row(self.phases, x) * np.conj(x)))
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """V_r c, this chain's slice of the state with coefficients c."""
-        return self.phases[:, None] * _matmul(self.vectors, c)
+        return _per_row(self.phases, c) * _matmul(self.vectors, c)
 
     def turns(self, angles) -> np.ndarray:
         """exp(-i angle_k lambda_j), one column per angle (a vector for a
         scalar angle), refused past MAX_PHASE."""
-        largest = max(abs(self.values[0]), abs(self.values[-1]))
-        phase = float(np.max(np.abs(angles))) * largest
+        phase = float(np.max(np.abs(angles))) * self.largest
         if not phase <= MAX_PHASE:
             raise PrecisionLossError(
                 f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
@@ -169,18 +201,84 @@ class Chain(NamedTuple):
         return np.exp(-1j * np.multiply.outer(self.values, angles))
 
 
+class FoldedChain(Chain):
+    """A chain of length n >= FOLD_MIN that is its own mirror image, kept
+    as the two halves of ``_persymmetric_chain`` instead of one n x n
+    matrix.
+
+    In the basis (e_i +- e_{n-1-i}) / sqrt(2), i < h = n // 2, plus the
+    middle e_h of an odd n, V is block diagonal: ``vectors`` holds the
+    mirror-even block (n - h square) and ``odd`` the mirror-odd block (h
+    square), each scaled by 1 / sqrt(2) on every row but the middle one.
+    ``values`` holds the even block's values, then the odd block's: each
+    ascending, the whole not. V^T y folds y into the sums y_i + y_{n-1-i}
+    (and y_h) and the differences y_i - y_{n-1-i} and makes one half-size
+    product with each block; V c makes the two products and unfolds them.
+    That is half the memory of V and half the flops of a product with it.
+    """
+
+    def __init__(
+        self, values: np.ndarray, even: np.ndarray, odd: np.ndarray, phases: np.ndarray
+    ):
+        super().__init__(values, even, phases)
+        self.odd = odd
+        odd.setflags(write=False)
+
+    def _fold(self, y: np.ndarray) -> np.ndarray:
+        """The mirror sums of y over its mirror differences, as real pairs."""
+        pairs = _pairs(y)
+        n, h = len(pairs), len(self.odd)
+        top, bottom = pairs[:h], pairs[n - h :][::-1]
+        folded = np.empty_like(pairs)
+        np.add(top, bottom, out=folded[:h])
+        folded[h : n - h] = pairs[h : n - h]
+        np.subtract(top, bottom, out=folded[n - h :])
+        return folded
+
+    def _fold_products(self, folded: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """V^T y from y folded, written into the complex block ``out``."""
+        m = len(self.vectors)
+        pairs = _pairs(out)
+        np.matmul(self.vectors.T, folded[:m], out=pairs[:m])
+        np.matmul(self.odd.T, folded[m:], out=pairs[m:])
+        return out
+
+    def analyze_real(self, y: np.ndarray) -> np.ndarray:
+        return self._fold_products(self._fold(y), np.empty(y.shape, dtype=complex))
+
+    def analyze(self, x: np.ndarray) -> np.ndarray:
+        # One block holds p * conj(x), then, once folded, the coefficients.
+        y = np.array(x, dtype=complex)
+        np.conj(y, out=y)
+        y *= _per_row(self.phases, y)
+        self._fold_products(self._fold(y), y)
+        return np.conj(y, out=y)
+
+    def synthesize(self, c: np.ndarray) -> np.ndarray:
+        pairs = _pairs(c)
+        n, h = len(pairs), len(self.odd)
+        m = n - h
+        out = np.empty_like(pairs)
+        np.matmul(self.vectors, pairs[:m], out=out[:m])
+        odd = np.matmul(self.odd, pairs[m:])
+        np.subtract(out[:h], odd, out=out[m:][::-1])
+        np.add(out[:h], odd, out=out[:h])
+        out = out.view(complex).reshape(np.shape(c))
+        out *= _per_row(self.phases, out)
+        return out
+
+
 class Eigensystem:
     """H = V diag(lambda) V^dag, stored chain by chain.
 
     Chain r holds the basis indices r, r + stride, r + 2 stride, ..., and H
     has no entries between chains, so each chain is an eigenproblem of its
-    own. ``solve(r)`` returns chain r's (values, vectors, phases); it runs
-    on the first ``chain(r)`` and its result is kept. H has at most one
-    off-diagonal band, at offset ``stride``, and each chain's vectors are
-    real and orthogonal.
+    own. ``solve(r)`` returns chain r's ``Chain``; it runs on the first
+    ``chain(r)`` and its result is kept. H has at most one off-diagonal
+    band, at offset ``stride``.
     """
 
-    def __init__(self, stride: int, solve: Callable[[int], tuple]) -> None:
+    def __init__(self, stride: int, solve: Callable[[int], Chain]) -> None:
         self.stride = stride
         self._solve = solve
         self._chains: dict[int, Chain] = {}
@@ -188,10 +286,7 @@ class Eigensystem:
     def chain(self, r: int) -> Chain:
         found = self._chains.get(r)
         if found is None:
-            parts = self._solve(r)
-            for arr in parts:
-                arr.setflags(write=False)
-            found = self._chains[r] = Chain(*parts)
+            found = self._chains[r] = self._solve(r)
         return found
 
 
@@ -287,10 +382,11 @@ class BandedOperator:
         With at most one off-diagonal band, at offset b, this is b real
         symmetric tridiagonal eigenproblems (see the module docstring),
         each solved when a propagation first needs it: as two half-size
-        ``eigh`` calls when its matrix equals its own reverse and by one
-        ``eigh`` otherwise. Either way a chain has ascending values and one
-        real orthogonal vector matrix. An operator with several
-        off-diagonal bands is refused.
+        ``eigh`` calls when its matrix equals its own reverse, kept as the
+        two halves from FOLD_MIN elements on, and by one ``eigh``
+        otherwise. Readers go through ``Chain.analyze`` and
+        ``Chain.synthesize``, whichever form a chain has. An operator with
+        several off-diagonal bands is refused.
         """
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
@@ -315,10 +411,8 @@ class BandedOperator:
             p = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
             p /= np.abs(p)
             if len(a) > 1 and _is_persymmetric(a, size):
-                evals, evecs = _persymmetric_eigh(a, size)
-            else:
-                evals, evecs = _tridiagonal_eigh(a, size)
-            return evals, evecs, p
+                return _persymmetric_chain(a, size, p)
+            return Chain(*_tridiagonal_eigh(a, size), p)
 
         return Eigensystem(stride, solve)
 
@@ -338,9 +432,11 @@ def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
     return np.linalg.eigh(tridiagonal)
 
 
-def _persymmetric_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
-    """``_tridiagonal_eigh`` of a matrix that is its own reverse, T = J T J
-    with n >= 2, from its mirror-even and mirror-odd halves.
+def _persymmetric_chain(
+    diagonal: np.ndarray, off: np.ndarray, phases: np.ndarray
+) -> Chain:
+    """The chain of a tridiagonal matrix that is its own reverse,
+    T = J T J with n >= 2, solved as its mirror-even and mirror-odd halves.
 
     T commutes with the reversal J, so its eigenvectors can be taken
     mirror-even (x = J x) or mirror-odd (x = -J x), and T is exactly block
@@ -356,8 +452,11 @@ def _persymmetric_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
       by sqrt(2) b; the odd block of size h lacks it.
 
     Two half-size ``eigh`` calls cost about a quarter of one full-size call.
-    The values are merged ascending and each half's vectors are mapped back
-    to the full basis, so the result is one real orthogonal n x n matrix.
+    A chain of at least FOLD_MIN elements keeps the two halves as a
+    ``FoldedChain``. A shorter one, where two half-size products cost more
+    than one full-size product, is assembled: the values are merged
+    ascending and each half's vectors are mapped back to the full basis, so
+    the result is one real orthogonal n x n matrix.
     """
     n = len(diagonal)
     h = n // 2
@@ -372,6 +471,10 @@ def _persymmetric_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
         even = _tridiagonal_eigh(diagonal[:h] + corner, inner)
         odd = _tridiagonal_eigh(diagonal[:h] - corner, inner)
     values = np.concatenate((even[0], odd[0]))
+    if n >= FOLD_MIN:
+        even[1][:h] *= sqrt(0.5)
+        odd[1][:] *= sqrt(0.5)
+        return FoldedChain(values, even[1], odd[1], phases)
     order = np.argsort(values, kind="stable")
     column = np.empty(n, dtype=int)
     column[order] = np.arange(n)
@@ -385,7 +488,7 @@ def _persymmetric_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
     vectors[n - h :, to_odd] = -top_odd[::-1]
     if n % 2:
         vectors[h, to_even] = even[1][h]
-    return values[order], vectors
+    return Chain(values[order], vectors, phases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -584,11 +687,19 @@ def _in_eigenbasis(
                 continue
             row, col = eig.chain(r), eig.chain(q)
             sub = row.phases.conj()[:, None] * sub * col.phases
-            right = _matmul(col.vectors.T, sub.T).T
-            rotated = np.conj(_matmul(row.vectors.T, np.conj(right)))
+            rotated = row.analyze_real(col.analyze_real(sub.T).T)
             rotated.setflags(write=False)
             blocks[r, q] = rotated
     return blocks
+
+
+def _sinc_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.sinc(x) written into ``out``, overwriting x: the steps of np.sinc,
+    sin(pi x) / (pi x) with x = 0 replaced by eps, without its temporaries."""
+    np.multiply(np.pi, x, out=x)
+    x[x == 0] = np.finfo(x.dtype).eps
+    np.sin(x, out=out)
+    return np.divide(out, x, out=out)
 
 
 def propagate_with_derivative(
@@ -649,8 +760,12 @@ def propagate_with_derivative(
         weighted = [np.zeros_like(c) for c in scaled]
         for (r, q), rotated in _in_eigenbasis(H0, G).items():
             gaps = np.subtract.outer(chains[r].values, chains[q].values)
+            # One set of d^2 buffers for every column, not one per column.
+            arg, sinc = np.empty_like(gaps), np.empty_like(gaps)
+            kernel = np.empty_like(rotated)
             for k in np.flatnonzero(~still):
-                kernel = rotated * np.sinc(gaps * (angles[k] / (2 * np.pi)))
+                _sinc_into(np.multiply(gaps, angles[k] / (2 * np.pi), out=arg), sinc)
+                np.multiply(rotated, sinc, out=kernel)
                 weighted[r][:, k] += kernel @ scaled[q][:, k]
                 if r != q:
                     # Block (q, r) is the adjoint of block (r, q); sinc is even.

@@ -80,6 +80,7 @@ def _validate_engine(n_spins: int | None, engine: str) -> None:
     if engine == "spin":
         if n_spins is None:
             raise ValueError("the spin engine requires a finite n_spins")
+        DickeSpace(n_spins)
     elif n_spins is not None:
         raise ValueError(
             f"the {engine} engine is the infinite-N limit; n_spins must be None"

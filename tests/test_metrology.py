@@ -195,12 +195,14 @@ class TestMomentOracle:
         (closed_form_Bprime, (10, np.inf, 0.5), ValueError, "twist_times_tau"),
         (closed_form_Bprime, (10, -1.0, 0.5), ValueError, "twist_times_tau"),
         (moment_oracle, (2.5, 0.3), InvalidDimensionError, "n_spins"),
+        (moment_oracle, (10, np.nan), ValueError, "phase"),
+        (moment_oracle, (10, np.inf), ValueError, "phase"),
         (generating_function, (0.1, 0.1, 0.1, 2.5), InvalidDimensionError, "n_spins"),
     ],
     ids=[
         "Bprime-count-2.5", "Bprime-count-nan", "Bprime-twist-nan",
         "Bprime-twist-inf", "Bprime-twist-negative", "moment-count-2.5",
-        "generating-count-2.5",
+        "moment-phase-nan", "moment-phase-inf", "generating-count-2.5",
     ],
 )
 def test_exact_oracles_refuse_meaningless_counts_and_twists(oracle, args, error, match):

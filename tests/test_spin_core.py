@@ -17,9 +17,11 @@ from twistsense.errors import (
 )
 from twistsense.protocols import hamiltonian
 from twistsense.spin_core import (
+    FOLD_MIN,
     MAX_PHASE,
     BandedOperator,
     DickeSpace,
+    FoldedChain,
     StateVector,
     apply_operator,
     collective_operators,
@@ -316,6 +318,9 @@ def test_derivative_matches_finite_difference_battery():
         (41, "tat", -1.5),
         (101, "oat", -11.5),
         (101, "tat", 0.8),
+        # Parity blocks of 257 and 256 elements, both kept folded.
+        (512, "tat", 0.6),
+        (512, "oat", -0.5),
         # Fock spaces of odd size: parity blocks of unequal size.
         pytest.param(FockSpace(3), "oat", 0.7, id="fock3-oat-0.7"),
         pytest.param(FockSpace(3), "tat", -0.4, id="fock3-tat--0.4"),
@@ -463,6 +468,42 @@ def test_propagate_solves_only_the_chains_it_turns(monkeypatch):
     propagate(H, 1.0, apply_operator(G, StateVector(psi.amplitudes[:, 0])))
     propagate(H, 2.0, apply_operator(G, StateVector(psi.amplitudes[:, 1])))
     assert calls == [3, 3, 3, 2]
+
+
+def _mirror_chain_operator(n: int) -> BandedOperator:
+    # A random tridiagonal operator whose real form equals its own reverse,
+    # with off-diagonal phases that are not mirror-symmetric; quarter turns
+    # keep each |e_i| exact, so the mirror symmetry is exact too.
+    rng = np.random.default_rng(n)
+    diagonal = rng.normal(size=n)
+    size = rng.uniform(0.5, 1.5, size=n - 1)
+    phases = rng.choice(np.array([1, 1j, -1, -1j]), size=n - 1)
+    return BandedOperator.hermitian(
+        n, {1: (size + size[::-1]) * phases}, diagonal=diagonal + diagonal[::-1]
+    )
+
+
+@pytest.mark.parametrize("n", [FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1])
+def test_long_mirror_chains_are_kept_folded(n):
+    # From FOLD_MIN elements on, a mirror-symmetric chain keeps its two
+    # halves; synthesize undoes analyze, and propagate is the product through
+    # the unitary assembled from synthesize of the identity.
+    H = _mirror_chain_operator(n)
+    chain = H.eigensystem.chain(0)
+    assert isinstance(chain, FoldedChain) == (n >= FOLD_MIN)
+    assert chain.largest == np.abs(chain.values).max()
+    rng = np.random.default_rng(7)
+    block = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
+    block /= np.linalg.norm(block, axis=0)
+    vectors = chain.synthesize(np.eye(n))
+    angles = np.array([0.3, -1.1, 0.0, 2.5, 0.7])
+    for x, angle in ((block[:, 0], 0.9), (block, angles)):
+        back = chain.synthesize(chain.analyze(x))
+        assert np.abs(back - x).max() <= 1e-13
+        turned = np.exp(-1j * np.multiply.outer(chain.values, angle))
+        expected = vectors @ (turned * (vectors.conj().T @ x))
+        got = propagate(H, angle, StateVector(x)).amplitudes
+        assert np.abs(got - expected).max() <= 1e-13
 
 
 def test_phase_guard_checks_every_column():

@@ -14,7 +14,7 @@ from twistsense import (
     sweep_curve,
 )
 from twistsense import metrology, sweep_optimize
-from twistsense.errors import BracketingError
+from twistsense.errors import BracketingError, InvalidDimensionError
 from twistsense.validate import reference_threshold
 
 
@@ -37,6 +37,11 @@ class TestSweepSpec:
     def test_engine_spin_needs_finite_n(self):
         with pytest.raises(ValueError):
             SweepSpec(scheme="B", n_spins=None, twist_values=(1.0,), engine="spin")
+
+    @pytest.mark.parametrize("n_spins", [0, 2.5, True], ids=["zero", "2.5", "bool"])
+    def test_engine_spin_refuses_a_count_dicke_space_refuses(self, n_spins):
+        with pytest.raises(InvalidDimensionError, match="n_spins"):
+            SweepSpec("B", n_spins, (1.0,), 3)
 
     @pytest.mark.parametrize("engine", ["fock", "closed_form"])
     def test_infinite_engines_reject_finite_n(self, engine):
