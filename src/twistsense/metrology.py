@@ -79,7 +79,10 @@ class SensitivityRecord:
         if self.n_spins is not None and self.n_spins < 1:
             raise ValueError(f"n_spins must be >= 1 or None, got {self.n_spins}")
         if not self.sensitivity >= 0.0:
-            raise ValueError(f"sensitivity must be >= 0, got {self.sensitivity}")
+            # A computed number, not an input: a numerical fault.
+            raise ContractViolationError(
+                f"sensitivity must be >= 0, got {self.sensitivity}"
+            )
 
 
 def qfi(state: SchemeState) -> float | np.ndarray:

@@ -97,6 +97,12 @@ MAX_PHASE = 1e6
 # Chains below the cut stay assembled, and their results bit-identical.
 FOLD_MIN = 256
 
+# Relative gap below which an eigenvalue pair of ``propagate_with_derivative``
+# takes the sinc weight instead of the divided difference split through D.
+# The split loses about eps * max|lambda| / gap relative, so at 1e-3 it stays
+# near 1e-13.
+NEAR_GAP = 1e-3
+
 
 def _frozen_array(values) -> np.ndarray:
     """Copy input into an immutable complex array."""
@@ -665,10 +671,25 @@ class PropagationWithDerivative(NamedTuple):
     dphi: StateVector
 
 
+class _Coupling(NamedTuple):
+    """Chain block (r, q) of G~ = V^dag G V, split at the near gaps.
+
+    ``divided`` is D = G~ / (lambda_j - mu_k), for chain r's values lambda
+    and chain q's values mu, with zeros on the near pairs: the (j, k) with
+    |lambda_j - mu_k| <= NEAR_GAP * max(|lambda|, |mu|). Those are listed
+    in ``rows`` and ``cols``, with their entries of G~ in ``coupling``.
+    """
+
+    divided: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    coupling: np.ndarray
+
+
 @lru_cache(maxsize=1)
 def _in_eigenbasis(
     H0: BandedOperator, G: BandedOperator
-) -> dict[tuple[int, int], np.ndarray]:
+) -> dict[tuple[int, int], _Coupling]:
     """The nonzero chain blocks (r, q), r <= q, of V^dag G V for H0's V.
 
     The blocks below the diagonal are the adjoints of these. The field
@@ -687,19 +708,28 @@ def _in_eigenbasis(
                 continue
             row, col = eig.chain(r), eig.chain(q)
             sub = row.phases.conj()[:, None] * sub * col.phases
-            rotated = row.analyze_real(col.analyze_real(sub.T).T)
-            rotated.setflags(write=False)
-            blocks[r, q] = rotated
+            divided = row.analyze_real(col.analyze_real(sub.T).T)
+            gaps = np.subtract.outer(row.values, col.values)
+            near = np.abs(gaps) <= NEAR_GAP * max(row.largest, col.largest)
+            rows, cols = np.nonzero(near)
+            coupling = divided[rows, cols]
+            gaps[near] = 1.0
+            divided /= gaps
+            divided[near] = 0.0
+            for arr in (divided, rows, cols, coupling):
+                arr.setflags(write=False)
+            blocks[r, q] = _Coupling(divided, rows, cols, coupling)
     return blocks
 
 
-def _sinc_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """np.sinc(x) written into ``out``, overwriting x: the steps of np.sinc,
-    sin(pi x) / (pi x) with x = 0 replaced by eps, without its temporaries."""
-    np.multiply(np.pi, x, out=x)
-    x[x == 0] = np.finfo(x.dtype).eps
-    np.sin(x, out=out)
-    return np.divide(out, x, out=out)
+def _near_weights(
+    lam: np.ndarray, mu: np.ndarray, angles: np.ndarray
+) -> np.ndarray:
+    """Gamma_jk = -i exp(-i theta (lam + mu) / 2) sinc(theta (lam - mu) / 2)
+    for pairs (lam_p, mu_p), one row per pair and one column per angle."""
+    mean = np.multiply.outer((lam + mu) / 2, angles)
+    gap = np.multiply.outer(lam - mu, angles / (2 * np.pi))
+    return -1j * np.exp(-1j * mean) * np.sinc(gap)
 
 
 def propagate_with_derivative(
@@ -718,23 +748,33 @@ def propagate_with_derivative(
 
         phi  = V (exp(-i theta lambda) * c),
         dphi = V ((G~ * Gamma) c),
+        Gamma_jk = (f_j - f_k) / (lambda_j - lambda_k),
+        f = expm1(-i theta lambda) / theta,
+
+    theta Gamma being the divided difference of exp(-i theta lambda), a
+    Loewner matrix (the Daleckii-Krein form of the Frechet derivative;
+    Najfeld & Havel, Adv. Appl. Math. 16, 1995; Higham, Functions of
+    Matrices, 2008, ch. 3). With D = G~ / (lambda_j - lambda_k), which does
+    not depend on theta, the weighted sum splits into
+
+        (G~ * Gamma) c = f * (D c) - D (f * c),
+
+    two products of the fixed D with (d, K) blocks, for all K columns at
+    once. The split cancels where lambda_j and lambda_k nearly coincide, so
+    a pair with a gap of at most NEAR_GAP * max|lambda| is kept out of D
+    and added pair by pair with the equal weight
+
         Gamma_jk = -i exp(-i theta (lambda_j + lambda_k) / 2)
                    * sinc(theta (lambda_j - lambda_k) / 2),
 
-    with sinc(x) = sin(x) / x. theta Gamma is the divided difference of
-    exp(-i theta lambda) (the Daleckii-Krein form of the Frechet
-    derivative; Najfeld & Havel, Adv. Appl. Math. 16, 1995; Higham,
-    Functions of Matrices, 2008, ch. 3). Written with sinc it needs no case
-    split and stays exact on degenerate eigenvalues, where it tends to the
-    diagonal value -i exp(-i theta lambda_j); one-axis twisting has exactly
-    degenerate pairs. theta = 0 gives (psi, -i G psi) exactly. G~ is
-    computed once per (H0, G) pair and kept as its nonzero chain blocks.
+    which stays exact on degenerate eigenvalues, where it tends to
+    -i exp(-i theta lambda_j); one-axis twisting has exactly degenerate
+    pairs. theta = 0 gives (psi, -i G psi) exactly. D and the near pairs
+    are computed once per (H0, G) pair and kept per nonzero chain block;
+    the field generator flips parity, so that is one even-odd block.
 
-    Angles and states are batched as in ``propagate``. The coefficients
-    and both syntheses are one matrix product per chain for all columns,
-    but the kernel G~ * Gamma depends on theta, so each turned column
-    still costs its own O(d^2) kernel, a quarter of that when G~ has only
-    the even-odd blocks.
+    Angles and states are batched as in ``propagate``. A chain block costs
+    two matrix products with D and two with its adjoint, whatever K.
     """
     if H0.dim != G.dim:
         raise DimensionMismatchError(
@@ -754,25 +794,31 @@ def propagate_with_derivative(
         chains = [eig.chain(r) for r in range(eig.stride)]
         coeffs = [c.analyze(x[r :: eig.stride]) for r, c in enumerate(chains)]
         turns = [c.turns(angles) for c in chains]
-        # Gamma = -i h_j h_k sinc(...) with h = exp(-i theta lambda / 2).
-        halves = [np.exp(-0.5j * np.multiply.outer(c.values, angles)) for c in chains]
-        scaled = [h * c for h, c in zip(halves, coeffs)]
-        weighted = [np.zeros_like(c) for c in scaled]
-        for (r, q), rotated in _in_eigenbasis(H0, G).items():
-            gaps = np.subtract.outer(chains[r].values, chains[q].values)
-            # One set of d^2 buffers for every column, not one per column.
-            arg, sinc = np.empty_like(gaps), np.empty_like(gaps)
-            kernel = np.empty_like(rotated)
-            for k in np.flatnonzero(~still):
-                _sinc_into(np.multiply(gaps, angles[k] / (2 * np.pi), out=arg), sinc)
-                np.multiply(rotated, sinc, out=kernel)
-                weighted[r][:, k] += kernel @ scaled[q][:, k]
-                if r != q:
-                    # Block (q, r) is the adjoint of block (r, q); sinc is even.
-                    weighted[q][:, k] += np.conj(kernel.T @ np.conj(scaled[r][:, k]))
+        # f = expm1(-i theta lambda) / theta; a still column's is unused.
+        theta = np.where(still, 1.0, angles)
+        f = [
+            np.expm1(np.multiply.outer(-1j * c.values, angles)) / theta
+            for c in chains
+        ]
+        weighted = [np.zeros(fr.shape, dtype=complex) for fr in f]
+        for (r, q), block in _in_eigenbasis(H0, G).items():
+            D = block.divided
+            weighted[r] += f[r] * (D @ coeffs[q])
+            weighted[r] -= D @ (f[q] * coeffs[q])
+            j, k = block.rows, block.cols
+            gamma = _near_weights(chains[r].values[j], chains[q].values[k], angles)
+            np.add.at(weighted[r], j, block.coupling[:, None] * gamma * coeffs[q][k])
+            if r != q:
+                # Block (q, r) is the adjoint: -D^dag, with D^dag y computed
+                # as conj(D^T conj(y)), and the conjugate near couplings
+                # (Gamma is symmetric in the pair).
+                weighted[q] -= f[q] * np.conj(D.T @ np.conj(coeffs[r]))
+                weighted[q] += np.conj(D.T @ np.conj(f[r] * coeffs[r]))
+                near = np.conj(block.coupling)[:, None] * gamma
+                np.add.at(weighted[q], k, near * coeffs[r][j])
         for r, chain in enumerate(chains):
             phi[r :: eig.stride] = chain.synthesize(turns[r] * coeffs[r])
-            dphi[r :: eig.stride] = chain.synthesize(-1j * halves[r] * weighted[r])
+            dphi[r :: eig.stride] = chain.synthesize(weighted[r])
     start = np.broadcast_to(x, phi.shape)[:, still]
     phi[:, still] = start
     dphi[:, still] = -1j * G.matvec(start)

@@ -332,6 +332,45 @@ class TestUsageErrors:
         assert "n_spins" in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("sweep", "1000002"), ("optimize", "100000000")],
+        ids=["sweep", "optimize"],
+    )
+    def test_a_grid_past_the_limit_is_usage_error(self, capsys, argv):
+        # Refused before any evaluation: at 100000000 points the records
+        # alone would take about 21 GB.
+        command, points = argv
+        code, out, err = run_cli(
+            capsys, command, "--scheme", "B", "--n", "4", "--twist", "1.0",
+            "--t-points", points,
+        )
+        assert code == 2 and out == ""
+        assert "1000001" in err
+
+
+def test_a_nan_sensitivity_is_computation_error(capsys, monkeypatch):
+    # A readout that computes NaN is a numerical fault: exit 1, not the
+    # usage exit 2, and no output.
+    from twistsense import metrology, sweep_optimize
+
+    def nan_readout(mode, scheme, twist, fractions, n_spins):
+        return [
+            metrology.SensitivityRecord(
+                scheme, n_spins, twist, float(t), float("nan"), "qfi"
+            )
+            for t in fractions
+        ]
+
+    monkeypatch.setattr(sweep_optimize, "readout", nan_readout)
+    for command in ("sweep", "optimize"):
+        code, out, err = run_cli(
+            capsys, command, "--scheme", "B", "--n", "4", "--twist", "1.0"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "nan" in err
+
+
 class TestValidateSubcommand:
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--only", "branch_continuity")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twistsense import SensitivityRecord, closed_form_Bprime, evaluate_point
 from twistsense.bosonic_limit import FockSpace, fock_mode
 from twistsense.errors import (
+    ContractViolationError,
     InvalidDimensionError,
     PrecisionLossError,
     TruncationError,
@@ -244,15 +245,25 @@ class TestSensitivityRecord:
             )
 
     def test_rejects_negative_sensitivity(self):
-        with pytest.raises(ValueError):
-            SensitivityRecord(
-                scheme="A",
-                n_spins=4,
-                twist_strength=0.0,
-                sensing_fraction=0.5,
-                sensitivity=-0.1,
-                method="qfi",
-            )
+        # A sensitivity is computed, not given: a bad one is a numerical
+        # fault (exit 1 on the command line), not a usage error.
+        with pytest.raises(ContractViolationError, match="sensitivity must be >= 0"):
+            _record_with_sensitivity(-0.1)
+
+    def test_rejects_nan_sensitivity(self):
+        with pytest.raises(ContractViolationError, match="got nan"):
+            _record_with_sensitivity(float("nan"))
+
+
+def _record_with_sensitivity(value: float) -> SensitivityRecord:
+    return SensitivityRecord(
+        scheme="A",
+        n_spins=4,
+        twist_strength=0.0,
+        sensing_fraction=0.5,
+        sensitivity=value,
+        method="qfi",
+    )
 
 
 def test_relative_difference_convention():

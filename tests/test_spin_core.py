@@ -19,6 +19,7 @@ from twistsense.protocols import hamiltonian
 from twistsense.spin_core import (
     FOLD_MIN,
     MAX_PHASE,
+    NEAR_GAP,
     BandedOperator,
     DickeSpace,
     FoldedChain,
@@ -321,6 +322,11 @@ def test_derivative_matches_finite_difference_battery():
         # Parity blocks of 257 and 256 elements, both kept folded.
         (512, "tat", 0.6),
         (512, "oat", -0.5),
+        # An even-odd eigenvalue gap just below NEAR_GAP * max|lambda| (the
+        # sinc weight) and one just above it (the split through D, where it
+        # cancels most); see test_near_gap_cases_straddle_the_cutoff.
+        (100, "tat", 1.3),
+        (126, "oat", 6.0),
         # Fock spaces of odd size: parity blocks of unequal size.
         pytest.param(FockSpace(3), "oat", 0.7, id="fock3-oat-0.7"),
         pytest.param(FockSpace(3), "tat", -0.4, id="fock3-tat--0.4"),
@@ -364,6 +370,19 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
                 ref = ref @ psi.amplitudes
                 err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12, (duration, err)
+
+
+@pytest.mark.parametrize(
+    "n, kind, lo, hi", [(100, "tat", 0.99, 1.0), (126, "oat", 1.0, 1.01)]
+)
+def test_near_gap_cases_straddle_the_cutoff(n, kind, lo, hi):
+    # The two oracle cases above have a gap within 1% of the cutoff, on the
+    # named side of it.
+    eig = hamiltonian(DickeSpace(n), kind).eigensystem
+    even, odd = eig.chain(0), eig.chain(1)
+    cutoff = NEAR_GAP * max(even.largest, odd.largest)
+    gaps = np.abs(np.subtract.outer(even.values, odd.values)) / cutoff
+    assert np.any((lo < gaps) & (gaps <= hi))
 
 
 def test_several_off_diagonal_bands_are_refused():

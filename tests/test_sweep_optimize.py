@@ -1,5 +1,7 @@
 """Curve sweeps, the grid-then-refine optimizer, and threshold search."""
 
+from math import ceil, floor, log
+
 import numpy as np
 import pytest
 
@@ -253,16 +255,77 @@ def _count_pipeline_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def _refinement_sizes(scheme, n, twist, t_grid, depth, engine="spin"):
+    """The curve calls of ``optimize_t``'s refinement at this lookahead
+    depth: the two first points, then 2^depth - 1 points per depth steps,
+    then 2^r - 1 for the r steps left."""
+    ts = np.linspace(0.0, 1.0, t_grid)
+    spec = SweepSpec(scheme, n, (twist,), t_grid, engine)
+    vals = [r.sensitivity for r in sweep_curve(spec)]
+    idx = sweep_optimize._grid_best(vals)
+    width = float(ts[min(idx + 1, t_grid - 1)]) - float(ts[max(idx - 1, 0)])
+    steps = ceil(log(1e-6 / width) / log(sweep_optimize._INV_PHI))
+    full, rest = divmod(steps, depth)
+    return [2] + [2**depth - 1] * full + ([2**rest - 1] if rest else [])
+
+
 @pytest.mark.parametrize("t_grid", [3, 21, 201])
 def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
     sizes = _count_pipeline_sizes(monkeypatch)
     sweep_curve(SweepSpec("Bprime", 6, (2.0, 5.0, 8.0), t_grid=t_grid))
     assert sizes == [t_grid] * 3
+    expected = _refinement_sizes("B", 6, 1.0, t_grid, sweep_optimize.LOOKAHEAD)
     sizes.clear()
-    # The grid is one call; the golden-section refinement is point by point.
+    # The grid is one call; the golden-section refinement evaluates the
+    # candidates of LOOKAHEAD steps per call.
     optimize_t("B", 6, 1.0, "spin", t_grid)
-    assert sizes[0] == t_grid
-    assert len(sizes) > 1 and set(sizes[1:]) == {1}
+    assert sizes == [t_grid] + expected
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_spin_refinement_batches_follow_the_lookahead(monkeypatch, depth):
+    expected = _refinement_sizes("C", 8, 0.7, 21, depth)
+    monkeypatch.setattr(sweep_optimize, "LOOKAHEAD", depth)
+    sizes = _count_pipeline_sizes(monkeypatch)
+    optimum = optimize_t("C", 8, 0.7, "spin", 21)
+    assert sizes == [21] + expected
+    monkeypatch.setattr(sweep_optimize, "LOOKAHEAD", 1)
+    sequential = optimize_t("C", 8, 0.7, "spin", 21)
+    assert optimum.t_opt == sequential.t_opt
+    assert optimum.best_sensitivity == pytest.approx(
+        sequential.best_sensitivity, rel=1e-12
+    )
+
+
+def test_a_large_sector_refines_one_point_per_step(monkeypatch):
+    # Past LOOKAHEAD_MAX_DIM levels a column costs more than a call saves.
+    one = _refinement_sizes("B", 6, 1.0, 21, 1)
+    batched = _refinement_sizes("B", 6, 1.0, 21, sweep_optimize.LOOKAHEAD)
+    assert one[1:] == [1] * (len(one) - 1)
+    sizes = _count_pipeline_sizes(monkeypatch)
+    for max_dim, expected in ((6, one), (7, batched)):
+        monkeypatch.setattr(sweep_optimize, "LOOKAHEAD_MAX_DIM", max_dim)
+        sizes.clear()
+        optimize_t("B", 6, 1.0, "spin", 21)
+        assert sizes == [21] + expected
+
+
+def test_fock_refinement_is_one_simulation_per_point(monkeypatch):
+    # A Fock curve runs point by point, so its refinement keeps depth 1: one
+    # simulation for each point the search asks for, none speculative.
+    expected = _refinement_sizes("B", None, 0.5, 5, 1, engine="fock")
+    points = []
+    simulate = sweep_optimize.fock_simulate
+
+    def counted(scheme, twist, t, space):
+        points.append(t)
+        return simulate(scheme, twist, t, space)
+
+    monkeypatch.setattr(sweep_optimize, "fock_simulate", counted)
+    optimize_t("B", None, 0.5, "fock", 5)
+    assert points[:5] == list(np.linspace(0.0, 1.0, 5))
+    assert len(points) == 5 + sum(expected)
+    assert len(set(points[5:])) == sum(expected)
 
 
 def test_a_curve_wider_than_the_block_budget_is_split(monkeypatch):
@@ -317,7 +380,9 @@ class TestStagedThresholdStep:
         optimum = optimize_t("Bprime", 10, 9.0, "spin", 201)
         assert optimum.best_sensitivity < 1.0
         refinement = sizes[1:]
-        assert len(refinement) > 1 and set(refinement) == {1}
+        assert refinement == _refinement_sizes(
+            "Bprime", 10, 9.0, 201, sweep_optimize.LOOKAHEAD
+        )
         sizes.clear()
         assert not sweep_optimize._beats_benchmark("Bprime", 10, 9.0, "spin", 201, None)
         assert sizes == [21, 201] + refinement
@@ -355,9 +420,85 @@ class TestTGridValidation:
         with pytest.raises(ValueError, match="t_grid"):
             find_threshold("Bprime", 10, "spin", (9.0, 14.0), t_grid=t_grid)
 
+    def test_a_grid_past_the_limit_is_refused_before_evaluating(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("evaluated before validating t_grid")
+
+        monkeypatch.setattr(sweep_optimize, "_curve", unexpected)
+        # Spacing 1e-6, the refinement tolerance; the spec only validates.
+        assert sweep_optimize.MAX_T_GRID == 1_000_001
+        SweepSpec("B", 4, (1.0,), t_grid=1_000_001)
+        for t_grid in (1_000_002, 100_000_000):
+            with pytest.raises(ValueError, match="1000001"):
+                SweepSpec("B", 4, (1.0,), t_grid=t_grid)
+            with pytest.raises(ValueError, match="1000001"):
+                optimize_t("B", 4, 1.0, "spin", t_grid=t_grid)
+            with pytest.raises(ValueError, match="1000001"):
+                find_threshold("Bprime", 10, "spin", (9.0, 14.0), t_grid=t_grid)
+
     def test_numpy_integer_grids_are_accepted(self):
         spec = SweepSpec("B", 4, (1.0,), t_grid=np.int64(5))
         assert len(sweep_curve(spec)) == 5
         assert optimize_t("B", 4, 1.0, "spin", t_grid=np.int64(5)) == optimize_t(
             "B", 4, 1.0, "spin", t_grid=5
         )
+
+
+def _sequential_golden_section(f, a, b, tol):
+    """The search one point per step: the reference every depth replays."""
+    inv_phi, inv_phi2 = sweep_optimize._INV_PHI, sweep_optimize._INV_PHI2
+    h = b - a
+    if h <= tol:
+        mid = (a + b) / 2.0
+        return mid, f(mid)
+    steps = ceil(log(tol / h) / log(inv_phi))
+    c = a + inv_phi2 * h
+    d = a + inv_phi * h
+    yc = f(c)
+    yd = f(d)
+    for _ in range(steps):
+        if yc > yd:
+            b, d, yd = d, c, yc
+            h *= inv_phi
+            c = a + inv_phi2 * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h *= inv_phi
+            d = a + inv_phi * h
+            yd = f(d)
+    return (c, yc) if yc > yd else (d, yd)
+
+
+GOLDEN_FUNCTIONS = {
+    "parabola": lambda t: -((t - 0.31415) ** 2),
+    # Exact ties yc == yd wherever both points sit on the flat top.
+    "plateau": lambda t: 1.0 if 0.305 <= t <= 0.3125 else 0.5 - abs(t - 0.31),
+    "step": lambda t: float(floor(t * 2000.0)),
+    "left-step": lambda t: -float(floor(t * 2000.0)),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name", sorted(GOLDEN_FUNCTIONS))
+@pytest.mark.parametrize(
+    "a, b", [(0.3, 0.32), (0.0, 0.005), (0.99, 1.0), (0.5, 0.5 + 5e-7)],
+    ids=["inner", "left-edge", "right-edge", "within-tol"],
+)
+def test_batched_golden_section_replays_the_sequential_search(name, depth, a, b):
+    f = GOLDEN_FUNCTIONS[name]
+    calls = []
+
+    def batched(points):
+        calls.append(len(points))
+        return [f(float(t)) for t in points]
+
+    got = sweep_optimize._golden_section_max(batched, a, b, 1e-6, depth)
+    want = _sequential_golden_section(f, a, b, 1e-6)
+    assert got == want
+    if b - a <= 1e-6:
+        assert calls == [1]
+    else:
+        steps = ceil(log(1e-6 / (b - a)) / log(sweep_optimize._INV_PHI))
+        full, rest = divmod(steps, depth)
+        assert calls == [2] + [2**depth - 1] * full + ([2**rest - 1] if rest else [])
