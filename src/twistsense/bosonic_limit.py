@@ -263,13 +263,20 @@ def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
         )
 
 
+@lru_cache(maxsize=32)
 def fock_mode(space: FockSpace) -> Mode:
-    """The truncated Fock mode: tail guard, P readout with vacuum spread 1."""
+    """The truncated Fock mode: tail guard, P readout with vacuum spread 1.
+
+    Memoized per space, as ``spin_mode`` is, so the points of a sweep share
+    one vacuum and one P. The generator is looked up by name on each call,
+    so clearing or wrapping ``fock_hamiltonian`` reaches a memoized mode.
+    """
+    P = momentum_quadrature(space)
     return Mode(
-        generator=partial(fock_hamiltonian, space),
+        generator=lambda kind: fock_hamiltonian(space, kind),
         initial=vacuum_state(space),
         guard=partial(_check_tail, space),
-        readout_operator=lambda: momentum_quadrature(space),
+        readout_operator=lambda: P,
         spread=1.0,
         spread_tolerance=1e-6,
     )

@@ -33,7 +33,14 @@ structured:
   the one chain of a field generator) is solved as two half-size
   eigenproblems; this is detected by exact equality, so a Fock chain
   (l_k = sqrt(k + 1)) and each parity block at odd N (the two blocks are
-  each other's mirror images) take one full-size ``eigh``,
+  each other's mirror images) are solved whole,
+* a real block, whole chain or mirror half, whose diagonal is exactly zero
+  and whose links are all nonzero couples only its even positions to its
+  odd ones; such a bipartite block is solved through the SVD of its
+  half-size upper-bidiagonal coupling (Golub & Kahan, SIAM J. Numer.
+  Anal. B 2, 205, 1965). Every two-axis-twisting block is one, except an
+  even-length mirror half, whose middle link sits on its diagonal; every
+  other block takes one ``eigh``,
 * a mirror chain of at least FOLD_MIN elements is kept as its two halves
   (``FoldedChain``): its values are not ascending, and a product with its
   eigenvectors is two half-size products; every other chain keeps one
@@ -388,11 +395,12 @@ class BandedOperator:
         With at most one off-diagonal band, at offset b, this is b real
         symmetric tridiagonal eigenproblems (see the module docstring),
         each solved when a propagation first needs it: as two half-size
-        ``eigh`` calls when its matrix equals its own reverse, kept as the
-        two halves from FOLD_MIN elements on, and by one ``eigh``
-        otherwise. Readers go through ``Chain.analyze`` and
-        ``Chain.synthesize``, whichever form a chain has. An operator with
-        several off-diagonal bands is refused.
+        blocks when its matrix equals its own reverse, kept as the two
+        halves from FOLD_MIN elements on, and whole otherwise. Each block
+        is solved through a half-size SVD when its diagonal is zero and by
+        one ``eigh`` otherwise (``_tridiagonal_eigh``). Readers go through
+        ``Chain.analyze`` and ``Chain.synthesize``, whichever form a chain
+        has. An operator with several off-diagonal bands is refused.
         """
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
@@ -431,11 +439,40 @@ def _is_persymmetric(diagonal: np.ndarray, off: np.ndarray) -> bool:
 
 def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
     """Ascending eigenvalues and orthogonal eigenvectors of the real symmetric
-    tridiagonal matrix with this diagonal and off-diagonal."""
-    tridiagonal = np.diag(diagonal)
-    i = np.arange(len(off))
-    tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
-    return np.linalg.eigh(tridiagonal)
+    tridiagonal matrix T with this diagonal and off-diagonal.
+
+    A T with a zero diagonal and no zero link is bipartite: its values are
+    +-sigma, and a 0 at odd n, for the singular triples S v = sigma u of the
+    square upper-bidiagonal S[i, i] = off[2i], S[i, i + 1] = off[2i + 1]
+    (rows at the odd positions, a zero last row at odd n), with vectors
+    (v, +-u) / sqrt(2) and (v_0, 0) (Golub & Kahan, SIAM J. Numer. Anal.
+    B 2, 205, 1965). LAPACK's SVD leaves such an S unrotated. Any other T
+    takes one dense ``eigh``; so does a split chain, where a second zero
+    singular value could take the padding row's direction.
+    """
+    n = len(diagonal)
+    if diagonal.any() or not off.all():
+        tridiagonal = np.diag(diagonal)
+        i = np.arange(len(off))
+        tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
+        return np.linalg.eigh(tridiagonal)
+    half = n // 2
+    link = np.arange(n - 1)
+    bidiagonal = np.zeros((n - half, n - half))
+    bidiagonal[link // 2, (link + 1) // 2] = off
+    u, sigma, vt = np.linalg.svd(bidiagonal)
+    even, odd = vt[:half].T, u[:half, :half]
+    even *= sqrt(0.5)  # in place: at N = 10^4 copies would add 14 MiB
+    odd *= sqrt(0.5)
+    vectors = np.zeros((n, n))
+    vectors[0::2, :half] = even
+    vectors[1::2, :half] = -odd
+    vectors[0::2, n - half :] = even[:, ::-1]
+    vectors[1::2, n - half :] = odd[:, ::-1]
+    if n % 2:
+        vectors[0::2, half] = vt[half]
+    pairs = sigma[:half]
+    return np.concatenate((-pairs, np.zeros(n % 2), pairs[::-1])), vectors
 
 
 def _persymmetric_chain(
@@ -457,7 +494,7 @@ def _persymmetric_chain(
     * odd n: the even block of size h + 1 keeps the middle element, joined
       by sqrt(2) b; the odd block of size h lacks it.
 
-    Two half-size ``eigh`` calls cost about a quarter of one full-size call.
+    Two half-size solves cost about a quarter of one full-size solve.
     A chain of at least FOLD_MIN elements keeps the two halves as a
     ``FoldedChain``. A shorter one, where two half-size products cost more
     than one full-size product, is assembled: the values are merged

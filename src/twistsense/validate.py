@@ -23,6 +23,7 @@ from .bosonic_limit import (
     closed_form_c_small_twist,
     closed_form_optimum,
     enhancement_ratio,
+    fock_hamiltonian,
     fock_mode,
     fock_simulate,
 )
@@ -230,36 +231,44 @@ def check_derivative_vs_finite_difference() -> str:
 
 def check_mirror_split() -> str:
     # A chain of a Dicke generator that is its own mirror image is solved as
-    # two halves (kept folded from FOLD_MIN elements on), any other by one
-    # eigh: each must reproduce a dense eigh of the same real tridiagonal
-    # matrix. The vectors are read as synthesize of the identity, phases
-    # included, so the folded and the assembled forms are checked alike.
-    for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600):
-        space = DickeSpace(n)
-        for kind in ("tat", "oat", "field"):
-            H = hamiltonian(space, kind)
-            eig = BandedOperator(H.dim, H.bands).eigensystem
-            diagonal = H.bands[0].real if 0 in H.bands else np.zeros(H.dim)
-            for r in range(eig.stride):
-                chain = eig.chain(r)
-                off = np.abs(H.bands[eig.stride][r :: eig.stride])
-                tridiagonal = np.diag(diagonal[r :: eig.stride])
-                i = np.arange(len(off))
-                tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
-                dense = np.linalg.eigh(tridiagonal)[0]
-                values = chain.values
-                vectors = chain.synthesize(np.eye(len(values)))
-                where = f"N={n} {kind} chain {r}"
-                gap = np.abs(np.sort(values) - dense).max()
-                if gap > 1e-12 * np.abs(dense).max():
-                    return f"{where}: eigenvalues differ from eigh by {gap:.3e}"
-                block = H.block(r, r, eig.stride)
-                residual = np.abs(block @ vectors - vectors * values).max()
-                if residual > 1e-12:
-                    return f"{where}: max |HV - V Lambda| = {residual:.3e}"
-                defect = np.abs(vectors.conj().T @ vectors - np.eye(len(values))).max()
-                if defect > 1e-12:
-                    return f"{where}: max |V^dag V - I| = {defect:.3e}"
+    # two halves (kept folded from FOLD_MIN elements on), a half or chain
+    # with a zero diagonal (two-axis twisting) through its bipartite SVD,
+    # any other by one eigh: each must reproduce a dense eigh of the same
+    # real tridiagonal matrix. The Fock chains have no mirror symmetry, so
+    # their twisting chains take the SVD whole. The vectors are read as
+    # synthesize of the identity, phases included, so the folded and the
+    # assembled forms are checked alike.
+    kinds = ("tat", "oat", "field")
+    generators = [
+        (f"N={n} {kind}", hamiltonian(DickeSpace(n), kind))
+        for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600)
+        for kind in kinds
+    ] + [
+        (f"Fock 400 {kind}", fock_hamiltonian(FockSpace(400), kind)) for kind in kinds
+    ]
+    for name, H in generators:
+        eig = BandedOperator(H.dim, H.bands).eigensystem
+        diagonal = H.bands[0].real if 0 in H.bands else np.zeros(H.dim)
+        for r in range(eig.stride):
+            chain = eig.chain(r)
+            off = np.abs(H.bands[eig.stride][r :: eig.stride])
+            tridiagonal = np.diag(diagonal[r :: eig.stride])
+            i = np.arange(len(off))
+            tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
+            dense = np.linalg.eigh(tridiagonal)[0]
+            values = chain.values
+            vectors = chain.synthesize(np.eye(len(values)))
+            where = f"{name} chain {r}"
+            gap = np.abs(np.sort(values) - dense).max()
+            if gap > 1e-12 * np.abs(dense).max():
+                return f"{where}: eigenvalues differ from eigh by {gap:.3e}"
+            block = H.block(r, r, eig.stride)
+            residual = np.abs(block @ vectors - vectors * values).max()
+            if residual > 1e-12:
+                return f"{where}: max |HV - V Lambda| = {residual:.3e}"
+            defect = np.abs(vectors.conj().T @ vectors - np.eye(len(values))).max()
+            if defect > 1e-12:
+                return f"{where}: max |V^dag V - I| = {defect:.3e}"
     return ""
 
 

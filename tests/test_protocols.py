@@ -228,25 +228,16 @@ class TestSchemeStates:
 @pytest.mark.parametrize("scheme", ["B", "C"])
 @pytest.mark.parametrize("n_spins, engine", [(20, "spin"), (None, "fock")])
 def test_eigensolves_do_not_grow_with_the_number_of_twists(
-    monkeypatch, scheme, n_spins, engine
+    solved_blocks, scheme, n_spins, engine
 ):
     # A twist strength only scales the evolution angle, so a sweep over
     # five twists must diagonalize exactly what a sweep over one does.
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-
     def eigensolves(twists):
         hamiltonian.cache_clear()
         fock_hamiltonian.cache_clear()
-        calls.clear()
+        solved_blocks.clear()
         sweep_curve(SweepSpec(scheme, n_spins, twists, t_grid=3, engine=engine))
-        return len(calls)
+        return len(solved_blocks)
 
     one = eigensolves((0.3,))
     assert one > 0
@@ -262,7 +253,7 @@ def test_eigensolves_do_not_grow_with_the_number_of_twists(
     ],
 )
 def test_twisting_solves_only_the_parity_blocks_it_propagates(
-    monkeypatch, n_spins, engine, b_solves, bprime_solves
+    solved_blocks, n_spins, engine, b_solves, bprime_solves
 ):
     # B twists the lowest-weight state (or the vacuum), which stays in the
     # even block, and never propagates G psi: one block. Bprime echoes the
@@ -270,23 +261,15 @@ def test_twisting_solves_only_the_parity_blocks_it_propagates(
     # Dicke block is its own mirror image and is solved as two halves; at
     # odd N the blocks are each other's mirror images, not their own, and
     # the Fock blocks have no mirror symmetry: one solve per block.
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     for scheme, twist, solves in (
         ("B", 0.3, b_solves),
         ("Bprime", 2.0, bprime_solves),
     ):
         hamiltonian.cache_clear()
         fock_hamiltonian.cache_clear()
-        calls.clear()
+        solved_blocks.clear()
         sweep_curve(SweepSpec(scheme, n_spins, (twist,), t_grid=5, engine=engine))
-        assert len(calls) == solves, scheme
+        assert len(solved_blocks) == solves, scheme
 
 
 @pytest.mark.parametrize("scheme", ["A", "B", "C", "Bprime", "Cprime"])

@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import gammaln
 
+from twistsense import spin_core
 from twistsense.bosonic_limit import FockSpace, fock_hamiltonian, vacuum_state
 from twistsense.errors import (
     ContractViolationError,
@@ -464,29 +465,109 @@ def test_derivative_batches_one_angle_per_column():
     )
 
 
-def test_propagate_solves_only_the_chains_it_turns(monkeypatch):
+def test_propagate_solves_only_the_chains_it_turns(solved_blocks):
     # The lowest-weight state lies in the even parity block of a twisting
     # generator, which never couples the blocks: the odd block is never solved.
     # At N = 10 each block is its own mirror image, solved as two halves:
     # the even block (6) as 3 + 3, the odd block (5) as 3 + 2.
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(matrix):
-        calls.append(len(matrix))
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
     space = DickeSpace(10)
     H = BandedOperator(space.dim, hamiltonian(space, "tat").bands)
     psi = propagate(H, np.array([0.5, 1.0]), initial_state(space))
-    assert calls == [3, 3]
+    assert solved_blocks == [3, 3]
     assert not psi.amplitudes[1::2].any()
     # An odd input needs the odd block too, solved once.
     G = hamiltonian(space, "field")
     propagate(H, 1.0, apply_operator(G, StateVector(psi.amplitudes[:, 0])))
     propagate(H, 2.0, apply_operator(G, StateVector(psi.amplitudes[:, 1])))
-    assert calls == [3, 3, 3, 2]
+    assert solved_blocks == [3, 3, 3, 2]
+
+
+def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
+    matrix = np.diag(diagonal)
+    i = np.arange(len(off))
+    matrix[i, i + 1] = matrix[i + 1, i] = off
+    return matrix
+
+
+def _counting(monkeypatch, name: str) -> list:
+    calls = []
+    solver = getattr(np.linalg, name)
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return solver(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 250, 251])
+def test_a_zero_diagonal_chain_is_solved_through_its_bipartite_half(monkeypatch, n):
+    # Zero diagonal and no zero link: one SVD of the ceil(n / 2) bidiagonal
+    # half and no eigh. The values are ascending, in exact +-sigma pairs
+    # around the exact 0 of an odd n, and agree with a dense eigh.
+    rng = np.random.default_rng(n)
+    off = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    matrix = _tridiagonal(np.zeros(n), off)
+    dense = np.linalg.eigh(matrix)[0]
+    eighs, svds = _counting(monkeypatch, "eigh"), _counting(monkeypatch, "svd")
+    values, vectors = spin_core._tridiagonal_eigh(np.zeros(n), off)
+    assert eighs == [] and svds == [n - n // 2]
+    assert np.all(np.diff(values) >= 0)
+    assert np.array_equal(values, -values[::-1])
+    assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(matrix @ vectors - vectors * values).max() <= 1e-12
+    assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "off",
+    [
+        [0.0, 1.0],
+        [1.0, 0.0, 2.0],
+        [0.5, 1.0, 0.0, 2.0],
+        [1.0, 0.0, 0.0, 1.5, 0.7],
+        # Through the SVD this one gives |V^T V - I| = 0.5.
+        [0.0, 1.0, 1.5, 0.0, 1.25, 0.0],
+    ],
+)
+def test_a_zero_diagonal_chain_with_a_zero_link_keeps_eigh(monkeypatch, off):
+    # A zero link splits the chain, so S can have a zero singular value of
+    # its own, whose direction the padding row of an odd n may take: such a
+    # chain is solved by one eigh, bit for bit.
+    off = np.array(off)
+    diagonal = np.zeros(len(off) + 1)
+    dense = np.linalg.eigh(_tridiagonal(diagonal, off))
+    svds = _counting(monkeypatch, "svd")
+    values, vectors = spin_core._tridiagonal_eigh(diagonal, off)
+    assert svds == []
+    assert np.array_equal(values, dense[0]) and np.array_equal(vectors, dense[1])
+
+
+@pytest.mark.parametrize(
+    "space, kind, eighs, svds",
+    [
+        # Even chain 11 as halves 6 and 5; odd chain 10 has a corner term.
+        (DickeSpace(20), "tat", [5, 5], [3, 3]),
+        # Even chain 12 has a corner term; odd chain 11 as halves 6 and 5.
+        (DickeSpace(22), "tat", [6, 6], [3, 3]),
+        (DickeSpace(21), "tat", [], [6, 6]),  # whole chains 11 and 11
+        (DickeSpace(20), "oat", [6, 5, 5, 5], []),  # a nonzero diagonal
+        (FockSpace(30), "tat", [], [8, 8]),  # whole chains 15 and 15
+    ],
+)
+def test_two_axis_twisting_chains_take_the_bipartite_branch(
+    monkeypatch, space, kind, eighs, svds
+):
+    if isinstance(space, DickeSpace):
+        H = hamiltonian(space, kind)
+    else:
+        H = fock_hamiltonian(space, kind)
+    counted = _counting(monkeypatch, "eigh"), _counting(monkeypatch, "svd")
+    eig = BandedOperator(H.dim, H.bands).eigensystem
+    for r in range(eig.stride):
+        eig.chain(r)
+    assert counted == (eighs, svds)
 
 
 def _mirror_chain_operator(n: int) -> BandedOperator:
