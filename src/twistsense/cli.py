@@ -274,14 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TwistsenseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TwistsenseError, OSError, MemoryError) as exc:
+        # A refused allocation may carry no message of its own.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -41,10 +41,10 @@ structured:
   Anal. B 2, 205, 1965). Every two-axis-twisting block is one, except an
   even-length mirror half, whose middle link sits on its diagonal; every
   other block takes one ``eigh``,
-* a mirror chain of at least FOLD_MIN elements is kept as its two halves
-  (``FoldedChain``): its values are not ascending, and a product with its
-  eigenvectors is two half-size products; every other chain keeps one
-  real orthogonal matrix and ascending values.
+* a mirror chain is kept as its two halves: its values are not
+  ascending, and a product with its eigenvectors is two half-size
+  products; any other chain is the same ``Chain`` with an empty mirror-odd
+  half, one real orthogonal matrix and ascending values.
 
 States are vectors (d,) or blocks (d, K) of K states side by side. The
 propagators take one angle per column, so a whole curve of K sensing
@@ -96,14 +96,6 @@ NORM_ATOL = 1e-10
 # beyond it they are noise and the result would be a silently wrong number.
 MAX_PHASE = 1e6
 
-# Shortest mirror-symmetric chain kept folded as its two mirror halves
-# (``FoldedChain``). Measured on one BLAS thread, analyze + synthesize: for
-# one vector the fold's fixed cost makes the folded form dearer than one
-# assembled matrix up to chain length 301 (by 8-20 us) and cheaper from 401
-# on; for a 201-column curve it is cheaper at every length tried (101-501).
-# Chains below the cut stay assembled, and their results bit-identical.
-FOLD_MIN = 256
-
 # Relative gap below which an eigenvalue pair of ``propagate_with_derivative``
 # takes the sinc weight instead of the divided difference split through D.
 # The split loses about eps * max|lambda| / gap relative, so at 1e-3 it stays
@@ -123,12 +115,6 @@ def _pairs(x: np.ndarray) -> np.ndarray:
     a view of x itself when x is one already."""
     x = np.ascontiguousarray(x, dtype=complex)
     return x.view(np.float64).reshape(x.shape[0], -1)
-
-
-def _matmul(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for a real A and complex x: x's real and imaginary parts in one
-    real product instead of A copied to complex."""
-    return (A @ _pairs(x)).view(complex).reshape(A.shape[0], *np.shape(x)[1:])
 
 
 @dataclass(frozen=True)
@@ -175,67 +161,35 @@ def _per_row(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 class Chain:
-    """H on one chain: eigenvalues ``values``, their largest magnitude
-    ``largest``, and eigenvectors V_r = diag(phases) V with V real
-    orthogonal. Here V is stored whole and the values are ascending; a
-    ``FoldedChain`` stores it as two halves and its values are not.
-    Coefficients and amplitudes are vectors or blocks (chain length, K),
-    one column per state."""
+    """H on one chain of length n: eigenvalues ``values``, their largest
+    magnitude ``largest``, and eigenvectors V_r = diag(phases) V with V real
+    orthogonal. Coefficients and amplitudes are vectors or blocks (n, K),
+    one column per state.
 
-    def __init__(self, values: np.ndarray, vectors: np.ndarray, phases: np.ndarray):
-        self.values = values
-        self.vectors = vectors
-        self.phases = phases
-        self.largest = float(np.abs(values).max())
-        for arr in (values, vectors, phases):
-            arr.setflags(write=False)
-
-    def analyze_real(self, y: np.ndarray) -> np.ndarray:
-        """V^T y, the coefficients of y in the real chain basis."""
-        return _matmul(self.vectors.T, y)
-
-    def analyze(self, x: np.ndarray) -> np.ndarray:
-        """The coefficients V_r^dag x of this chain's slice x."""
-        return np.conj(self.analyze_real(_per_row(self.phases, x) * np.conj(x)))
-
-    def synthesize(self, c: np.ndarray) -> np.ndarray:
-        """V_r c, this chain's slice of the state with coefficients c."""
-        return _per_row(self.phases, c) * _matmul(self.vectors, c)
-
-    def turns(self, angles) -> np.ndarray:
-        """exp(-i angle_k lambda_j), one column per angle (a vector for a
-        scalar angle), refused past MAX_PHASE."""
-        phase = float(np.max(np.abs(angles))) * self.largest
-        if not phase <= MAX_PHASE:
-            raise PrecisionLossError(
-                f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
-                "the propagator phases would be lost to roundoff"
-            )
-        return np.exp(-1j * np.multiply.outer(self.values, angles))
-
-
-class FoldedChain(Chain):
-    """A chain of length n >= FOLD_MIN that is its own mirror image, kept
-    as the two halves of ``_persymmetric_chain`` instead of one n x n
-    matrix.
-
-    In the basis (e_i +- e_{n-1-i}) / sqrt(2), i < h = n // 2, plus the
-    middle e_h of an odd n, V is block diagonal: ``vectors`` holds the
+    In the basis (e_i +- e_{n-1-i}) / sqrt(2), i < h, plus the middle
+    elements e_h .. e_{n-1-h}, V is block diagonal: ``vectors`` holds the
     mirror-even block (n - h square) and ``odd`` the mirror-odd block (h
-    square), each scaled by 1 / sqrt(2) on every row but the middle one.
-    ``values`` holds the even block's values, then the odd block's: each
-    ascending, the whole not. V^T y folds y into the sums y_i + y_{n-1-i}
-    (and y_h) and the differences y_i - y_{n-1-i} and makes one half-size
-    product with each block; V c makes the two products and unfolds them.
-    That is half the memory of V and half the flops of a product with it.
+    square), both scaled by 1 / sqrt(2) on their first h rows. ``values``
+    holds the even block's values, then the odd block's, each ascending.
+    V^T y folds y into the sums y_i + y_{n-1-i} (and the middle) and the
+    differences y_i - y_{n-1-i} and makes one product with each block; V c
+    makes the two products and unfolds them. A chain that is its own
+    mirror image has h = n // 2 (``_persymmetric_chain``): half the memory
+    of V and half the flops of a product with it. Any other chain has
+    h = 0: ``vectors`` is the whole V, ``odd`` is empty and the values are
+    ascending.
     """
 
     def __init__(
-        self, values: np.ndarray, even: np.ndarray, odd: np.ndarray, phases: np.ndarray
+        self, values: np.ndarray, vectors: np.ndarray, odd: np.ndarray, phases: np.ndarray
     ):
-        super().__init__(values, even, phases)
+        self.values = values
+        self.vectors = vectors
+        self.phases = phases
         self.odd = odd
-        odd.setflags(write=False)
+        self.largest = float(np.abs(values).max())
+        for arr in (values, vectors, phases, odd):
+            arr.setflags(write=False)
 
     def _fold(self, y: np.ndarray) -> np.ndarray:
         """The mirror sums of y over its mirror differences, as real pairs."""
@@ -257,9 +211,11 @@ class FoldedChain(Chain):
         return out
 
     def analyze_real(self, y: np.ndarray) -> np.ndarray:
+        """V^T y, the coefficients of y in the real chain basis."""
         return self._fold_products(self._fold(y), np.empty(y.shape, dtype=complex))
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
+        """The coefficients V_r^dag x of this chain's slice x."""
         # One block holds p * conj(x), then, once folded, the coefficients.
         y = np.array(x, dtype=complex)
         np.conj(y, out=y)
@@ -268,6 +224,7 @@ class FoldedChain(Chain):
         return np.conj(y, out=y)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
+        """V_r c, this chain's slice of the state with coefficients c."""
         pairs = _pairs(c)
         n, h = len(pairs), len(self.odd)
         m = n - h
@@ -279,6 +236,17 @@ class FoldedChain(Chain):
         out = out.view(complex).reshape(np.shape(c))
         out *= _per_row(self.phases, out)
         return out
+
+    def turns(self, angles) -> np.ndarray:
+        """exp(-i angle_k lambda_j), one column per angle (a vector for a
+        scalar angle), refused past MAX_PHASE."""
+        phase = float(np.max(np.abs(angles))) * self.largest
+        if not phase <= MAX_PHASE:
+            raise PrecisionLossError(
+                f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
+                "the propagator phases would be lost to roundoff"
+            )
+        return np.exp(-1j * np.multiply.outer(self.values, angles))
 
 
 class Eigensystem:
@@ -395,12 +363,12 @@ class BandedOperator:
         With at most one off-diagonal band, at offset b, this is b real
         symmetric tridiagonal eigenproblems (see the module docstring),
         each solved when a propagation first needs it: as two half-size
-        blocks when its matrix equals its own reverse, kept as the two
-        halves from FOLD_MIN elements on, and whole otherwise. Each block
-        is solved through a half-size SVD when its diagonal is zero and by
-        one ``eigh`` otherwise (``_tridiagonal_eigh``). Readers go through
-        ``Chain.analyze`` and ``Chain.synthesize``, whichever form a chain
-        has. An operator with several off-diagonal bands is refused.
+        blocks, kept as the two halves, when its matrix equals its own
+        reverse, and whole otherwise. Each block is solved through a
+        half-size SVD when its diagonal is zero and by one ``eigh``
+        otherwise (``_tridiagonal_eigh``). Readers go through
+        ``Chain.analyze`` and ``Chain.synthesize``. An operator with
+        several off-diagonal bands is refused.
         """
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
@@ -426,7 +394,8 @@ class BandedOperator:
             p /= np.abs(p)
             if len(a) > 1 and _is_persymmetric(a, size):
                 return _persymmetric_chain(a, size, p)
-            return Chain(*_tridiagonal_eigh(a, size), p)
+            values, vectors = _tridiagonal_eigh(a, size)
+            return Chain(values, vectors, np.zeros((0, 0)), p)
 
         return Eigensystem(stride, solve)
 
@@ -448,7 +417,12 @@ def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
     (v, +-u) / sqrt(2) and (v_0, 0) (Golub & Kahan, SIAM J. Numer. Anal.
     B 2, 205, 1965). LAPACK's SVD leaves such an S unrotated. Any other T
     takes one dense ``eigh``; so does a split chain, where a second zero
-    singular value could take the padding row's direction.
+    singular value could take the padding row's direction. At odd n the
+    vectors stay orthonormal only while sigma_min / sigma_max is well above
+    eps: the left singular vectors carry about eps / (sigma_min / sigma_max)
+    of the padding row, and dropping it leaves |V^T V - I| near the square
+    of that. Every chain of the program keeps sigma_min / sigma_max at or
+    above 1.8e-4.
     """
     n = len(diagonal)
     if diagonal.any() or not off.all():
@@ -494,12 +468,9 @@ def _persymmetric_chain(
     * odd n: the even block of size h + 1 keeps the middle element, joined
       by sqrt(2) b; the odd block of size h lacks it.
 
-    Two half-size solves cost about a quarter of one full-size solve.
-    A chain of at least FOLD_MIN elements keeps the two halves as a
-    ``FoldedChain``. A shorter one, where two half-size products cost more
-    than one full-size product, is assembled: the values are merged
-    ascending and each half's vectors are mapped back to the full basis, so
-    the result is one real orthogonal n x n matrix.
+    Two half-size solves cost about a quarter of one full-size solve, and
+    the ``Chain`` keeps the two halves: its even block's first h rows and
+    its whole odd block are scaled by 1 / sqrt(2).
     """
     n = len(diagonal)
     h = n // 2
@@ -513,25 +484,9 @@ def _persymmetric_chain(
         corner[-1] = link
         even = _tridiagonal_eigh(diagonal[:h] + corner, inner)
         odd = _tridiagonal_eigh(diagonal[:h] - corner, inner)
-    values = np.concatenate((even[0], odd[0]))
-    if n >= FOLD_MIN:
-        even[1][:h] *= sqrt(0.5)
-        odd[1][:] *= sqrt(0.5)
-        return FoldedChain(values, even[1], odd[1], phases)
-    order = np.argsort(values, kind="stable")
-    column = np.empty(n, dtype=int)
-    column[order] = np.arange(n)
-    to_even, to_odd = column[: len(even[0])], column[len(even[0]) :]
-    top_even = even[1][:h] * sqrt(0.5)
-    top_odd = odd[1] * sqrt(0.5)
-    vectors = np.zeros((n, n))
-    vectors[:h, to_even] = top_even
-    vectors[n - h :, to_even] = top_even[::-1]
-    vectors[:h, to_odd] = top_odd
-    vectors[n - h :, to_odd] = -top_odd[::-1]
-    if n % 2:
-        vectors[h, to_even] = even[1][h]
-    return Chain(values[order], vectors, phases)
+    even[1][:h] *= sqrt(0.5)
+    odd[1][:] *= sqrt(0.5)
+    return Chain(np.concatenate((even[0], odd[0])), even[1], odd[1], phases)
 
 
 @dataclass(frozen=True, eq=False)

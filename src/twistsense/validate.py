@@ -230,14 +230,14 @@ def check_derivative_vs_finite_difference() -> str:
 
 
 def check_mirror_split() -> str:
-    # A chain of a Dicke generator that is its own mirror image is solved as
-    # two halves (kept folded from FOLD_MIN elements on), a half or chain
-    # with a zero diagonal (two-axis twisting) through its bipartite SVD,
-    # any other by one eigh: each must reproduce a dense eigh of the same
-    # real tridiagonal matrix. The Fock chains have no mirror symmetry, so
-    # their twisting chains take the SVD whole. The vectors are read as
+    # A chain of a Dicke generator that is its own mirror image is solved and
+    # kept as two halves, a half or chain with a zero diagonal (two-axis
+    # twisting) through its bipartite SVD, any other by one eigh: each must
+    # reproduce a dense eigh of the same real tridiagonal matrix. The Fock
+    # chains have no mirror symmetry, so they are kept whole and their
+    # twisting chains take the SVD whole. The vectors are read as
     # synthesize of the identity, phases included, so the folded and the
-    # assembled forms are checked alike.
+    # whole chains are checked alike.
     kinds = ("tat", "oat", "field")
     generators = [
         (f"N={n} {kind}", hamiltonian(DickeSpace(n), kind))

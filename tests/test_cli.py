@@ -371,6 +371,25 @@ def test_a_nan_sensitivity_is_computation_error(capsys, monkeypatch):
         assert err.startswith("error:") and "nan" in err
 
 
+@pytest.mark.parametrize(
+    "message", ["Unable to allocate 7.45 GiB", ""], ids=["message", "no-message"]
+)
+def test_a_refused_allocation_is_computation_error(capsys, monkeypatch, message):
+    # A MemoryError is reported as one error line and exit 1, not a
+    # traceback; one without a message of its own is named.
+    from twistsense import cli
+
+    def refused(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_sweep", refused)
+    code, out, err = run_cli(
+        capsys, "sweep", "--scheme", "B", "--n", "4", "--twist", "1.0"
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {message or 'MemoryError'}\n"
+
+
 class TestValidateSubcommand:
     def test_filtered_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate", "--only", "branch_continuity")

@@ -18,12 +18,10 @@ from twistsense.errors import (
 )
 from twistsense.protocols import hamiltonian
 from twistsense.spin_core import (
-    FOLD_MIN,
     MAX_PHASE,
     NEAR_GAP,
     BandedOperator,
     DickeSpace,
-    FoldedChain,
     StateVector,
     apply_operator,
     collective_operators,
@@ -320,9 +318,6 @@ def test_derivative_matches_finite_difference_battery():
         (41, "tat", -1.5),
         (101, "oat", -11.5),
         (101, "tat", 0.8),
-        # Parity blocks of 257 and 256 elements, both kept folded.
-        (512, "tat", 0.6),
-        (512, "oat", -0.5),
         # An even-odd eigenvalue gap just below NEAR_GAP * max|lambda| (the
         # sinc weight) and one just above it (the split through D, where it
         # cancels most); see test_near_gap_cases_straddle_the_cutoff.
@@ -583,14 +578,10 @@ def _mirror_chain_operator(n: int) -> BandedOperator:
     )
 
 
-@pytest.mark.parametrize("n", [FOLD_MIN - 1, FOLD_MIN, FOLD_MIN + 1])
-def test_long_mirror_chains_are_kept_folded(n):
-    # From FOLD_MIN elements on, a mirror-symmetric chain keeps its two
-    # halves; synthesize undoes analyze, and propagate is the product through
-    # the unitary assembled from synthesize of the identity.
-    H = _mirror_chain_operator(n)
-    chain = H.eigensystem.chain(0)
-    assert isinstance(chain, FoldedChain) == (n >= FOLD_MIN)
+def _check_chain(H: BandedOperator, chain) -> None:
+    # synthesize undoes analyze, and propagate is the product through the
+    # unitary assembled from synthesize of the identity.
+    n = H.dim
     assert chain.largest == np.abs(chain.values).max()
     rng = np.random.default_rng(7)
     block = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
@@ -604,6 +595,37 @@ def test_long_mirror_chains_are_kept_folded(n):
         expected = vectors @ (turned * (vectors.conj().T @ x))
         got = propagate(H, angle, StateVector(x)).amplitudes
         assert np.abs(got - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 21, 40, 41, 255, 256, 257])
+def test_mirror_chains_are_kept_folded(n):
+    # Every mirror-symmetric chain keeps its two halves, whatever its length.
+    H = _mirror_chain_operator(n)
+    chain = H.eigensystem.chain(0)
+    assert chain.odd.shape == (n // 2, n // 2)
+    assert chain.vectors.shape == (n - n // 2, n - n // 2)
+    _check_chain(H, chain)
+
+
+@pytest.mark.parametrize("kind", ["tat", "oat"])
+@pytest.mark.parametrize(
+    "space", [DickeSpace(41), FockSpace(41)], ids=["odd-N", "fock"]
+)
+def test_other_chains_are_the_fold_without_mirror_pairs(space, kind):
+    # A parity block at odd N (each block is the other's mirror image) and a
+    # Fock chain are kept whole: an empty mirror-odd half, ascending values.
+    build = fock_hamiltonian if isinstance(space, FockSpace) else hamiltonian
+    H = build(space, kind)
+    eig = BandedOperator(H.dim, H.bands).eigensystem
+    for r in (0, 1):
+        chain = eig.chain(r)
+        assert chain.odd.shape == (0, 0)
+        assert np.all(np.diff(chain.values) >= 0)
+        # The same chain as an operator of its own, for the round trip.
+        e = H.bands[2][r::2]
+        a = H.bands[0].real[r::2] if 0 in H.bands else None
+        single = BandedOperator.hermitian(len(e) + 1, {1: e}, diagonal=a)
+        _check_chain(single, single.eigensystem.chain(0))
 
 
 def test_phase_guard_checks_every_column():
