@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, PrecisionLossError, TruncationError
 from .metrology import SensitivityRecord, readout
-from .protocols import Mode, check_point, ladder_generator
+from .protocols import Mode, check_point, check_twist, ladder_generators
 from .spin_core import BandedOperator, StateVector
 
 
@@ -188,7 +188,7 @@ def closed_form_optimum(scheme: str, twist_times_tau: float) -> ClosedFormOptimu
     twist. The echo pair peaks at t/tau = 1/2 (value chi tau / 8) for
     Bprime and at t/tau = 0 (value chi tau / 4) for Cprime.
     """
-    check_point(scheme, twist_times_tau)
+    check_twist(scheme, twist_times_tau)
     x = twist_times_tau
     if scheme == "A":
         return ClosedFormOptimum(value=1.0, t_opt=1.0)
@@ -220,38 +220,6 @@ def enhancement_ratio(eta_tau: float) -> float:
     return expm1(2.0 * eta_tau) / (2.0 * eta_tau)
 
 
-def _lowering_elements(space: FockSpace) -> np.ndarray:
-    """<k| a |k+1> = sqrt(k + 1) for k = 0 .. truncation_dim - 2."""
-    return np.sqrt(np.arange(1, space.truncation_dim))
-
-
-def vacuum_state(space: FockSpace) -> StateVector:
-    amps = np.zeros(space.truncation_dim, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amps)
-
-
-def momentum_quadrature(space: FockSpace) -> BandedOperator:
-    """P = i(a - a^dag), the readout quadrature of the echo protocols."""
-    return BandedOperator.hermitian(
-        space.truncation_dim, {1: 1j * _lowering_elements(space)}
-    )
-
-
-@lru_cache(maxsize=64)
-def fock_hamiltonian(space: FockSpace, kind: str) -> BandedOperator:
-    """Bosonic image of one unit-strength spin generator.
-
-    field -> P / 2, tat -> i(a^2 - a^dag^2), oat -> (a + a^dag)^2 / 4.
-    These are exactly the large-N images of the spin generators under
-    J-/sqrt(N) -> a, including the 1/2 and 1/4 prefactors inherited from
-    the spin normalization. A strength enters as the propagation angle.
-
-    Built from the bands of a by ``ladder_generator`` (norm 1).
-    """
-    return ladder_generator(_lowering_elements(space), 1.0, kind)
-
-
 def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
     """Refuse a state, or any column of a block, that leaks into the top two levels."""
     tail = float(np.max(np.sum(np.abs(state.amplitudes[-2:]) ** 2, axis=0)))
@@ -265,18 +233,26 @@ def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
 
 @lru_cache(maxsize=32)
 def fock_mode(space: FockSpace) -> Mode:
-    """The truncated Fock mode: tail guard, P readout with vacuum spread 1.
+    """The truncated Fock mode: the vacuum, a tail guard, and the echo
+    readout P = i(a - a^dag), whose vacuum spread is 1.
 
-    Memoized per space, as ``spin_mode`` is, so the points of a sweep share
-    one vacuum and one P. The generator is looked up by name on each call,
-    so clearing or wrapping ``fock_hamiltonian`` reaches a memoized mode.
+    Its generators, built from the bands of a by ``ladder_generator``
+    (norm 1), are the large-N images of the unit-strength spin generators
+    under J-/sqrt(N) -> a: field -> P / 2, tat -> i(a^2 - a^dag^2) and
+    oat -> (a + a^dag)^2 / 4, with the 1/2 and 1/4 of the spin
+    normalization. A strength enters as the propagation angle. Memoized per
+    space, as ``spin_mode`` is, so a sweep shares one vacuum, one P and one
+    eigensystem per generator.
     """
-    P = momentum_quadrature(space)
+    d = space.truncation_dim
+    lowering = np.sqrt(np.arange(1, d))  # <k| a |k+1> = sqrt(k + 1)
+    vacuum = np.zeros(d, dtype=complex)
+    vacuum[0] = 1.0
     return Mode(
-        generator=lambda kind: fock_hamiltonian(space, kind),
-        initial=vacuum_state(space),
+        generators=ladder_generators(lowering, 1.0),
+        initial=StateVector(vacuum),
         guard=partial(_check_tail, space),
-        readout_operator=lambda: P,
+        readout=BandedOperator.hermitian(d, {1: 1j * lowering}),
         spread=1.0,
         spread_tolerance=1e-6,
     )

@@ -126,7 +126,7 @@ def readout(
         )
     state = run_pipeline(mode, scheme, twist_strength, fractions)
     if scheme in ECHO_SCHEMES:
-        R = mode.readout_operator()
+        R = mode.readout
         slope = 2.0 * overlap(state.psi, apply_operator(R, state.dpsi)).real
         spread = np.sqrt(variance(R, state.psi))
         off = ~(np.abs(spread - mode.spread) <= mode.spread_tolerance)

@@ -37,10 +37,12 @@ The pipelines are written once, in ``run_pipeline``, over a carrier
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, sqrt
+from numbers import Real
+from types import MappingProxyType
 
 import numpy as np
 
@@ -71,21 +73,25 @@ QFI_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if not echo)
 HAMILTONIAN_KINDS = ("field", "tat", "oat")
 
 
-def check_point(
-    scheme: str, twist_times_tau: float, sensing_fraction: float | None = None
-) -> None:
-    """The argument checks of one (scheme, twist, t/tau) point, shared by
-    every engine, the closed forms and the Fock simulator."""
+def check_twist(scheme: str, twist_times_tau: float) -> None:
+    """The argument checks of one (scheme, twist) curve, shared by every
+    engine, the closed forms and the Fock simulator."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if not isfinite(twist_times_tau) or twist_times_tau < 0:
+    x = twist_times_tau
+    if not (isinstance(x, Real) and isfinite(x) and x >= 0):
         raise ValueError(
-            f"twist_times_tau must be finite and >= 0, got {twist_times_tau!r}"
+            f"twist_times_tau must be a finite real number >= 0, got {x!r}"
         )
-    if sensing_fraction is not None and not 0.0 <= sensing_fraction <= 1.0:
-        raise ValueError(
-            f"sensing_fraction must lie in [0, 1], got {sensing_fraction}"
-        )
+
+
+def check_point(scheme: str, twist_times_tau: float, sensing_fraction: float) -> None:
+    """``check_twist`` and the sensing fraction of one (scheme, twist, t/tau)
+    point."""
+    check_twist(scheme, twist_times_tau)
+    s = sensing_fraction
+    if not (isinstance(s, Real) and 0.0 <= s <= 1.0):
+        raise ValueError(f"sensing_fraction must be a real number in [0, 1], got {s}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,48 +149,52 @@ def ladder_generator(lowering: np.ndarray, norm: float, kind: str) -> BandedOper
     )
 
 
-@lru_cache(maxsize=64)
-def hamiltonian(space: DickeSpace, kind: str) -> BandedOperator:
-    """One of the three generators at unit strength.
-
-    Jy / sqrt(N), i (J-^2 - J+^2) / N or Jx^2 / N, built from the bands of
-    J- by ``ladder_generator``; a strength is part of the propagation angle.
-    """
-    return ladder_generator(space.ladder_elements(), space.n_spins, kind)
-
-
 @dataclass(frozen=True, eq=False)
 class Mode:
     """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
 
-    ``generator(kind)`` builds one of the HAMILTONIAN_KINDS at unit strength
-    and ``initial`` is the probe before any evolution. ``guard(state, stage)``
-    vets each normalized state along the way (stages "initial",
-    "post-twist", "post-echo") and raises if it cannot be trusted.
-    ``readout_operator()`` is the echo readout; on the echoed zero-field
-    state its spread must equal ``spread`` to within ``spread_tolerance``.
+    ``generators`` holds the HAMILTONIAN_KINDS at unit strength, each
+    memoizing its own eigensystem, and ``initial`` is the probe before any
+    evolution. ``guard(state, stage)`` vets each normalized state along the
+    way (stages "initial", "post-twist", "post-echo") and raises if it
+    cannot be trusted. ``readout`` is the echo readout operator; on the
+    echoed zero-field state its spread must equal ``spread`` to within
+    ``spread_tolerance``.
     """
 
-    generator: Callable[[str], BandedOperator]
+    generators: Mapping[str, BandedOperator]
     initial: StateVector
     guard: Callable[[StateVector, str], None]
-    readout_operator: Callable[[], BandedOperator]
+    readout: BandedOperator
     spread: float
     spread_tolerance: float
+
+
+def ladder_generators(
+    lowering: np.ndarray, norm: float
+) -> Mapping[str, BandedOperator]:
+    """Each of the HAMILTONIAN_KINDS by ``ladder_generator``, built once for
+    the mode that holds them."""
+    kinds = {kind: ladder_generator(lowering, norm, kind) for kind in HAMILTONIAN_KINDS}
+    return MappingProxyType(kinds)
 
 
 @lru_cache(maxsize=32)
 def spin_mode(space: DickeSpace) -> Mode:
     """The Dicke sector: Jy readout with coherent spread sqrt(N)/2.
 
-    The sector is complete, not truncated, so its guard has nothing to vet.
-    Memoized per space, so a sweep builds its initial state once.
+    Its generators are Jy / sqrt(N), i (J-^2 - J+^2) / N and Jx^2 / N,
+    built from the bands of J- by ``ladder_generator``; a strength is part
+    of the propagation angle. The sector is complete, not truncated, so its
+    guard has nothing to vet. Memoized per space, so a sweep builds its
+    initial state and generators once, and each eigensystem lives as long
+    as the mode.
     """
     return Mode(
-        generator=lambda kind: hamiltonian(space, kind),
+        generators=ladder_generators(space.ladder_elements(), space.n_spins),
         initial=initial_state(space),
         guard=lambda state, stage: None,
-        readout_operator=lambda: collective_operators(space).Jy,
+        readout=collective_operators(space).Jy,
         spread=sqrt(space.n_spins) / 2.0,
         spread_tolerance=1e-9,
     )
@@ -218,8 +228,8 @@ def run_pipeline(
     the initial state, the twisted state and the echoed state.
     """
     kind, echo, concurrent = SHAPES[scheme]
-    G = mode.generator("field")
-    H = mode.generator(kind)
+    G = mode.generators["field"]
+    H = mode.generators[kind]
     psi0 = mode.initial
     mode.guard(psi0, "initial")
     s = np.asarray(sensing_fraction, dtype=float)

@@ -544,14 +544,13 @@ class CollectiveOperators(NamedTuple):
     Jz: BandedOperator
 
 
-@lru_cache(maxsize=32)
 def collective_operators(space: DickeSpace) -> CollectiveOperators:
     """Collective spin operators on the Dicke sector of ``space``.
 
     Matrix elements follow the standard ladder convention
     J+|j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>, Jz|j,m> = m|j,m>,
-    Jx = (J+ + J-)/2, Jy = (J+ - J-)/(2i). Results are memoized per space;
-    all returned operators are immutable and banded.
+    Jx = (J+ + J-)/2, Jy = (J+ - J-)/(2i). All returned operators are
+    immutable and banded.
     """
     d = space.dim
     # <m+1| J+ |m> sits below the diagonal (storage is ascending m).

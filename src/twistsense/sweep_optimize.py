@@ -45,7 +45,7 @@ import numpy as np
 from .bosonic_limit import FockSpace, closed_form, fock_simulate
 from .errors import BracketingError
 from .metrology import SensitivityRecord, readout
-from .protocols import check_point, spin_mode
+from .protocols import check_point, check_twist, spin_mode
 from .spin_core import DickeSpace
 
 ENGINES = ("spin", "fock", "closed_form")
@@ -136,7 +136,7 @@ class SweepSpec:
         if not twists:
             raise ValueError("twist_values must be nonempty")
         for x in twists:
-            check_point(self.scheme, x)
+            check_twist(self.scheme, x)
         object.__setattr__(self, "twist_values", twists)
         _validate_t_grid(self.t_grid)
 
@@ -203,7 +203,7 @@ def _curve(
     curve point by point, so theirs gains nothing from batching and
     evaluates the one point each step asks for.
     """
-    check_point(scheme, twist_value)
+    check_twist(scheme, twist_value)
     x = float(twist_value)
     if engine == "fock":
         space = fock_space or FockSpace()

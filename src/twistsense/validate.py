@@ -23,13 +23,12 @@ from .bosonic_limit import (
     closed_form_c_small_twist,
     closed_form_optimum,
     enhancement_ratio,
-    fock_hamiltonian,
     fock_mode,
     fock_simulate,
 )
 from .errors import BracketingError
 from .metrology import closed_form_Bprime, moment_oracle, qfi, relative_difference
-from .protocols import SCHEMES, hamiltonian, run_pipeline, spin_mode
+from .protocols import SCHEMES, run_pipeline, spin_mode
 from .spin_core import (
     BandedOperator,
     DickeSpace,
@@ -240,11 +239,12 @@ def check_mirror_split() -> str:
     # whole chains are checked alike.
     kinds = ("tat", "oat", "field")
     generators = [
-        (f"N={n} {kind}", hamiltonian(DickeSpace(n), kind))
+        (f"N={n} {kind}", spin_mode(DickeSpace(n)).generators[kind])
         for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600)
         for kind in kinds
     ] + [
-        (f"Fock 400 {kind}", fock_hamiltonian(FockSpace(400), kind)) for kind in kinds
+        (f"Fock 400 {kind}", fock_mode(FockSpace(400)).generators[kind])
+        for kind in kinds
     ]
     for name, H in generators:
         eig = BandedOperator(H.dim, H.bands).eigensystem
@@ -308,7 +308,7 @@ def check_single_spin_degeneracy() -> str:
     space = DickeSpace(1)
     mode = spin_mode(space)
     psi0 = initial_state(space).amplitudes
-    kick = -1j * hamiltonian(space, "field").matvec(psi0)
+    kick = -1j * mode.generators["field"].matvec(psi0)
     ref = run_pipeline(mode, "A", 0.0, 1.0)
     whole = (ref.psi.amplitudes, ref.dpsi.amplitudes)
     for scheme in ("C", "Cprime", "B", "Bprime"):
@@ -345,7 +345,7 @@ def check_dimensionless_scaling() -> str:
         space = DickeSpace(n)
         psi0 = initial_state(space)
         for kind in ("tat", "oat"):
-            H = hamiltonian(space, kind)
+            H = spin_mode(space).generators[kind]
             for x, dur in ((0.8, 0.6), (2.5, 0.3)):
                 diagonal = x * H.bands[0] if 0 in H.bands else None
                 upper = {k: x * band for k, band in H.bands.items() if k > 0}
@@ -427,7 +427,7 @@ def check_echo_variance_identity() -> str:
     ] + [(fock_mode(FockSpace(400)), "Bprime", 8.0, 0.5, 1e-6)]
     for mode, scheme, twist, s, tolerance in cases:
         psi = run_pipeline(mode, scheme, twist, s).psi
-        gap = abs(sqrt(variance(mode.readout_operator(), psi)) - mode.spread)
+        gap = abs(sqrt(variance(mode.readout, psi)) - mode.spread)
         if gap > tolerance:
             return (
                 f"echo readout spread of {scheme} (twist {twist}, s={s}) is "

@@ -13,13 +13,12 @@ from twistsense.bosonic_limit import (
     closed_form_c_small_twist,
     closed_form_optimum,
     enhancement_ratio,
-    fock_hamiltonian,
+    fock_mode,
     fock_simulate,
-    momentum_quadrature,
-    vacuum_state,
 )
 from twistsense.errors import InvalidDimensionError, TruncationError
 from twistsense.metrology import relative_difference
+from twistsense.protocols import ladder_generator
 from twistsense.spin_core import variance
 
 
@@ -186,7 +185,7 @@ class TestFockSpace:
 class TestFockOperators:
     def test_momentum_quadrature_matrix(self):
         space = FockSpace(truncation_dim=3)
-        P = momentum_quadrature(space).matrix
+        P = fock_mode(space).readout.matrix
         expected = 1j * np.array(
             [[0, 1, 0], [-1, 0, np.sqrt(2)], [0, -np.sqrt(2), 0]]
         )
@@ -194,25 +193,27 @@ class TestFockOperators:
 
     def test_vacuum_quadrature_spread_is_one(self):
         space = FockSpace()
-        assert variance(momentum_quadrature(space), vacuum_state(space)) == (
+        mode = fock_mode(space)
+        assert variance(mode.readout, mode.initial) == (
             pytest.approx(1.0, abs=1e-12)
         )
 
     def test_field_generator_is_half_quadrature(self):
         space = FockSpace(truncation_dim=8)
-        G = fock_hamiltonian(space, "field").matrix
-        P = momentum_quadrature(space).matrix
+        mode = fock_mode(space)
+        G = mode.generators["field"].matrix
+        P = mode.readout.matrix
         assert np.abs(G - P / 2.0).max() <= 1e-15
 
     def test_generators_are_hermitian(self):
         space = FockSpace(truncation_dim=20)
         for kind in ("field", "tat", "oat"):
-            H = 1.3 * fock_hamiltonian(space, kind).matrix
+            H = 1.3 * fock_mode(space).generators[kind].matrix
             assert np.abs(H - H.conj().T).max() == 0.0
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            fock_hamiltonian(FockSpace(truncation_dim=4), "cubic")
+        with pytest.raises(ValueError, match="cubic"):
+            ladder_generator(np.sqrt(np.arange(1.0, 4.0)), 1.0, "cubic")
 
 
 class TestFockSimulate:

@@ -21,7 +21,7 @@ from twistsense.metrology import (
     readout,
     relative_difference,
 )
-from twistsense.protocols import hamiltonian, run_pipeline, spin_mode
+from twistsense.protocols import run_pipeline, spin_mode
 from twistsense.spin_core import DickeSpace, collective_operators, plus_state
 
 
@@ -311,7 +311,8 @@ def test_one_leaking_column_fails_the_whole_curve():
 
 def test_one_column_past_the_phase_guard_fails_the_whole_curve():
     space = DickeSpace(4)
-    largest = np.abs(hamiltonian(space, "tat").eigensystem.chain(0).values).max()
+    tat = spin_mode(space).generators["tat"]
+    largest = np.abs(tat.eigensystem.chain(0).values).max()
     # Only s = 0 turns the twisting generator through more than MAX_PHASE.
     twist = 1.5e6 / largest
     readout(spin_mode(space), "B", twist, [0.5, 1.0], 4)

@@ -1,6 +1,9 @@
 """The package's public surface."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -23,6 +26,32 @@ def test_exports_are_the_names_the_readme_documents():
     # Every name in backticks in the Library section, up to its example.
     section = README.read_text().split("## Library", 1)[1].split("```python", 1)[0]
     assert set(re.findall(r"`(\w+)`", section)) == set(twistsense.__all__)
+
+
+def test_the_package_keeps_three_caches():
+    # One memo per carrier (its mode holds the generators, each memoizing its
+    # own eigensystem) and the one D block of the field derivative. Every
+    # functools cache defined in a module or a class of the package, by
+    # qualified name, with its maxsize.
+    caches = {}
+    for info in pkgutil.walk_packages(twistsense.__path__, "twistsense."):
+        module = importlib.import_module(info.name)
+        owners = [module] + [
+            cls
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+        ]
+        for owner in owners:
+            for value in vars(owner).values():
+                fn = getattr(value, "__func__", value)
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                    name = f"{fn.__module__}.{fn.__qualname__}"
+                    caches[name] = fn.cache_parameters()["maxsize"]
+    assert caches == {
+        "twistsense.protocols.spin_mode": 32,
+        "twistsense.bosonic_limit.fock_mode": 32,
+        "twistsense.spin_core._in_eigenbasis": 1,
+    }
 
 
 def test_dense_reference_check_runs_on_numpy_alone():

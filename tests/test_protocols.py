@@ -3,10 +3,23 @@
 import numpy as np
 import pytest
 
-from twistsense import FockSpace, SweepSpec, evaluate_point, sweep_curve
-from twistsense.bosonic_limit import fock_hamiltonian, fock_mode
+from twistsense import (
+    FockSpace,
+    SweepSpec,
+    closed_form,
+    closed_form_Bprime,
+    evaluate_point,
+    fock_simulate,
+    sweep_curve,
+)
+from twistsense.bosonic_limit import fock_mode
 from twistsense.errors import InvalidDimensionError
-from twistsense.protocols import SchemeState, hamiltonian, run_pipeline, spin_mode
+from twistsense.protocols import (
+    SchemeState,
+    ladder_generator,
+    run_pipeline,
+    spin_mode,
+)
 from twistsense.spin_core import (
     DickeSpace,
     StateVector,
@@ -20,6 +33,19 @@ from twistsense.validate import reference_gaps, reference_generators, reference_
 def point(scheme="B", n_spins=8, twist=1.0, s=0.5):
     """One spin-engine point through ``evaluate_point``."""
     return evaluate_point(scheme, n_spins, twist, s, "spin")
+
+
+# Every entry point that checks one (twist, t/tau) point, by its engine.
+POINT_ENTRIES = {
+    "evaluate_point-spin": lambda x, s: evaluate_point("B", 4, x, s, "spin"),
+    "evaluate_point-fock": lambda x, s: evaluate_point("B", None, x, s, "fock"),
+    "evaluate_point-closed_form": lambda x, s: evaluate_point(
+        "B", None, x, s, "closed_form"
+    ),
+    "fock_simulate": lambda x, s: fock_simulate("B", x, s),
+    "closed_form": lambda x, s: closed_form("B", x, s),
+    "closed_form_Bprime": lambda x, s: closed_form_Bprime(4, x, s),
+}
 
 
 def spin_state(scheme, n_spins, twist, s):
@@ -49,6 +75,16 @@ class TestPointChecks:
         with pytest.raises(ValueError, match="sensing_fraction"):
             point(s=frac)
 
+    @pytest.mark.parametrize("bad", [None, "0.5"], ids=["None", "str"])
+    @pytest.mark.parametrize("name", ["twist_times_tau", "sensing_fraction"])
+    @pytest.mark.parametrize("entry", POINT_ENTRIES)
+    def test_rejects_an_argument_that_is_not_a_real_number(self, entry, name, bad):
+        # None is not "no fraction" to a point: it is refused, as a str is,
+        # by name and before any engine runs.
+        twist, s = (bad, 0.5) if name == "twist_times_tau" else (1.0, bad)
+        with pytest.raises(ValueError, match=f"{name} must be a .*real number"):
+            POINT_ENTRIES[entry](twist, s)
+
     @pytest.mark.parametrize("n", [0, -2, 1.5])
     def test_rejects_bad_spin_count(self, n):
         with pytest.raises(InvalidDimensionError):
@@ -58,24 +94,24 @@ class TestPointChecks:
 class TestHamiltonian:
     def test_field_two_spins(self):
         space = DickeSpace(2)
-        H = hamiltonian(space, "field")
+        H = spin_mode(space).generators["field"]
         jy = collective_operators(space).Jy.matrix
         assert np.abs(3.0 * H.matrix - 3.0 * jy / np.sqrt(2)).max() <= 1e-15
 
     def test_two_axis_twist_vanishes_for_single_spin(self):
         # J+^2 annihilates every state of a single spin 1/2.
-        H = hamiltonian(DickeSpace(1), "tat")
+        H = spin_mode(DickeSpace(1)).generators["tat"]
         assert np.abs(5.0 * H.matrix).max() == 0.0
 
     def test_one_axis_twist_single_spin_is_scalar(self):
         # Jx^2 = I/4 for one spin, so the generator is a global phase.
-        H = hamiltonian(DickeSpace(1), "oat")
+        H = spin_mode(DickeSpace(1)).generators["oat"]
         assert np.abs(2.0 * H.matrix - 0.5 * np.eye(2)).max() <= 1e-15
 
     @pytest.mark.parametrize("kind", ["field", "tat", "oat"])
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_hermitian_by_construction(self, kind, n):
-        H = 1.7 * hamiltonian(DickeSpace(n), kind).matrix
+        H = 1.7 * spin_mode(DickeSpace(n)).generators[kind].matrix
         assert np.abs(H - H.conj().T).max() == 0.0
 
     def test_two_axis_twist_matches_ladder_form(self):
@@ -83,12 +119,12 @@ class TestHamiltonian:
         jplus = np.diag(space.ladder_elements(), -1)
         jp2 = jplus @ jplus
         expected = 1.2j * (jp2.conj().T - jp2) / 6
-        H = hamiltonian(space, "tat")
+        H = spin_mode(space).generators["tat"]
         assert np.abs(1.2 * H.matrix - expected).max() <= 1e-14
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            hamiltonian(DickeSpace(2), "quadratic")
+        with pytest.raises(ValueError, match="quadratic"):
+            ladder_generator(DickeSpace(2).ladder_elements(), 2, "quadratic")
 
 
 class TestSchemeStates:
@@ -99,7 +135,7 @@ class TestSchemeStates:
         state = spin_state("A", 9, 0.0, 0.5)
         psi0 = initial_state(space)
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() == 0.0
-        G = hamiltonian(space, "field")
+        G = spin_mode(space).generators["field"]
         expected = -1j * (G.matrix @ psi0.amplitudes)
         assert np.abs(state.dpsi.amplitudes - expected).max() <= 1e-14
 
@@ -119,7 +155,7 @@ class TestSchemeStates:
         space = DickeSpace(6)
         state = spin_state(scheme, 6, 0.0, 0.35)
         psi0 = initial_state(space)
-        G = hamiltonian(space, "field")
+        G = spin_mode(space).generators["field"]
         expected = -1j * exposure * (G.matrix @ psi0.amplitudes)
         assert np.abs(state.psi.amplitudes - psi0.amplitudes).max() <= 1e-12
         assert np.abs(state.dpsi.amplitudes - expected).max() <= 1e-12
@@ -185,11 +221,11 @@ class TestSchemeStates:
         # operator, up to the top level of a truncated Fock mode, where X X
         # lacks the term the truncation cuts off.
         if n is None:
-            H = fock_hamiltonian(FockSpace(40), kind)
+            H = fock_mode(FockSpace(40)).generators[kind]
             dense = reference_generators(np.sqrt(np.arange(1.0, 40.0)), 1.0)
         else:
             space = DickeSpace(n)
-            H = hamiltonian(space, kind)
+            H = spin_mode(space).generators[kind]
             dense = reference_generators(space.ladder_elements(), n)
         assert np.abs(H.matrix - dense[kind]).max() <= 1e-14 * np.abs(dense[kind]).max()
 
@@ -204,7 +240,7 @@ class TestSchemeStates:
         # the whole budget for A, C and Cprime, the sensing window s = 0.7
         # for B and Bprime.
         omega = 0.9
-        G = hamiltonian(DickeSpace(1), "field").matrix
+        G = spin_mode(DickeSpace(1)).generators["field"].matrix
         psi = reference_state(np.ones(1), 1, scheme, 2.0, 0.7, omega)
         angle = omega * exposure
         rotation = np.cos(angle / 2) * np.eye(2) - 2j * np.sin(angle / 2) * G
@@ -233,8 +269,8 @@ def test_eigensolves_do_not_grow_with_the_number_of_twists(
     # A twist strength only scales the evolution angle, so a sweep over
     # five twists must diagonalize exactly what a sweep over one does.
     def eigensolves(twists):
-        hamiltonian.cache_clear()
-        fock_hamiltonian.cache_clear()
+        spin_mode.cache_clear()
+        fock_mode.cache_clear()
         solved_blocks.clear()
         sweep_curve(SweepSpec(scheme, n_spins, twists, t_grid=3, engine=engine))
         return len(solved_blocks)
@@ -265,8 +301,8 @@ def test_twisting_solves_only_the_parity_blocks_it_propagates(
         ("B", 0.3, b_solves),
         ("Bprime", 2.0, bprime_solves),
     ):
-        hamiltonian.cache_clear()
-        fock_hamiltonian.cache_clear()
+        spin_mode.cache_clear()
+        fock_mode.cache_clear()
         solved_blocks.clear()
         sweep_curve(SweepSpec(scheme, n_spins, (twist,), t_grid=5, engine=engine))
         assert len(solved_blocks) == solves, scheme

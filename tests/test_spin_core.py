@@ -9,14 +9,14 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from twistsense import spin_core
-from twistsense.bosonic_limit import FockSpace, fock_hamiltonian, vacuum_state
+from twistsense.bosonic_limit import FockSpace, fock_mode
 from twistsense.errors import (
     ContractViolationError,
     DimensionMismatchError,
     InvalidDimensionError,
     PrecisionLossError,
 )
-from twistsense.protocols import hamiltonian
+from twistsense.protocols import spin_mode
 from twistsense.spin_core import (
     MAX_PHASE,
     NEAR_GAP,
@@ -42,6 +42,12 @@ from twistsense.validate import (
     random_state,
     richardson_derivative,
 )
+
+
+def generator(space, kind):
+    """One unit-strength generator, as the mode of its carrier holds it."""
+    mode = fock_mode(space) if isinstance(space, FockSpace) else spin_mode(space)
+    return mode.generators[kind]
 
 
 def test_space_dimension_and_quantum_numbers():
@@ -338,15 +344,15 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
     # exactly degenerate pairs. Each case starts from a state inside the
     # even parity block and from one spread over both blocks.
     if n is None or isinstance(n, FockSpace):
-        space, build = n or FockSpace(), fock_hamiltonian
+        space = n or FockSpace()
         mixed = np.zeros(space.truncation_dim, dtype=complex)
         mixed[:2] = (1.0, 1j)
-        starts = (vacuum_state(space), StateVector(mixed / np.sqrt(2.0)))
+        starts = (fock_mode(space).initial, StateVector(mixed / np.sqrt(2.0)))
     else:
-        space, build = DickeSpace(n), hamiltonian
+        space = DickeSpace(n)
         starts = (initial_state(space), plus_state(space))
-    H = build(space, kind)
-    G = build(space, "field")
+    H = generator(space, kind)
+    G = generator(space, "field")
     for psi in starts:
         phi, dphi = propagate_with_derivative(H, G, 0.0, psi)
         assert np.array_equal(phi.amplitudes, psi.amplitudes)
@@ -374,7 +380,7 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
 def test_near_gap_cases_straddle_the_cutoff(n, kind, lo, hi):
     # The two oracle cases above have a gap within 1% of the cutoff, on the
     # named side of it.
-    eig = hamiltonian(DickeSpace(n), kind).eigensystem
+    eig = generator(DickeSpace(n), kind).eigensystem
     even, odd = eig.chain(0), eig.chain(1)
     cutoff = NEAR_GAP * max(even.largest, odd.largest)
     gaps = np.abs(np.subtract.outer(even.values, odd.values)) / cutoff
@@ -420,7 +426,7 @@ def test_phase_guard_refuses_roundoff_dominated_durations():
 def test_propagate_turns_each_column_through_its_own_angle(kind):
     rng = np.random.default_rng(7)
     space = DickeSpace(9)
-    H = hamiltonian(space, kind)
+    H = generator(space, kind)
     angles = np.array([0.0, 0.4, -1.3, 2.5, 0.0])
     shared = random_state(rng, space.dim)
     block = StateVector(
@@ -444,8 +450,8 @@ def test_propagate_turns_each_column_through_its_own_angle(kind):
 
 def test_derivative_batches_one_angle_per_column():
     space = DickeSpace(8)
-    H = hamiltonian(space, "oat")
-    G = hamiltonian(space, "field")
+    H = generator(space, "oat")
+    G = generator(space, "field")
     angles = np.array([0.0, 0.9, -2.1])
     psi = propagate(H, np.array([0.3, 0.6, 1.2]), initial_state(space))
     phi, dphi = propagate_with_derivative(H, G, angles, psi)
@@ -466,12 +472,12 @@ def test_propagate_solves_only_the_chains_it_turns(solved_blocks):
     # At N = 10 each block is its own mirror image, solved as two halves:
     # the even block (6) as 3 + 3, the odd block (5) as 3 + 2.
     space = DickeSpace(10)
-    H = BandedOperator(space.dim, hamiltonian(space, "tat").bands)
+    H = BandedOperator(space.dim, generator(space, "tat").bands)
     psi = propagate(H, np.array([0.5, 1.0]), initial_state(space))
     assert solved_blocks == [3, 3]
     assert not psi.amplitudes[1::2].any()
     # An odd input needs the odd block too, solved once.
-    G = hamiltonian(space, "field")
+    G = generator(space, "field")
     propagate(H, 1.0, apply_operator(G, StateVector(psi.amplitudes[:, 0])))
     propagate(H, 2.0, apply_operator(G, StateVector(psi.amplitudes[:, 1])))
     assert solved_blocks == [3, 3, 3, 2]
@@ -554,10 +560,7 @@ def test_a_zero_diagonal_chain_with_a_zero_link_keeps_eigh(monkeypatch, off):
 def test_two_axis_twisting_chains_take_the_bipartite_branch(
     monkeypatch, space, kind, eighs, svds
 ):
-    if isinstance(space, DickeSpace):
-        H = hamiltonian(space, kind)
-    else:
-        H = fock_hamiltonian(space, kind)
+    H = generator(space, kind)
     counted = _counting(monkeypatch, "eigh"), _counting(monkeypatch, "svd")
     eig = BandedOperator(H.dim, H.bands).eigensystem
     for r in range(eig.stride):
@@ -614,8 +617,7 @@ def test_mirror_chains_are_kept_folded(n):
 def test_other_chains_are_the_fold_without_mirror_pairs(space, kind):
     # A parity block at odd N (each block is the other's mirror image) and a
     # Fock chain are kept whole: an empty mirror-odd half, ascending values.
-    build = fock_hamiltonian if isinstance(space, FockSpace) else hamiltonian
-    H = build(space, kind)
+    H = generator(space, kind)
     eig = BandedOperator(H.dim, H.bands).eigensystem
     for r in (0, 1):
         chain = eig.chain(r)
@@ -710,7 +712,7 @@ def test_banded_operator_matches_its_dense_matrix(kind):
     # matrix; N = 6 gives parity blocks of sizes 4 and 3. A strength of
     # -1.3 is the angle -1.3 d on the unit generator.
     rng = np.random.default_rng(5)
-    H = hamiltonian(DickeSpace(6), kind)
+    H = generator(DickeSpace(6), kind)
     dense = H.matrix
     x = random_state(rng, H.dim).amplitudes
     assert np.abs(H.matvec(x) - dense @ x).max() <= 1e-14
