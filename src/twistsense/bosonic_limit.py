@@ -17,7 +17,7 @@ squeezing. Two independent routes to the same numbers live here:
 * ``fock_simulate``: the shared protocol pipelines of ``protocols`` and
   the shared readout of ``metrology``, run on a bosonic carrier
   (``fock_mode``: a truncated Fock space with displacement and squeezing
-  generators, the vacuum, a truncation-tail guard and the P readout). Its
+  generators, the vacuum and a truncation-tail guard). Its
   independence is from the closed forms: it shares no formulas with them,
   so agreement between the two is a real cross-validation.
 
@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import e, exp, expm1, isfinite, log
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import InvalidDimensionError, PrecisionLossError, TruncationError
 from .metrology import SensitivityRecord, readout
 from .protocols import Mode, check_point, check_twist, ladder_generators
-from .spin_core import BandedOperator, StateVector
+from .spin_core import StateVector
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,10 @@ def enhancement_ratio(eta_tau: float) -> float:
     (exp(2 eta tau) - 1)/(2 eta tau); continuous at the branch point, at
     least 1 everywhere, and saturating at e from below for strong twisting.
     """
-    if not isfinite(eta_tau) or eta_tau <= 0:
-        raise ValueError(f"eta_tau must be finite and > 0, got {eta_tau!r}")
+    if not (isinstance(eta_tau, Real) and isfinite(eta_tau) and eta_tau > 0):
+        raise ValueError(
+            f"eta_tau must be a finite real number > 0, got {eta_tau!r}"
+        )
     if eta_tau > 0.5:
         return e * -expm1(-2.0 * eta_tau)
     return expm1(2.0 * eta_tau) / (2.0 * eta_tau)
@@ -233,16 +236,17 @@ def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
 
 @lru_cache(maxsize=32)
 def fock_mode(space: FockSpace) -> Mode:
-    """The truncated Fock mode: the vacuum, a tail guard, and the echo
-    readout P = i(a - a^dag), whose vacuum spread is 1.
+    """The truncated Fock mode: the vacuum and a tail guard.
 
-    Its generators, built from the bands of a by ``ladder_generator``
+    Its generators, built from the bands of a by ``ladder_generators``
     (norm 1), are the large-N images of the unit-strength spin generators
-    under J-/sqrt(N) -> a: field -> P / 2, tat -> i(a^2 - a^dag^2) and
-    oat -> (a + a^dag)^2 / 4, with the 1/2 and 1/4 of the spin
-    normalization. A strength enters as the propagation angle. Memoized per
-    space, as ``spin_mode`` is, so a sweep shares one vacuum, one P and one
-    eigensystem per generator.
+    under J-/sqrt(N) -> a: field -> P / 2 with P = i(a - a^dag),
+    tat -> i(a^2 - a^dag^2) and oat -> (a + a^dag)^2 / 4, with the 1/2 and
+    1/4 of the spin normalization. A strength enters as the propagation
+    angle. The echo is read out along P / 2, whose vacuum spread is 1/2;
+    the gate, 5e-7, is 1e-6 on the scale of P. Memoized per space, as
+    ``spin_mode`` is, so a sweep shares one vacuum and one eigensystem per
+    generator.
     """
     d = space.truncation_dim
     lowering = np.sqrt(np.arange(1, d))  # <k| a |k+1> = sqrt(k + 1)
@@ -252,9 +256,7 @@ def fock_mode(space: FockSpace) -> Mode:
         generators=ladder_generators(lowering, 1.0),
         initial=StateVector(vacuum),
         guard=partial(_check_tail, space),
-        readout=BandedOperator.hermitian(d, {1: 1j * lowering}),
-        spread=1.0,
-        spread_tolerance=1e-6,
+        spread_tolerance=5e-7,
     )
 
 
@@ -269,9 +271,9 @@ def fock_simulate(
     Runs the shared protocol pipelines at zero field on the truncated Fock
     mode, with exact derivatives throughout, and reports the same
     dimensionless figure of merit: Fisher information for A/B/C, error
-    propagation on the P quadrature for the echo pair (whose zero-field
-    spread is 1, asserted to 1e-6). Every normalized state along the way
-    must pass the truncation tail check.
+    propagation along the field generator P / 2 for the echo pair (whose
+    zero-field spread is 1/2, asserted to 5e-7). Every normalized state
+    along the way must pass the truncation tail check.
     """
     check_point(scheme, twist_times_tau, sensing_fraction)
     (record,) = readout(

@@ -7,13 +7,14 @@ field uncertainty per unit time and per shot, (sqrt(nu) tau delta_omega)^-1:
   sqrt(F) / tau, with the pure-state form F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2)
   evaluated at zero field. The separable scheme A gives exactly 1, the
   benchmark every other number is compared against.
-* error propagation on a Jy readout for the echo schemes Bprime and Cprime:
-  tau |d<Jy>/domega| / std(Jy) at zero field, where the echo guarantees
-  std(Jy) = sqrt(N)/2 exactly (asserted, not assumed).
+* error propagation along the field generator G for the echo schemes
+  Bprime and Cprime: tau |d<G>/domega| / std(G) at zero field, where the
+  echo guarantees std(G) = 1/2 exactly (asserted, not assumed). G is
+  Jy / sqrt(N) on a Dicke sector and P / 2 on a Fock mode.
 
-Also here: the exact finite-N closed form for the one-axis-twist echo, the
-coherent-state generating function it derives from, and the second-moment
-oracle used to cross-check both against dense matrix algebra.
+Also here: the exact finite-N closed form for the one-axis-twist echo and
+the second-moment oracle used to cross-check it against dense matrix
+algebra.
 """
 
 from __future__ import annotations
@@ -111,13 +112,15 @@ def readout(
     one twist in one pipeline call, or a batch of one.
 
     Schemes A/B/C report sqrt(F) / tau. The echo pair reports
-    tau |d<R>/domega| / std(R) for the mode's readout operator R; the slope
-    uses the exact derivative, d<R>/domega = 2 Re <psi|R|dpsi>. At zero
-    field the echo returns the probe to its coherent initial state, whose
-    spread is the mode's ``spread``; that identity is asserted on every
-    column rather than substituted, so a broken echo cannot silently
-    inflate the sensitivity. A vanishing slope reports a sensitivity of
-    exactly 0. All three are column-wise reductions of the (d, K) blocks.
+    tau |d<G>/domega| / std(G) along the mode's field generator G; the slope
+    uses the exact derivative, d<G>/domega = 2 Re <psi|G|dpsi>. At zero
+    field the echo returns the probe to its coherent initial state, on
+    which G has spread 1/2 on every carrier (Jy / sqrt(N) on a Dicke sector,
+    P / 2 on the Fock vacuum); that identity is asserted on every column, to
+    the mode's ``spread_tolerance``, rather than substituted, so a broken
+    echo cannot silently inflate the sensitivity. A vanishing slope reports
+    a sensitivity of exactly 0. All three are column-wise reductions of the
+    (d, K) blocks.
     """
     fractions = np.asarray(sensing_fractions, dtype=float)
     if fractions.ndim != 1:
@@ -126,14 +129,14 @@ def readout(
         )
     state = run_pipeline(mode, scheme, twist_strength, fractions)
     if scheme in ECHO_SCHEMES:
-        R = mode.readout
-        slope = 2.0 * overlap(state.psi, apply_operator(R, state.dpsi)).real
-        spread = np.sqrt(variance(R, state.psi))
-        off = ~(np.abs(spread - mode.spread) <= mode.spread_tolerance)
+        G = mode.generators["field"]
+        slope = 2.0 * overlap(state.psi, apply_operator(G, state.dpsi)).real
+        spread = np.sqrt(variance(G, state.psi))
+        off = ~(np.abs(spread - 0.5) <= mode.spread_tolerance)
         if off.any():
             raise ContractViolationError(
                 f"echo readout spread {spread[off][0]!r} at t/tau = "
-                f"{fractions[off][0]!r} differs from its coherent value {mode.spread!r}"
+                f"{fractions[off][0]!r} differs from its coherent value 0.5"
             )
         values, method = np.abs(slope) / spread, "echo"
     else:
@@ -159,7 +162,11 @@ def closed_form_Bprime(
     (t/tau) (N - 1) |sin(theta) cos(theta)^(N-2)| with
     theta = chi*tau (1 - t/tau) / (2N). Vanishes at t/tau = 0 (no sensing)
     and at theta = 0 (no twisting); for N = 1 the twist is a global phase
-    and the result is identically 0.
+    and the result is identically 0. It derives from the coherent-state
+    generating function <+|^N exp(gamma J-) exp(beta Jz) exp(alpha J+) |+>^N
+    = [exp(-beta/2)/2 + exp(beta/2) (alpha+1)(gamma+1)/2]^N, whose
+    derivatives at the origin give every moment <J-^p f(Jz) J+^q> of the
+    all-spins-along-x state.
     """
     n = DickeSpace(n_spins).n_spins
     check_point("Bprime", chi_tau, sensing_fraction)
@@ -167,26 +174,6 @@ def closed_form_Bprime(
         return 0.0
     theta = chi_tau * (1.0 - sensing_fraction) / (2.0 * n)
     return sensing_fraction * (n - 1) * abs(sin(theta) * cos(theta) ** (n - 2))
-
-
-def generating_function(
-    alpha: complex, beta: complex, gamma: complex, n_spins: int
-) -> complex:
-    """Coherent-state generating function for collective spin moments.
-
-    <+|^N exp(gamma J-) exp(beta Jz) exp(alpha J+) |+>^N
-      = [ exp(-beta/2)/2 + exp(beta/2) (alpha+1)(gamma+1)/2 ]^N.
-
-    Differentiating at the origin produces every moment of the form
-    <J-^p f(Jz) J+^q> in the all-spins-along-x state; gamma derivatives
-    pull down lowering operators on the left, alpha derivatives raising
-    operators on the right.
-    """
-    n = DickeSpace(n_spins).n_spins
-    base = 0.5 * np.exp(-beta / 2.0) + 0.5 * np.exp(beta / 2.0) * (alpha + 1.0) * (
-        gamma + 1.0
-    )
-    return complex(base**n)
 
 
 def moment_oracle(n_spins: int, phase: float) -> complex:

@@ -52,7 +52,6 @@ from .spin_core import (
     DickeSpace,
     StateVector,
     apply_operator,
-    collective_operators,
     initial_state,
     propagate,
     propagate_with_derivative,
@@ -70,7 +69,6 @@ SHAPES = {
 SCHEMES = tuple(SHAPES)
 ECHO_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if echo)
 QFI_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if not echo)
-HAMILTONIAN_KINDS = ("field", "tat", "oat")
 
 
 def check_twist(scheme: str, twist_times_tau: float) -> None:
@@ -113,8 +111,30 @@ class SchemeState:
             )
 
 
-def ladder_generator(lowering: np.ndarray, norm: float, kind: str) -> BandedOperator:
-    """One of the HAMILTONIAN_KINDS, built in O(d) from a lowering operator.
+@dataclass(frozen=True, eq=False)
+class Mode:
+    """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
+
+    ``generators`` holds the field, tat and oat generators at unit
+    strength, each memoizing its own eigensystem, and ``initial`` is the
+    probe before any evolution. ``guard(state, stage)`` vets each
+    normalized state along the way (stages "initial", "post-twist",
+    "post-echo") and raises if it cannot be trusted. The field generator is
+    also the echo readout; on the echoed zero-field state its spread must
+    be 1/2, its value on the probe, to within ``spread_tolerance``.
+    """
+
+    generators: Mapping[str, BandedOperator]
+    initial: StateVector
+    guard: Callable[[StateVector, str], None]
+    spread_tolerance: float
+
+
+def ladder_generators(
+    lowering: np.ndarray, norm: float
+) -> Mapping[str, BandedOperator]:
+    """The field, tat and oat generators, built in O(d) from a lowering
+    operator, once for the mode that holds them.
 
     ``lowering`` holds l_k = <k| L |k+1>, the one band of the lowering
     operator L: J- on a Dicke sector (``norm`` N) or the annihilation
@@ -129,63 +149,29 @@ def ladder_generator(lowering: np.ndarray, norm: float, kind: str) -> BandedOper
     X^2 is the product of the matrices as stored, so on a truncated Fock
     space its top diagonal entry has only the l_{k-1}^2 term. The lower
     bands are the exact conjugates of the upper ones
-    (``BandedOperator.hermitian``), so the result is Hermitian exactly.
+    (``BandedOperator.hermitian``), so each result is Hermitian exactly.
     """
-    if kind not in HAMILTONIAN_KINDS:
-        raise ValueError(
-            f"unknown hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}"
-        )
     d = len(lowering) + 1
-    if kind == "field":
-        return BandedOperator.hermitian(d, {1: (0.5 / sqrt(norm)) * 1j * lowering})
     pairs = lowering[:-1] * lowering[1:]
-    if kind == "tat":
-        return BandedOperator.hermitian(d, {2: 1j * pairs / norm})
     square = np.zeros(d)
     square[1:] += lowering**2
     square[:-1] += lowering**2
-    return BandedOperator.hermitian(
+    field = BandedOperator.hermitian(d, {1: (0.5 / sqrt(norm)) * 1j * lowering})
+    tat = BandedOperator.hermitian(d, {2: 1j * pairs / norm})
+    oat = BandedOperator.hermitian(
         d, {2: (pairs / 4.0) / norm}, diagonal=(square / 4.0) / norm
     )
-
-
-@dataclass(frozen=True, eq=False)
-class Mode:
-    """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
-
-    ``generators`` holds the HAMILTONIAN_KINDS at unit strength, each
-    memoizing its own eigensystem, and ``initial`` is the probe before any
-    evolution. ``guard(state, stage)`` vets each normalized state along the
-    way (stages "initial", "post-twist", "post-echo") and raises if it
-    cannot be trusted. ``readout`` is the echo readout operator; on the
-    echoed zero-field state its spread must equal ``spread`` to within
-    ``spread_tolerance``.
-    """
-
-    generators: Mapping[str, BandedOperator]
-    initial: StateVector
-    guard: Callable[[StateVector, str], None]
-    readout: BandedOperator
-    spread: float
-    spread_tolerance: float
-
-
-def ladder_generators(
-    lowering: np.ndarray, norm: float
-) -> Mapping[str, BandedOperator]:
-    """Each of the HAMILTONIAN_KINDS by ``ladder_generator``, built once for
-    the mode that holds them."""
-    kinds = {kind: ladder_generator(lowering, norm, kind) for kind in HAMILTONIAN_KINDS}
-    return MappingProxyType(kinds)
+    return MappingProxyType({"field": field, "tat": tat, "oat": oat})
 
 
 @lru_cache(maxsize=32)
 def spin_mode(space: DickeSpace) -> Mode:
-    """The Dicke sector: Jy readout with coherent spread sqrt(N)/2.
+    """The Dicke sector, read out along its field generator Jy / sqrt(N).
 
     Its generators are Jy / sqrt(N), i (J-^2 - J+^2) / N and Jx^2 / N,
-    built from the bands of J- by ``ladder_generator``; a strength is part
-    of the propagation angle. The sector is complete, not truncated, so its
+    built from the bands of J- by ``ladder_generators``; a strength is part
+    of the propagation angle. The echo spread gate, 1e-9 / sqrt(N), is
+    1e-9 on the scale of Jy. The sector is complete, not truncated, so its
     guard has nothing to vet. Memoized per space, so a sweep builds its
     initial state and generators once, and each eigensystem lives as long
     as the mode.
@@ -194,9 +180,7 @@ def spin_mode(space: DickeSpace) -> Mode:
         generators=ladder_generators(space.ladder_elements(), space.n_spins),
         initial=initial_state(space),
         guard=lambda state, stage: None,
-        readout=collective_operators(space).Jy,
-        spread=sqrt(space.n_spins) / 2.0,
-        spread_tolerance=1e-9,
+        spread_tolerance=1e-9 / sqrt(space.n_spins),
     )
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import ceil, isfinite, log, sqrt
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -132,12 +133,12 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         _validate_engine(self.n_spins, self.engine)
-        twists = tuple(float(x) for x in self.twist_values)
+        twists = tuple(self.twist_values)
         if not twists:
             raise ValueError("twist_values must be nonempty")
         for x in twists:
             check_twist(self.scheme, x)
-        object.__setattr__(self, "twist_values", twists)
+        object.__setattr__(self, "twist_values", tuple(float(x) for x in twists))
         _validate_t_grid(self.t_grid)
 
 
@@ -409,11 +410,14 @@ def find_threshold(
     """
     _validate_engine(n_spins, engine)
     _validate_t_grid(t_grid)
-    lo, hi = (float(search_interval[0]), float(search_interval[1]))
-    if not (isfinite(lo) and isfinite(hi)) or not 0.0 <= lo < hi:
+    lo, hi = search_interval[0], search_interval[1]
+    ends_real = all(isinstance(x, Real) and isfinite(x) for x in (lo, hi))
+    if not ends_real or not 0.0 <= lo < hi:
         raise ValueError(
-            f"search_interval must satisfy 0 <= lo < hi, got ({lo}, {hi})"
+            "search_interval must be finite real numbers with 0 <= lo < hi, "
+            f"got ({lo!r}, {hi!r})"
         )
+    lo, hi = float(lo), float(hi)
 
     def exceeds(x: float) -> bool:
         return _beats_benchmark(scheme, n_spins, x, engine, t_grid, fock_space)

@@ -416,22 +416,24 @@ def check_echo_matches_closed_form() -> str:
 
 
 def check_echo_variance_identity() -> str:
-    # The echoed probe keeps its coherent readout spread: sqrt(N)/2 for Jy on
-    # a Dicke sector (to 1e-9), 1 for P on the 400-level Fock mode (to 1e-6).
+    # The echoed probe keeps its coherent spread along the field generator,
+    # 1/2 for Jy / sqrt(N) on a Dicke sector and for P / 2 on the 400-level
+    # Fock mode, to each mode's gate.
     cases = [
-        (spin_mode(DickeSpace(n)), scheme, twist, s, 1e-9)
+        (spin_mode(DickeSpace(n)), scheme, twist, s)
         for scheme in ("Bprime", "Cprime")
         for n in (2, 5, 10, 50)
         for twist in (1.0, 4.0, 11.5, 50.0)
         for s in (0.1, 0.3, 0.5, 0.7, 0.9)
-    ] + [(fock_mode(FockSpace(400)), "Bprime", 8.0, 0.5, 1e-6)]
-    for mode, scheme, twist, s, tolerance in cases:
+    ] + [(fock_mode(FockSpace(400)), "Bprime", 8.0, 0.5)]
+    for mode, scheme, twist, s in cases:
         psi = run_pipeline(mode, scheme, twist, s).psi
-        gap = abs(sqrt(variance(mode.readout, psi)) - mode.spread)
-        if gap > tolerance:
+        gap = abs(sqrt(variance(mode.generators["field"], psi)) - 0.5)
+        if gap > mode.spread_tolerance:
             return (
                 f"echo readout spread of {scheme} (twist {twist}, s={s}) is "
-                f"{gap:.3e} off its coherent value {mode.spread} (gate {tolerance})"
+                f"{gap:.3e} off its coherent value 0.5 "
+                f"(gate {mode.spread_tolerance:.1e})"
             )
     return ""
 

@@ -18,7 +18,6 @@ from twistsense.bosonic_limit import (
 )
 from twistsense.errors import InvalidDimensionError, TruncationError
 from twistsense.metrology import relative_difference
-from twistsense.protocols import ladder_generator
 from twistsense.spin_core import variance
 
 
@@ -164,6 +163,11 @@ class TestEnhancementRatio:
         with pytest.raises(ValueError):
             enhancement_ratio(-1.0)
 
+    @pytest.mark.parametrize("bad", [None, "1"], ids=["None", "str"])
+    def test_rejects_a_twist_that_is_not_a_real_number(self, bad):
+        with pytest.raises(ValueError, match="eta_tau must be a .*real number"):
+            enhancement_ratio(bad)
+
 
 class TestFockSpace:
     def test_defaults(self):
@@ -185,7 +189,7 @@ class TestFockSpace:
 class TestFockOperators:
     def test_momentum_quadrature_matrix(self):
         space = FockSpace(truncation_dim=3)
-        P = fock_mode(space).readout.matrix
+        P = 2.0 * fock_mode(space).generators["field"].matrix
         expected = 1j * np.array(
             [[0, 1, 0], [-1, 0, np.sqrt(2)], [0, -np.sqrt(2), 0]]
         )
@@ -194,7 +198,8 @@ class TestFockOperators:
     def test_vacuum_quadrature_spread_is_one(self):
         space = FockSpace()
         mode = fock_mode(space)
-        assert variance(mode.readout, mode.initial) == (
+        # P is twice the field generator, so its variance is four times.
+        assert 4.0 * variance(mode.generators["field"], mode.initial) == (
             pytest.approx(1.0, abs=1e-12)
         )
 
@@ -202,7 +207,8 @@ class TestFockOperators:
         space = FockSpace(truncation_dim=8)
         mode = fock_mode(space)
         G = mode.generators["field"].matrix
-        P = mode.readout.matrix
+        a = np.diag(np.sqrt(np.arange(1.0, 8.0)), 1)
+        P = 1j * (a - a.T)
         assert np.abs(G - P / 2.0).max() <= 1e-15
 
     def test_generators_are_hermitian(self):
@@ -210,10 +216,6 @@ class TestFockOperators:
         for kind in ("field", "tat", "oat"):
             H = 1.3 * fock_mode(space).generators[kind].matrix
             assert np.abs(H - H.conj().T).max() == 0.0
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="cubic"):
-            ladder_generator(np.sqrt(np.arange(1.0, 4.0)), 1.0, "cubic")
 
 
 class TestFockSimulate:

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twistsense import SensitivityRecord, closed_form_Bprime, evaluate_point
 from twistsense.bosonic_limit import FockSpace, fock_mode
@@ -15,14 +13,13 @@ from twistsense.errors import (
     WrongMethodError,
 )
 from twistsense.metrology import (
-    generating_function,
     moment_oracle,
     qfi,
     readout,
     relative_difference,
 )
 from twistsense.protocols import run_pipeline, spin_mode
-from twistsense.spin_core import DickeSpace, collective_operators, plus_state
+from twistsense.spin_core import DickeSpace, plus_state
 
 
 class TestQfiSensitivity:
@@ -127,45 +124,6 @@ class TestClosedFormBprime:
             closed_form_Bprime(4, 1.0, 1.5)
 
 
-class TestGeneratingFunction:
-    def test_unit_at_origin(self):
-        for n in (1, 2, 9):
-            assert generating_function(0.0, 0.0, 0.0, n) == pytest.approx(1.0)
-
-    def test_two_spin_value_by_hand(self):
-        # [exp(-b/2)/2 + exp(b/2) (a+1)(g+1)/2]^2 at a=g=0, b=2 ln 2 gives
-        # (1/4 + 1)^2.
-        val = generating_function(0.0, 2.0 * np.log(2.0), 0.0, 2)
-        assert val == pytest.approx((0.25 + 1.0) ** 2, rel=1e-12)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        alpha=st.floats(-0.5, 0.5),
-        beta=st.floats(-0.5, 0.5),
-        gamma=st.floats(-0.5, 0.5),
-        n=st.integers(1, 12),
-    )
-    def test_matches_dense_matrix_exponentials(self, alpha, beta, gamma, n):
-        from scipy.linalg import expm
-
-        space = DickeSpace(n)
-        ops = collective_operators(space)
-        plus = plus_state(space).amplitudes
-        lowering = np.diag(space.ladder_elements(), 1)
-        chain = (
-            expm(gamma * lowering)
-            @ expm(beta * ops.Jz.matrix)
-            @ expm(alpha * lowering.T)
-        )
-        dense = np.vdot(plus, chain @ plus)
-        closed = generating_function(alpha, beta, gamma, n)
-        assert abs(dense - closed) <= 1e-9 * max(abs(closed), 1.0)
-
-    def test_rejects_bad_spin_count(self):
-        with pytest.raises(InvalidDimensionError):
-            generating_function(0.0, 0.0, 0.0, 0)
-
-
 class TestMomentOracle:
     def test_reference_values(self):
         assert moment_oracle(2, 0.0) == pytest.approx(0.5, rel=1e-14)
@@ -198,12 +156,11 @@ class TestMomentOracle:
         (moment_oracle, (2.5, 0.3), InvalidDimensionError, "n_spins"),
         (moment_oracle, (10, np.nan), ValueError, "phase"),
         (moment_oracle, (10, np.inf), ValueError, "phase"),
-        (generating_function, (0.1, 0.1, 0.1, 2.5), InvalidDimensionError, "n_spins"),
     ],
     ids=[
         "Bprime-count-2.5", "Bprime-count-nan", "Bprime-twist-nan",
         "Bprime-twist-inf", "Bprime-twist-negative", "moment-count-2.5",
-        "moment-phase-nan", "moment-phase-inf", "generating-count-2.5",
+        "moment-phase-nan", "moment-phase-inf",
     ],
 )
 def test_exact_oracles_refuse_meaningless_counts_and_twists(oracle, args, error, match):

@@ -16,7 +16,6 @@ from twistsense.bosonic_limit import fock_mode
 from twistsense.errors import InvalidDimensionError
 from twistsense.protocols import (
     SchemeState,
-    ladder_generator,
     run_pipeline,
     spin_mode,
 )
@@ -26,6 +25,7 @@ from twistsense.spin_core import (
     collective_operators,
     initial_state,
     overlap,
+    variance,
 )
 from twistsense.validate import reference_gaps, reference_generators, reference_state
 
@@ -122,9 +122,23 @@ class TestHamiltonian:
         H = spin_mode(space).generators["tat"]
         assert np.abs(1.2 * H.matrix - expected).max() <= 1e-14
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="quadratic"):
-            ladder_generator(DickeSpace(2).ladder_elements(), 2, "quadratic")
+
+# Each carrier's mode, by name.
+CARRIERS = {
+    "spin-1": lambda: spin_mode(DickeSpace(1)),
+    "spin-2": lambda: spin_mode(DickeSpace(2)),
+    "spin-101": lambda: spin_mode(DickeSpace(101)),
+    "fock-3": lambda: fock_mode(FockSpace(3)),
+    "fock-400": lambda: fock_mode(FockSpace(400)),
+}
+
+
+@pytest.mark.parametrize("carrier", CARRIERS)
+def test_field_generator_spreads_one_half_on_the_probe(carrier):
+    # The echo readout rests on this: Jy / sqrt(N) on the all-down state
+    # and P / 2 on the vacuum both have variance 1/4.
+    mode = CARRIERS[carrier]()
+    assert abs(variance(mode.generators["field"], mode.initial) - 0.25) <= 1e-15
 
 
 class TestSchemeStates:

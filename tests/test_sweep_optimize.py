@@ -32,6 +32,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(scheme="B", n_spins=4, twist_values=(-1.0,))
 
+    @pytest.mark.parametrize("bad", [None, "1"], ids=["None", "str"])
+    def test_rejects_a_twist_that_is_not_a_real_number(self, bad):
+        # Refused by name before any conversion, not by float().
+        with pytest.raises(ValueError, match="twist_times_tau must be a .*real number"):
+            SweepSpec("B", 4, (bad,))
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             SweepSpec(scheme="B", n_spins=4, twist_values=(1.0,), t_grid=2)
@@ -241,6 +247,12 @@ class TestFindThreshold:
             find_threshold("B", None, "closed_form", (2.0, 1.0))
         with pytest.raises(ValueError):
             find_threshold("B", None, "closed_form", (-1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [None, "0.1"], ids=["None", "str"])
+    def test_rejects_an_interval_end_that_is_not_a_real_number(self, bad):
+        # Refused by name before any conversion, not by float().
+        with pytest.raises(ValueError, match="search_interval must be .*real numbers"):
+            find_threshold("B", 4, "spin", (bad, 1.0))
 
 
 def _count_pipeline_sizes(monkeypatch) -> list[int]:
