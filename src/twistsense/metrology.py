@@ -38,7 +38,7 @@ from .protocols import (
     check_point,
     run_pipeline,
 )
-from .spin_core import DickeSpace, apply_operator, overlap, variance
+from .spin_core import DickeSpace, _real_inner, apply_operator, overlap, variance
 
 METHODS = ("qfi", "echo", "closed_form")
 
@@ -79,11 +79,19 @@ class SensitivityRecord:
             )
         if self.n_spins is not None and self.n_spins < 1:
             raise ValueError(f"n_spins must be >= 1 or None, got {self.n_spins}")
-        if not self.sensitivity >= 0.0:
-            # A computed number, not an input: a numerical fault.
-            raise ContractViolationError(
-                f"sensitivity must be >= 0, got {self.sensitivity}"
-            )
+        _nonnegative(np.array([self.sensitivity]))
+
+
+def _nonnegative(values: np.ndarray) -> np.ndarray:
+    """``values``, a float array of sensitivities, once each is checked >= 0.
+
+    A computed number, not an input: a negative or NaN one is a numerical
+    fault, refused with the first of them.
+    """
+    bad = ~(values >= 0.0)
+    if bad.any():
+        raise ContractViolationError(f"sensitivity must be >= 0, got {values[bad][0]}")
+    return values
 
 
 def qfi(state: SchemeState) -> float | np.ndarray:
@@ -95,7 +103,7 @@ def qfi(state: SchemeState) -> float | np.ndarray:
     """
     if not state.psi.normalized:
         raise ContractViolationError("qfi requires a normalized state")
-    grad2 = overlap(state.dpsi, state.dpsi).real
+    grad2 = _real_inner(state.dpsi.amplitudes, state.dpsi.amplitudes)
     cross = abs(overlap(state.psi, state.dpsi)) ** 2
     return np.maximum(4.0 * (grad2 - cross), 0.0)
 
@@ -109,7 +117,34 @@ def readout(
 ) -> list[SensitivityRecord]:
     """Run one protocol at zero field on a carrier and read out its figure of
     merit at each of the 1-D array ``sensing_fractions``: a whole curve of
-    one twist in one pipeline call, or a batch of one.
+    one twist in one pipeline call, or a batch of one. One record per
+    sensing fraction, in order (see ``_figure_of_merit``).
+    """
+    fractions = np.asarray(sensing_fractions, dtype=float)
+    if fractions.ndim != 1:
+        raise ValueError(
+            f"sensing_fractions must be one-dimensional, got shape {fractions.shape}"
+        )
+    values = _figure_of_merit(mode, scheme, twist_strength, fractions)
+    method = "echo" if scheme in ECHO_SCHEMES else "qfi"
+    return [
+        SensitivityRecord(
+            scheme=scheme,
+            n_spins=n_spins,
+            twist_strength=twist_strength,
+            sensing_fraction=s,
+            sensitivity=value,
+            method=method,
+        )
+        for s, value in zip(fractions.tolist(), values.tolist())
+    ]
+
+
+def _figure_of_merit(
+    mode: Mode, scheme: str, twist_strength: float, fractions: np.ndarray
+) -> np.ndarray:
+    """The figure of merit of one pipeline call at each of the 1-D array
+    ``fractions``, as a float array checked >= 0 once.
 
     Schemes A/B/C report sqrt(F) / tau. The echo pair reports
     tau |d<G>/domega| / std(G) along the mode's field generator G; the slope
@@ -122,15 +157,12 @@ def readout(
     a sensitivity of exactly 0. All three are column-wise reductions of the
     (d, K) blocks.
     """
-    fractions = np.asarray(sensing_fractions, dtype=float)
-    if fractions.ndim != 1:
-        raise ValueError(
-            f"sensing_fractions must be one-dimensional, got shape {fractions.shape}"
-        )
     state = run_pipeline(mode, scheme, twist_strength, fractions)
     if scheme in ECHO_SCHEMES:
         G = mode.generators["field"]
-        slope = 2.0 * overlap(state.psi, apply_operator(G, state.dpsi)).real
+        slope = 2.0 * _real_inner(
+            state.psi.amplitudes, apply_operator(G, state.dpsi).amplitudes
+        )
         spread = np.sqrt(variance(G, state.psi))
         off = ~(np.abs(spread - 0.5) <= mode.spread_tolerance)
         if off.any():
@@ -138,20 +170,8 @@ def readout(
                 f"echo readout spread {spread[off][0]!r} at t/tau = "
                 f"{fractions[off][0]!r} differs from its coherent value 0.5"
             )
-        values, method = np.abs(slope) / spread, "echo"
-    else:
-        values, method = np.sqrt(qfi(state)), "qfi"
-    return [
-        SensitivityRecord(
-            scheme=scheme,
-            n_spins=n_spins,
-            twist_strength=twist_strength,
-            sensing_fraction=float(s),
-            sensitivity=float(value),
-            method=method,
-        )
-        for s, value in zip(fractions, values)
-    ]
+        return _nonnegative(np.abs(slope) / spread)
+    return _nonnegative(np.sqrt(qfi(state)))
 
 
 def closed_form_Bprime(

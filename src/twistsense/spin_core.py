@@ -192,9 +192,12 @@ class Chain:
             arr.setflags(write=False)
 
     def _fold(self, y: np.ndarray) -> np.ndarray:
-        """The mirror sums of y over its mirror differences, as real pairs."""
+        """The mirror sums of y over its mirror differences, as real pairs;
+        y's own pairs on a chain with no mirror pairs."""
         pairs = _pairs(y)
         n, h = len(pairs), len(self.odd)
+        if not h:
+            return pairs
         top, bottom = pairs[:h], pairs[n - h :][::-1]
         folded = np.empty_like(pairs)
         np.add(top, bottom, out=folded[:h])
@@ -207,7 +210,8 @@ class Chain:
         m = len(self.vectors)
         pairs = _pairs(out)
         np.matmul(self.vectors.T, folded[:m], out=pairs[:m])
-        np.matmul(self.odd.T, folded[m:], out=pairs[m:])
+        if len(self.odd):
+            np.matmul(self.odd.T, folded[m:], out=pairs[m:])
         return out
 
     def analyze_real(self, y: np.ndarray) -> np.ndarray:
@@ -216,24 +220,31 @@ class Chain:
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """The coefficients V_r^dag x of this chain's slice x."""
-        # One block holds p * conj(x), then, once folded, the coefficients.
+        # y holds p * conj(x), then, once folded, the coefficients; with no
+        # mirror pairs the fold is y itself, so they take a block of their own.
         y = np.array(x, dtype=complex)
         np.conj(y, out=y)
         y *= _per_row(self.phases, y)
-        self._fold_products(self._fold(y), y)
-        return np.conj(y, out=y)
+        out = y if len(self.odd) else np.empty_like(y)
+        self._fold_products(self._fold(y), out)
+        return np.conj(out, out=out)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """V_r c, this chain's slice of the state with coefficients c."""
+        return self._synthesize_into(c, np.empty(np.shape(c), dtype=complex))
+
+    def _synthesize_into(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """V_r c written into ``out``, a complex array of c's shape or a
+        row-strided view of one (a chain's rows of a state), and returned."""
         pairs = _pairs(c)
         n, h = len(pairs), len(self.odd)
         m = n - h
-        out = np.empty_like(pairs)
-        np.matmul(self.vectors, pairs[:m], out=out[:m])
-        odd = np.matmul(self.odd, pairs[m:])
-        np.subtract(out[:h], odd, out=out[m:][::-1])
-        np.add(out[:h], odd, out=out[:h])
-        out = out.view(complex).reshape(np.shape(c))
+        dest = out.view(np.float64).reshape(n, -1)
+        np.matmul(self.vectors, pairs[:m], out=dest[:m])
+        if h:
+            odd = np.matmul(self.odd, pairs[m:])
+            np.subtract(dest[:h], odd, out=dest[m:][::-1])
+            np.add(dest[:h], odd, out=dest[:h])
         out *= _per_row(self.phases, out)
         return out
 
@@ -246,7 +257,14 @@ class Chain:
                 f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
                 "the propagator phases would be lost to roundoff"
             )
-        return np.exp(-1j * np.multiply.outer(self.values, angles))
+        # exp(-i x) to the bit as cos x - i sin x, in one block: x is built
+        # in the imaginary half, which then turns into -sin x in place.
+        turns = np.empty((len(self.values), *np.shape(angles)), dtype=complex)
+        x = np.multiply.outer(self.values, angles, out=turns.imag)
+        np.cos(x, out=turns.real)
+        np.sin(x, out=x)
+        np.negative(x, out=x)
+        return turns
 
 
 class Eigensystem:
@@ -333,15 +351,36 @@ class BandedOperator:
         return mat
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector or, column by column, a (dim, K) block."""
+        """A x for a vector or, column by column, a (dim, K) block.
+
+        The first band's products are written straight into the result,
+        whose other rows are zeroed. Each further band's are added a few
+        rows at a time through one scratch block of at most
+        ``np.getbufsize()`` amplitudes, the size of the buffer a numpy
+        ufunc call allocates, so a call holds little beyond its result.
+        """
+        if not self.bands:
+            return np.zeros(x.shape, dtype=complex)
         d = self.dim
-        out = np.zeros(x.shape, dtype=complex)
-        for k, values in self.bands.items():
-            values = values.reshape(-1, *(1,) * (x.ndim - 1))
-            if k >= 0:
-                out[: d - k] += values * x[k:]
-            else:
-                out[-k:] += values * x[: d + k]
+        out = np.empty(x.shape, dtype=complex)
+        step = max(1, np.getbufsize() // max(1, x.size // d))
+        scratch = None
+        for i, (k, values) in enumerate(self.bands.items()):
+            # Band k maps rows lo + k .. hi + k of x to rows lo .. hi of A x.
+            lo, hi = max(0, -k), d - max(0, k)
+            rows, source = out[lo:hi], x[lo + k : hi + k]
+            values = _per_row(values, x)
+            if i == 0:
+                np.multiply(values, source, out=rows)
+                out[:lo] = 0.0
+                out[hi:] = 0.0
+                continue
+            if scratch is None:
+                scratch = np.empty((min(step, d), *x.shape[1:]), dtype=complex)
+            for start in range(0, hi - lo, step):
+                part = slice(start, start + step)
+                product = scratch[: min(step, hi - lo - start)]
+                rows[part] += np.multiply(values[part], source[part], out=product)
         return out
 
     def block(self, r: int, q: int, stride: int) -> np.ndarray:
@@ -496,22 +535,29 @@ class StateVector:
 
     ``normalized=True`` asserts unit norm at construction, column by column
     for a block; derivative vectors carry ``normalized=False`` and skip the
-    check.
+    check. The amplitudes are a read-only copy of the array passed in; the
+    operations of this module hand over the blocks they build uncopied
+    (``_built``).
     """
 
     amplitudes: np.ndarray
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        amps = _frozen_array(self.amplitudes)
+        self._freeze(_frozen_array(self.amplitudes))
+
+    def _freeze(self, amps: np.ndarray) -> None:
+        """Take the complex array ``amps`` as the amplitudes, read-only, and
+        check its shape and, if tagged normalized, its norms."""
         if amps.ndim not in (1, 2):
             raise InvalidDimensionError(
                 f"state amplitudes must be a vector or a block of column vectors, "
                 f"got shape {amps.shape}"
             )
+        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
-            defect = np.max(np.abs(np.linalg.norm(amps, axis=0) - 1.0))
+            defect = np.max(np.abs(np.sqrt(_real_inner(amps, amps)) - 1.0))
             if not defect <= NORM_ATOL:
                 raise ContractViolationError(
                     f"state tagged normalized has |norm - 1| = {defect!r}"
@@ -524,7 +570,17 @@ class StateVector:
     @property
     def norm(self) -> float | np.ndarray:
         """The norm, one per column for a block."""
-        return _per_column(np.linalg.norm(self.amplitudes, axis=0))
+        return _per_column(np.sqrt(_real_inner(self.amplitudes, self.amplitudes)))
+
+
+def _built(amplitudes: np.ndarray, normalized: bool = True) -> StateVector:
+    """The state whose amplitudes are ``amplitudes``, a complex block this
+    module has just built and keeps no other reference to: it is frozen in
+    place instead of copied, and checked as the constructor checks."""
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "normalized", normalized)
+    state._freeze(amplitudes)
+    return state
 
 
 def _per_column(values: np.ndarray):
@@ -533,9 +589,24 @@ def _per_column(values: np.ndarray):
     return values.item() if values.ndim == 0 else values
 
 
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a|b> column by column (a 0-d array for two vectors), summed
+    over the real (d, 2K) views of a and b without a complex temporary."""
+    sums = np.einsum("ij,ij->j", _pairs(a), _pairs(b))
+    return (sums[0::2] + sums[1::2]).reshape(np.shape(a)[1:])
+
+
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> column by column (a 0-d array for two vectors)."""
-    return np.sum(np.conj(a) * b, axis=0)
+    """<a|b> column by column (a 0-d array for two vectors): the real part
+    as ``_real_inner``, the imaginary part sum(Re a Im b - Im a Re b) over
+    the same views."""
+    x, y = (_pairs(v).reshape(len(v), -1, 2) for v in (a, b))
+    out = np.empty(np.shape(a)[1:], dtype=complex)
+    out.real = _real_inner(a, b)
+    imag = np.einsum("ij,ij->j", x[..., 0], y[..., 1])
+    imag -= np.einsum("ij,ij->j", x[..., 1], y[..., 0])
+    out.imag = imag.reshape(out.shape)
+    return out
 
 
 class CollectiveOperators(NamedTuple):
@@ -644,17 +715,20 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     still = angles == 0
     if still.all() and psi.amplitudes.shape == shape:
         return psi
-    out = np.zeros((psi.dim, angles.size), dtype=complex)
-    if not still.all():
-        for r in range(eig.stride):
-            xr = x[r :: eig.stride]
-            if xr.any():
-                chain = eig.chain(r)
-                out[r :: eig.stride] = chain.synthesize(
-                    chain.turns(angles) * chain.analyze(xr)
-                )
+    out = np.empty((psi.dim, angles.size), dtype=complex)
+    for r in range(eig.stride):
+        xr = x[r :: eig.stride]
+        if still.all() or not xr.any():
+            out[r :: eig.stride] = 0.0
+            continue
+        chain = eig.chain(r)
+        coeffs = chain.analyze(xr)
+        turns = chain.turns(angles)
+        np.multiply(turns, coeffs, out=turns)
+        del coeffs  # not held through the products with V
+        chain._synthesize_into(turns, out[r :: eig.stride])
     out[:, still] = np.broadcast_to(x, out.shape)[:, still]
-    return StateVector(out.reshape(shape), normalized=psi.normalized)
+    return _built(out.reshape(shape), normalized=psi.normalized)
 
 
 class PropagationWithDerivative(NamedTuple):
@@ -779,8 +853,9 @@ def propagate_with_derivative(
     eig = H0.eigensystem
     angles, x, shape = _columns(angle, psi)
     still = angles == 0
-    phi = np.zeros((psi.dim, angles.size), dtype=complex)
-    dphi = np.zeros_like(phi)
+    # Every row of every column is written: by its chain, or as a still column.
+    phi = np.empty((psi.dim, angles.size), dtype=complex)
+    dphi = np.empty_like(phi)
     if not still.all():
         chains = [eig.chain(r) for r in range(eig.stride)]
         coeffs = [c.analyze(x[r :: eig.stride]) for r, c in enumerate(chains)]
@@ -808,14 +883,15 @@ def propagate_with_derivative(
                 near = np.conj(block.coupling)[:, None] * gamma
                 np.add.at(weighted[q], k, near * coeffs[r][j])
         for r, chain in enumerate(chains):
-            phi[r :: eig.stride] = chain.synthesize(turns[r] * coeffs[r])
-            dphi[r :: eig.stride] = chain.synthesize(weighted[r])
+            np.multiply(turns[r], coeffs[r], out=turns[r])
+            chain._synthesize_into(turns[r], phi[r :: eig.stride])
+            chain._synthesize_into(weighted[r], dphi[r :: eig.stride])
     start = np.broadcast_to(x, phi.shape)[:, still]
     phi[:, still] = start
     dphi[:, still] = -1j * G.matvec(start)
     return PropagationWithDerivative(
-        phi=StateVector(phi.reshape(shape)),
-        dphi=StateVector(dphi.reshape(shape), normalized=False),
+        phi=_built(phi.reshape(shape)),
+        dphi=_built(dphi.reshape(shape), normalized=False),
     )
 
 
@@ -823,13 +899,18 @@ def apply_operator(A: BandedOperator, psi: StateVector, prefactor=1.0) -> StateV
     """prefactor * A |psi> as an unnormalized vector or block.
 
     A vector prefactor scales the columns one by one; a vector psi is then
-    shared by every column.
+    shared by every column. An image that already has the result's shape is
+    scaled in place.
     """
     _require_matching(A, psi)
     image = A.matvec(psi.amplitudes)
     if np.ndim(prefactor) and image.ndim == 1:
         image = image[:, None]
-    return StateVector(prefactor * image, normalized=False)
+    if np.shape(prefactor) in ((), image.shape[1:]):
+        np.multiply(prefactor, image, out=image)
+    else:
+        image = prefactor * image
+    return _built(image, normalized=False)
 
 
 def expectation(A: BandedOperator, psi: StateVector) -> complex | np.ndarray:
@@ -851,8 +932,8 @@ def variance(A: BandedOperator, psi: StateVector) -> float | np.ndarray:
     if not psi.normalized:
         raise ContractViolationError("variance requires a normalized state")
     a_psi = A.matvec(psi.amplitudes)
-    mean = _inner(psi.amplitudes, a_psi).real
-    second = _inner(a_psi, a_psi).real
+    mean = _real_inner(psi.amplitudes, a_psi)
+    second = _real_inner(a_psi, a_psi)
     var = second - mean * mean
     if np.any(var < -1e-12):
         raise ContractViolationError(

@@ -11,17 +11,18 @@ optimizer over the sensing fraction, and a bisection search for the
 break-even twist strength where a protocol first beats the separable
 benchmark of 1. A grid of one twist is a curve, and ``_curve`` is the one
 place that dispatches on the engine: it binds one twist to its engine and
-returns the function from sensing fractions to records, with the depth at
-which its refinement batches. The spin engine
-computes a curve in one pipeline call (``metrology.readout`` over all its
-sensing fractions; a few calls for grids too wide for
-CURVE_BLOCK_AMPLITUDES), the other engines point by point.
-``evaluate_point`` is a curve of one point. The golden-section refinement
-of the optimizer goes through the same bound curve: on the spin engine,
-up to LOOKAHEAD_MAX_DIM levels, each call evaluates every point that any
-outcome of the next LOOKAHEAD steps can ask for, and the steps are
-replayed on those values, so it visits the same points as a search one
-point per step.
+returns the function from sensing fractions to their sensitivities, a
+float array, with the depth at which its refinement batches. The spin
+engine computes a curve in one pipeline call (the figure of merit of
+``metrology.readout`` over all its sensing fractions; a few calls for
+grids too wide for CURVE_BLOCK_AMPLITUDES), the other engines point by
+point. The optimizer and the threshold search work on those values; a
+sweep and ``evaluate_point``, a curve of one point, make records of them.
+The golden-section refinement of the optimizer goes through the same
+bound curve: on the spin engine, up to LOOKAHEAD_MAX_DIM levels, each
+call evaluates every point that any outcome of the next LOOKAHEAD steps
+can ask for, and the steps are replayed on those values, so it visits the
+same points as a search one point per step.
 
 A bisection step needs one bit, whether the optimum beats the benchmark,
 and the optimum is never below the tie-broken grid best. So a step stops
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from math import ceil, isfinite, log, sqrt
 from numbers import Real
 from typing import NamedTuple
@@ -45,8 +47,8 @@ import numpy as np
 
 from .bosonic_limit import FockSpace, closed_form, fock_simulate
 from .errors import BracketingError
-from .metrology import SensitivityRecord, readout
-from .protocols import check_point, check_twist, spin_mode
+from .metrology import SensitivityRecord, _figure_of_merit, _nonnegative
+from .protocols import ECHO_SCHEMES, check_point, check_twist, spin_mode
 from .spin_core import DickeSpace
 
 ENGINES = ("spin", "fock", "closed_form")
@@ -58,14 +60,17 @@ BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
 BENCHMARK_MARGIN = 1e-9
 
 # Largest number of amplitudes in one (d, K) block of a spin curve. A curve
-# holds a few such complex blocks at once, so this bounds its memory (8 MiB
-# a block) whatever the grid; wider grids take several pipeline calls. A
-# 201-point grid is one call up to N = 2607.
+# call holds at most about 2.3 such complex blocks at once for schemes A
+# and B (the state, its derivative and scratch), 4.2 for Bprime, 7 for C
+# and 11 for Cprime (tracemalloc peaks at N = 300, 201 points), so this
+# bounds its memory (8 MiB a block) whatever the grid; wider grids take
+# several pipeline calls. A 201-point grid is one call up to N = 2607.
 CURVE_BLOCK_AMPLITUDES = 2**19
 
-# Most sensing fractions a grid may hold. Each keeps a record of about 215
-# bytes, so this bounds a grid's memory near 215 MB; its spacing, 1e-6,
-# is the refinement's own tolerance, so a finer grid would buy nothing.
+# Most sensing fractions a grid may hold. Each point of a sweep keeps a
+# record of about 215 bytes, so this bounds a grid's memory near 215 MB;
+# its spacing, 1e-6, is the refinement's own tolerance, so a finer grid
+# would buy nothing.
 MAX_T_GRID = 1_000_001
 
 # Grid samples within this much of the grid maximum tie; the largest sensing
@@ -160,11 +165,21 @@ class OptimumResult:
 
 class _Curve(NamedTuple):
     """One twist bound to its engine: ``evaluate`` maps a 1-D array of
-    sensing fractions to their records, in order, and ``lookahead`` is the
-    golden-section depth its refinement evaluates in one call."""
+    sensing fractions to a float array of their sensitivities, in order,
+    each checked >= 0; ``lookahead`` is the golden-section depth its
+    refinement evaluates in one call; ``record`` makes the record of one
+    (sensing_fraction, sensitivity) pair."""
 
-    evaluate: Callable[[np.ndarray], list[SensitivityRecord]]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     lookahead: int
+    record: Callable[..., SensitivityRecord]
+
+    def records(self, ts: np.ndarray) -> list[SensitivityRecord]:
+        """The records of the sensing fractions ``ts``, in order."""
+        return [
+            self.record(sensing_fraction=t, sensitivity=value)
+            for t, value in zip(ts.tolist(), self.evaluate(ts).tolist())
+        ]
 
 
 def evaluate_point(
@@ -179,7 +194,7 @@ def evaluate_point(
     point."""
     _validate_engine(n_spins, engine)
     check_point(scheme, twist_value, sensing_fraction)
-    (record,) = _curve(scheme, n_spins, twist_value, engine, fock_space).evaluate(
+    (record,) = _curve(scheme, n_spins, twist_value, engine, fock_space).records(
         np.array([sensing_fraction], dtype=float)
     )
     return record
@@ -197,49 +212,51 @@ def _curve(
     The one engine dispatch. Everything that depends only on the twist (the
     point checks of scheme and twist, the twist as a float, the Dicke sector
     and its mode) is built here, once, so a refinement call pays only the
-    readout. The spin engine runs a curve through one readout call per
+    readout. The spin engine runs a curve through one pipeline call per
     CURVE_BLOCK_AMPLITUDES block (one call for all but huge grids), so its
     refinement evaluates LOOKAHEAD steps' candidates at a time, up to
     LOOKAHEAD_MAX_DIM levels. The Fock and closed-form engines evaluate a
     curve point by point, so theirs gains nothing from batching and
-    evaluates the one point each step asks for.
+    evaluates the one point each step asks for. Every engine hands back
+    bare values; records are made only where a caller asks for them.
     """
     check_twist(scheme, twist_value)
     x = float(twist_value)
+    method = "echo" if scheme in ECHO_SCHEMES else "qfi"
     if engine == "fock":
         space = fock_space or FockSpace()
         return _Curve(
-            lambda ts: [fock_simulate(scheme, x, float(t), space) for t in ts], 1
+            lambda ts: np.array(
+                [fock_simulate(scheme, x, t, space).sensitivity for t in ts.tolist()]
+            ),
+            1,
+            partial(SensitivityRecord, scheme, None, x, method=method),
         )
     if engine == "closed_form":
         return _Curve(
-            lambda ts: [
-                SensitivityRecord(
-                    scheme=scheme,
-                    n_spins=None,
-                    twist_strength=x,
-                    sensing_fraction=float(t),
-                    sensitivity=closed_form(scheme, x, float(t)),
-                    method="closed_form",
-                )
-                for t in ts
-            ],
+            lambda ts: _nonnegative(
+                np.array([closed_form(scheme, x, t) for t in ts.tolist()])
+            ),
             1,
+            partial(SensitivityRecord, scheme, None, x, method="closed_form"),
         )
     space = DickeSpace(n_spins)
     mode = spin_mode(space)
     width = max(1, CURVE_BLOCK_AMPLITUDES // space.dim)
 
-    def curve(ts: np.ndarray) -> list[SensitivityRecord]:
-        return [
-            record
-            for start in range(0, len(ts), width)
-            for record in readout(
-                mode, scheme, x, ts[start : start + width], space.n_spins
-            )
-        ]
+    def curve(ts: np.ndarray) -> np.ndarray:
+        return np.concatenate(
+            [
+                _figure_of_merit(mode, scheme, x, ts[start : start + width])
+                for start in range(0, len(ts), width)
+            ]
+        )
 
-    return _Curve(curve, LOOKAHEAD if space.dim <= LOOKAHEAD_MAX_DIM else 1)
+    return _Curve(
+        curve,
+        LOOKAHEAD if space.dim <= LOOKAHEAD_MAX_DIM else 1,
+        partial(SensitivityRecord, scheme, space.n_spins, x, method=method),
+    )
 
 
 def sweep_curve(
@@ -252,7 +269,7 @@ def sweep_curve(
         for x in spec.twist_values
         for record in _curve(
             spec.scheme, spec.n_spins, x, spec.engine, fock_space
-        ).evaluate(ts)
+        ).records(ts)
     ]
 
 
@@ -331,7 +348,7 @@ def _refine(
     """
 
     def f(points: np.ndarray) -> list[float]:
-        return [record.sensitivity for record in curve.evaluate(points)]
+        return curve.evaluate(points).tolist()
 
     best_t, best_v = float(ts[idx]), vals[idx]
     lo = float(ts[idx - 1]) if idx > 0 else float(ts[0])
@@ -369,7 +386,7 @@ def optimize_t(
     _validate_t_grid(t_grid)
     curve = _curve(scheme, n_spins, twist_value, engine, fock_space)
     ts = np.linspace(0.0, 1.0, t_grid)
-    vals = [r.sensitivity for r in curve.evaluate(ts)]
+    vals = curve.evaluate(ts).tolist()
     best_t, best_v = _refine(curve, ts, vals, _grid_best(vals))
 
     if best_t <= 1e-9:
@@ -410,7 +427,12 @@ def find_threshold(
     """
     _validate_engine(n_spins, engine)
     _validate_t_grid(t_grid)
-    lo, hi = search_interval[0], search_interval[1]
+    try:
+        lo, hi = search_interval
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"search_interval must be two numbers (lo, hi), got {search_interval!r}"
+        ) from None
     ends_real = all(isinstance(x, Real) and isfinite(x) for x in (lo, hi))
     if not ends_real or not 0.0 <= lo < hi:
         raise ValueError(
@@ -464,10 +486,10 @@ def _beats_benchmark(
     curve = _curve(scheme, n_spins, twist_value, engine, fock_space)
     ts = np.linspace(0.0, 1.0, t_grid)
     coarse = [*range(0, t_grid - 1, COARSE_STRIDE), t_grid - 1]
-    coarse_best = max(r.sensitivity for r in curve.evaluate(ts[coarse]))
+    coarse_best = curve.evaluate(ts[coarse]).max()
     if coarse_best > goal + TIE_WINDOW + COARSE_SLACK:
         return True
-    vals = [r.sensitivity for r in curve.evaluate(ts)]
+    vals = curve.evaluate(ts).tolist()
     idx = _grid_best(vals)
     if vals[idx] > goal:
         return True

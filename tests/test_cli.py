@@ -351,18 +351,14 @@ class TestUsageErrors:
 
 def test_a_nan_sensitivity_is_computation_error(capsys, monkeypatch):
     # A readout that computes NaN is a numerical fault: exit 1, not the
-    # usage exit 2, and no output.
-    from twistsense import metrology, sweep_optimize
+    # usage exit 2, and no output. The Fisher information of every column
+    # comes out NaN, so the figure of merit of each curve call refuses it.
+    from twistsense import metrology
 
-    def nan_readout(mode, scheme, twist, fractions, n_spins):
-        return [
-            metrology.SensitivityRecord(
-                scheme, n_spins, twist, float(t), float("nan"), "qfi"
-            )
-            for t in fractions
-        ]
+    def nan_qfi(state):
+        return np.full(state.psi.amplitudes.shape[1:], np.nan)
 
-    monkeypatch.setattr(sweep_optimize, "readout", nan_readout)
+    monkeypatch.setattr(metrology, "qfi", nan_qfi)
     for command in ("sweep", "optimize"):
         code, out, err = run_cli(
             capsys, command, "--scheme", "B", "--n", "4", "--twist", "1.0"

@@ -690,6 +690,46 @@ def test_state_normalization_contract():
         StateVector(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_a_state_keeps_a_copy_of_the_callers_array():
+    # Writing to the caller's array after construction leaves the state as
+    # it was; a block that propagate builds is the state's own, read-only.
+    amps = np.array([0.6, 0.8j, 0.0])
+    psi = StateVector(amps)
+    amps[:] = [1.0, 0.0, 0.0]
+    assert np.array_equal(psi.amplitudes, [0.6, 0.8j, 0.0])
+    assert not psi.amplitudes.flags.writeable
+    space = DickeSpace(6)
+    for angle in (0.7, np.array([0.0, 0.3, -1.1])):
+        turned = propagate(generator(space, "tat"), angle, initial_state(space))
+        assert not turned.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            turned.amplitudes[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "space, kind",
+    [
+        (DickeSpace(40), "tat"),
+        (DickeSpace(41), "tat"),
+        (DickeSpace(40), "oat"),
+        (DickeSpace(41), "oat"),
+        (FockSpace(41), "tat"),
+    ],
+    ids=["tat-even-N", "tat-odd-N", "oat-even-N", "oat-odd-N", "fock"],
+)
+def test_chain_turns_are_the_complex_exponential_to_the_bit(space, kind):
+    # Both parity chains: mirror halves at even N, whole chains at odd N and
+    # on a Fock mode. Scalar and vector angles, untwists (negative) included.
+    eig = generator(space, kind).eigensystem
+    for r in (0, 1):
+        chain = eig.chain(r)
+        for angles in (0.37, -2.5, 0.0, np.array([0.0, 0.25, -0.25, 3.0, -7.5])):
+            expected = np.exp(-1j * np.multiply.outer(chain.values, angles))
+            got = chain.turns(angles)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_banded_hermitian_contract():
     upper = np.array([1.0 + 2.0j, -0.5j])
     H = BandedOperator.hermitian(3, {1: upper}, diagonal=[0.5, -1.0, 2.0])
@@ -716,6 +756,14 @@ def test_banded_operator_matches_its_dense_matrix(kind):
     dense = H.matrix
     x = random_state(rng, H.dim).amplitudes
     assert np.abs(H.matvec(x) - dense @ x).max() <= 1e-14
+    # A block too wide for one scratch of np.getbufsize() amplitudes is
+    # summed a few rows at a time, to the bits of the whole-band sum.
+    wide = rng.standard_normal((H.dim, 3000)) + 1j * rng.standard_normal((H.dim, 3000))
+    summed = np.zeros_like(wide)
+    for k, band in H.bands.items():
+        lo, hi = max(0, -k), H.dim - max(0, k)
+        summed[lo:hi] += band[:, None] * wide[lo + k : hi + k]
+    assert np.array_equal(H.matvec(wide), summed)
     for stride in (1, 2, 3):
         for r in range(stride):
             for q in range(stride):

@@ -248,6 +248,14 @@ class TestFindThreshold:
         with pytest.raises(ValueError):
             find_threshold("B", None, "closed_form", (-1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "interval", [(0.1, 1.0, 7.0), (0.1,)], ids=["three-ends", "one-end"]
+    )
+    def test_rejects_an_interval_that_is_not_two_numbers(self, interval):
+        # A third end is refused, not dropped; a lone end is refused by name.
+        with pytest.raises(ValueError, match="search_interval must be two numbers"):
+            find_threshold("B", None, "closed_form", interval)
+
     @pytest.mark.parametrize("bad", [None, "0.1"], ids=["None", "str"])
     def test_rejects_an_interval_end_that_is_not_a_real_number(self, bad):
         # Refused by name before any conversion, not by float().
