@@ -224,8 +224,9 @@ def enhancement_ratio(eta_tau: float) -> float:
 
 
 def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
-    """Refuse a state, or any column of a block, that leaks into the top two levels."""
-    tail = float(np.max(np.sum(np.abs(state.amplitudes[-2:]) ** 2, axis=0)))
+    """Refuse a state, or any column of a block, that leaks into the top two
+    levels; a block of no columns has nothing to refuse."""
+    tail = float(np.sum(np.abs(state.amplitudes[-2:]) ** 2, axis=0).max(initial=0.0))
     if not tail < space.tail_tolerance:
         raise TruncationError(
             f"{stage} state carries population {tail:.3e} in the top two Fock "

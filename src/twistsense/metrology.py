@@ -38,7 +38,7 @@ from .protocols import (
     check_point,
     run_pipeline,
 )
-from .spin_core import DickeSpace, _real_inner, apply_operator, overlap, variance
+from .spin_core import DickeSpace, _real_inner, overlap, variance
 
 METHODS = ("qfi", "echo", "closed_form")
 
@@ -160,9 +160,7 @@ def _figure_of_merit(
     state = run_pipeline(mode, scheme, twist_strength, fractions)
     if scheme in ECHO_SCHEMES:
         G = mode.generators["field"]
-        slope = 2.0 * _real_inner(
-            state.psi.amplitudes, apply_operator(G, state.dpsi).amplitudes
-        )
+        slope = 2.0 * _real_inner(state.psi.amplitudes, G.matvec(state.dpsi.amplitudes))
         spread = np.sqrt(variance(G, state.psi))
         off = ~(np.abs(spread - 0.5) <= mode.spread_tolerance)
         if off.any():

@@ -51,6 +51,7 @@ from .spin_core import (
     BandedOperator,
     DickeSpace,
     StateVector,
+    _built,
     apply_operator,
     initial_state,
     propagate,
@@ -244,8 +245,11 @@ def run_pipeline(
 
 def _plus(dpsi: StateVector, term: np.ndarray | None) -> StateVector:
     """dpsi plus a concurrent window's derivative term, if the window has
-    one; adding zeros instead would turn -0.0 amplitudes into 0.0."""
+    one; adding zeros instead would turn -0.0 amplitudes into 0.0. The term
+    is a block ``window`` has just built, so the sum is taken in it and it
+    becomes the state's amplitudes uncopied."""
     if term is None:
         return dpsi
-    return StateVector(dpsi.amplitudes + term, normalized=False)
+    term += dpsi.amplitudes
+    return _built(term, normalized=False)
 

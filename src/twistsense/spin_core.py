@@ -44,7 +44,11 @@ structured:
 * a mirror chain is kept as its two halves: its values are not
   ascending, and a product with its eigenvectors is two half-size
   products; any other chain is the same ``Chain`` with an empty mirror-odd
-  half, one real orthogonal matrix and ascending values.
+  half, one real orthogonal matrix and ascending values,
+* a bipartite block's values come in exact +- pairs, and exp(i x) is the
+  conjugate of exp(-i x) to the bit (cos is even and sin odd), so its
+  phase tables are evaluated on half the values; a chain whose phases are
+  all exactly 1, every one-axis chain, skips its phase products.
 
 States are vectors (d,) or blocks (d, K) of K states side by side. The
 propagators take one angle per column, so a whole curve of K sensing
@@ -178,6 +182,11 @@ class Chain:
     of V and half the flops of a product with it. Any other chain has
     h = 0: ``vectors`` is the whole V, ``odd`` is empty and the values are
     ascending.
+
+    ``real`` marks phases that are all exactly 1 (every one-axis chain):
+    V_r = V, and no phase is multiplied or conjugated. The tables of turns
+    and of the derivative's f are evaluated once per +- pair of values
+    (``_pairing``).
     """
 
     def __init__(
@@ -188,8 +197,22 @@ class Chain:
         self.phases = phases
         self.odd = odd
         self.largest = float(np.abs(values).max())
+        self.real = bool(np.all(phases == 1))
+        self._evaluated, self._mirrored = _pairing(values, len(vectors))
         for arr in (values, vectors, phases, odd):
             arr.setflags(write=False)
+
+    def _table(self, angles, fill: Callable) -> np.ndarray:
+        """g(lambda_j, angle_k), one column per angle (a vector for a scalar
+        angle), for a g with g(-lambda) = conj g(lambda) to the bit:
+        ``fill(values, out)`` writes the rows ``_pairing`` evaluates, and
+        their partners are conjugated."""
+        table = np.empty((len(self.values), *np.shape(angles)), dtype=complex)
+        for rows in self._evaluated:
+            fill(self.values[rows], table[rows])
+        for rows, partners in self._mirrored:
+            np.conjugate(table[partners], out=table[rows])
+        return table
 
     def _fold(self, y: np.ndarray) -> np.ndarray:
         """The mirror sums of y over its mirror differences, as real pairs;
@@ -220,10 +243,11 @@ class Chain:
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """The coefficients V_r^dag x of this chain's slice x."""
+        if self.real:
+            return self.analyze_real(x)
         # y holds p * conj(x), then, once folded, the coefficients; with no
         # mirror pairs the fold is y itself, so they take a block of their own.
-        y = np.array(x, dtype=complex)
-        np.conj(y, out=y)
+        y = np.conj(x)
         y *= _per_row(self.phases, y)
         out = y if len(self.odd) else np.empty_like(y)
         self._fold_products(self._fold(y), out)
@@ -245,26 +269,40 @@ class Chain:
             odd = np.matmul(self.odd, pairs[m:])
             np.subtract(dest[:h], odd, out=dest[m:][::-1])
             np.add(dest[:h], odd, out=dest[:h])
-        out *= _per_row(self.phases, out)
+        if not self.real:
+            out *= _per_row(self.phases, out)
         return out
 
-    def turns(self, angles) -> np.ndarray:
+    def turns(self, angles, reach: float) -> np.ndarray:
         """exp(-i angle_k lambda_j), one column per angle (a vector for a
-        scalar angle), refused past MAX_PHASE."""
-        phase = float(np.max(np.abs(angles))) * self.largest
+        scalar angle), refused past MAX_PHASE; ``reach`` is max|angle_k|,
+        which a caller turning several chains takes once."""
+        phase = reach * self.largest
         if not phase <= MAX_PHASE:
             raise PrecisionLossError(
                 f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
                 "the propagator phases would be lost to roundoff"
             )
-        # exp(-i x) to the bit as cos x - i sin x, in one block: x is built
-        # in the imaginary half, which then turns into -sin x in place.
-        turns = np.empty((len(self.values), *np.shape(angles)), dtype=complex)
-        x = np.multiply.outer(self.values, angles, out=turns.imag)
-        np.cos(x, out=turns.real)
-        np.sin(x, out=x)
-        np.negative(x, out=x)
-        return turns
+        back = np.negative(angles)
+
+        def fill(values, out):
+            # exp(-i x) to the bit as cos(-x) + i sin(-x): -x = values * -angles
+            # is built in the imaginary half, which then turns into its sine.
+            x = np.multiply.outer(values, back, out=out.imag)
+            np.cos(x, out=out.real)
+            np.sin(x, out=x)
+
+        return self._table(angles, fill)
+
+    def expm1_table(self, angles, theta) -> np.ndarray:
+        """expm1(-i angle_k lambda_j) / theta_k, the f of
+        ``propagate_with_derivative``, one column per angle; taken after
+        ``turns``, which checks the range."""
+
+        def fill(values, out):
+            np.divide(np.expm1(np.multiply.outer(-1j * values, angles)), theta, out=out)
+
+        return self._table(angles, fill)
 
 
 class Eigensystem:
@@ -439,6 +477,30 @@ class BandedOperator:
         return Eigensystem(stride, solve)
 
 
+def _pairing(values: np.ndarray, m: int) -> tuple[list, list]:
+    """The row slices of a chain's tables to evaluate, and the (rows,
+    partners) slices to fill as the partners' conjugates.
+
+    The values are the mirror-even block's (the first m), then the
+    mirror-odd block's, each ascending. A block whose first half holds no
+    zero and is exactly the negative of its second half reversed (every
+    bipartite block) evaluates only its second half.
+    """
+    evaluated, mirrored = [], []
+    for lo, hi in ((0, m), (m, len(values))):
+        k = (hi - lo) // 2
+        low, high = values[lo : lo + k], values[hi - k : hi][::-1]
+        if k and low.all() and np.array_equal(low, -high):
+            mirrored.append((slice(lo, lo + k), slice(hi - 1, hi - k - 1, -1)))
+            lo += k
+        if lo == hi:
+            continue
+        if evaluated and evaluated[-1].stop == lo:
+            lo = evaluated.pop().start
+        evaluated.append(slice(lo, hi))
+    return evaluated, mirrored
+
+
 def _is_persymmetric(diagonal: np.ndarray, off: np.ndarray) -> bool:
     """Whether the symmetric tridiagonal matrix T with this diagonal and
     off-diagonal is exactly its own reverse J T J."""
@@ -557,7 +619,8 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if self.normalized:
-            defect = np.max(np.abs(np.sqrt(_real_inner(amps, amps)) - 1.0))
+            # The defect of no column at all, a (d, 0) block, is 0.
+            defect = np.abs(np.sqrt(_real_inner(amps, amps)) - 1.0).max(initial=0.0)
             if not defect <= NORM_ATOL:
                 raise ContractViolationError(
                     f"state tagged normalized has |norm - 1| = {defect!r}"
@@ -592,7 +655,8 @@ def _per_column(values: np.ndarray):
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re <a|b> column by column (a 0-d array for two vectors), summed
     over the real (d, 2K) views of a and b without a complex temporary."""
-    sums = np.einsum("ij,ij->j", _pairs(a), _pairs(b))
+    x = _pairs(a)
+    sums = np.einsum("ij,ij->j", x, x if b is a else _pairs(b))
     return (sums[0::2] + sums[1::2]).reshape(np.shape(a)[1:])
 
 
@@ -600,11 +664,12 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a|b> column by column (a 0-d array for two vectors): the real part
     as ``_real_inner``, the imaginary part sum(Re a Im b - Im a Re b) over
     the same views."""
-    x, y = (_pairs(v).reshape(len(v), -1, 2) for v in (a, b))
+    x, y = _pairs(a), _pairs(b)
     out = np.empty(np.shape(a)[1:], dtype=complex)
-    out.real = _real_inner(a, b)
-    imag = np.einsum("ij,ij->j", x[..., 0], y[..., 1])
-    imag -= np.einsum("ij,ij->j", x[..., 1], y[..., 0])
+    sums = np.einsum("ij,ij->j", x, y)
+    out.real = (sums[0::2] + sums[1::2]).reshape(out.shape)
+    imag = np.einsum("ij,ij->j", x[:, 0::2], y[:, 1::2])
+    imag -= np.einsum("ij,ij->j", x[:, 1::2], y[:, 0::2])
     out.imag = imag.reshape(out.shape)
     return out
 
@@ -685,8 +750,8 @@ def _columns(angle, psi: StateVector) -> tuple[np.ndarray, np.ndarray, tuple]:
         raise DimensionMismatchError(
             f"{angles.size} angles for a block of {x.shape[1]} states"
         )
-    batched = angles.ndim == 1 or psi.amplitudes.ndim == 2
-    return np.broadcast_to(angles, (k,)), x, ((psi.dim, k) if batched else (psi.dim,))
+    shape = (psi.dim, k) if angles.ndim or psi.amplitudes.ndim == 2 else (psi.dim,)
+    return (angles if angles.ndim else angles.repeat(k)), x, shape
 
 
 def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
@@ -716,18 +781,20 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     if still.all() and psi.amplitudes.shape == shape:
         return psi
     out = np.empty((psi.dim, angles.size), dtype=complex)
+    reach = float(np.abs(angles).max(initial=0.0))
     for r in range(eig.stride):
         xr = x[r :: eig.stride]
-        if still.all() or not xr.any():
+        if not reach or not xr.any():
             out[r :: eig.stride] = 0.0
             continue
         chain = eig.chain(r)
         coeffs = chain.analyze(xr)
-        turns = chain.turns(angles)
+        turns = chain.turns(angles, reach)
         np.multiply(turns, coeffs, out=turns)
         del coeffs  # not held through the products with V
         chain._synthesize_into(turns, out[r :: eig.stride])
-    out[:, still] = np.broadcast_to(x, out.shape)[:, still]
+    if still.any():
+        np.copyto(out, x, where=still)
     return _built(out.reshape(shape), normalized=psi.normalized)
 
 
@@ -857,15 +924,13 @@ def propagate_with_derivative(
     phi = np.empty((psi.dim, angles.size), dtype=complex)
     dphi = np.empty_like(phi)
     if not still.all():
+        reach = float(np.abs(angles).max())
         chains = [eig.chain(r) for r in range(eig.stride)]
         coeffs = [c.analyze(x[r :: eig.stride]) for r, c in enumerate(chains)]
-        turns = [c.turns(angles) for c in chains]
+        turns = [c.turns(angles, reach) for c in chains]
         # f = expm1(-i theta lambda) / theta; a still column's is unused.
         theta = np.where(still, 1.0, angles)
-        f = [
-            np.expm1(np.multiply.outer(-1j * c.values, angles)) / theta
-            for c in chains
-        ]
+        f = [c.expm1_table(angles, theta) for c in chains]
         weighted = [np.zeros(fr.shape, dtype=complex) for fr in f]
         for (r, q), block in _in_eigenbasis(H0, G).items():
             D = block.divided
@@ -886,9 +951,10 @@ def propagate_with_derivative(
             np.multiply(turns[r], coeffs[r], out=turns[r])
             chain._synthesize_into(turns[r], phi[r :: eig.stride])
             chain._synthesize_into(weighted[r], dphi[r :: eig.stride])
-    start = np.broadcast_to(x, phi.shape)[:, still]
-    phi[:, still] = start
-    dphi[:, still] = -1j * G.matvec(start)
+    if still.any():
+        start = np.broadcast_to(x, phi.shape)[:, still]
+        phi[:, still] = start
+        dphi[:, still] = -1j * G.matvec(start)
     return PropagationWithDerivative(
         phi=_built(phi.reshape(shape)),
         dphi=_built(dphi.reshape(shape), normalized=False),

@@ -90,11 +90,12 @@ COARSE_SLACK = 1e-13
 # Golden-section steps whose candidate points a spin refinement evaluates in
 # one curve call (2^LOOKAHEAD - 1 points per call), on sectors of at most
 # LOOKAHEAD_MAX_DIM levels. A call costs a fixed part plus a part per
-# column. Measured on one BLAS thread, a refinement at depth 3 takes about
-# half the time of depth 1 up to N = 300 (0.5-0.7x), and about the same
-# near N = 1000 (0.8-1.07x); at N = 2000 the extra columns cost more than
-# the calls saved for the echo schemes (Bprime 1.2x, Cprime 1.6x), so
-# larger sectors evaluate the one point each step asks for.
+# column. Measured on one BLAS thread (warm refinements of all four
+# twisted schemes), a refinement at depth 3 takes 0.42-0.76x the time of
+# depth 1 up to N = 300 and 0.67-0.99x at N = 1000; at N = 2000 the extra
+# columns cost more than the calls saved for the echo schemes (Bprime
+# 1.08x, Cprime 1.12x), so larger sectors evaluate the one point each
+# step asks for.
 LOOKAHEAD = 3
 LOOKAHEAD_MAX_DIM = 1001
 

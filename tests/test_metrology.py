@@ -280,3 +280,12 @@ def test_one_column_past_the_phase_guard_fails_the_whole_curve():
 def test_readout_takes_a_one_dimensional_grid():
     with pytest.raises(ValueError):
         readout(spin_mode(DickeSpace(3)), "B", 1.0, 0.5, 3)
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C", "Bprime", "Cprime"])
+@pytest.mark.parametrize(
+    "mode, n", [(spin_mode(DickeSpace(4)), 4), (fock_mode(FockSpace(40)), None)],
+    ids=["spin", "fock"],
+)
+def test_readout_of_no_sensing_fractions_is_empty(mode, n, scheme):
+    assert readout(mode, scheme, 1.0, [], n) == []

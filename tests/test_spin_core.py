@@ -706,28 +706,74 @@ def test_a_state_keeps_a_copy_of_the_callers_array():
             turned.amplitudes[0] = 1.0
 
 
-@pytest.mark.parametrize(
-    "space, kind",
+# Each chain's half blocks whose values are exact +- pairs, chain by chain:
+# a bipartite block pairs, any block with a diagonal does not. At N = 42
+# chain 0 is an even-length mirror chain (its halves carry the mirror link
+# on their diagonals) and chain 1 an odd-length one with two bipartite
+# halves, the shape scheme B meets at N = 302, 1002 and 10002.
+TURN_CHAINS = pytest.mark.parametrize(
+    "space, kind, paired",
     [
-        (DickeSpace(40), "tat"),
-        (DickeSpace(41), "tat"),
-        (DickeSpace(40), "oat"),
-        (DickeSpace(41), "oat"),
-        (FockSpace(41), "tat"),
+        (DickeSpace(40), "tat", (2, 0)),
+        (DickeSpace(41), "tat", (1, 1)),
+        (DickeSpace(42), "tat", (0, 2)),
+        (DickeSpace(40), "oat", (0, 0)),
+        (DickeSpace(41), "oat", (0, 0)),
+        (FockSpace(41), "tat", (1, 1)),
+        (FockSpace(41), "oat", (0, 0)),
     ],
-    ids=["tat-even-N", "tat-odd-N", "oat-even-N", "oat-odd-N", "fock"],
+    ids=["tat-even-N", "tat-odd-N", "tat-N42", "oat-even-N", "oat-odd-N", "fock", "fock-oat"],
 )
-def test_chain_turns_are_the_complex_exponential_to_the_bit(space, kind):
+TURN_ANGLES = (0.37, -2.5, 0.0, np.array([0.0, 0.25, -0.25, 3.0, -7.5]))
+
+
+@TURN_CHAINS
+def test_chain_turns_are_the_complex_exponential_to_the_bit(space, kind, paired):
     # Both parity chains: mirror halves at even N, whole chains at odd N and
     # on a Fock mode. Scalar and vector angles, untwists (negative) included.
     eig = generator(space, kind).eigensystem
     for r in (0, 1):
         chain = eig.chain(r)
-        for angles in (0.37, -2.5, 0.0, np.array([0.0, 0.25, -0.25, 3.0, -7.5])):
+        assert len(chain._mirrored) == paired[r]
+        for angles in TURN_ANGLES:
             expected = np.exp(-1j * np.multiply.outer(chain.values, angles))
-            got = chain.turns(angles)
+            got = chain.turns(angles, np.abs(angles).max())
             assert got.shape == expected.shape
             assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@TURN_CHAINS
+def test_chain_expm1_table_is_the_quotient_to_the_bit(space, kind, paired):
+    # The f = expm1(-i theta lambda) / theta of the derivative, paired
+    # halves filled by conjugation, against the whole table. A zero angle
+    # divides by 1, as a still column does; the derivative does not use
+    # that column, whose zeros may differ in sign.
+    eig = generator(space, kind).eigensystem
+    for r in (0, 1):
+        chain = eig.chain(r)
+        for angles in TURN_ANGLES:
+            moving = np.asarray(angles) != 0
+            theta = np.where(moving, angles, 1.0)
+            outer = np.multiply.outer(-1j * chain.values, angles)
+            expected = np.expm1(outer) / theta
+            got = chain.expm1_table(angles, theta)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            got, expected = (np.ascontiguousarray(a[..., moving]) for a in (got, expected))
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("space", [DickeSpace(4), FockSpace(12)], ids=["spin", "fock"])
+def test_an_empty_batch_gives_empty_blocks(space):
+    # No angles: a (d, 0) block is normalized vacuously, and each
+    # propagator returns (d, 0) blocks.
+    H, G = generator(space, "tat"), generator(space, "field")
+    psi = fock_mode(space).initial if isinstance(space, FockSpace) else initial_state(space)
+    none = np.array([])
+    assert propagate(H, none, psi).amplitudes.shape == (H.dim, 0)
+    phi, dphi = propagate_with_derivative(H, G, none, psi)
+    assert phi.amplitudes.shape == dphi.amplitudes.shape == (H.dim, 0)
+    assert StateVector(np.zeros((H.dim, 0))).norm.shape == (0,)
 
 
 def test_banded_hermitian_contract():
