@@ -52,15 +52,6 @@ class TestSweepCsv:
         assert float(rows[1][3]) == 0.5
         assert float(rows[1][4]) == pytest.approx(np.e / 2.0, rel=1e-11)
 
-    def test_identical_invocations_are_byte_identical(self, capsys):
-        argv = (
-            "sweep", "--scheme", "C", "--n", "12",
-            "--twist", "2.0", "--t-points", "7",
-        )
-        _, first, _ = run_cli(capsys, *argv)
-        _, second, _ = run_cli(capsys, *argv)
-        assert first == second
-
     def test_file_output_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "curve.csv"
         argv = (

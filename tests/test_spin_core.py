@@ -24,24 +24,26 @@ from twistsense.spin_core import (
     DickeSpace,
     StateVector,
     apply_operator,
-    collective_operators,
-    expectation,
-    fidelity,
     initial_state,
     overlap,
-    plus_state,
     propagate,
     propagate_with_derivative,
     variance,
 )
 from twistsense.validate import (
     banded,
+    collective_operators,
     dense_propagator,
+    plus_state,
     random_banded_hermitian,
-    random_hermitian,
     random_state,
     richardson_derivative,
 )
+
+
+def expectation(A, psi):
+    """<psi| A |psi> of one state."""
+    return overlap(psi, apply_operator(A, psi))
 
 
 def generator(space, kind):
@@ -76,27 +78,6 @@ def test_two_spin_ladder_matrix_element():
     assert np.allclose(raised, [0.0, np.sqrt(2.0), 0.0])
 
 
-def test_commutator_closes_for_seven_spins():
-    ops = collective_operators(DickeSpace(7))
-    defect = ops.Jx.matrix @ ops.Jy.matrix - ops.Jy.matrix @ ops.Jx.matrix
-    assert np.abs(defect - 1j * ops.Jz.matrix).max() <= 1e-12
-
-
-@pytest.mark.parametrize("n", list(range(1, 51)))
-def test_su2_algebra_and_casimir(n):
-    space = DickeSpace(n)
-    ops = collective_operators(space)
-    jx, jy, jz = ops.Jx.matrix, ops.Jy.matrix, ops.Jz.matrix
-    for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
-        assert np.abs(a @ b - b @ a - 1j * c).max() <= 1e-12
-    casimir = jx @ jx + jy @ jy + jz @ jz
-    expected = space.j * (space.j + 1) * np.eye(space.dim)
-    assert np.abs(casimir - expected).max() <= 1e-10
-    # Jx + i Jy is the raising operator, which sits below the diagonal.
-    jplus = np.diag(space.ladder_elements(), -1)
-    assert np.abs(jx + 1j * jy - jplus).max() == 0.0
-
-
 @pytest.mark.parametrize("n", [1, 3, 17])
 def test_initial_state_is_lowest_weight(n):
     space = DickeSpace(n)
@@ -104,7 +85,7 @@ def test_initial_state_is_lowest_weight(n):
     assert psi.amplitudes[0] == 1.0
     assert np.abs(psi.amplitudes[1:]).max() == 0.0
     jz = collective_operators(space).Jz
-    assert expectation(jz, psi).real == pytest.approx(-n / 2, abs=1e-12)
+    assert expectation(jz, psi) == pytest.approx(-n / 2, abs=1e-12)
 
 
 def test_plus_state_binomial_amplitudes():
@@ -158,7 +139,7 @@ def test_plus_state_maximal_along_x(n):
     space = DickeSpace(n)
     psi = plus_state(space)
     jx = collective_operators(space).Jx
-    assert expectation(jx, psi).real == pytest.approx(n / 2, abs=1e-10)
+    assert expectation(jx, psi) == pytest.approx(n / 2, abs=1e-10)
     assert variance(jx, psi) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -186,7 +167,7 @@ def test_propagate_half_turn_flips_all_spins(n):
     rotated = propagate(jy, np.pi, initial_state(space))
     top = np.zeros(space.dim, dtype=complex)
     top[-1] = 1.0
-    assert fidelity(rotated, StateVector(top)) >= 1.0 - 1e-10
+    assert abs(overlap(rotated, StateVector(top))) ** 2 >= 1.0 - 1e-10
 
 
 def test_propagate_rejects_non_hermitian_and_mismatch():
@@ -199,28 +180,6 @@ def test_propagate_rejects_non_hermitian_and_mismatch():
     jz_small = collective_operators(DickeSpace(2)).Jz
     with pytest.raises(DimensionMismatchError):
         propagate(jz_small, 1.0, psi)
-
-
-def test_propagate_preserves_norm_battery():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        dim = int(rng.integers(2, 40))
-        H = random_banded_hermitian(rng, dim)
-        psi = random_state(rng, dim)
-        out = propagate(H, float(rng.uniform(-4, 4)), psi)
-        assert abs(out.norm - 1.0) <= 1e-10
-
-
-def test_propagate_composes_over_durations():
-    rng = np.random.default_rng(7)
-    for _ in range(12):
-        dim = int(rng.integers(2, 25))
-        H = random_banded_hermitian(rng, dim)
-        psi = random_state(rng, dim)
-        t1, t2 = rng.uniform(0, 2, size=2)
-        joint = propagate(H, float(t1 + t2), psi)
-        stepped = propagate(H, float(t2), propagate(H, float(t1), psi))
-        assert np.abs(joint.amplitudes - stepped.amplitudes).max() <= 1e-9
 
 
 def test_propagator_matrix_is_unitary_and_consistent():
@@ -279,29 +238,6 @@ def test_derivative_matches_finite_difference_for_twisting():
         np.linalg.norm(dphi.amplitudes), 1.0
     )
     assert err <= 1e-6
-
-
-def test_derivative_matches_finite_difference_battery():
-    rng = np.random.default_rng(314)
-    for _ in range(12):
-        dim = int(rng.integers(2, 22))
-        H0 = random_banded_hermitian(rng, dim)
-        G = banded(random_hermitian(rng, dim))
-        psi = random_state(rng, dim)
-        duration = float(rng.uniform(0.2, 1.5))
-        phi, along_angle = propagate_with_derivative(H0, G, duration, psi)
-        assert abs(phi.norm - 1.0) <= 1e-10
-        assert abs(overlap(phi, along_angle).real) <= 1e-8
-        # The derivative is along the field angle w * duration.
-        dphi = duration * along_angle.amplitudes
-
-        def along(w):
-            mixed = H0.matrix + w * G.matrix
-            return dense_propagator(mixed, duration) @ psi.amplitudes
-
-        fd = richardson_derivative(along)
-        err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
-        assert err <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -502,20 +438,39 @@ def _counting(monkeypatch, name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 250, 251])
-def test_a_zero_diagonal_chain_is_solved_through_its_bipartite_half(monkeypatch, n):
+@pytest.mark.parametrize(
+    "n, near_split_seed",
+    [pytest.param(n, None, id=str(n)) for n in (2, 3, 4, 5, 6, 7, 250, 251)]
+    + [
+        pytest.param(n, seed, id=f"{n}-near-split")
+        for n, seed in ((51, 121), (201, 161))
+    ],
+)
+def test_a_zero_diagonal_chain_is_solved_through_its_bipartite_half(
+    monkeypatch, n, near_split_seed
+):
     # Zero diagonal and no zero link: one SVD of the ceil(n / 2) bidiagonal
     # half and no eigh. The values are ascending, in exact +-sigma pairs
-    # around the exact 0 of an odd n, and agree with a dense eigh.
-    rng = np.random.default_rng(n)
-    off = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    # around the exact 0 of an odd n, and agree with a dense eigh. A nearly
+    # split chain of odd length (three tiny links) takes one eigh after its
+    # SVD: its left singular vectors take on the padding row, and the SVD's
+    # vectors would be off orthonormal by 7e-3 at n = 51 and 0.23 at n = 201.
+    if near_split_seed is None:
+        rng = np.random.default_rng(n)
+        off = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    else:
+        rng = np.random.default_rng(near_split_seed)
+        off = rng.uniform(0.5, 1.5, n - 1)
+        off[rng.choice(n - 1, 3, replace=False)] = [1e-12, 1e-11, 1e-7]
     matrix = _tridiagonal(np.zeros(n), off)
     dense = np.linalg.eigh(matrix)[0]
     eighs, svds = _counting(monkeypatch, "eigh"), _counting(monkeypatch, "svd")
     values, vectors = spin_core._tridiagonal_eigh(np.zeros(n), off)
-    assert eighs == [] and svds == [n - n // 2]
+    assert eighs == ([] if near_split_seed is None else [n])
+    assert svds == [n - n // 2]
     assert np.all(np.diff(values) >= 0)
-    assert np.array_equal(values, -values[::-1])
+    if near_split_seed is None:
+        assert np.array_equal(values, -values[::-1])
     assert np.abs(values - dense).max() <= 1e-12 * np.abs(dense).max()
     assert np.abs(matrix @ vectors - vectors * values).max() <= 1e-12
     assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-12
@@ -661,7 +616,7 @@ def test_expectation_and_variance_on_reference_states(n):
     space = DickeSpace(n)
     ops = collective_operators(space)
     down = initial_state(space)
-    assert expectation(ops.Jz, down).real == pytest.approx(-n / 2, abs=1e-12)
+    assert expectation(ops.Jz, down) == pytest.approx(-n / 2, abs=1e-12)
     assert expectation(ops.Jy, down) == pytest.approx(0.0, abs=1e-12)
     assert variance(ops.Jy, down) == pytest.approx(n / 4, abs=1e-10)
 

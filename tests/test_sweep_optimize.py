@@ -17,7 +17,6 @@ from twistsense import (
 )
 from twistsense import metrology, sweep_optimize
 from twistsense.errors import BracketingError, InvalidDimensionError
-from twistsense.validate import reference_threshold
 
 
 class TestSweepSpec:
@@ -138,19 +137,6 @@ class TestSweepCurve:
 
 
 class TestOptimizeT:
-    def test_flat_curve_prefers_largest_fraction(self):
-        # Scheme A is constant in t/tau, so the tie-break picks t = 1.
-        result = optimize_t("A", 5, 0.0, "spin")
-        assert result.best_sensitivity == 1.0
-        assert result.t_opt == 1.0
-        assert result.boundary == "right_edge"
-
-    def test_weak_sequential_twist_maximizes_at_full_sensing(self):
-        result = optimize_t("B", 10, 0.4, "spin")
-        assert result.t_opt == 1.0
-        assert result.boundary == "right_edge"
-        assert result.best_sensitivity == pytest.approx(1.0, abs=1e-12)
-
     def test_closed_form_interior_optimum(self):
         # Strong sequential twisting peaks at t/tau = 1/(2x).
         result = optimize_t("B", None, 2.0, "closed_form")
@@ -158,31 +144,6 @@ class TestOptimizeT:
         assert result.boundary == "interior"
         assert result.t_opt == pytest.approx(exact.t_opt, abs=2e-6)
         assert result.best_sensitivity == pytest.approx(exact.value, rel=1e-9)
-
-    def test_closed_form_left_edge_optimum(self):
-        result = optimize_t("C", None, 1.0, "closed_form")
-        exact = closed_form_optimum("C", 1.0)
-        assert result.boundary == "left_edge"
-        assert result.t_opt == 0.0
-        assert result.best_sensitivity == pytest.approx(exact.value, rel=1e-12)
-
-    def test_echo_closed_form_midpoint_optimum(self):
-        result = optimize_t("Bprime", None, 8.0, "closed_form")
-        assert result.boundary == "interior"
-        assert result.t_opt == pytest.approx(0.5, abs=2e-6)
-        assert result.best_sensitivity == pytest.approx(1.0, rel=1e-12)
-
-    def test_refinement_never_loses_to_grid(self):
-        for scheme, twist in (("B", 2.0), ("C", 0.7), ("Cprime", 5.0)):
-            result = optimize_t(scheme, None, twist, "closed_form", t_grid=21)
-            ts = np.linspace(0.0, 1.0, 21)
-            grid_best = max(
-                evaluate_point(
-                    scheme, None, twist, float(t), "closed_form"
-                ).sensitivity
-                for t in ts
-            )
-            assert result.best_sensitivity >= grid_best - 1e-15
 
     def test_spin_interior_optimum_matches_dense_scan(self):
         result = optimize_t("Bprime", 10, 12.0, "spin")
@@ -216,18 +177,6 @@ class TestOptimizeT:
 
 
 class TestFindThreshold:
-    def test_sequential_closed_form_break_even(self):
-        # The infinite-N sequential scheme first beats the benchmark at
-        # twist 1/2, where the optimizer leaves the full-sensing plateau.
-        thr = find_threshold("B", None, "closed_form", (0.01, 2.0))
-        assert abs(thr - 0.5) <= 1.5e-3
-
-    def test_echo_closed_form_break_evens(self):
-        thr_b = find_threshold("Bprime", None, "closed_form", (0.5, 20.0))
-        assert abs(thr_b - 8.0) <= 1.5e-3
-        thr_c = find_threshold("Cprime", None, "closed_form", (0.5, 20.0))
-        assert abs(thr_c - 4.0) <= 1.5e-3
-
     def test_finite_spin_threshold_exceeds_infinite_limit(self):
         # Finite-size cosine attenuation pushes the ten-spin echo
         # threshold well above the infinite-N value of 8.
@@ -406,22 +355,6 @@ class TestStagedThresholdStep:
         sizes.clear()
         assert not sweep_optimize._beats_benchmark("Bprime", 10, 9.0, "spin", 201, None)
         assert sizes == [21, 201] + refinement
-
-    @pytest.mark.parametrize("t_grid", [3, 4, 21, 201])
-    @pytest.mark.parametrize(
-        "scheme, n, engine, interval",
-        [
-            ("Bprime", 10, "spin", (9.0, 14.0)),
-            ("B", 30, "spin", (0.3, 0.8)),
-            ("Cprime", None, "closed_form", (1.0, 9.0)),
-        ],
-    )
-    def test_threshold_equals_bisection_on_optimize_t(
-        self, scheme, n, engine, interval, t_grid
-    ):
-        staged = find_threshold(scheme, n, engine, interval, t_grid)
-        assert staged == reference_threshold(scheme, n, engine, interval, t_grid)
-
 
 class TestTGridValidation:
     @pytest.mark.parametrize("t_grid", [3.5, 5.0, True, "21", None])

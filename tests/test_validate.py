@@ -1,7 +1,10 @@
 """The runtime invariant battery of ``twistsense validate``, one test per check."""
 
+import io
+
 import pytest
 
+from twistsense import validate
 from twistsense.validate import CHECKS
 
 
@@ -14,3 +17,25 @@ def test_check_names_are_unique():
 def test_check_passes(check):
     detail = check()
     assert detail == "", detail
+
+
+def test_a_failing_or_raising_check_fails_the_run(monkeypatch):
+    # A check fails by returning a detail or by raising; either is one FAIL
+    # line, the summary counts the passes, and the run exits 1.
+    def raises():
+        raise ValueError("bad input")
+
+    checks = (
+        ("a.passes", lambda: ""),
+        ("a.fails", lambda: "off by 1"),
+        ("a.raises", raises),
+    )
+    monkeypatch.setattr(validate, "CHECKS", checks)
+    out = io.StringIO()
+    assert validate.run_validation(stream=out) == 1
+    assert out.getvalue().splitlines() == [
+        "PASS a.passes",
+        "FAIL a.fails: off by 1",
+        "FAIL a.raises: raised ValueError: bad input",
+        "1/3 checks passed",
+    ]
