@@ -5,12 +5,15 @@ propagator exactness, protocol reductions, figure-of-merit identities,
 closed-form consistency, optimizer guarantees, and CLI determinism. Checks
 are pure and deterministic (randomized batteries use fixed seeds); the
 runner prints one PASS or FAIL line per check and reports failure through
-the exit code. A check raising is reported as FAIL with the exception.
+the exit code. A check raising is reported as FAIL with the exception. A
+check over a list of inputs is stated for one input and decorated with
+``over`` its cases, so the tests can run each case as its own test.
 """
 
 from __future__ import annotations
 
 import tempfile
+from collections.abc import Callable, Iterable
 from contextlib import redirect_stdout
 from functools import partial
 from io import StringIO
@@ -184,118 +187,143 @@ def reference_gaps(scheme, n_spins, twist, s) -> tuple[float, float]:
     )
 
 
-def check_su2_commutators() -> str:
-    worst = 0.0
-    for n in range(1, 51):
-        space = DickeSpace(n)
-        ops = collective_operators(space)
-        jx, jy, jz = ops.Jx.matrix, ops.Jy.matrix, ops.Jz.matrix
-        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy)):
-            worst = max(worst, np.abs(a @ b - b @ a - 1j * c).max())
-        # Jx + i Jy is the raising operator, which sits below the diagonal.
-        if np.any(jx + 1j * jy != np.diag(space.ladder_elements(), -1)):
-            return f"Jx + i Jy differs from J+ (N={n})"
+class Cases(NamedTuple):
+    """A check stated for one case, with the cases it must hold on.
+
+    Called, it runs the cases in order and returns the first failure, so
+    ``validate`` reports it as one check; the tests run each case as a
+    test of its own."""
+
+    one: Callable[..., str]
+    cases: tuple[tuple, ...]
+
+    def __call__(self) -> str:
+        for case in self.cases:
+            detail = self.one(*case)
+            if detail:
+                return detail
+        return ""
+
+
+def over(cases: Iterable[tuple]) -> Callable[[Callable[..., str]], Cases]:
+    """Decorate a check of one case (its arguments) into a check of all."""
+    cases = tuple(cases)
+    return lambda one: Cases(one, cases)
+
+
+@over((n,) for n in range(1, 51))
+def check_su2_commutators(n: int) -> str:
+    space = DickeSpace(n)
+    ops = collective_operators(space)
+    jx, jy, jz = ops.Jx.matrix, ops.Jy.matrix, ops.Jz.matrix
+    # Jx + i Jy is the raising operator, which sits below the diagonal.
+    if np.any(jx + 1j * jy != np.diag(space.ladder_elements(), -1)):
+        return f"Jx + i Jy differs from J+ (N={n})"
+    worst = max(
+        np.abs(a @ b - b @ a - 1j * c).max()
+        for a, b, c in ((jx, jy, jz), (jy, jz, jx), (jz, jx, jy))
+    )
     if worst > 1e-12:
-        return f"commutator defect {worst:.3e} exceeds 1e-12"
+        return f"commutator defect {worst:.3e} exceeds 1e-12 (N={n})"
     return ""
 
 
-def check_casimir() -> str:
-    worst = 0.0
-    for n in range(1, 51):
-        space = DickeSpace(n)
-        ops = collective_operators(space)
-        total = (
-            ops.Jx.matrix @ ops.Jx.matrix
-            + ops.Jy.matrix @ ops.Jy.matrix
-            + ops.Jz.matrix @ ops.Jz.matrix
-        )
-        expected = space.j * (space.j + 1) * np.eye(space.dim)
-        worst = max(worst, np.abs(total - expected).max())
+@over((n,) for n in range(1, 51))
+def check_casimir(n: int) -> str:
+    space = DickeSpace(n)
+    ops = collective_operators(space)
+    total = (
+        ops.Jx.matrix @ ops.Jx.matrix
+        + ops.Jy.matrix @ ops.Jy.matrix
+        + ops.Jz.matrix @ ops.Jz.matrix
+    )
+    expected = space.j * (space.j + 1) * np.eye(space.dim)
+    worst = np.abs(total - expected).max()
     if worst > 1e-10:
-        return f"Casimir defect {worst:.3e} exceeds 1e-10"
+        return f"Casimir defect {worst:.3e} exceeds 1e-10 (N={n})"
     return ""
 
 
-def check_propagator_unitarity() -> str:
-    # Seeded draws: (seed, cases, dimension range, largest |duration|, zero
-    # diagonal), the last through the bipartite SVD.
+# Each case is a seeded draw: (seed, cases, dimension range, largest
+# |duration|, zero diagonal), the last through the bipartite SVD.
+@over((
+    (20240311, 25, (2, 31), 3.0, False),
+    (42, 20, (2, 40), 4.0, False),
+    (20240312, 25, (2, 31), 3.0, True),
+))
+def check_propagator_unitarity(seed, cases, dims, reach, zero_diagonal) -> str:
     worst = 0.0
-    for seed, cases, dims, reach, zero_diagonal in (
-        (20240311, 25, (2, 31), 3.0, False),
-        (42, 20, (2, 40), 4.0, False),
-        (20240312, 25, (2, 31), 3.0, True),
-    ):
-        rng = np.random.default_rng(seed)
-        for _ in range(cases):
-            dim = int(rng.integers(*dims))
-            H = random_banded_hermitian(rng, dim, zero_diagonal)
-            psi = random_state(rng, dim)
-            duration = float(rng.uniform(-reach, reach))
-            worst = max(worst, abs(propagate(H, duration, psi).norm - 1.0))
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        dim = int(rng.integers(*dims))
+        H = random_banded_hermitian(rng, dim, zero_diagonal)
+        psi = random_state(rng, dim)
+        duration = float(rng.uniform(-reach, reach))
+        worst = max(worst, abs(propagate(H, duration, psi).norm - 1.0))
     if worst > 1e-10:
-        return f"propagated norm drifts by {worst:.3e} > 1e-10"
+        return f"propagated norm drifts by {worst:.3e} > 1e-10 (seed {seed})"
     return ""
 
 
-def check_propagator_composition() -> str:
-    # Seeded draws: (seed, cases, zero diagonal).
+# Each case is a seeded draw: (seed, cases, zero diagonal).
+@over(((987, 15, False), (7, 12, False), (988, 15, True)))
+def check_propagator_composition(seed, cases, zero_diagonal) -> str:
     worst = 0.0
-    for seed, cases, zero_diagonal in (
-        (987, 15, False),
-        (7, 12, False),
-        (988, 15, True),
-    ):
-        rng = np.random.default_rng(seed)
-        for _ in range(cases):
-            dim = int(rng.integers(2, 25))
-            H = random_banded_hermitian(rng, dim, zero_diagonal)
-            psi = random_state(rng, dim)
-            t1 = float(rng.uniform(0.0, 2.0))
-            t2 = float(rng.uniform(0.0, 2.0))
-            joint = propagate(H, t1 + t2, psi)
-            stepped = propagate(H, t2, propagate(H, t1, psi))
-            worst = max(worst, np.abs(joint.amplitudes - stepped.amplitudes).max())
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        dim = int(rng.integers(2, 25))
+        H = random_banded_hermitian(rng, dim, zero_diagonal)
+        psi = random_state(rng, dim)
+        t1 = float(rng.uniform(0.0, 2.0))
+        t2 = float(rng.uniform(0.0, 2.0))
+        joint = propagate(H, t1 + t2, psi)
+        stepped = propagate(H, t2, propagate(H, t1, psi))
+        worst = max(worst, np.abs(joint.amplitudes - stepped.amplitudes).max())
     if worst > 1e-9:
-        return f"composition defect {worst:.3e} exceeds 1e-9"
+        return f"composition defect {worst:.3e} exceeds 1e-9 (seed {seed})"
     return ""
 
 
-def check_derivative_vs_finite_difference() -> str:
-    # Seeded draws: (seed, cases, dimension range, duration range, zero
-    # diagonal). phi stays a unit vector and, so, Re <phi|dphi> = 0.
+# Each case is a seeded draw: (seed, cases, dimension range, duration range,
+# zero diagonal). phi stays a unit vector and, so, Re <phi|dphi> = 0.
+@over((
+    (1234, 20, (3, 22), (0.2, 1.5), False),
+    (2026, 50, (2, 22), (0.1, 2.0), False),
+    (2027, 10, (2, 22), (0.1, 2.0), True),
+))
+def check_derivative_vs_finite_difference(
+    seed, cases, dims, durations, zero_diagonal
+) -> str:
     worst = 0.0
-    for seed, cases, dims, durations, zero_diagonal in (
-        (1234, 20, (3, 22), (0.2, 1.5), False),
-        (2026, 50, (2, 22), (0.1, 2.0), False),
-        (2027, 10, (2, 22), (0.1, 2.0), True),
-    ):
-        rng = np.random.default_rng(seed)
-        for _ in range(cases):
-            dim = int(rng.integers(*dims))
-            H0 = random_banded_hermitian(rng, dim, zero_diagonal)
-            G = banded(random_hermitian(rng, dim))
-            psi = random_state(rng, dim)
-            duration = float(rng.uniform(*durations))
-            phi, along_angle = propagate_with_derivative(H0, G, duration, psi)
-            drift = abs(phi.norm - 1.0)
-            cross = abs(np.vdot(phi.amplitudes, along_angle.amplitudes).real)
-            if drift > 1e-10 or cross > 1e-8:
-                return (
-                    f"|phi| - 1 = {drift:.3e} (gate 1e-10), Re <phi|dphi> = "
-                    f"{cross:.3e} (gate 1e-8) at dim {dim}"
-                )
-            # That derivative is along the field angle w * duration.
-            dphi = duration * along_angle.amplitudes
-
-            fd = richardson_derivative(
-                lambda w: dense_propagator(H0.matrix + w * G.matrix, duration)
-                @ psi.amplitudes
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        dim = int(rng.integers(*dims))
+        H0 = random_banded_hermitian(rng, dim, zero_diagonal)
+        G = banded(random_hermitian(rng, dim))
+        psi = random_state(rng, dim)
+        duration = float(rng.uniform(*durations))
+        phi, along_angle = propagate_with_derivative(H0, G, duration, psi)
+        drift = abs(phi.norm - 1.0)
+        cross = abs(np.vdot(phi.amplitudes, along_angle.amplitudes).real)
+        if drift > 1e-10 or cross > 1e-8:
+            return (
+                f"|phi| - 1 = {drift:.3e} (gate 1e-10), Re <phi|dphi> = "
+                f"{cross:.3e} (gate 1e-8) at dim {dim} (seed {seed})"
             )
-            err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
-            worst = max(worst, err)
+        # That derivative is along the field angle w * duration.
+        dphi = duration * along_angle.amplitudes
+
+        fd = richardson_derivative(
+            lambda w: dense_propagator(H0.matrix + w * G.matrix, duration)
+            @ psi.amplitudes
+        )
+        err = np.linalg.norm(dphi - fd) / max(np.linalg.norm(dphi), 1.0)
+        worst = max(worst, err)
     if worst > 1e-6:
-        return f"derivative vs finite difference error {worst:.3e} > 1e-6"
+        return (
+            f"derivative vs finite difference error {worst:.3e} > 1e-6 "
+            f"(seed {seed})"
+        )
     return ""
 
 
@@ -343,49 +371,49 @@ def check_mirror_split() -> str:
     return ""
 
 
-def check_full_sensing_reduction() -> str:
+@over((n,) for n in (1, 2, 7, 10, 50))
+def check_full_sensing_reduction(n: int) -> str:
     # With all the time spent sensing, B and C never twist: psi and dpsi
     # are scheme A's.
-    for n in (1, 2, 7, 10, 50):
-        mode = spin_mode(DickeSpace(n))
-        ref = run_pipeline(mode, "A", 0.0, 1.0)
-        for scheme in ("B", "C"):
-            for twist in (0.7, 2.0):
-                state = run_pipeline(mode, scheme, twist, 1.0)
-                dev = max(
-                    np.abs(state.psi.amplitudes - ref.psi.amplitudes).max(),
-                    np.abs(state.dpsi.amplitudes - ref.dpsi.amplitudes).max(),
+    mode = spin_mode(DickeSpace(n))
+    ref = run_pipeline(mode, "A", 0.0, 1.0)
+    for scheme in ("B", "C"):
+        for twist in (0.7, 2.0):
+            state = run_pipeline(mode, scheme, twist, 1.0)
+            dev = max(
+                np.abs(state.psi.amplitudes - ref.psi.amplitudes).max(),
+                np.abs(state.dpsi.amplitudes - ref.dpsi.amplitudes).max(),
+            )
+            if dev > 1e-12:
+                return (
+                    f"{scheme} at full sensing differs from A "
+                    f"(N={n}, twist {twist}, dev={dev:.3e})"
                 )
-                if dev > 1e-12:
-                    return (
-                        f"{scheme} at full sensing differs from A "
-                        f"(N={n}, twist {twist}, dev={dev:.3e})"
-                    )
     return ""
 
 
-def check_zero_twist_reduction() -> str:
+@over((n,) for n in (1, 2, 6, 10, 50))
+def check_zero_twist_reduction(n: int) -> str:
     # Without twisting every scheme keeps the initial state psi0, as scheme
     # A does, and its derivative is -i exposure G psi0: the field is felt
     # for the sensing window s in B and Bprime, the whole budget in C and
     # Cprime (and A).
-    for n in (1, 2, 6, 10, 50):
-        mode = spin_mode(DickeSpace(n))
-        psi0 = mode.initial.amplitudes
-        kick = -1j * mode.generators["field"].matvec(psi0)
-        for scheme in SCHEMES:
-            for s in (0.0, 0.3, 0.35, 0.4, 0.8, 1.0):
-                state = run_pipeline(mode, scheme, 0.0, s)
-                exposure = s if scheme in ("B", "Bprime") else 1.0
-                dev = max(
-                    np.abs(state.psi.amplitudes - psi0).max(),
-                    np.abs(state.dpsi.amplitudes - exposure * kick).max(),
+    mode = spin_mode(DickeSpace(n))
+    psi0 = mode.initial.amplitudes
+    kick = -1j * mode.generators["field"].matvec(psi0)
+    for scheme in SCHEMES:
+        for s in (0.0, 0.3, 0.35, 0.4, 0.8, 1.0):
+            state = run_pipeline(mode, scheme, 0.0, s)
+            exposure = s if scheme in ("B", "Bprime") else 1.0
+            dev = max(
+                np.abs(state.psi.amplitudes - psi0).max(),
+                np.abs(state.dpsi.amplitudes - exposure * kick).max(),
+            )
+            if dev > 1e-12:
+                return (
+                    f"{scheme} at zero twist is not (psi0, -i exposure G psi0) "
+                    f"(N={n}, s={s}, dev={dev:.3e})"
                 )
-                if dev > 1e-12:
-                    return (
-                        f"{scheme} at zero twist is not (psi0, -i exposure G psi0) "
-                        f"(N={n}, s={s}, dev={dev:.3e})"
-                    )
     return ""
 
 
@@ -409,23 +437,25 @@ def check_single_spin_degeneracy() -> str:
     return ""
 
 
-def check_echo_cancellation() -> str:
-    # At zero field the untwist undoes the twist, through the same
-    # eigensystem, so the echo returns the initial state to rounding.
-    cases = [
+@over(
+    [
         (scheme, n, twist, s)
         for scheme in ("Bprime", "Cprime")
         for n, twist, s in product((2, 10, 60), (5.0, 50.0), (0.0, 0.4, 0.9))
-    ] + [("Bprime", 14, 3.0, 0.4), ("Cprime", 14, 3.0, 0.4), ("Bprime", 10, 4.0, 0.2)]
-    for scheme, n, twist, s in cases:
-        mode = spin_mode(DickeSpace(n))
-        psi = run_pipeline(mode, scheme, twist, s).psi
-        dev = np.abs(psi.amplitudes - mode.initial.amplitudes).max()
-        if dev > 1e-13:
-            return (
-                f"{scheme} echo fails to cancel at N={n}, twist={twist}, s={s} "
-                f"(dev={dev:.3e})"
-            )
+    ]
+    + [("Bprime", 14, 3.0, 0.4), ("Cprime", 14, 3.0, 0.4), ("Bprime", 10, 4.0, 0.2)]
+)
+def check_echo_cancellation(scheme: str, n: int, twist: float, s: float) -> str:
+    # At zero field the untwist undoes the twist, through the same
+    # eigensystem, so the echo returns the initial state to rounding.
+    mode = spin_mode(DickeSpace(n))
+    psi = run_pipeline(mode, scheme, twist, s).psi
+    dev = np.abs(psi.amplitudes - mode.initial.amplitudes).max()
+    if dev > 1e-13:
+        return (
+            f"{scheme} echo fails to cancel at N={n}, twist={twist}, s={s} "
+            f"(dev={dev:.3e})"
+        )
     return ""
 
 
@@ -449,33 +479,37 @@ def check_dimensionless_scaling() -> str:
     return ""
 
 
-def check_dense_reference() -> str:
-    # Every scheme at six spin points, one scheme at each of five more, then
-    # the five schemes on the 160-level Fock mode (n_spins None) at twists
-    # its truncation holds.
-    spin = ((1, 3.0, 0.4), (8, 6.0, 0.4), (12, 2.0, 0.3), (10, 11.0, 0.6),
-            (21, 1.5, 0.0), (9, 4.0, 0.25))
-    single = (("A", 5, 0.0, 0.5), ("B", 8, 1.5, 0.4), ("C", 12, 2.0, 0.3),
-              ("Bprime", 9, 6.0, 0.6), ("Cprime", 11, 4.0, 0.25),
-              ("A", None, 0.0, 0.5), ("B", None, 0.5, 0.4), ("C", None, 0.5, 0.3),
-              ("Bprime", None, 4.0, 0.6), ("Cprime", None, 4.0, 0.25))
-    for case in [(scheme, *point) for point in spin for scheme in SCHEMES] + [*single]:
-        psi_gap, dpsi_gap = reference_gaps(*case)
-        if psi_gap > 1e-12 or dpsi_gap > 1e-6:
-            return (
-                f"{case}: psi off the reference by {psi_gap:.3e} (gate 1e-12), "
-                f"dpsi off its finite difference by {dpsi_gap:.3e} (gate 1e-6)"
-            )
+# Every scheme at six spin points, one scheme at each of five more, then
+# the five schemes on the 160-level Fock mode (n_spins None) at twists its
+# truncation holds.
+@over(
+    [
+        (scheme, *point)
+        for point in ((1, 3.0, 0.4), (8, 6.0, 0.4), (12, 2.0, 0.3),
+                      (10, 11.0, 0.6), (21, 1.5, 0.0), (9, 4.0, 0.25))
+        for scheme in SCHEMES
+    ]
+    + [("A", 5, 0.0, 0.5), ("B", 8, 1.5, 0.4), ("C", 12, 2.0, 0.3),
+       ("Bprime", 9, 6.0, 0.6), ("Cprime", 11, 4.0, 0.25),
+       ("A", None, 0.0, 0.5), ("B", None, 0.5, 0.4), ("C", None, 0.5, 0.3),
+       ("Bprime", None, 4.0, 0.6), ("Cprime", None, 4.0, 0.25)]
+)
+def check_dense_reference(scheme: str, n: int | None, twist: float, s: float) -> str:
+    psi_gap, dpsi_gap = reference_gaps(scheme, n, twist, s)
+    if psi_gap > 1e-12 or dpsi_gap > 1e-6:
+        return (
+            f"{(scheme, n, twist, s)}: psi off the reference by {psi_gap:.3e} "
+            f"(gate 1e-12), dpsi off its finite difference by {dpsi_gap:.3e} "
+            f"(gate 1e-6)"
+        )
     return ""
 
 
-def check_benchmark_scheme_a() -> str:
-    worst = 0.0
-    for n in range(1, 101):
-        rec = evaluate_point("A", n, 0.0, 1.0, "spin")
-        worst = max(worst, abs(rec.sensitivity - 1.0))
-    if worst > 1e-9:
-        return f"separable benchmark deviates by {worst:.3e} > 1e-9"
+@over((n,) for n in range(1, 101))
+def check_benchmark_scheme_a(n: int) -> str:
+    deviation = abs(evaluate_point("A", n, 0.0, 1.0, "spin").sensitivity - 1.0)
+    if deviation > 1e-9:
+        return f"separable benchmark deviates by {deviation:.3e} > 1e-9 (N={n})"
     return ""
 
 
@@ -496,19 +530,20 @@ def check_qfi_bounds() -> str:
     return ""
 
 
-def check_echo_matches_closed_form() -> str:
-    worst = 0.0
-    grids = (
-        ((2, 5, 10, 50), (1.0, 4.0, 11.5, 50.0), (0.1, 0.3, 0.5, 0.7, 0.9)),
-        ((2, 5, 12, 40), (0.5, 3.0, 10.0), (0.1, 0.5, 0.9)),
-    )
-    for sizes, twists, fractions in grids:
-        for n, twist, s in product(sizes, twists, fractions):
-            rec = evaluate_point("Bprime", n, twist, s, "spin")
-            ref = closed_form_Bprime(n, twist, s)
-            worst = max(worst, relative_difference(rec.sensitivity, ref))
-    if worst > 1e-10:
-        return f"echo sensitivity vs closed form differs by {worst:.3e}"
+@over(
+    [
+        *product((2, 5, 10, 50), (1.0, 4.0, 11.5, 50.0), (0.1, 0.3, 0.5, 0.7, 0.9)),
+        *product((2, 5, 12, 40), (0.5, 3.0, 10.0), (0.1, 0.5, 0.9)),
+    ]
+)
+def check_echo_matches_closed_form(n: int, twist: float, s: float) -> str:
+    rec = evaluate_point("Bprime", n, twist, s, "spin")
+    gap = relative_difference(rec.sensitivity, closed_form_Bprime(n, twist, s))
+    if gap > 1e-10:
+        return (
+            f"echo sensitivity vs closed form differs by {gap:.3e} "
+            f"(N={n}, twist {twist}, s={s})"
+        )
     return ""
 
 
@@ -578,22 +613,20 @@ def check_scheme_c_positive_twist() -> str:
     return ""
 
 
-def check_moment_oracle_matrix() -> str:
+@over((n,) for n in range(2, 22))
+def check_moment_oracle_matrix(n: int) -> str:
+    space = DickeSpace(n)
+    plus = plus_state(space).amplitudes
+    m = space.m_values()
+    jm = np.diag(space.ladder_elements(), 1)
+    jm2 = jm @ jm
     worst = 0.0
-    for n in range(2, 22):
-        space = DickeSpace(n)
-        plus = plus_state(space).amplitudes
-        m = space.m_values()
-        jm = np.diag(space.ladder_elements(), 1)
-        jm2 = jm @ jm
-        for phase in (0.0, 0.1, 0.3, 1.0, 1.2, np.pi / 2):
-            direct = complex(
-                np.vdot(plus, jm2 @ (np.exp(-2j * phase * m) * plus))
-            )
-            ref = moment_oracle(n, phase)
-            worst = max(worst, abs(direct - ref) / max(abs(ref), 1.0))
+    for phase in (0.0, 0.1, 0.3, 1.0, 1.2, np.pi / 2):
+        direct = complex(np.vdot(plus, jm2 @ (np.exp(-2j * phase * m) * plus)))
+        ref = moment_oracle(n, phase)
+        worst = max(worst, abs(direct - ref) / max(abs(ref), 1.0))
     if worst > 1e-10:
-        return f"moment oracle vs matrix evaluation differs by {worst:.3e}"
+        return f"moment oracle vs matrix evaluation differs by {worst:.3e} (N={n})"
     return ""
 
 
@@ -672,14 +705,14 @@ def check_closed_form_optimum_grid() -> str:
     return ""
 
 
-def check_series_limit_c() -> str:
-    for s in (0.0, 0.25, 0.3, 0.4, 0.7, 1.0):
-        if closed_form_c_small_twist(0.0, s) != 1.0:
-            return f"series limit at zero twist is not 1 (s={s})"
-        for x in (1e-3, 1e-2):
-            gap = abs(closed_form("C", x, s) - closed_form_c_small_twist(x, s))
-            if gap > 10.0 * x**3:
-                return f"series deviates from closed form by {gap:.3e} at x={x}, s={s}"
+@over((s,) for s in (0.0, 0.25, 0.3, 0.4, 0.7, 1.0))
+def check_series_limit_c(s: float) -> str:
+    if closed_form_c_small_twist(0.0, s) != 1.0:
+        return f"series limit at zero twist is not 1 (s={s})"
+    for x in (1e-3, 1e-2):
+        gap = abs(closed_form("C", x, s) - closed_form_c_small_twist(x, s))
+        if gap > 10.0 * x**3:
+            return f"series deviates from closed form by {gap:.3e} at x={x}, s={s}"
     return ""
 
 
@@ -711,29 +744,28 @@ def check_fock_triangle() -> str:
     return ""
 
 
-def check_refinement_dominance() -> str:
+@over((
+    ("B", None, 0.3, "closed_form", 201),
+    ("B", None, 2.0, "closed_form", 201),
+    ("C", None, 1.0, "closed_form", 201),
+    ("Bprime", None, 11.0, "closed_form", 201),
+    ("Cprime", None, 5.0, "closed_form", 201),
+    ("B", 10, 1.0, "spin", 201),
+    ("Bprime", 10, 12.0, "spin", 201),
+    ("B", None, 2.0, "closed_form", 21),
+    ("C", None, 0.7, "closed_form", 21),
+    ("Cprime", None, 5.0, "closed_form", 21),
+))
+def check_refinement_dominance(scheme, n, twist, engine, t_grid) -> str:
     # The optimum never falls below a sample of a 21- or a 51-point grid.
-    cases = (
-        ("B", None, 0.3, "closed_form", 201),
-        ("B", None, 2.0, "closed_form", 201),
-        ("C", None, 1.0, "closed_form", 201),
-        ("Bprime", None, 11.0, "closed_form", 201),
-        ("Cprime", None, 5.0, "closed_form", 201),
-        ("B", 10, 1.0, "spin", 201),
-        ("Bprime", 10, 12.0, "spin", 201),
-        ("B", None, 2.0, "closed_form", 21),
-        ("C", None, 0.7, "closed_form", 21),
-        ("Cprime", None, 5.0, "closed_form", 21),
-    )
-    for scheme, n, twist, engine, t_grid in cases:
-        result = optimize_t(scheme, n, twist, engine, t_grid)
-        for s in np.union1d(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 51)):
-            v = evaluate_point(scheme, n, twist, float(s), engine).sensitivity
-            if result.best_sensitivity < v - 1e-15:
-                return (
-                    f"optimizer result {result.best_sensitivity} below grid sample "
-                    f"{v} at s={s} ({scheme}, {engine})"
-                )
+    result = optimize_t(scheme, n, twist, engine, t_grid)
+    for s in np.union1d(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 51)):
+        v = evaluate_point(scheme, n, twist, float(s), engine).sensitivity
+        if result.best_sensitivity < v - 1e-15:
+            return (
+                f"optimizer result {result.best_sensitivity} below grid sample "
+                f"{v} at s={s} ({scheme}, {engine})"
+            )
     return ""
 
 
@@ -761,19 +793,21 @@ def check_tie_break_and_boundaries() -> str:
     return ""
 
 
-def check_closed_form_thresholds() -> str:
-    cases = (
-        ("B", (0.05, 2.0), 0.5),
-        ("B", (0.01, 2.0), 0.5),
-        ("Bprime", (2.0, 16.0), 8.0),
-        ("Bprime", (0.5, 20.0), 8.0),
-        ("Cprime", (1.0, 9.0), 4.0),
-        ("Cprime", (0.5, 20.0), 4.0),
-    )
-    for scheme, interval, expected in cases:
-        found = find_threshold(scheme, None, "closed_form", interval)
-        if abs(found - expected) > 1e-3:
-            return f"{scheme} break-even twist {found} differs from {expected}"
+@over((
+    ("B", (0.05, 2.0), 0.5),
+    ("B", (0.01, 2.0), 0.5),
+    ("Bprime", (2.0, 16.0), 8.0),
+    ("Bprime", (0.5, 20.0), 8.0),
+    ("Cprime", (1.0, 9.0), 4.0),
+    ("Cprime", (0.5, 20.0), 4.0),
+))
+def check_closed_form_thresholds(scheme, interval, expected) -> str:
+    found = find_threshold(scheme, None, "closed_form", interval)
+    if abs(found - expected) > 1e-3:
+        return (
+            f"{scheme} break-even twist {found} differs from {expected} "
+            f"(searched {interval})"
+        )
     return ""
 
 
@@ -813,10 +847,10 @@ def reference_threshold(
     return (lo + hi) / 2.0
 
 
-def check_staged_threshold() -> str:
-    # Every engine on a 21-point grid, then three cases on the smallest
-    # grids, 3 and 4 points, and on the default 201.
-    cases = [
+# Every engine on a 21-point grid, then three cases on the smallest grids,
+# 3 and 4 points, and on the default 201.
+@over(
+    [
         (*case, 21)
         for case in (
             ("B", 30, "spin", (0.4, 0.7)),
@@ -827,7 +861,8 @@ def check_staged_threshold() -> str:
             ("Bprime", None, "closed_form", (2.0, 16.0)),
             ("Cprime", None, "closed_form", (1.0, 9.0)),
         )
-    ] + [
+    ]
+    + [
         (*case, t_grid)
         for case in (
             ("Bprime", 10, "spin", (9.0, 14.0)),
@@ -836,14 +871,15 @@ def check_staged_threshold() -> str:
         )
         for t_grid in (3, 4, 201)
     ]
-    for scheme, n, engine, interval, t_grid in cases:
-        staged = find_threshold(scheme, n, engine, interval, t_grid)
-        reference = reference_threshold(scheme, n, engine, interval, t_grid)
-        if staged != reference:
-            return (
-                f"{scheme} ({engine}, N={n}, t_grid={t_grid}) threshold "
-                f"{staged!r} differs from the optimize_t bisection {reference!r}"
-            )
+)
+def check_staged_threshold(scheme, n, engine, interval, t_grid) -> str:
+    staged = find_threshold(scheme, n, engine, interval, t_grid)
+    reference = reference_threshold(scheme, n, engine, interval, t_grid)
+    if staged != reference:
+        return (
+            f"{scheme} ({engine}, N={n}, t_grid={t_grid}) threshold "
+            f"{staged!r} differs from the optimize_t bisection {reference!r}"
+        )
     return ""
 
 
@@ -870,30 +906,29 @@ def check_t_opt_convergence() -> str:
     return ""
 
 
-def check_cli_determinism() -> str:
-    # Each command three times, twice to stdout and once through --out:
-    # the same bytes every time.
+@over((
+    ("sweep --scheme B --n 6 --twist 1.0 3.0 --t-points 21 --engine spin",),
+    ("sweep --scheme C --n 12 --twist 2.0 --t-points 7",),
+    ("optimize --scheme C --twist 1.0 --engine closed_form",),
+))
+def check_cli_determinism(command: str) -> str:
+    # The command three times, twice to stdout and once through --out: the
+    # same bytes every time.
     from . import cli as _cli  # deferred: cli imports this module
 
-    commands = (
-        "sweep --scheme B --n 6 --twist 1.0 3.0 --t-points 21 --engine spin",
-        "sweep --scheme C --n 12 --twist 2.0 --t-points 7",
-        "optimize --scheme C --twist 1.0 --engine closed_form",
-    )
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out"
-        for command in commands:
-            outputs = set()
-            for out in ("-", "-", str(path)):
-                printed = StringIO()
-                with redirect_stdout(printed):
-                    code = _cli.main([*command.split(), "--out", out])
-                if code != 0:
-                    return f"{command!r} --out {out} exited with {code}"
-                text = printed.getvalue().encode() if out == "-" else path.read_bytes()
-                outputs.add(text)
-            if len(outputs) != 1:
-                return f"repeated runs of {command!r} produced different bytes"
+        outputs = set()
+        for out in ("-", "-", str(path)):
+            printed = StringIO()
+            with redirect_stdout(printed):
+                code = _cli.main([*command.split(), "--out", out])
+            if code != 0:
+                return f"{command!r} --out {out} exited with {code}"
+            text = printed.getvalue().encode() if out == "-" else path.read_bytes()
+            outputs.add(text)
+        if len(outputs) != 1:
+            return f"repeated runs of {command!r} produced different bytes"
     return ""
 
 

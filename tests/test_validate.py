@@ -1,11 +1,23 @@
-"""The runtime invariant battery of ``twistsense validate``, one test per check."""
+"""The runtime invariant battery of ``twistsense validate``: one test per
+check, or per case of a check stated over cases."""
 
 import io
+from functools import partial
 
 import pytest
 
 from twistsense import validate
-from twistsense.validate import CHECKS
+from twistsense.validate import CHECKS, Cases, over
+
+
+def battery():
+    for name, check in CHECKS:
+        if isinstance(check, Cases):
+            for case in check.cases:
+                case_id = "-".join(str(arg).replace(" ", "") for arg in case)
+                yield pytest.param(partial(check.one, *case), id=f"{name}-{case_id}")
+        else:
+            yield pytest.param(check, id=name)
 
 
 def test_check_names_are_unique():
@@ -13,10 +25,24 @@ def test_check_names_are_unique():
     assert len(names) == len(set(names))
 
 
-@pytest.mark.parametrize("check", [fn for _, fn in CHECKS], ids=[n for n, _ in CHECKS])
+@pytest.mark.parametrize("check", battery())
 def test_check_passes(check):
     detail = check()
     assert detail == "", detail
+
+
+def test_a_check_over_cases_fails_on_its_first_failing_case():
+    seen = []
+
+    @over([(1,), (2,), (3,), (4,)])
+    def odd(k):
+        seen.append(k)
+        return f"{k} is even" if k % 2 == 0 else ""
+
+    assert odd.cases == ((1,), (2,), (3,), (4,))
+    assert odd() == "2 is even"
+    assert seen == [1, 2]
+    assert over([(1,), (3,)])(odd.one)() == ""
 
 
 def test_a_failing_or_raising_check_fails_the_run(monkeypatch):
