@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidDimensionError, PrecisionLossError, TruncationError
-from .metrology import SensitivityRecord, readout
+from .metrology import SCHEME_METHOD, SensitivityRecord, readout
 from .protocols import Mode, check_point, check_twist, ladder_generators
 from .spin_core import StateVector
 
@@ -277,7 +277,12 @@ def fock_simulate(
     along the way must pass the truncation tail check.
     """
     check_point(scheme, twist_times_tau, sensing_fraction)
-    (record,) = readout(
-        fock_mode(space), scheme, twist_times_tau, [sensing_fraction], None
+    (value,) = readout(fock_mode(space), scheme, twist_times_tau, [sensing_fraction])
+    return SensitivityRecord(
+        scheme=scheme,
+        n_spins=None,
+        twist_strength=float(twist_times_tau),
+        sensing_fraction=float(sensing_fraction),
+        sensitivity=float(value),
+        method=SCHEME_METHOD[scheme],
     )
-    return record

@@ -30,9 +30,8 @@ from .errors import (
     WrongMethodError,
 )
 from .protocols import (
-    ECHO_SCHEMES,
-    QFI_SCHEMES,
     SCHEMES,
+    SHAPES,
     Mode,
     SchemeState,
     check_point,
@@ -41,6 +40,10 @@ from .protocols import (
 from .spin_core import DickeSpace, _real_inner, overlap, variance
 
 METHODS = ("qfi", "echo", "closed_form")
+
+# scheme: the figure of merit its simulations are read out with. The one
+# place that names it; the closed forms are "closed_form" for every scheme.
+SCHEME_METHOD = {k: "echo" if echo else "qfi" for k, (_, echo, _) in SHAPES.items()}
 
 
 def relative_difference(a: float, b: float) -> float:
@@ -69,17 +72,16 @@ class SensitivityRecord:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "qfi" and self.scheme not in QFI_SCHEMES:
+        if self.method not in ("closed_form", SCHEME_METHOD[self.scheme]):
             raise WrongMethodError(
-                f"method qfi is undefined for scheme {self.scheme}"
-            )
-        if self.method == "echo" and self.scheme not in ECHO_SCHEMES:
-            raise WrongMethodError(
-                f"method echo is undefined for scheme {self.scheme}"
+                f"method {self.method} is undefined for scheme {self.scheme}"
             )
         if self.n_spins is not None and self.n_spins < 1:
             raise ValueError(f"n_spins must be >= 1 or None, got {self.n_spins}")
-        _nonnegative(np.array([self.sensitivity]))
+        if not self.sensitivity >= 0.0:
+            raise ContractViolationError(
+                f"sensitivity must be >= 0, got {self.sensitivity}"
+            )
 
 
 def _nonnegative(values: np.ndarray) -> np.ndarray:
@@ -109,42 +111,12 @@ def qfi(state: SchemeState) -> float | np.ndarray:
 
 
 def readout(
-    mode: Mode,
-    scheme: str,
-    twist_strength: float,
-    sensing_fractions,
-    n_spins: int | None,
-) -> list[SensitivityRecord]:
+    mode: Mode, scheme: str, twist_strength: float, sensing_fractions
+) -> np.ndarray:
     """Run one protocol at zero field on a carrier and read out its figure of
     merit at each of the 1-D array ``sensing_fractions``: a whole curve of
-    one twist in one pipeline call, or a batch of one. One record per
-    sensing fraction, in order (see ``_figure_of_merit``).
-    """
-    fractions = np.asarray(sensing_fractions, dtype=float)
-    if fractions.ndim != 1:
-        raise ValueError(
-            f"sensing_fractions must be one-dimensional, got shape {fractions.shape}"
-        )
-    values = _figure_of_merit(mode, scheme, twist_strength, fractions)
-    method = "echo" if scheme in ECHO_SCHEMES else "qfi"
-    return [
-        SensitivityRecord(
-            scheme=scheme,
-            n_spins=n_spins,
-            twist_strength=twist_strength,
-            sensing_fraction=s,
-            sensitivity=value,
-            method=method,
-        )
-        for s, value in zip(fractions.tolist(), values.tolist())
-    ]
-
-
-def _figure_of_merit(
-    mode: Mode, scheme: str, twist_strength: float, fractions: np.ndarray
-) -> np.ndarray:
-    """The figure of merit of one pipeline call at each of the 1-D array
-    ``fractions``, as a float array checked >= 0 once.
+    one twist in one pipeline call, or a batch of one. A float array, in
+    order, each value checked >= 0 once.
 
     Schemes A/B/C report sqrt(F) / tau. The echo pair reports
     tau |d<G>/domega| / std(G) along the mode's field generator G; the slope
@@ -157,8 +129,13 @@ def _figure_of_merit(
     a sensitivity of exactly 0. All three are column-wise reductions of the
     (d, K) blocks.
     """
+    fractions = np.asarray(sensing_fractions, dtype=float)
+    if fractions.ndim != 1:
+        raise ValueError(
+            f"sensing_fractions must be one-dimensional, got shape {fractions.shape}"
+        )
     state = run_pipeline(mode, scheme, twist_strength, fractions)
-    if scheme in ECHO_SCHEMES:
+    if SCHEME_METHOD[scheme] == "echo":
         G = mode.generators["field"]
         slope = 2.0 * _real_inner(state.psi.amplitudes, G.matvec(state.dpsi.amplitudes))
         spread = np.sqrt(variance(G, state.psi))

@@ -68,8 +68,6 @@ SHAPES = {
     "Cprime": ("oat", True, True),
 }
 SCHEMES = tuple(SHAPES)
-ECHO_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if echo)
-QFI_SCHEMES = tuple(k for k, (_, echo, _) in SHAPES.items() if not echo)
 
 
 def check_twist(scheme: str, twist_times_tau: float) -> None:

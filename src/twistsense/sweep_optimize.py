@@ -13,11 +13,11 @@ benchmark of 1. A grid of one twist is a curve, and ``_curve`` is the one
 place that dispatches on the engine: it binds one twist to its engine and
 returns the function from sensing fractions to their sensitivities, a
 float array, with the depth at which its refinement batches. The spin
-engine computes a curve in one pipeline call (the figure of merit of
-``metrology.readout`` over all its sensing fractions; a few calls for
-grids too wide for CURVE_BLOCK_AMPLITUDES), the other engines point by
-point. The optimizer and the threshold search work on those values; a
-sweep and ``evaluate_point``, a curve of one point, make records of them.
+engine computes a curve in one pipeline call (``metrology.readout`` of
+all its sensing fractions; a few calls for grids too wide for
+CURVE_BLOCK_AMPLITUDES), the other engines point by point. The optimizer
+and the threshold search work on those values; a sweep and
+``evaluate_point``, a curve of one point, make records of them.
 The golden-section refinement of the optimizer goes through the same
 bound curve: on the spin engine, up to LOOKAHEAD_MAX_DIM levels, each
 call evaluates every point that any outcome of the next LOOKAHEAD steps
@@ -47,8 +47,8 @@ import numpy as np
 
 from .bosonic_limit import FockSpace, closed_form, fock_simulate
 from .errors import BracketingError
-from .metrology import SensitivityRecord, _figure_of_merit, _nonnegative
-from .protocols import ECHO_SCHEMES, check_point, check_twist, spin_mode
+from .metrology import SCHEME_METHOD, SensitivityRecord, _nonnegative, readout
+from .protocols import check_point, check_twist, spin_mode
 from .spin_core import DickeSpace
 
 ENGINES = ("spin", "fock", "closed_form")
@@ -223,7 +223,7 @@ def _curve(
     """
     check_twist(scheme, twist_value)
     x = float(twist_value)
-    method = "echo" if scheme in ECHO_SCHEMES else "qfi"
+    method = SCHEME_METHOD[scheme]
     if engine == "fock":
         space = fock_space or FockSpace()
         return _Curve(
@@ -248,7 +248,7 @@ def _curve(
     def curve(ts: np.ndarray) -> np.ndarray:
         return np.concatenate(
             [
-                _figure_of_merit(mode, scheme, x, ts[start : start + width])
+                readout(mode, scheme, x, ts[start : start + width])
                 for start in range(0, len(ts), width)
             ]
         )

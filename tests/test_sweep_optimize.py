@@ -1,5 +1,6 @@
 """Curve sweeps, the grid-then-refine optimizer, and threshold search."""
 
+from functools import partial
 from math import ceil, floor, log
 
 import numpy as np
@@ -12,6 +13,7 @@ from twistsense import (
     closed_form_optimum,
     evaluate_point,
     find_threshold,
+    fock_simulate,
     optimize_t,
     sweep_curve,
 )
@@ -87,10 +89,23 @@ class TestEvaluatePoint:
             evaluate_point("B", n, 1.0, s, engine)
 
     @pytest.mark.parametrize(
-        "engine,n", [("spin", 6), ("fock", None), ("closed_form", None)]
+        "point",
+        [
+            *(
+                pytest.param(
+                    partial(evaluate_point, "B", n, 1, 0.5, engine), id=f"{engine}-{n}"
+                )
+                for engine, n in (("spin", 6), ("fock", None), ("closed_form", None))
+            ),
+            pytest.param(partial(fock_simulate, "B", 1, 0.5), id="fock_simulate"),
+            pytest.param(
+                partial(fock_simulate, "B", np.float32(1), 0.5),
+                id="fock_simulate-float32",
+            ),
+        ],
     )
-    def test_records_carry_a_float_twist(self, engine, n):
-        rec = evaluate_point("B", n, 1, 0.5, engine)
+    def test_records_carry_a_float_twist(self, point):
+        rec = point()
         assert type(rec.twist_strength) is float and rec.twist_strength == 1.0
 
 
