@@ -44,17 +44,18 @@ from .protocols import Mode, check_point, check_twist, ladder_generators
 from .spin_core import StateVector
 
 
+# A Fock simulation is rejected whenever any of its normalized states
+# carries population at or above this in the top two levels; a result that
+# leaks into the truncation edge is not trustworthy.
+TAIL_TOLERANCE = 1e-10
+
+
 @dataclass(frozen=True)
 class FockSpace:
-    """Truncated single-mode Fock space for the infinite-N simulator.
-
-    A simulation is rejected whenever any of its normalized states carries
-    population at or above ``tail_tolerance`` in the top two levels; a
-    result that leaks into the truncation edge is not trustworthy.
-    """
+    """Truncated single-mode Fock space for the infinite-N simulator: the
+    vacuum and the ``truncation_dim`` - 1 levels above it."""
 
     truncation_dim: int = 400
-    tail_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         d = self.truncation_dim
@@ -65,10 +66,6 @@ class FockSpace:
         if d < 2:
             raise InvalidDimensionError(f"truncation_dim must be >= 2, got {d}")
         object.__setattr__(self, "truncation_dim", int(d))
-        if not 0.0 < self.tail_tolerance <= 1.0:
-            raise ValueError(
-                f"tail_tolerance must lie in (0, 1], got {self.tail_tolerance}"
-            )
 
 
 class ClosedFormOptimum(NamedTuple):
@@ -227,11 +224,11 @@ def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
     """Refuse a state, or any column of a block, that leaks into the top two
     levels; a block of no columns has nothing to refuse."""
     tail = float(np.sum(np.abs(state.amplitudes[-2:]) ** 2, axis=0).max(initial=0.0))
-    if not tail < space.tail_tolerance:
+    if not tail < TAIL_TOLERANCE:
         raise TruncationError(
             f"{stage} state carries population {tail:.3e} in the top two Fock "
             f"levels (truncation_dim={space.truncation_dim}, "
-            f"tail_tolerance={space.tail_tolerance:.1e})"
+            f"tail_tolerance={TAIL_TOLERANCE:.1e})"
         )
 
 
@@ -277,12 +274,6 @@ def fock_simulate(
     along the way must pass the truncation tail check.
     """
     check_point(scheme, twist_times_tau, sensing_fraction)
-    (value,) = readout(fock_mode(space), scheme, twist_times_tau, [sensing_fraction])
-    return SensitivityRecord(
-        scheme=scheme,
-        n_spins=None,
-        twist_strength=float(twist_times_tau),
-        sensing_fraction=float(sensing_fraction),
-        sensitivity=float(value),
-        method=SCHEME_METHOD[scheme],
-    )
+    x, s = float(twist_times_tau), float(sensing_fraction)
+    (value,) = readout(fock_mode(space), scheme, x, [s]).tolist()
+    return SensitivityRecord(scheme, None, x, s, value, SCHEME_METHOD[scheme])

@@ -56,8 +56,8 @@ class SensitivityRecord:
     """One evaluated sensitivity point.
 
     ``n_spins`` is None for bosonic (infinite-N) evaluations. ``method``
-    states which figure of merit produced the number: qfi for schemes
-    A/B/C, echo for Bprime/Cprime, closed_form for the analytic limits.
+    states which figure of merit produced the number: the scheme's
+    ``SCHEME_METHOD`` for a simulation, closed_form for the analytic limits.
     """
 
     scheme: str

@@ -155,7 +155,9 @@ def ladder_generators(
     square = np.zeros(d)
     square[1:] += lowering**2
     square[:-1] += lowering**2
-    field = BandedOperator.hermitian(d, {1: (0.5 / sqrt(norm)) * 1j * lowering})
+    # Divided last: (0.5 / sqrt(N)) * sqrt(N) rounds to 0.49999999999999994
+    # at some N, so the separable benchmark would read 1 - 1.1e-16 there.
+    field = BandedOperator.hermitian(d, {1: 1j * (0.5 * lowering / sqrt(norm))})
     tat = BandedOperator.hermitian(d, {2: 1j * pairs / norm})
     oat = BandedOperator.hermitian(
         d, {2: (pairs / 4.0) / norm}, diagonal=(square / 4.0) / norm

@@ -505,11 +505,19 @@ def check_dense_reference(scheme: str, n: int | None, twist: float, s: float) ->
     return ""
 
 
-@over((n,) for n in range(1, 101))
-def check_benchmark_scheme_a(n: int) -> str:
-    deviation = abs(evaluate_point("A", n, 0.0, 1.0, "spin").sensitivity - 1.0)
-    if deviation > 1e-9:
-        return f"separable benchmark deviates by {deviation:.3e} > 1e-9 (N={n})"
+@over(
+    [
+        *((n,) for n in (*range(1, 101), 128)),
+        *product((1, 2, 17, 128), (0.0, 0.3)),
+    ]
+)
+def check_benchmark_scheme_a(n: int, s: float = 1.0) -> str:
+    rec = evaluate_point("A", n, 0.0, s, "spin")
+    if (rec.sensitivity, rec.method) != (1.0, "qfi"):
+        return (
+            f"separable benchmark reads {rec.sensitivity!r} by {rec.method}, "
+            f"not exactly 1.0 by qfi (N={n}, s={s})"
+        )
     return ""
 
 
