@@ -23,6 +23,13 @@ from twistsense.spin_core import DickeSpace
 
 
 class TestQfiSensitivity:
+    @pytest.mark.parametrize("n", [1, 2, 17, 128])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    def test_separable_benchmark_is_exactly_one(self, n, s):
+        rec = evaluate_point("A", n, 0.0, s, "spin")
+        assert rec.sensitivity == 1.0
+        assert rec.method == "qfi"
+
     @pytest.mark.parametrize("s", [0.0, 0.4, 1.0])
     def test_sequential_zero_twist_equals_sensing_fraction(self, s):
         # With no twisting the probe only accumulates phase during the
