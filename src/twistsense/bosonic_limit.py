@@ -211,7 +211,8 @@ def enhancement_ratio(eta_tau: float) -> float:
     (exp(2 eta tau) - 1)/(2 eta tau); continuous at the branch point, at
     least 1 everywhere, and saturating at e from below for strong twisting.
     """
-    if not (isinstance(eta_tau, Real) and isfinite(eta_tau) and eta_tau > 0):
+    x = eta_tau
+    if isinstance(x, bool) or not (isinstance(x, Real) and isfinite(x) and x > 0):
         raise ValueError(
             f"eta_tau must be a finite real number > 0, got {eta_tau!r}"
         )

@@ -27,7 +27,6 @@ from dataclasses import asdict
 
 from .bosonic_limit import closed_form, closed_form_optimum
 from .errors import TwistsenseError
-from .metrology import SensitivityRecord
 from .protocols import SCHEMES
 from .sweep_optimize import (
     ENGINES,
@@ -73,27 +72,23 @@ def _write_output(path: str, text: str) -> None:
             handle.write(text)
 
 
-def _records_csv(records: list[SensitivityRecord], engine: str) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for rec in records:
-        writer.writerow(
-            [
-                rec.scheme,
-                "inf" if rec.n_spins is None else str(rec.n_spins),
-                _cell(rec.twist_strength),
-                _cell(rec.sensing_fraction),
-                _cell(rec.sensitivity),
-                rec.method,
-                engine,
-            ]
-        )
-    return buffer.getvalue()
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit(
+    args: argparse.Namespace, engine: str, payload: dict, header=(), rows=()
+) -> int:
+    """Write a command's result to --out: the (header, rows) table as CSV
+    for --format csv, otherwise JSON, the head (scheme, n_spins, engine)
+    followed by the payload, whose records are written field by field."""
+    if getattr(args, "format", "json") == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    else:
+        head = {"scheme": args.scheme, "n_spins": args.n, "engine": engine}
+        text = json.dumps({**head, **payload}, indent=2, default=asdict) + "\n"
+    _write_output(args.out, text)
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -106,19 +101,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         engine=engine,
     )
     records = sweep_curve(spec)
-    if args.format == "csv":
-        text = _records_csv(records, engine)
-    else:
-        text = _dump_json(
-            {
-                "scheme": args.scheme,
-                "n_spins": args.n,
-                "engine": engine,
-                "records": [asdict(rec) for rec in records],
-            }
-        )
-    _write_output(args.out, text)
-    return 0
+    rows = (
+        [
+            rec.scheme,
+            "inf" if rec.n_spins is None else str(rec.n_spins),
+            _cell(rec.twist_strength),
+            _cell(rec.sensing_fraction),
+            _cell(rec.sensitivity),
+            rec.method,
+            engine,
+        ]
+        for rec in records
+    )
+    return _emit(args, engine, {"records": records}, CSV_HEADER.split(","), rows)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
@@ -127,48 +122,19 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         optimize_t(args.scheme, args.n, twist, engine, args.t_points)
         for twist in args.twist
     ]
-    if args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["twist_value", "best_sensitivity", "t_opt", "boundary"])
-        for result in results:
-            writer.writerow(
-                [
-                    _cell(result.twist_value),
-                    _cell(result.best_sensitivity),
-                    _cell(result.t_opt),
-                    result.boundary,
-                ]
-            )
-        text = buffer.getvalue()
-    else:
-        text = _dump_json(
-            {
-                "scheme": args.scheme,
-                "n_spins": args.n,
-                "engine": engine,
-                "results": [asdict(result) for result in results],
-            }
-        )
-    _write_output(args.out, text)
-    return 0
+    header = ["twist_value", "best_sensitivity", "t_opt", "boundary"]
+    rows = (
+        [_cell(r.twist_value), _cell(r.best_sensitivity), _cell(r.t_opt), r.boundary]
+        for r in results
+    )
+    return _emit(args, engine, {"results": results}, header, rows)
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     engine = _infer_engine(args.engine, args.n)
     lo, hi = args.interval
     value = find_threshold(args.scheme, args.n, engine, (lo, hi))
-    text = _dump_json(
-        {
-            "scheme": args.scheme,
-            "n_spins": args.n,
-            "engine": engine,
-            "search_interval": [lo, hi],
-            "threshold": value,
-        }
-    )
-    _write_output(args.out, text)
-    return 0
+    return _emit(args, engine, {"search_interval": [lo, hi], "threshold": value})
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -178,7 +144,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         payload["sensing_fraction"] = args.t
         payload["value"] = closed_form(args.scheme, args.twist, args.t)
-    _write_output(args.out, _dump_json(payload))
+    _write_output(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 

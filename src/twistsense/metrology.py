@@ -33,11 +33,10 @@ from .protocols import (
     SCHEMES,
     SHAPES,
     Mode,
-    SchemeState,
     check_point,
     run_pipeline,
 )
-from .spin_core import DickeSpace, _real_inner, overlap, variance
+from .spin_core import DickeSpace, StateWithDerivative, _real_inner, overlap, variance
 
 METHODS = ("qfi", "echo", "closed_form")
 
@@ -96,7 +95,7 @@ def _nonnegative(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def qfi(state: SchemeState) -> float | np.ndarray:
+def qfi(state: StateWithDerivative) -> float | np.ndarray:
     """Pure-state quantum Fisher information from an exact derivative.
 
     F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2), requiring psi normalized and

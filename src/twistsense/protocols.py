@@ -46,11 +46,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .spin_core import (
     BandedOperator,
     DickeSpace,
     StateVector,
+    StateWithDerivative,
     _built,
     apply_operator,
     initial_state,
@@ -76,7 +76,7 @@ def check_twist(scheme: str, twist_times_tau: float) -> None:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     x = twist_times_tau
-    if not (isinstance(x, Real) and isfinite(x) and x >= 0):
+    if isinstance(x, bool) or not (isinstance(x, Real) and isfinite(x) and x >= 0):
         raise ValueError(
             f"twist_times_tau must be a finite real number >= 0, got {x!r}"
         )
@@ -87,27 +87,8 @@ def check_point(scheme: str, twist_times_tau: float, sensing_fraction: float) ->
     point."""
     check_twist(scheme, twist_times_tau)
     s = sensing_fraction
-    if not (isinstance(s, Real) and 0.0 <= s <= 1.0):
+    if isinstance(s, bool) or not (isinstance(s, Real) and 0.0 <= s <= 1.0):
         raise ValueError(f"sensing_fraction must be a real number in [0, 1], got {s}")
-
-
-@dataclass(frozen=True, eq=False)
-class SchemeState:
-    """Final state of a protocol at zero field plus its exact derivative.
-
-    ``dpsi`` is the derivative of ``psi`` with respect to the field omega
-    at omega = 0 and is unnormalized.
-    """
-
-    psi: StateVector
-    dpsi: StateVector
-
-    def __post_init__(self) -> None:
-        if self.psi.amplitudes.shape != self.dpsi.amplitudes.shape:
-            raise DimensionMismatchError(
-                f"psi and dpsi live in different spaces: "
-                f"{self.psi.amplitudes.shape[0]} vs {self.dpsi.amplitudes.shape[0]}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +171,7 @@ def run_pipeline(
     scheme: str,
     twist_strength: float,
     sensing_fraction,
-) -> SchemeState:
+) -> StateWithDerivative:
     """Final states and exact zero-field derivatives of one protocol on a carrier.
 
     ``sensing_fraction`` is one t/tau, giving (d,) states, or a 1-D array of
@@ -240,7 +221,7 @@ def run_pipeline(
         psi, term = window(-1.0, psi)
         mode.guard(psi, "post-echo")
         dpsi = _plus(propagate(H, -x * t, dpsi), term)
-    return SchemeState(psi=psi, dpsi=dpsi)
+    return StateWithDerivative(psi, dpsi)
 
 
 def _plus(dpsi: StateVector, term: np.ndarray | None) -> StateVector:

@@ -758,9 +758,25 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     return _built(out.reshape(shape), normalized=psi.normalized)
 
 
-class PropagationWithDerivative(NamedTuple):
-    phi: StateVector
-    dphi: StateVector
+@dataclass(frozen=True, eq=False)
+class StateWithDerivative:
+    """A state, or a block of them, and its exact derivative at zero
+    field, unnormalized: along the field angle for
+    ``propagate_with_derivative``, along the field for
+    ``protocols.run_pipeline``. Unpacks as (psi, dpsi)."""
+
+    psi: StateVector
+    dpsi: StateVector
+
+    def __post_init__(self) -> None:
+        if self.psi.amplitudes.shape != self.dpsi.amplitudes.shape:
+            raise DimensionMismatchError(
+                f"psi and dpsi live in different spaces: "
+                f"{self.psi.amplitudes.shape[0]} vs {self.dpsi.amplitudes.shape[0]}"
+            )
+
+    def __iter__(self):
+        return iter((self.psi, self.dpsi))
 
 
 class _Coupling(NamedTuple):
@@ -829,7 +845,7 @@ def propagate_with_derivative(
     G: BandedOperator,
     angle,
     psi: StateVector,
-) -> PropagationWithDerivative:
+) -> StateWithDerivative:
     """Turn psi through an angle of H0 and differentiate along G at zero.
 
     Returns phi = exp(-i theta H0) psi, with theta = angle, and the exact
@@ -915,9 +931,8 @@ def propagate_with_derivative(
         start = np.broadcast_to(x, phi.shape)[:, still]
         phi[:, still] = start
         dphi[:, still] = -1j * G.matvec(start)
-    return PropagationWithDerivative(
-        phi=_built(phi.reshape(shape)),
-        dphi=_built(dphi.reshape(shape), normalized=False),
+    return StateWithDerivative(
+        _built(phi.reshape(shape)), _built(dphi.reshape(shape), normalized=False)
     )
 
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bosonic_limit import FockSpace, closed_form, fock_simulate
+from .bosonic_limit import closed_form, fock_simulate
 from .errors import BracketingError
 from .metrology import SCHEME_METHOD, SensitivityRecord, _nonnegative, readout
 from .protocols import check_point, check_twist, spin_mode
@@ -189,24 +189,19 @@ def evaluate_point(
     twist_value: float,
     sensing_fraction: float,
     engine: str,
-    fock_space: FockSpace | None = None,
 ) -> SensitivityRecord:
     """One sensitivity evaluation through the chosen engine: a curve of one
     point."""
     _validate_engine(n_spins, engine)
     check_point(scheme, twist_value, sensing_fraction)
-    (record,) = _curve(scheme, n_spins, twist_value, engine, fock_space).records(
+    (record,) = _curve(scheme, n_spins, twist_value, engine).records(
         np.array([sensing_fraction], dtype=float)
     )
     return record
 
 
 def _curve(
-    scheme: str,
-    n_spins: int | None,
-    twist_value: float,
-    engine: str,
-    fock_space: FockSpace | None,
+    scheme: str, n_spins: int | None, twist_value: float, engine: str
 ) -> _Curve:
     """One twist bound to its engine, as a ``_Curve``.
 
@@ -218,17 +213,17 @@ def _curve(
     refinement evaluates LOOKAHEAD steps' candidates at a time, up to
     LOOKAHEAD_MAX_DIM levels. The Fock and closed-form engines evaluate a
     curve point by point, so theirs gains nothing from batching and
-    evaluates the one point each step asks for. Every engine hands back
-    bare values; records are made only where a caller asks for them.
+    evaluates the one point each step asks for; the Fock engine runs on
+    ``fock_simulate``'s default space. Every engine hands back bare
+    values; records are made only where a caller asks for them.
     """
     check_twist(scheme, twist_value)
     x = float(twist_value)
     method = SCHEME_METHOD[scheme]
     if engine == "fock":
-        space = fock_space or FockSpace()
         return _Curve(
             lambda ts: np.array(
-                [fock_simulate(scheme, x, t, space).sensitivity for t in ts.tolist()]
+                [fock_simulate(scheme, x, t).sensitivity for t in ts.tolist()]
             ),
             1,
             partial(SensitivityRecord, scheme, None, x, method=method),
@@ -260,17 +255,13 @@ def _curve(
     )
 
 
-def sweep_curve(
-    spec: SweepSpec, fock_space: FockSpace | None = None
-) -> list[SensitivityRecord]:
+def sweep_curve(spec: SweepSpec) -> list[SensitivityRecord]:
     """Evaluate the full grid of a spec, twist outer, t/tau inner."""
     ts = np.linspace(0.0, 1.0, spec.t_grid)
     return [
         record
         for x in spec.twist_values
-        for record in _curve(
-            spec.scheme, spec.n_spins, x, spec.engine, fock_space
-        ).records(ts)
+        for record in _curve(spec.scheme, spec.n_spins, x, spec.engine).records(ts)
     ]
 
 
@@ -366,7 +357,6 @@ def optimize_t(
     twist_value: float,
     engine: str,
     t_grid: int = 201,
-    fock_space: FockSpace | None = None,
 ) -> OptimumResult:
     """Best sensitivity over the sensing fraction at one twist value.
 
@@ -385,7 +375,7 @@ def optimize_t(
     """
     _validate_engine(n_spins, engine)
     _validate_t_grid(t_grid)
-    curve = _curve(scheme, n_spins, twist_value, engine, fock_space)
+    curve = _curve(scheme, n_spins, twist_value, engine)
     ts = np.linspace(0.0, 1.0, t_grid)
     vals = curve.evaluate(ts).tolist()
     best_t, best_v = _refine(curve, ts, vals, _grid_best(vals))
@@ -410,7 +400,6 @@ def find_threshold(
     engine: str,
     search_interval: tuple[float, float],
     t_grid: int = 201,
-    fock_space: FockSpace | None = None,
 ) -> float:
     """Smallest twist strength whose optimized sensitivity beats 1.
 
@@ -434,7 +423,10 @@ def find_threshold(
         raise ValueError(
             f"search_interval must be two numbers (lo, hi), got {search_interval!r}"
         ) from None
-    ends_real = all(isinstance(x, Real) and isfinite(x) for x in (lo, hi))
+    ends_real = all(
+        isinstance(x, Real) and not isinstance(x, bool) and isfinite(x)
+        for x in (lo, hi)
+    )
     if not ends_real or not 0.0 <= lo < hi:
         raise ValueError(
             "search_interval must be finite real numbers with 0 <= lo < hi, "
@@ -443,7 +435,7 @@ def find_threshold(
     lo, hi = float(lo), float(hi)
 
     def exceeds(x: float) -> bool:
-        return _beats_benchmark(scheme, n_spins, x, engine, t_grid, fock_space)
+        return _beats_benchmark(scheme, n_spins, x, engine, t_grid)
 
     if exceeds(lo):
         raise BracketingError(
@@ -463,12 +455,7 @@ def find_threshold(
 
 
 def _beats_benchmark(
-    scheme: str,
-    n_spins: int | None,
-    twist_value: float,
-    engine: str,
-    t_grid: int,
-    fock_space: FockSpace | None,
+    scheme: str, n_spins: int | None, twist_value: float, engine: str, t_grid: int
 ) -> bool:
     """Whether ``optimize_t(...).best_sensitivity > 1 + BENCHMARK_MARGIN``,
     evaluating only what decides it.
@@ -484,7 +471,7 @@ def _beats_benchmark(
     3. ``optimize_t``'s refinement from that grid, compared with the goal.
     """
     goal = 1.0 + BENCHMARK_MARGIN
-    curve = _curve(scheme, n_spins, twist_value, engine, fock_space)
+    curve = _curve(scheme, n_spins, twist_value, engine)
     ts = np.linspace(0.0, 1.0, t_grid)
     coarse = [*range(0, t_grid - 1, COARSE_STRIDE), t_grid - 1]
     coarse_best = curve.evaluate(ts[coarse]).max()

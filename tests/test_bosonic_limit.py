@@ -135,7 +135,7 @@ class TestEnhancementRatio:
         with pytest.raises(ValueError):
             enhancement_ratio(-1.0)
 
-    @pytest.mark.parametrize("bad", [None, "1"], ids=["None", "str"])
+    @pytest.mark.parametrize("bad", [None, "1", True], ids=["None", "str", "bool"])
     def test_rejects_a_twist_that_is_not_a_real_number(self, bad):
         with pytest.raises(ValueError, match="eta_tau must be a .*real number"):
             enhancement_ratio(bad)

@@ -148,6 +148,7 @@ class TestSweepCsv:
         )
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["scheme", "n_spins", "engine", "records"]
         assert payload["scheme"] == "A"
         assert payload["n_spins"] == 3
         assert payload["engine"] == "spin"

@@ -13,15 +13,12 @@ from twistsense import (
     sweep_curve,
 )
 from twistsense.bosonic_limit import fock_mode
-from twistsense.errors import InvalidDimensionError
-from twistsense.protocols import (
-    SchemeState,
-    run_pipeline,
-    spin_mode,
-)
+from twistsense.errors import DimensionMismatchError, InvalidDimensionError
+from twistsense.protocols import run_pipeline, spin_mode
 from twistsense.spin_core import (
     DickeSpace,
     StateVector,
+    StateWithDerivative,
     initial_state,
     overlap,
     variance,
@@ -78,12 +75,12 @@ class TestPointChecks:
         with pytest.raises(ValueError, match="sensing_fraction"):
             point(s=frac)
 
-    @pytest.mark.parametrize("bad", [None, "0.5"], ids=["None", "str"])
+    @pytest.mark.parametrize("bad", [None, "0.5", True], ids=["None", "str", "bool"])
     @pytest.mark.parametrize("name", ["twist_times_tau", "sensing_fraction"])
     @pytest.mark.parametrize("entry", POINT_ENTRIES)
     def test_rejects_an_argument_that_is_not_a_real_number(self, entry, name, bad):
-        # None is not "no fraction" to a point: it is refused, as a str is,
-        # by name and before any engine runs.
+        # None is not "no fraction" to a point: it is refused, as a str or a
+        # bool is, by name and before any engine runs.
         twist, s = (bad, 0.5) if name == "twist_times_tau" else (1.0, bad)
         with pytest.raises(ValueError, match=f"{name} must be a .*real number"):
             POINT_ENTRIES[entry](twist, s)
@@ -211,11 +208,11 @@ class TestSchemeStates:
             assert not state.dpsi.normalized
 
     def test_rejects_unnormalized_usage_signature(self):
-        # SchemeState construction itself enforces the dimension contract.
+        # The pair's construction itself enforces the dimension contract.
         psi = initial_state(DickeSpace(3))
         bad = StateVector(np.zeros(5, dtype=complex), normalized=False)
-        with pytest.raises(Exception):
-            SchemeState(psi=psi, dpsi=bad)
+        with pytest.raises(DimensionMismatchError):
+            StateWithDerivative(psi=psi, dpsi=bad)
 
 
 @pytest.mark.parametrize("scheme", ["B", "C"])

@@ -394,8 +394,8 @@ def test_derivative_batches_one_angle_per_column():
     for k, angle in enumerate(angles):
         column = StateVector(psi.amplitudes[:, k])
         alone = propagate_with_derivative(H, G, angle, column)
-        assert np.abs(phi.amplitudes[:, k] - alone.phi.amplitudes).max() <= 1e-14
-        assert np.abs(dphi.amplitudes[:, k] - alone.dphi.amplitudes).max() <= 1e-13
+        assert np.abs(phi.amplitudes[:, k] - alone.psi.amplitudes).max() <= 1e-14
+        assert np.abs(dphi.amplitudes[:, k] - alone.dpsi.amplitudes).max() <= 1e-13
     assert np.array_equal(phi.amplitudes[:, 0], psi.amplitudes[:, 0])
     assert np.array_equal(
         dphi.amplitudes[:, 0], -1j * G.matvec(psi.amplitudes[:, 0])

@@ -33,7 +33,7 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(scheme="B", n_spins=4, twist_values=(-1.0,))
 
-    @pytest.mark.parametrize("bad", [None, "1"], ids=["None", "str"])
+    @pytest.mark.parametrize("bad", [None, "1", True], ids=["None", "str", "bool"])
     def test_rejects_a_twist_that_is_not_a_real_number(self, bad):
         # Refused by name before any conversion, not by float().
         with pytest.raises(ValueError, match="twist_times_tau must be a .*real number"):
@@ -107,6 +107,16 @@ class TestEvaluatePoint:
     def test_records_carry_a_float_twist(self, point):
         rec = point()
         assert type(rec.twist_strength) is float and rec.twist_strength == 1.0
+
+    @pytest.mark.parametrize(
+        "scheme, twist",
+        [("A", 1.0), ("B", 0.5), ("C", 0.5), ("Bprime", 4.0), ("Cprime", 4.0)],
+    )
+    def test_fock_engine_is_the_default_fock_space(self, scheme, twist):
+        # The Fock engine takes no space of its own: it is fock_simulate on
+        # its default FockSpace().
+        got = evaluate_point(scheme, None, twist, 0.3, "fock")
+        assert got == fock_simulate(scheme, twist, 0.3)
 
 
 class TestSweepCurve:
@@ -220,11 +230,16 @@ class TestFindThreshold:
         with pytest.raises(ValueError, match="search_interval must be two numbers"):
             find_threshold("B", None, "closed_form", interval)
 
-    @pytest.mark.parametrize("bad", [None, "0.1"], ids=["None", "str"])
-    def test_rejects_an_interval_end_that_is_not_a_real_number(self, bad):
-        # Refused by name before any conversion, not by float().
+    @pytest.mark.parametrize(
+        "interval",
+        [(None, 1.0), ("0.1", 1.0), (False, True)],
+        ids=["None", "str", "bool"],
+    )
+    def test_rejects_an_interval_end_that_is_not_a_real_number(self, interval):
+        # Refused by name before any conversion, not by float(); a bool is
+        # not a twist, though it compares as 0 or 1.
         with pytest.raises(ValueError, match="search_interval must be .*real numbers"):
-            find_threshold("B", 4, "spin", (bad, 1.0))
+            find_threshold("B", 4, "spin", interval)
 
 
 def _count_pipeline_sizes(monkeypatch) -> list[int]:
@@ -301,9 +316,9 @@ def test_fock_refinement_is_one_simulation_per_point(monkeypatch):
     points = []
     simulate = sweep_optimize.fock_simulate
 
-    def counted(scheme, twist, t, space):
+    def counted(scheme, twist, t):
         points.append(t)
-        return simulate(scheme, twist, t, space)
+        return simulate(scheme, twist, t)
 
     monkeypatch.setattr(sweep_optimize, "fock_simulate", counted)
     optimize_t("B", None, 0.5, "fock", 5)
@@ -345,7 +360,7 @@ class TestStagedThresholdStep:
         sizes = _count_pipeline_sizes(monkeypatch)
         # Well above the ten-spin echo threshold (about 11.5): every 10th of
         # 201 grid points, both ends included, already beats the benchmark.
-        assert sweep_optimize._beats_benchmark("Bprime", 10, 14.0, "spin", 201, None)
+        assert sweep_optimize._beats_benchmark("Bprime", 10, 14.0, "spin", 201)
         assert sizes == [21]
 
     def test_a_step_decided_by_the_full_grid_refines_nothing(self, monkeypatch):
@@ -356,7 +371,7 @@ class TestStagedThresholdStep:
         values = [r.sensitivity for r in curve]
         assert max(values[::10]) < 1.0 < max(values)
         sizes.clear()
-        assert sweep_optimize._beats_benchmark("Bprime", 10, 11.6, "spin", 201, None)
+        assert sweep_optimize._beats_benchmark("Bprime", 10, 11.6, "spin", 201)
         assert sizes == [21, 201]
 
     def test_a_step_below_the_benchmark_costs_one_refinement(self, monkeypatch):
@@ -368,7 +383,7 @@ class TestStagedThresholdStep:
             "Bprime", 10, 9.0, 201, sweep_optimize.LOOKAHEAD
         )
         sizes.clear()
-        assert not sweep_optimize._beats_benchmark("Bprime", 10, 9.0, "spin", 201, None)
+        assert not sweep_optimize._beats_benchmark("Bprime", 10, 9.0, "spin", 201)
         assert sizes == [21, 201] + refinement
 
 class TestTGridValidation:
