@@ -249,7 +249,7 @@ def fock_mode(space: FockSpace) -> Mode:
     """
     d = space.truncation_dim
     lowering = np.sqrt(np.arange(1, d))  # <k| a |k+1> = sqrt(k + 1)
-    vacuum = np.zeros(d, dtype=complex)
+    vacuum = np.zeros(d)
     vacuum[0] = 1.0
     return Mode(
         generators=ladder_generators(lowering, 1.0),

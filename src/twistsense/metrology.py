@@ -101,6 +101,8 @@ def qfi(state: StateWithDerivative) -> float | np.ndarray:
     F = 4 (<dpsi|dpsi> - |<psi|dpsi>|^2), requiring psi normalized and
     dpsi evaluated at zero field; one value per column for a block. Each is
     nonnegative by Cauchy-Schwarz; tiny negative roundoff is clamped to 0.
+    For the real blocks of schemes A and B this is 4 (|dpsi|^2 -
+    (psi . dpsi)^2), reduced over the blocks themselves.
     """
     if not state.psi.normalized:
         raise ContractViolationError("qfi requires a normalized state")

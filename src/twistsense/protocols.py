@@ -52,7 +52,7 @@ from .spin_core import (
     StateVector,
     StateWithDerivative,
     _built,
-    apply_operator,
+    apply_generator,
     initial_state,
     propagate,
     propagate_with_derivative,
@@ -88,7 +88,7 @@ def check_point(scheme: str, twist_times_tau: float, sensing_fraction: float) ->
     check_twist(scheme, twist_times_tau)
     s = sensing_fraction
     if isinstance(s, bool) or not (isinstance(s, Real) and 0.0 <= s <= 1.0):
-        raise ValueError(f"sensing_fraction must be a real number in [0, 1], got {s}")
+        raise ValueError(f"sensing_fraction must be a real number in [0, 1], got {s!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +192,12 @@ def run_pipeline(
     ``propagate_with_derivative``. The echo reverses the twist but not
     omega, so a concurrent untwist contributes too. The mode's guard sees
     the initial state, the twisted state and the echoed state.
+
+    The probe is real, and the field and two-axis generators are i times
+    real antisymmetric matrices, so A and B run in real arithmetic
+    (``spin_core.propagate``, ``spin_core.apply_generator``): their psi and
+    dpsi are float64 blocks. C (whose concurrent derivative is complex),
+    Bprime and Cprime (whose one-axis twist is real symmetric) are complex.
     """
     kind, echo, concurrent = SHAPES[scheme]
     G = mode.generators["field"]
@@ -216,7 +222,7 @@ def run_pipeline(
 
     psi, term = window(1.0, psi0)
     mode.guard(psi, "post-twist")
-    dpsi = _plus(apply_operator(G, psi, prefactor=-1j * s), term)
+    dpsi = _plus(apply_generator(G, psi, s), term)
     if echo:
         psi, term = window(-1.0, psi)
         mode.guard(psi, "post-echo")

@@ -48,13 +48,22 @@ structured:
 * a bipartite block's values come in exact +- pairs, and exp(i x) is the
   conjugate of exp(-i x) to the bit (cos is even and sin odd), so its
   phase tables are evaluated on half the values; a chain whose phases are
-  all exactly 1, every one-axis chain, skips its phase products.
+  all exactly 1, every one-axis chain, skips its phase products,
+* an operator that is i times a real antisymmetric band A (a zero
+  diagonal and purely imaginary bands: the field generator and two-axis
+  twisting) has exp(-i theta H) = exp(theta A), a real rotation. A real
+  state propagated under it is turned in real arithmetic through the
+  +- pairs of each chain (``Chain.rotate``), and its image -i t H psi is
+  t A psi (``apply_generator``).
 
-States are vectors (d,) or blocks (d, K) of K states side by side. The
-propagators take one angle per column, so a whole curve of K sensing
-fractions turns through its K twist angles in one real matrix product per
-chain instead of K matrix-vector products; the reductions (variances,
-overlaps) give one value per column.
+States are vectors (d,) or blocks (d, K) of K states side by side, with
+float64 amplitudes when they are real and complex128 otherwise: the probe
+is real, it stays real under the field generator and two-axis twisting,
+and any other operation makes it complex. The propagators take one angle
+per column, so a whole curve of K sensing fractions turns through its K
+twist angles in one real matrix product per chain instead of K
+matrix-vector products; the reductions (variances, overlaps) give one
+value per column, and reduce two real blocks without a complex copy.
 
 Conventions:
 
@@ -68,8 +77,9 @@ Conventions:
 All public objects are immutable after construction and every operation is
 a pure function of its inputs, so values can be shared freely across
 threads. The only lazily computed pieces of state are the memoized chains
-of an operator's eigendecomposition, which are idempotent and safe under
-concurrent access.
+of an operator's eigendecomposition and what is derived from them once
+(an operator's ``turns_reals``, a chain's rotation plan), which are
+idempotent and safe under concurrent access.
 """
 
 from __future__ import annotations
@@ -107,9 +117,9 @@ MAX_PHASE = 1e6
 NEAR_GAP = 1e-3
 
 
-def _frozen_array(values) -> np.ndarray:
-    """Copy input into an immutable complex array."""
-    arr = np.array(values, dtype=complex)
+def _frozen_array(values, dtype=complex) -> np.ndarray:
+    """Copy input into an immutable array of ``dtype``."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -186,7 +196,9 @@ class Chain:
     ``real`` marks phases that are all exactly 1 (every one-axis chain):
     V_r = V, and no phase is multiplied or conjugated. The tables of turns
     and of the derivative's f are evaluated once per +- pair of values
-    (``_pairing``).
+    (``_pairing``). A real slice under an H that is i times a real
+    antisymmetric band is turned by ``rotate``, through the same vectors
+    in real arithmetic.
     """
 
     def __init__(
@@ -217,16 +229,26 @@ class Chain:
     def _fold(self, y: np.ndarray) -> np.ndarray:
         """The mirror sums of y over its mirror differences, as real pairs;
         y's own pairs on a chain with no mirror pairs."""
-        pairs = _pairs(y)
-        n, h = len(pairs), len(self.odd)
+        return self._fold_rows(_pairs(y))
+
+    def _fold_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``_fold`` of a real (n, K) array."""
+        n, h = len(rows), len(self.odd)
         if not h:
-            return pairs
-        top, bottom = pairs[:h], pairs[n - h :][::-1]
-        folded = np.empty_like(pairs)
+            return rows
+        top, bottom = rows[:h], rows[n - h :][::-1]
+        folded = np.empty_like(rows)
         np.add(top, bottom, out=folded[:h])
-        folded[h : n - h] = pairs[h : n - h]
+        folded[h : n - h] = rows[h : n - h]
         np.subtract(top, bottom, out=folded[n - h :])
         return folded
+
+    def _unfold(self, dest: np.ndarray, odd: np.ndarray) -> None:
+        """Undo the fold in place: ``dest`` holds the mirror-even block's
+        product in its first n - h rows, ``odd`` the mirror-odd block's."""
+        n, h = len(dest), len(odd)
+        np.subtract(dest[:h], odd, out=dest[n - h :][::-1])
+        np.add(dest[:h], odd, out=dest[:h])
 
     def _fold_products(self, folded: np.ndarray, out: np.ndarray) -> np.ndarray:
         """V^T y from y folded, written into the complex block ``out``."""
@@ -266,23 +288,25 @@ class Chain:
         dest = out.view(np.float64).reshape(n, -1)
         np.matmul(self.vectors, pairs[:m], out=dest[:m])
         if h:
-            odd = np.matmul(self.odd, pairs[m:])
-            np.subtract(dest[:h], odd, out=dest[m:][::-1])
-            np.add(dest[:h], odd, out=dest[:h])
+            self._unfold(dest, np.matmul(self.odd, pairs[m:]))
         if not self.real:
             out *= _per_row(self.phases, out)
         return out
 
-    def turns(self, angles, reach: float) -> np.ndarray:
-        """exp(-i angle_k lambda_j), one column per angle (a vector for a
-        scalar angle), refused past MAX_PHASE; ``reach`` is max|angle_k|,
-        which a caller turning several chains takes once."""
+    def _check_reach(self, reach: float) -> None:
+        """Refuse turns past MAX_PHASE; ``reach`` is max|angle_k|, which a
+        caller turning several chains takes once."""
         phase = reach * self.largest
         if not phase <= MAX_PHASE:
             raise PrecisionLossError(
                 f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
                 "the propagator phases would be lost to roundoff"
             )
+
+    def turns(self, angles, reach: float) -> np.ndarray:
+        """exp(-i angle_k lambda_j), one column per angle (a vector for a
+        scalar angle), refused past MAX_PHASE (``_check_reach``)."""
+        self._check_reach(reach)
         back = np.negative(angles)
 
         def fill(values, out):
@@ -303,6 +327,193 @@ class Chain:
             np.divide(np.expm1(np.multiply.outer(-1j * values, angles)), theta, out=out)
 
         return self._table(angles, fill)
+
+    @cached_property
+    def _rotation(self) -> _Rotation | None:
+        """How ``rotate`` pairs this chain's values, or None when it cannot.
+
+        The phases must be quarter turns, real at even positions and
+        imaginary at odd ones, as they are when no link is zero. A mirror
+        chain of even length pairs across its halves. Every other block
+        must keep the layout of its bipartite SVD (``_paired_layout``),
+        which a split or nearly split chain, solved by ``eigh``, does not.
+        """
+        n, h = len(self.values), len(self.odd)
+        signs = self.phases * np.where(np.arange(n) % 2, 1j, 1.0)
+        if signs.imag.any() or not np.all(np.abs(signs.real) == 1):
+            return None
+        signs = signs.real[:, None]
+        if h and not n % 2:
+            # Each mirror-even vector v pairs with J_h v in the mirror-odd half.
+            flips = np.where(np.arange(h) % 2, -1.0, 1.0)[:, None]
+            whole = slice(0, h)
+            block = _Block(whole, h, self.vectors, (0, whole), self.vectors, (1, whole))
+            return _Rotation(signs, flips, 0.5 * self.values[:h], np.ones((h, 1)), (block,))
+        blocks, half_values, scale, start = [], [], [], 0
+        for half, vectors in enumerate((self.vectors, self.odd)[: 2 if h else 1]):
+            size, lo = len(vectors), half * (n - h)
+            if not _paired_layout(self.values[lo : lo + size], vectors):
+                return None
+            k = size // 2
+            blocks.append(_Block(
+                slice(start, start + size - k), k,
+                vectors[0::2, : size - k], (half, slice(0, size, 2)),
+                vectors[1::2, :k], (half, slice(1, size, 2)),
+            ))
+            start += size - k
+            # Each pair's columns carry 1 / sqrt(2), the zero mode's none.
+            half_values.append(np.append(-0.5 * self.values[lo : lo + k], np.zeros(size % 2)))
+            scale.append(np.append(np.full(k, 2.0), np.ones(size % 2)))
+        return _Rotation(
+            signs, None, np.concatenate(half_values), np.concatenate(scale)[:, None],
+            tuple(blocks),
+        )
+
+    def rotate(self, x: np.ndarray, angles: np.ndarray, reach: float, out: np.ndarray):
+        """exp(-i angle_k H) x_k for a real (n, 1) or (n, K) slice x of an H
+        that is i times a real antisymmetric band (``BandedOperator.
+        turns_reals``), written into the real (n, K) ``out``, which may be a
+        row-strided view; refused past MAX_PHASE as ``turns`` is.
+
+        With R = diag(r) the real signs r_k = p_k i^(k mod 2) of the
+        quarter-turn phases and J = diag((-1)^k) the parity of the position,
+        the chain's real matrix T = P^dag H P is bipartite, J T J = -T, and
+
+            exp(-i theta H) = R (cos(theta T) + J sin(theta T)) R.
+
+        J maps each eigenvector of value lambda to one of value -lambda, so
+        on the coefficients (a, b) of each such pair the bracket is the
+        rotation (a, b) -> (a cos - b sin, b cos + a sin) of the angle
+        theta lambda: half-size real products and one table of angles for
+        the whole chain, with no complex amplitude anywhere. The pairs sit
+        in two shapes:
+
+        * a whole chain, or each half of a mirror chain of odd length, is
+          one bipartite block. Its even rows and first ceil(m / 2) columns
+          hold the right singular vectors W / sqrt(2), and the one of value
+          0 at odd m; its odd rows and first m // 2 columns hold the left
+          ones -U / sqrt(2), for the values -sigma. So a = (W / sqrt(2))^T
+          y_even and b = (-U / sqrt(2))^T y_odd, and the rotation of the
+          angles theta sigma, doubled, takes them back through the same two
+          half-size blocks. The zero mode keeps its coefficient.
+        * a mirror chain of even length has an ``eigh`` per half. J maps
+          the mirror-even half onto the mirror-odd one with the alternating
+          signs J_h = diag((-1)^i), so the mirror-odd block is
+          -J_h T_even J_h. Only the mirror-even vectors Q are used:
+          a = Q^T y_even and b = Q^T J_h y_odd.
+
+        A chain that cannot be paired (``_rotation`` is None) is turned as
+        a complex slice and its real part kept, exact up to roundoff.
+        """
+        self._check_reach(reach)
+        plan = self._rotation
+        if plan is None:
+            turned = self.turns(angles, reach) * self.analyze(x.astype(complex))
+            np.copyto(out, self.synthesize(turned).real)
+            return
+        m = len(x) - len(self.odd)
+        y = self._fold_rows(x * plan.signs)
+        if plan.flips is not None:
+            y[m:] *= plan.flips
+        halves = (y[:m], y[m:])
+        a, b = np.zeros((2, len(plan.half_values), y.shape[1]))
+        for block in plan.blocks:
+            (i, at), (j, bt) = block.even_rows, block.odd_rows
+            np.matmul(block.even.T, halves[i][at], out=a[block.rows])
+            np.matmul(block.odd.T, halves[j][bt], out=b[block.rows][: block.pairs])
+        a, b = _turn_pairs(a, b, plan.half_values, angles, plan.scale)
+        # The mirror-even half is written into out, the mirror-odd one
+        # apart, and the fold is undone in place, as ``_synthesize_into`` does.
+        odd = np.empty((len(self.odd), out.shape[1]))
+        halves = (out[:m], odd)
+        for block in plan.blocks:
+            (i, at), (j, bt) = block.even_rows, block.odd_rows
+            np.matmul(block.even, a[block.rows], out=halves[i][at])
+            np.matmul(block.odd, b[block.rows][: block.pairs], out=halves[j][bt])
+        if plan.flips is not None:
+            odd *= plan.flips
+        if len(odd):
+            self._unfold(out, odd)
+        out *= plan.signs
+
+
+class _Block(NamedTuple):
+    """One block of a chain's real rotation: its coefficient ``rows`` in the
+    stacked a and b, its number of ``pairs``, and the vectors that give a
+    and b from the folded rows ``even_rows`` and ``odd_rows``, each a
+    (half, rows) with half 0 for the mirror-even fold (the whole chain
+    when it has no mirror pairs) and 1 for the mirror-odd one. b has
+    ``pairs`` rows; a may have one more, a zero mode."""
+
+    rows: slice
+    pairs: int
+    even: np.ndarray
+    even_rows: tuple[int, slice]
+    odd: np.ndarray
+    odd_rows: tuple[int, slice]
+
+
+class _Rotation(NamedTuple):
+    """A chain's real rotation (``Chain.rotate``).
+
+    ``signs`` are the r_k, a (n, 1) column, and ``flips`` the J_h of a
+    mirror chain of even length (None otherwise). The coefficient rows of
+    all blocks are stacked: row j turns through the angle 2 theta
+    ``half_values[j]`` and is scaled by ``scale[j]``.
+    """
+
+    signs: np.ndarray
+    flips: np.ndarray | None
+    half_values: np.ndarray
+    scale: np.ndarray
+    blocks: tuple[_Block, ...]
+
+
+def _paired_layout(values: np.ndarray, vectors: np.ndarray) -> bool:
+    """Whether a block's values and vectors have the layout of the
+    bipartite SVD in ``_tridiagonal_eigh``: for j < m // 2 the columns j
+    and m - 1 - j are equal on the even rows and opposite on the odd ones
+    (each is the other's image under the parity J) with opposite values,
+    and the middle column of an odd m has value 0 and no odd row."""
+    m = len(values)
+    k = m // 2
+    even, odd = vectors[0::2], vectors[1::2]
+    return (
+        np.array_equal(values[:k], -values[m - k :][::-1])
+        and np.array_equal(even[:, :k], even[:, m - k :][:, ::-1])
+        and np.array_equal(np.negative(odd[:, :k]), odd[:, m - k :][:, ::-1])
+        and not (m % 2 and (values[k] or odd[:, k].any()))
+    )
+
+
+def _turn_pairs(a, b, half_values, angles, scale) -> tuple[np.ndarray, np.ndarray]:
+    """scale (a cos - b sin, b cos + a sin) of the angles x = 2 half_values_j
+    theta_k, one column per angle; a and b may be single columns shared by
+    every angle, and scale is a column.
+
+    cos and sin are taken from t = tan(x / 2) as (1 - t^2) / (1 + t^2) and
+    2 t / (1 + t^2) (the tangent half-angle substitution): numpy evaluates
+    a float64 tangent in SIMD lanes but its sine and cosine one value at a
+    time, so this costs a fifth of them. Both stay within 2.3e-16 of
+    numpy's sine and cosine (2e6 angles up to |x| = 1e6, the range that
+    MAX_PHASE allows); an angle of 0 gives exactly 1 and 0.
+    """
+    t = np.multiply.outer(half_values, angles)
+    np.tan(t, out=t)
+    cos = t * t
+    inv = 1.0 + cos
+    np.divide(scale, inv, out=inv)
+    np.subtract(1.0, cos, out=cos)
+    cos *= inv
+    sin = t
+    sin *= inv
+    sin += sin
+    turned_a, turned_b = np.multiply(cos, a, out=inv), cos * b
+    np.multiply(sin, b, out=cos)
+    turned_a -= cos
+    np.multiply(sin, a, out=cos)
+    turned_b += cos
+    return turned_a, turned_b
 
 
 class Eigensystem:
@@ -389,37 +600,16 @@ class BandedOperator:
         return mat
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A x for a vector or, column by column, a (dim, K) block.
+        """A x for a vector or, column by column, a (dim, K) block."""
+        return _band_product(self.bands, x, complex)
 
-        The first band's products are written straight into the result,
-        whose other rows are zeroed. Each further band's are added a few
-        rows at a time through one scratch block of at most
-        ``np.getbufsize()`` amplitudes, the size of the buffer a numpy
-        ufunc call allocates, so a call holds little beyond its result.
-        """
-        if not self.bands:
-            return np.zeros(x.shape, dtype=complex)
-        d = self.dim
-        out = np.empty(x.shape, dtype=complex)
-        step = max(1, np.getbufsize() // max(1, x.size // d))
-        scratch = None
-        for i, (k, values) in enumerate(self.bands.items()):
-            # Band k maps rows lo + k .. hi + k of x to rows lo .. hi of A x.
-            lo, hi = max(0, -k), d - max(0, k)
-            rows, source = out[lo:hi], x[lo + k : hi + k]
-            values = _per_row(values, x)
-            if i == 0:
-                np.multiply(values, source, out=rows)
-                out[:lo] = 0.0
-                out[hi:] = 0.0
-                continue
-            if scratch is None:
-                scratch = np.empty((min(step, d), *x.shape[1:]), dtype=complex)
-            for start in range(0, hi - lo, step):
-                part = slice(start, start + step)
-                product = scratch[: min(step, hi - lo - start)]
-                rows[part] += np.multiply(values[part], source[part], out=product)
-        return out
+    @cached_property
+    def turns_reals(self) -> bool:
+        """Whether this is i times a real antisymmetric matrix A: a zero
+        diagonal and purely imaginary bands, A's being their imaginary
+        parts. Then exp(-i theta H) = exp(theta A) and -i H = A map real
+        states to real states (``propagate``, ``apply_generator``)."""
+        return not any(values.real.any() for values in self.bands.values())
 
     def block(self, r: int, q: int, stride: int) -> np.ndarray:
         """The rows r, r + stride, ... and columns q, q + stride, ..."""
@@ -475,6 +665,42 @@ class BandedOperator:
             return Chain(values, vectors, np.zeros((0, 0)), p)
 
         return Eigensystem(stride, solve)
+
+
+def _band_product(bands: Mapping[int, np.ndarray], x: np.ndarray, dtype) -> np.ndarray:
+    """The banded matrix with these bands times a vector or, column by
+    column, a (dim, K) block, as a new array of ``dtype``.
+
+    The first band's products are written straight into the result, whose
+    other rows are zeroed. Each further band's are added a few rows at a
+    time through one scratch block of at most ``np.getbufsize()``
+    amplitudes, the size of the buffer a numpy ufunc call allocates, so a
+    call holds little beyond its result.
+    """
+    out = np.empty(x.shape, dtype=dtype)
+    if not bands:
+        out[...] = 0.0
+        return out
+    d = len(x)
+    step = max(1, np.getbufsize() // max(1, x.size // d))
+    scratch = None
+    for i, (k, values) in enumerate(bands.items()):
+        # Band k maps rows lo + k .. hi + k of x to rows lo .. hi of A x.
+        lo, hi = max(0, -k), d - max(0, k)
+        rows, source = out[lo:hi], x[lo + k : hi + k]
+        values = _per_row(values, x)
+        if i == 0:
+            np.multiply(values, source, out=rows)
+            out[:lo] = 0.0
+            out[hi:] = 0.0
+            continue
+        if scratch is None:
+            scratch = np.empty((min(step, d), *x.shape[1:]), dtype=dtype)
+        for start in range(0, hi - lo, step):
+            part = slice(start, start + step)
+            product = scratch[: min(step, hi - lo - start)]
+            rows[part] += np.multiply(values[part], source[part], out=product)
+    return out
 
 
 def _pairing(values: np.ndarray, m: int) -> tuple[list, list]:
@@ -596,8 +822,11 @@ def _persymmetric_chain(
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitudes in the Dicke (or Fock) basis: one state of shape
-    (d,), or a block of K states side by side, shape (d, K).
+    """Amplitudes in the Dicke (or Fock) basis: one state of shape (d,), or
+    a block of K states side by side, shape (d, K). They are float64 when
+    the values passed in are real and complex128 otherwise; a real state
+    stays real through every operation that maps it to a real state
+    (``propagate`` and ``apply_generator`` under an H with ``turns_reals``).
 
     ``normalized=True`` asserts unit norm at construction, column by column
     for a block; derivative vectors carry ``normalized=False`` and skip the
@@ -610,11 +839,12 @@ class StateVector:
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        self._freeze(_frozen_array(self.amplitudes))
+        amps = self.amplitudes
+        self._freeze(_frozen_array(amps, complex if np.iscomplexobj(amps) else float))
 
     def _freeze(self, amps: np.ndarray) -> None:
-        """Take the complex array ``amps`` as the amplitudes, read-only, and
-        check its shape and, if tagged normalized, its norms."""
+        """Take the float64 or complex array ``amps`` as the amplitudes,
+        read-only, and check its shape and, if tagged normalized, its norms."""
         if amps.ndim not in (1, 2):
             raise InvalidDimensionError(
                 f"state amplitudes must be a vector or a block of column vectors, "
@@ -656,18 +886,29 @@ def _per_column(values: np.ndarray):
     return values.item() if values.ndim == 0 else values
 
 
+def _both_real(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype.kind == b.dtype.kind == "f"
+
+
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a|b> column by column (a 0-d array for two vectors), summed
-    over the real (d, 2K) views of a and b without a complex temporary."""
+    """Re <a|b> column by column (a 0-d array for two vectors): a . b over
+    the blocks themselves when both are real, otherwise summed over the
+    real (d, 2K) views of a and b without a complex temporary."""
+    if _both_real(a, b):
+        x = a.reshape(len(a), -1)
+        sums = np.einsum("ij,ij->j", x, x if b is a else b.reshape(len(b), -1))
+        return sums.reshape(np.shape(a)[1:])
     x = _pairs(a)
     sums = np.einsum("ij,ij->j", x, x if b is a else _pairs(b))
     return (sums[0::2] + sums[1::2]).reshape(np.shape(a)[1:])
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a|b> column by column (a 0-d array for two vectors): the real part
-    as ``_real_inner``, the imaginary part sum(Re a Im b - Im a Re b) over
-    the same views."""
+    """<a|b> column by column (a 0-d array for two vectors): a real a . b
+    for two real blocks, otherwise the real part as ``_real_inner``, the
+    imaginary part sum(Re a Im b - Im a Re b) over the same views."""
+    if _both_real(a, b):
+        return _real_inner(a, b)
     x, y = _pairs(a), _pairs(b)
     out = np.empty(np.shape(a)[1:], dtype=complex)
     sums = np.einsum("ij,ij->j", x, y)
@@ -679,8 +920,8 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def initial_state(space: DickeSpace) -> StateVector:
-    """The all-spins-down coherent state, the m = -j basis vector."""
-    amps = np.zeros(space.dim, dtype=complex)
+    """The all-spins-down coherent state, the m = -j basis vector (real)."""
+    amps = np.zeros(space.dim)
     amps[0] = 1.0
     return StateVector(amps)
 
@@ -726,6 +967,12 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     exactly zero is skipped and never solved: twisting the lowest-weight
     state, or the vacuum, never diagonalizes the odd parity block.
 
+    A real psi under an H that is i times a real antisymmetric band
+    (``BandedOperator.turns_reals``: the two-axis twist and the field
+    generator) is turned in real arithmetic, each chain through the
+    rotations of its +- pairs (``Chain.rotate``), and the result is real.
+    Any other psi is propagated as complex amplitudes.
+
     Exact up to roundoff; the eigensystem is memoized on the operator. The
     unitary itself is the propagation of the identity block,
     ``propagate(H, theta, StateVector(np.eye(d)))``. Unnormalized inputs
@@ -740,7 +987,10 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     still = angles == 0
     if still.all() and psi.amplitudes.shape == shape:
         return psi
-    out = np.empty((psi.dim, angles.size), dtype=complex)
+    real = x.dtype.kind == "f" and H.turns_reals
+    if not real:
+        x = x.astype(complex, copy=False)
+    out = np.empty((psi.dim, angles.size), dtype=x.dtype)
     reach = float(np.abs(angles).max(initial=0.0))
     for r in range(eig.stride):
         xr = x[r :: eig.stride]
@@ -748,6 +998,9 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
             out[r :: eig.stride] = 0.0
             continue
         chain = eig.chain(r)
+        if real:
+            chain.rotate(xr, angles, reach, out[r :: eig.stride])
+            continue
         coeffs = chain.analyze(xr)
         turns = chain.turns(angles, reach)
         np.multiply(turns, coeffs, out=turns)
@@ -882,7 +1135,8 @@ def propagate_with_derivative(
     the field generator flips parity, so that is one even-odd block.
 
     Angles and states are batched as in ``propagate``. A chain block costs
-    two matrix products with D and two with its adjoint, whatever K.
+    two matrix products with D and two with its adjoint, whatever K. A real
+    psi is taken as complex amplitudes, and both results are complex.
     """
     if H0.dim != G.dim:
         raise DimensionMismatchError(
@@ -895,6 +1149,7 @@ def propagate_with_derivative(
         )
     eig = H0.eigensystem
     angles, x, shape = _columns(angle, psi)
+    x = x.astype(complex, copy=False)
     still = angles == 0
     # Every row of every column is written: by its chain, or as a still column.
     phi = np.empty((psi.dim, angles.size), dtype=complex)
@@ -944,7 +1199,32 @@ def apply_operator(A: BandedOperator, psi: StateVector, prefactor=1.0) -> StateV
     scaled in place.
     """
     _require_matching(A, psi)
-    image = A.matvec(psi.amplitudes)
+    return _scaled(A.matvec(psi.amplitudes), prefactor)
+
+
+def apply_generator(G: BandedOperator, psi: StateVector, duration) -> StateVector:
+    """-i duration G |psi>, the derivative of exp(-i u duration G) psi at
+    u = 0, as an unnormalized vector or block; a vector duration scales the
+    columns one by one, as ``apply_operator``'s prefactor does.
+
+    For a real psi and a G that is i times a real antisymmetric matrix A
+    (``BandedOperator.turns_reals``) this is duration A psi, taken in real
+    arithmetic with A's bands, the imaginary parts of G's; otherwise it is
+    ``apply_operator(G, psi, -1j * duration)``.
+    """
+    _require_matching(G, psi)
+    x = psi.amplitudes
+    if x.dtype.kind != "f" or not G.turns_reals:
+        return apply_operator(G, psi, prefactor=-1j * duration)
+    bands = {k: values.imag for k, values in G.bands.items()}
+    return _scaled(_band_product(bands, x, float), duration)
+
+
+def _scaled(image: np.ndarray, prefactor) -> StateVector:
+    """prefactor * image, for an ``image`` this module has just built, as an
+    unnormalized state. A vector prefactor scales the columns one by one,
+    and a vector image is then shared by every column; an image that
+    already has the result's shape is scaled in place."""
     if np.ndim(prefactor) and image.ndim == 1:
         image = image[:, None]
     if np.shape(prefactor) in ((), image.shape[1:]):

@@ -60,11 +60,12 @@ BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
 BENCHMARK_MARGIN = 1e-9
 
 # Largest number of amplitudes in one (d, K) block of a spin curve. A curve
-# call holds at most about 2.3 such complex blocks at once for schemes A
-# and B (the state, its derivative and scratch), 4.2 for Bprime, 7 for C
-# and 11 for Cprime (tracemalloc peaks at N = 300, 201 points), so this
-# bounds its memory (8 MiB a block) whatever the grid; wider grids take
-# several pipeline calls. A 201-point grid is one call up to N = 2607.
+# call holds at most about 1.2 such complex blocks at once for schemes A
+# and B (the state, its derivative and scratch, all real), 4.2 for Bprime,
+# 7 for C and 10.2 for Cprime (tracemalloc peaks at N = 300, 201 points),
+# so this bounds its memory (8 MiB a complex block) whatever the grid;
+# wider grids take several pipeline calls. A 201-point grid is one call up
+# to N = 2607.
 CURVE_BLOCK_AMPLITUDES = 2**19
 
 # Most sensing fractions a grid may hold. Each point of a sweep keeps a

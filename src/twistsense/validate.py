@@ -40,6 +40,7 @@ from .spin_core import (
     BandedOperator,
     DickeSpace,
     StateVector,
+    apply_generator,
     initial_state,
     propagate,
     propagate_with_derivative,
@@ -368,6 +369,32 @@ def check_mirror_split() -> str:
             defect = np.abs(vectors.conj().T @ vectors - np.eye(len(values))).max()
             if defect > 1e-12:
                 return f"{where}: max |V^dag V - I| = {defect:.3e}"
+    return ""
+
+
+# Every chain shape of the real two-axis rotation at production size: at
+# N = 1000 the probe's chain is a mirror chain of odd length (pairs within
+# each half) and the field image's one of even length (pairs across the
+# halves); N = 1002 swaps them; at N = 1001 and on the 400-level Fock mode
+# (n_spins None) each chain is whole.
+@over([(1000,), (1001,), (1002,), (None,)])
+def check_real_rotation(n: int | None) -> str:
+    # A real state under the two-axis twist is turned in real arithmetic
+    # (``Chain.rotate``); the same state given as complex amplitudes takes
+    # the complex eigen-form propagation. The two must agree, on the probe
+    # and on its normalized field image, at twists of either sign.
+    mode = fock_mode(FockSpace(400)) if n is None else spin_mode(DickeSpace(n))
+    H, G = mode.generators["tat"], mode.generators["field"]
+    image = apply_generator(G, mode.initial, 1.0).amplitudes
+    angles = np.array([-1.3, 0.05, 0.5, 1.0, 2.5, 8.0])
+    for start in (mode.initial.amplitudes, image / np.linalg.norm(image)):
+        real = propagate(H, angles, StateVector(start)).amplitudes
+        reference = propagate(H, angles, StateVector(start.astype(complex))).amplitudes
+        if real.dtype != float or reference.dtype != complex:
+            return f"N={n}: the real rotation was not taken ({real.dtype}, {reference.dtype})"
+        gap = np.abs(real - reference).max()
+        if gap > 1e-13:
+            return f"N={n}: real rotation off the complex propagation by {gap:.3e} (gate 1e-13)"
     return ""
 
 
@@ -969,6 +996,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("spin_core.propagator_composition", check_propagator_composition),
     ("spin_core.derivative_vs_finite_difference", check_derivative_vs_finite_difference),
     ("spin_core.mirror_split", check_mirror_split),
+    ("spin_core.real_rotation", check_real_rotation),
     ("protocols.full_sensing_reduction", check_full_sensing_reduction),
     ("protocols.zero_twist_reduction", check_zero_twist_reduction),
     ("protocols.single_spin_degeneracy", check_single_spin_degeneracy),

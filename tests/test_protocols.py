@@ -70,10 +70,13 @@ class TestPointChecks:
         with pytest.raises(ValueError, match="twist"):
             point(twist=twist)
 
-    @pytest.mark.parametrize("frac", [-0.01, 1.01, np.nan])
+    @pytest.mark.parametrize("frac", [-0.01, 1.01, np.nan, "0.5"])
     def test_rejects_bad_sensing_fraction(self, frac):
-        with pytest.raises(ValueError, match="sensing_fraction"):
+        # The refused value is shown by its repr, so a str does not read as
+        # the valid number it spells.
+        with pytest.raises(ValueError, match="sensing_fraction") as refused:
             point(s=frac)
+        assert str(refused.value).endswith(f"got {frac!r}")
 
     @pytest.mark.parametrize("bad", [None, "0.5", True], ids=["None", "str", "bool"])
     @pytest.mark.parametrize("name", ["twist_times_tau", "sensing_fraction"])
@@ -278,3 +281,61 @@ def test_a_grid_of_fractions_runs_each_column_as_its_own_point(carrier, twist, s
         point = run_pipeline(mode, scheme, twist, s)
         assert np.abs(batch.psi.amplitudes[:, k] - point.psi.amplitudes).max() <= 1e-13
         assert np.abs(batch.dpsi.amplitudes[:, k] - point.dpsi.amplitudes).max() <= 1e-13
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C", "Bprime", "Cprime"])
+@pytest.mark.parametrize(
+    "carrier",
+    [lambda: spin_mode(DickeSpace(12)), lambda: fock_mode(FockSpace(160))],
+    ids=["spin12", "fock160"],
+)
+def test_two_axis_schemes_run_in_real_arithmetic(carrier, scheme):
+    # The probe is real and the field and two-axis generators are i times
+    # real antisymmetric matrices, so A and B stay float64 from end to end;
+    # C's concurrent derivative and the one-axis echo schemes are complex.
+    expected = np.float64 if scheme in ("A", "B") else np.complex128
+    mode = carrier()
+    for s in (0.4, np.array([0.0, 0.3, 1.0])):
+        state = run_pipeline(mode, scheme, 0.5, s)
+        assert state.psi.amplitudes.dtype == expected
+        assert state.dpsi.amplitudes.dtype == expected
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """The sizes of the matrices passed to ``numpy.linalg.<name>`` from now on."""
+    calls = []
+    solver = getattr(np.linalg, name)
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return solver(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "scheme, n_spins, svd, eigh",
+    [
+        # A never twists: no solve at all.
+        ("A", 1000, [], []),
+        ("A", None, [], []),
+        # B at N = 1000: the probe's chain (501) as two bipartite halves.
+        ("B", 1000, [126, 125], []),
+        # N = 1002: a mirror chain of even length, one eigh per half.
+        ("B", 1002, [], [251, 251]),
+        # N = 1001 and the Fock mode: one whole bipartite chain.
+        ("B", 1001, [251], []),
+        ("B", None, [100], []),
+    ],
+)
+def test_real_arithmetic_adds_no_eigensolve(monkeypatch, scheme, n_spins, svd, eigh):
+    # The real rotation is built from the blocks the complex propagation
+    # solves, never from a new or a larger solve.
+    spin_mode.cache_clear()
+    fock_mode.cache_clear()
+    svds, eighs = _counting(monkeypatch, "svd"), _counting(monkeypatch, "eigh")
+    mode = fock_mode(FockSpace(400)) if n_spins is None else spin_mode(DickeSpace(n_spins))
+    twist = 0.5 if n_spins is None else 1.0
+    run_pipeline(mode, scheme, twist, np.linspace(0.0, 1.0, 11))
+    assert (svds, eighs) == (svd, eigh)

@@ -23,6 +23,7 @@ from twistsense.spin_core import (
     BandedOperator,
     DickeSpace,
     StateVector,
+    apply_generator,
     apply_operator,
     initial_state,
     overlap,
@@ -790,6 +791,72 @@ def test_apply_operator_returns_unnormalized():
     assert np.array_equal(out.amplitudes, expected)
 
 
+@pytest.mark.parametrize("duration", [0.7, np.array([0.0, 0.3, 1.0])])
+def test_generator_image_is_real_for_a_real_state(duration):
+    # -i t G psi of a real psi under G = i A is t A psi, taken in real
+    # arithmetic; a complex psi goes through apply_operator.
+    space = DickeSpace(5)
+    G = generator(space, "field")
+    psi = plus_state(space)
+    image = apply_generator(G, psi, duration).amplitudes
+    dense = np.multiply.outer(G.matrix @ psi.amplitudes, -1j * np.asarray(duration))
+    assert image.dtype == np.float64 and not image.flags.writeable
+    assert np.abs(image - dense).max() <= 1e-15
+    as_complex = StateVector(psi.amplitudes.astype(complex))
+    expected = apply_operator(G, as_complex, prefactor=-1j * np.asarray(duration))
+    assert np.array_equal(apply_generator(G, as_complex, duration).amplitudes, expected.amplitudes)
+
+
 def test_overlap_rejects_mismatched_dims():
     with pytest.raises(DimensionMismatchError):
         overlap(initial_state(DickeSpace(2)), initial_state(DickeSpace(3)))
+
+
+def _nearly_split(n: int, seed: int) -> np.ndarray:
+    # Three tiny links, as in the near-split SVD cases above.
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(0.5, 1.5, n - 1)
+    off[rng.choice(n - 1, 3, replace=False)] = [1e-12, 1e-11, 1e-7]
+    return off
+
+
+@pytest.mark.parametrize(
+    "links, paired",
+    [
+        pytest.param(np.array([0.8, -1.3, 0.4, 1.1, -0.6, 0.9]), True, id="signed"),
+        pytest.param(np.array([1.2, 0.7, 0.7, 1.2]), True, id="mirror-length-5"),
+        pytest.param(np.array([1.2, 0.7, 0.5, 0.7, 1.2]), True, id="mirror-length-6"),
+        pytest.param(np.array([1.0, 0.0, 2.0, 0.5]), False, id="zero-link"),
+        pytest.param(_nearly_split(51, 121), False, id="nearly-split"),
+    ],
+)
+def test_a_real_state_under_an_imaginary_band_stays_real(links, paired):
+    # i times a real antisymmetric band turns a real state into a real one.
+    # A chain whose values pair (a whole chain, a mirror chain of either
+    # length) is rotated through its pairs; a split or nearly split one,
+    # solved by eigh, is turned as complex amplitudes and its real part
+    # kept. Both agree with the complex propagation of the same state.
+    n = len(links) + 1
+    H = BandedOperator.hermitian(n, {1: 1j * links})
+    assert H.turns_reals
+    assert (H.eigensystem.chain(0)._rotation is not None) == paired
+    rng = np.random.default_rng(n)
+    block = rng.normal(size=(n, 3))
+    block /= np.linalg.norm(block, axis=0)
+    angles = np.array([0.4, -1.7, 3.0])
+    real = propagate(H, angles, StateVector(block)).amplitudes
+    reference = propagate(H, angles, StateVector(block.astype(complex))).amplitudes
+    assert real.dtype == np.float64 and reference.dtype == np.complex128
+    assert np.abs(real - reference).max() <= 1e-13
+
+
+def test_only_an_imaginary_band_without_diagonal_turns_reals():
+    space = DickeSpace(6)
+    assert generator(space, "tat").turns_reals
+    assert generator(space, "field").turns_reals
+    assert not generator(space, "oat").turns_reals
+    assert not collective_operators(space).Jx.turns_reals
+    assert not collective_operators(space).Jz.turns_reals
+    # A real state under any other operator comes out complex.
+    out = propagate(generator(space, "oat"), 0.3, initial_state(space))
+    assert out.amplitudes.dtype == np.complex128
