@@ -33,6 +33,7 @@ from .sweep_optimize import (
     SweepSpec,
     evaluate_point,
     find_threshold,
+    optimize_sweep,
     optimize_t,
     sweep_curve,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "evaluate_point",
     "find_threshold",
     "fock_simulate",
+    "optimize_sweep",
     "optimize_t",
     "sweep_curve",
 ]

@@ -32,7 +32,7 @@ from .sweep_optimize import (
     ENGINES,
     SweepSpec,
     find_threshold,
-    optimize_t,
+    optimize_sweep,
     sweep_curve,
 )
 
@@ -91,16 +91,20 @@ def _emit(
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    engine = _infer_engine(args.engine, args.n)
-    spec = SweepSpec(
+def _spec(args: argparse.Namespace, engine: str) -> SweepSpec:
+    """The twists and grid of a sweep or optimize command."""
+    return SweepSpec(
         scheme=args.scheme,
         n_spins=args.n,
         twist_values=tuple(args.twist),
         t_grid=args.t_points,
         engine=engine,
     )
-    records = sweep_curve(spec)
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    engine = _infer_engine(args.engine, args.n)
+    records = sweep_curve(_spec(args, engine))
     rows = (
         [
             rec.scheme,
@@ -118,10 +122,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     engine = _infer_engine(args.engine, args.n)
-    results = [
-        optimize_t(args.scheme, args.n, twist, engine, args.t_points)
-        for twist in args.twist
-    ]
+    results = optimize_sweep(_spec(args, engine))
     header = ["twist_value", "best_sensitivity", "t_opt", "boundary"]
     rows = (
         [_cell(r.twist_value), _cell(r.best_sensitivity), _cell(r.t_opt), r.boundary]

@@ -112,12 +112,14 @@ def qfi(state: StateWithDerivative) -> float | np.ndarray:
 
 
 def readout(
-    mode: Mode, scheme: str, twist_strength: float, sensing_fractions
+    mode: Mode, scheme: str, twist_strength, sensing_fractions
 ) -> np.ndarray:
     """Run one protocol at zero field on a carrier and read out its figure of
-    merit at each of the 1-D array ``sensing_fractions``: a whole curve of
-    one twist in one pipeline call, or a batch of one. A float array, in
-    order, each value checked >= 0 once.
+    merit at each of the 1-D array ``sensing_fractions``: a whole curve in
+    one pipeline call, or a batch of one. ``twist_strength`` is one twist or
+    a 1-D array of one per column that broadcasts with the fractions, as
+    ``run_pipeline`` takes it, so the curves of several twists are one
+    call. A float array, in order, each value checked >= 0 once.
 
     Schemes A/B/C report sqrt(F) / tau. The echo pair reports
     tau |d<G>/domega| / std(G) along the mode's field generator G; the slope
@@ -144,7 +146,8 @@ def readout(
         if off.any():
             raise ContractViolationError(
                 f"echo readout spread {spread[off][0]!r} at t/tau = "
-                f"{fractions[off][0]!r} differs from its coherent value 0.5"
+                f"{np.broadcast_to(fractions, off.shape)[off][0]!r} differs "
+                "from its coherent value 0.5"
             )
         return _nonnegative(np.abs(slope) / spread)
     return _nonnegative(np.sqrt(qfi(state)))

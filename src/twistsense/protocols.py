@@ -82,6 +82,31 @@ def check_twist(scheme: str, twist_times_tau: float) -> None:
         )
 
 
+def _twist_columns(scheme: str, twist_strength, sensing_fraction: np.ndarray):
+    """The twist of a pipeline call, checked: a scalar as ``check_twist``
+    checks it, or an array (or list) of one twist per column, which must be
+    one-dimensional, real (not bool), finite and >= 0, and broadcast with
+    the sensing fractions."""
+    if not isinstance(twist_strength, (np.ndarray, list, tuple)):
+        check_twist(scheme, twist_strength)
+        return twist_strength
+    x = np.asarray(twist_strength)
+    valid = x.ndim == 1 and x.dtype.kind in "iuf"
+    if not (valid and np.all(np.isfinite(x) & (x >= 0))):
+        raise ValueError(
+            "twist_strength must be a finite real number >= 0 or a "
+            f"one-dimensional array of them, got {twist_strength!r}"
+        )
+    try:
+        np.broadcast_shapes(x.shape, sensing_fraction.shape)
+    except ValueError:
+        raise ValueError(
+            f"{x.size} twist strengths do not broadcast with "
+            f"{sensing_fraction.size} sensing fractions"
+        ) from None
+    return x.astype(float, copy=False)
+
+
 def check_point(scheme: str, twist_times_tau: float, sensing_fraction: float) -> None:
     """``check_twist`` and the sensing fraction of one (scheme, twist, t/tau)
     point."""
@@ -169,16 +194,21 @@ def spin_mode(space: DickeSpace) -> Mode:
 def run_pipeline(
     mode: Mode,
     scheme: str,
-    twist_strength: float,
+    twist_strength,
     sensing_fraction,
 ) -> StateWithDerivative:
     """Final states and exact zero-field derivatives of one protocol on a carrier.
 
     ``sensing_fraction`` is one t/tau, giving (d,) states, or a 1-D array of
-    K of them, giving (d, K) blocks with one column per sensing fraction:
-    the whole curve of one twist in one call. Every stage turns all K
-    columns at once, each through its own angle (see
-    ``spin_core.propagate``), and the mode's guard sees every column.
+    K of them, giving (d, K) blocks with one column per sensing fraction.
+    ``twist_strength`` is one twist for every column or a 1-D array of one
+    per column, broadcast with the sensing fractions, so one call holds a
+    whole curve or the curves of several twists side by side; a twist is
+    checked as ``check_twist`` checks it, and a ValueError refuses an array
+    that is not 1-D, holds a bool, negative or non-finite entry, or does
+    not broadcast. Every stage turns all K columns at once, each through
+    its own angle (see ``spin_core.propagate``), and the mode's guard sees
+    every column.
 
     Every scheme is one pass over the windows of its ``SHAPES`` entry:
     twist for t', sense for s, and, with an echo, untwist for t', where
@@ -205,10 +235,10 @@ def run_pipeline(
     psi0 = mode.initial
     mode.guard(psi0, "initial")
     s = np.asarray(sensing_fraction, dtype=float)
+    x = _twist_columns(scheme, twist_strength, s)
     if scheme == "A":
         s = np.ones_like(s)  # A senses for the whole budget
     t = (1.0 - s) / 2.0 if echo else 1.0 - s
-    x = twist_strength
 
     def window(
         sign: float, state: StateVector

@@ -9,20 +9,22 @@ Three interchangeable engines evaluate a (scheme, twist, t/tau) point:
 On top of them sit a deterministic grid sweep, a grid-then-refine
 optimizer over the sensing fraction, and a bisection search for the
 break-even twist strength where a protocol first beats the separable
-benchmark of 1. A grid of one twist is a curve, and ``_curve`` is the one
-place that dispatches on the engine: it binds one twist to its engine and
-returns the function from sensing fractions to their sensitivities, a
-float array, with the depth at which its refinement batches. The spin
-engine computes a curve in one pipeline call (``metrology.readout`` of
-all its sensing fractions; a few calls for grids too wide for
-CURVE_BLOCK_AMPLITUDES), the other engines point by point. The optimizer
-and the threshold search work on those values; a sweep and
-``evaluate_point``, a curve of one point, make records of them.
-The golden-section refinement of the optimizer goes through the same
-bound curve: on the spin engine, up to LOOKAHEAD_MAX_DIM levels, each
-call evaluates every point that any outcome of the next LOOKAHEAD steps
-can ask for, and the steps are replayed on those values, so it visits the
-same points as a search one point per step.
+benchmark of 1. ``_curve`` is the one place that dispatches on the
+engine: it binds a scheme to its engine and returns the function from
+(twist, sensing fraction) columns to their sensitivities, a float array,
+with the depth at which its refinement batches. The spin engine computes
+any set of columns, whichever twists they hold, in one pipeline call
+(``metrology.readout`` with one twist per column; a few calls for sets
+too wide for CURVE_BLOCK_AMPLITUDES), the other engines point by point.
+So a sweep or an optimize over several twists evaluates the grids of all
+of them together. The optimizer and the threshold search work on those
+values; a sweep and ``evaluate_point``, a curve of one point, make records
+of them. The golden-section refinements of the optimizer go through the
+same bound curve, every twist's in lockstep (``_lockstep``): on the spin
+engine, up to LOOKAHEAD_MAX_DIM levels, each call evaluates every point
+that any outcome of the next LOOKAHEAD steps of every twist can ask for,
+and each twist replays its own steps on those values, so it visits the
+same points as a search one point per step and one twist at a time.
 
 A bisection step needs one bit, whether the optimum beats the benchmark,
 and the optimum is never below the tie-broken grid best. So a step stops
@@ -36,7 +38,7 @@ ascending.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, isfinite, log, sqrt
@@ -59,13 +61,15 @@ BOUNDARY_TAGS = ("interior", "left_edge", "right_edge")
 # time, so plain equality must not qualify.
 BENCHMARK_MARGIN = 1e-9
 
-# Largest number of amplitudes in one (d, K) block of a spin curve. A curve
-# call holds at most about 1.2 such complex blocks at once for schemes A
-# and B (the state, its derivative and scratch, all real), 4.2 for Bprime,
-# 7 for C and 10.2 for Cprime (tracemalloc peaks at N = 300, 201 points),
-# so this bounds its memory (8 MiB a complex block) whatever the grid;
-# wider grids take several pipeline calls. A 201-point grid is one call up
-# to N = 2607.
+# Largest number of amplitudes in one (d, K) block of a spin curve call,
+# whose K columns are the concatenated grids of all the twists it
+# evaluates. A call holds at most about 1.2 such complex blocks at once for
+# schemes A and B (the state, its derivative and scratch, all real), 4.2
+# for Bprime, 7 for C and 10.2 for Cprime (tracemalloc peaks at N = 300,
+# 201 points), so this bounds its memory (8 MiB a complex block) whatever
+# the grid and the number of twists; wider sets take several pipeline
+# calls, which may split one twist's grid. One 201-point grid is one call
+# up to N = 2607.
 CURVE_BLOCK_AMPLITUDES = 2**19
 
 # Most sensing fractions a grid may hold. Each point of a sweep keeps a
@@ -126,7 +130,7 @@ def _validate_t_grid(t_grid: int) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A full curve request: one scheme, several twists, a t/tau grid.
+    """A sweep or optimize request: one scheme, several twists, a t/tau grid.
 
     ``n_spins`` is None for the infinite-N engines (fock, closed_form) and
     a positive integer for the spin engine.
@@ -166,22 +170,36 @@ class OptimumResult:
 
 
 class _Curve(NamedTuple):
-    """One twist bound to its engine: ``evaluate`` maps a 1-D array of
-    sensing fractions to a float array of their sensitivities, in order,
-    each checked >= 0; ``lookahead`` is the golden-section depth its
+    """A scheme bound to its engine: ``evaluate`` maps the twists of the
+    columns (one float for all, or a 1-D array of one per column) and a 1-D
+    array of sensing fractions to a float array of their sensitivities, in
+    order, each checked >= 0; ``lookahead`` is the golden-section depth its
     refinement evaluates in one call; ``record`` makes the record of one
-    (sensing_fraction, sensitivity) pair."""
+    (twist_strength, sensing_fraction, sensitivity) column."""
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[..., np.ndarray]
     lookahead: int
     record: Callable[..., SensitivityRecord]
 
-    def records(self, ts: np.ndarray) -> list[SensitivityRecord]:
-        """The records of the sensing fractions ``ts``, in order."""
+    def records(self, xs: np.ndarray, ts: np.ndarray) -> list[SensitivityRecord]:
+        """The records of the columns (xs, ts), in order."""
+        values = self.evaluate(xs, ts).tolist()
         return [
-            self.record(sensing_fraction=t, sensitivity=value)
-            for t, value in zip(ts.tolist(), self.evaluate(ts).tolist())
+            self.record(twist_strength=x, sensing_fraction=t, sensitivity=value)
+            for x, t, value in zip(xs.tolist(), ts.tolist(), values)
         ]
+
+
+def _grids(twists, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns (twists, sensing fractions) of the grid ``ts`` at every
+    twist, twist outer."""
+    return np.repeat(np.asarray(twists, dtype=float), len(ts)), np.tile(ts, len(twists))
+
+
+def _pointwise(value: Callable, xs, ts: np.ndarray) -> np.ndarray:
+    """value(x, t) of every column, one twist for all or one per column."""
+    pairs = zip(np.broadcast_to(xs, ts.shape).tolist(), ts.tolist())
+    return np.array([value(x, t) for x, t in pairs])
 
 
 def evaluate_point(
@@ -195,75 +213,66 @@ def evaluate_point(
     point."""
     _validate_engine(n_spins, engine)
     check_point(scheme, twist_value, sensing_fraction)
-    (record,) = _curve(scheme, n_spins, twist_value, engine).records(
-        np.array([sensing_fraction], dtype=float)
+    (record,) = _curve(scheme, n_spins, engine).records(
+        np.array([twist_value], dtype=float), np.array([sensing_fraction], dtype=float)
     )
     return record
 
 
-def _curve(
-    scheme: str, n_spins: int | None, twist_value: float, engine: str
-) -> _Curve:
-    """One twist bound to its engine, as a ``_Curve``.
+def _curve(scheme: str, n_spins: int | None, engine: str) -> _Curve:
+    """A scheme bound to its engine, as a ``_Curve``.
 
-    The one engine dispatch. Everything that depends only on the twist (the
-    point checks of scheme and twist, the twist as a float, the Dicke sector
-    and its mode) is built here, once, so a refinement call pays only the
-    readout. The spin engine runs a curve through one pipeline call per
-    CURVE_BLOCK_AMPLITUDES block (one call for all but huge grids), so its
-    refinement evaluates LOOKAHEAD steps' candidates at a time, up to
-    LOOKAHEAD_MAX_DIM levels. The Fock and closed-form engines evaluate a
-    curve point by point, so theirs gains nothing from batching and
-    evaluates the one point each step asks for; the Fock engine runs on
-    ``fock_simulate``'s default space. Every engine hands back bare
-    values; records are made only where a caller asks for them.
+    The one engine dispatch. Everything that depends only on the scheme and
+    the engine (the Dicke sector and its mode) is built here, once, so a
+    refinement call pays only the readout; the callers check the twists.
+    The spin engine runs any set of columns, one twist per column, through
+    one pipeline call per CURVE_BLOCK_AMPLITUDES block (one call for all
+    but huge sets), so its refinement evaluates LOOKAHEAD steps' candidates
+    at a time, up to LOOKAHEAD_MAX_DIM levels. The Fock and closed-form
+    engines evaluate point by point, so theirs gains nothing from batching
+    and evaluates the one point each step asks for; the Fock engine runs on
+    ``fock_simulate``'s default space. Every engine hands back bare values;
+    records are made only where a caller asks for them.
     """
-    check_twist(scheme, twist_value)
-    x = float(twist_value)
     method = SCHEME_METHOD[scheme]
     if engine == "fock":
         return _Curve(
-            lambda ts: np.array(
-                [fock_simulate(scheme, x, t).sensitivity for t in ts.tolist()]
-            ),
+            partial(_pointwise, lambda x, t: fock_simulate(scheme, x, t).sensitivity),
             1,
-            partial(SensitivityRecord, scheme, None, x, method=method),
+            partial(SensitivityRecord, scheme, None, method=method),
         )
     if engine == "closed_form":
         return _Curve(
-            lambda ts: _nonnegative(
-                np.array([closed_form(scheme, x, t) for t in ts.tolist()])
+            lambda xs, ts: _nonnegative(
+                _pointwise(partial(closed_form, scheme), xs, ts)
             ),
             1,
-            partial(SensitivityRecord, scheme, None, x, method="closed_form"),
+            partial(SensitivityRecord, scheme, None, method="closed_form"),
         )
     space = DickeSpace(n_spins)
     mode = spin_mode(space)
     width = max(1, CURVE_BLOCK_AMPLITUDES // space.dim)
 
-    def curve(ts: np.ndarray) -> np.ndarray:
-        return np.concatenate(
-            [
-                readout(mode, scheme, x, ts[start : start + width])
-                for start in range(0, len(ts), width)
-            ]
-        )
+    def curve(xs, ts: np.ndarray) -> np.ndarray:
+        blocks = []
+        for start in range(0, len(ts), width):
+            x = xs[start : start + width] if isinstance(xs, np.ndarray) else xs
+            blocks.append(readout(mode, scheme, x, ts[start : start + width]))
+        return np.concatenate(blocks)
 
     return _Curve(
         curve,
         LOOKAHEAD if space.dim <= LOOKAHEAD_MAX_DIM else 1,
-        partial(SensitivityRecord, scheme, space.n_spins, x, method=method),
+        partial(SensitivityRecord, scheme, space.n_spins, method=method),
     )
 
 
 def sweep_curve(spec: SweepSpec) -> list[SensitivityRecord]:
-    """Evaluate the full grid of a spec, twist outer, t/tau inner."""
+    """Evaluate the full grid of a spec, twist outer, t/tau inner: the grids
+    of all its twists as one set of columns."""
     ts = np.linspace(0.0, 1.0, spec.t_grid)
-    return [
-        record
-        for x in spec.twist_values
-        for record in _curve(spec.scheme, spec.n_spins, x, spec.engine).records(ts)
-    ]
+    curve = _curve(spec.scheme, spec.n_spins, spec.engine)
+    return curve.records(*_grids(spec.twist_values, ts))
 
 
 def _advance(a: float, h: float, c: float, d: float, left: bool) -> tuple:
@@ -288,30 +297,30 @@ def _lookahead(a: float, h: float, c: float, d: float, left: bool, depth: int) -
     return points
 
 
-def _golden_section_max(
-    f, a: float, b: float, tol: float, depth: int
-) -> tuple[float, float]:
-    """Golden-section maximum of a unimodal f on [a, b] to width tol.
+def _golden_section(a: float, b: float, tol: float, depth: int) -> Generator:
+    """Golden-section maximum of a unimodal f on [a, b] to width tol, as a
+    search that yields each 1-D array of points it needs, is sent their
+    values (a list), and returns (t, value).
 
-    f maps a 1-D array of points to their values. The first two points are
-    one call; after that each call evaluates every point that any outcome
-    of the next ``depth`` steps can ask for (2^depth - 1 points, fewer
-    steps at the end), and the steps are replayed on those values. Every
-    depth takes the same steps through the same points as depth 1, which
-    evaluates the one point each step asks for.
+    The first two points are one request; after that each request holds
+    every point that any outcome of the next ``depth`` steps can ask for
+    (2^depth - 1 points, fewer steps at the end), and the steps are
+    replayed on those values. Every depth takes the same steps through the
+    same points as depth 1, which asks for the one point each step needs.
     """
     h = b - a
     if h <= tol:
         mid = (a + b) / 2.0
-        return mid, f(np.array([mid]))[0]
+        (value,) = yield np.array([mid])
+        return mid, value
     steps = ceil(log(tol / h) / log(_INV_PHI))
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
-    yc, yd = f(np.array([c, d]))
+    yc, yd = yield np.array([c, d])
     while steps:
         batch = min(depth, steps)
         points = _lookahead(a, h, c, d, yc > yd, batch)
-        known = dict(zip(points, f(np.array(points))))
+        known = dict(zip(points, (yield np.array(points))))
         for _ in range(batch):
             left = yc > yd
             a, h, c, d = _advance(a, h, c, d, left)
@@ -321,35 +330,125 @@ def _golden_section_max(
     return (c, yc) if yc > yd else (d, yd)
 
 
+def _lockstep(f, searches: list[Generator]) -> list:
+    """The results of ``_golden_section`` searches run side by side.
+
+    Each round makes one call of f with the (index, points) requests of
+    every search still running, in order, and f returns their values as
+    one flat sequence; each search is sent its own slice. A search only
+    ever sees its own values, so it takes exactly the steps it takes
+    alone.
+    """
+    results: list = [None] * len(searches)
+    asks = {i: next(search) for i, search in enumerate(searches)}
+    while asks:
+        values = f(list(asks.items()))
+        start = 0
+        for i, points in list(asks.items()):
+            part, start = values[start : start + len(points)], start + len(points)
+            try:
+                asks[i] = searches[i].send(part)
+            except StopIteration as done:
+                results[i] = done.value
+                del asks[i]
+    return results
+
+
+def _golden_section_max(
+    f, a: float, b: float, tol: float, depth: int
+) -> tuple[float, float]:
+    """``_golden_section`` run alone: f maps a 1-D array of points to their
+    values."""
+    search = _golden_section(a, b, tol, depth)
+    (result,) = _lockstep(lambda asks: f(asks[0][1]), [search])
+    return result
+
+
 def _grid_best(vals: list[float]) -> int:
     """Index of the best grid sample: the largest index within TIE_WINDOW
     of the maximum (least preparation among equals)."""
-    vmax = max(vals)
-    return max(i for i, v in enumerate(vals) if v >= vmax - TIE_WINDOW)
+    floor = max(vals) - TIE_WINDOW
+    return next(i for i in range(len(vals) - 1, -1, -1) if vals[i] >= floor)
 
 
 def _refine(
-    curve: _Curve, ts: np.ndarray, vals: list[float], idx: int
-) -> tuple[float, float]:
-    """Golden-section refinement of the grid best ``idx`` within its
-    neighbouring grid points, ``curve.lookahead`` steps per call of
-    ``curve``.
+    curve: _Curve,
+    twists,
+    ts: np.ndarray,
+    grids: list[list[float]],
+    bests: list[int],
+) -> list[tuple[float, float]]:
+    """Golden-section refinement of each twist's grid best within its
+    neighbouring grid points, all twists in lockstep (``_lockstep``), each
+    round one call of ``curve`` with ``curve.lookahead`` steps' candidates
+    of every twist still refining.
 
-    Returns (t, value). The refined point replaces the grid best only when
-    strictly better than it by TIE_WINDOW, so the value is never below
-    ``vals[idx]``.
+    ``grids`` holds each twist's values on ``ts`` and ``bests`` the index
+    of its grid best (``_grid_best``). Returns (t, value) per twist. The
+    refined point replaces the grid best only when strictly better than it
+    by TIE_WINDOW, so the value is never below the grid best.
     """
+    searches = []
+    for idx in bests:
+        lo = float(ts[idx - 1]) if idx > 0 else float(ts[0])
+        hi = float(ts[idx + 1]) if idx < len(ts) - 1 else float(ts[-1])
+        searches.append(_golden_section(lo, hi, 1e-6, curve.lookahead))
 
-    def f(points: np.ndarray) -> list[float]:
-        return curve.evaluate(points).tolist()
+    def f(asks: list) -> list[float]:
+        # A round of one twist passes that twist alone, broadcast.
+        if len(asks) == 1:
+            xs = twists[asks[0][0]]
+        else:
+            xs = np.concatenate([np.full(len(points), twists[i]) for i, points in asks])
+        ts = np.concatenate([points for _, points in asks])
+        return curve.evaluate(xs, ts).tolist()
 
-    best_t, best_v = float(ts[idx]), vals[idx]
-    lo = float(ts[idx - 1]) if idx > 0 else float(ts[0])
-    hi = float(ts[idx + 1]) if idx < len(ts) - 1 else float(ts[-1])
-    refined_t, refined_v = _golden_section_max(f, lo, hi, 1e-6, curve.lookahead)
-    if refined_v > best_v + TIE_WINDOW:
-        return refined_t, refined_v
-    return best_t, best_v
+    refined = _lockstep(f, searches)
+    return [
+        (t, value) if value > vals[idx] + TIE_WINDOW else (float(ts[idx]), vals[idx])
+        for vals, idx, (t, value) in zip(grids, bests, refined)
+    ]
+
+
+def optimize_sweep(spec: SweepSpec) -> list[OptimumResult]:
+    """Best sensitivity over the sensing fraction at each twist of a spec,
+    in order.
+
+    A uniform grid of spec.t_grid points (endpoints included as
+    first-class candidates) brackets each maximum; the grids of all twists
+    are one set of columns, as ``sweep_curve`` evaluates them.
+    Golden-section refinement then narrows each bracket to a
+    sensing-fraction width of 1e-6, every twist's in lockstep, several
+    steps' candidates per curve call on spin sectors of up to
+    LOOKAHEAD_MAX_DIM levels (see ``_golden_section``). Each twist visits
+    the points it visits alone. Curves can be multimodal for over-squeezed
+    finite-N regimes, which is what the grid stage guards against. If
+    several grid points tie within 1e-12 the largest sensing fraction wins
+    (least preparation among equals); the refined point replaces the grid
+    best only when strictly better, so exact grid optima (edges included)
+    survive untouched. The returned value is never below the best grid
+    sample.
+    """
+    curve = _curve(spec.scheme, spec.n_spins, spec.engine)
+    return _optimize(curve, spec.twist_values, spec.t_grid)
+
+
+def _optimize(curve: _Curve, twists, t_grid: int) -> list[OptimumResult]:
+    """``optimize_sweep`` of these twists through this curve."""
+    ts = np.linspace(0.0, 1.0, t_grid)
+    values = curve.evaluate(*_grids(twists, ts)).tolist()
+    grids = [values[i : i + t_grid] for i in range(0, len(values), t_grid)]
+    results = []
+    bests = [_grid_best(vals) for vals in grids]
+    for x, (t, value) in zip(twists, _refine(curve, twists, ts, grids, bests)):
+        if t <= 1e-9:
+            boundary = "left_edge"
+        elif t >= 1.0 - 1e-9:
+            boundary = "right_edge"
+        else:
+            boundary = "interior"
+        results.append(OptimumResult(x, value, t, boundary))
+    return results
 
 
 def optimize_t(
@@ -359,40 +458,11 @@ def optimize_t(
     engine: str,
     t_grid: int = 201,
 ) -> OptimumResult:
-    """Best sensitivity over the sensing fraction at one twist value.
-
-    A uniform grid (default 201 points, endpoints included as first-class
-    candidates, evaluated as one curve) brackets the maximum;
-    golden-section refinement then narrows the bracket to a
-    sensing-fraction width of 1e-6, several steps' candidates per curve
-    call on spin sectors of up to LOOKAHEAD_MAX_DIM levels (see
-    ``_golden_section_max``). Curves can be
-    multimodal for over-squeezed finite-N regimes, which is what the grid
-    stage guards against. If several grid points tie within 1e-12 the
-    largest sensing fraction wins (least preparation among equals); the
-    refined point replaces the grid best only when strictly better, so
-    exact grid optima (edges included) survive untouched. The returned
-    value is never below the best grid sample.
-    """
-    _validate_engine(n_spins, engine)
-    _validate_t_grid(t_grid)
-    curve = _curve(scheme, n_spins, twist_value, engine)
-    ts = np.linspace(0.0, 1.0, t_grid)
-    vals = curve.evaluate(ts).tolist()
-    best_t, best_v = _refine(curve, ts, vals, _grid_best(vals))
-
-    if best_t <= 1e-9:
-        boundary = "left_edge"
-    elif best_t >= 1.0 - 1e-9:
-        boundary = "right_edge"
-    else:
-        boundary = "interior"
-    return OptimumResult(
-        twist_value=float(twist_value),
-        best_sensitivity=best_v,
-        t_opt=best_t,
-        boundary=boundary,
-    )
+    """Best sensitivity over the sensing fraction at one twist value: the
+    ``optimize_sweep`` of one twist (default 201 grid points)."""
+    spec = SweepSpec(scheme, n_spins, (twist_value,), t_grid, engine)
+    (result,) = optimize_sweep(spec)
+    return result
 
 
 def find_threshold(
@@ -434,6 +504,7 @@ def find_threshold(
             f"got ({lo!r}, {hi!r})"
         )
     lo, hi = float(lo), float(hi)
+    check_twist(scheme, hi)
 
     def exceeds(x: float) -> bool:
         return _beats_benchmark(scheme, n_spins, x, engine, t_grid)
@@ -472,14 +543,15 @@ def _beats_benchmark(
     3. ``optimize_t``'s refinement from that grid, compared with the goal.
     """
     goal = 1.0 + BENCHMARK_MARGIN
-    curve = _curve(scheme, n_spins, twist_value, engine)
+    curve = _curve(scheme, n_spins, engine)
     ts = np.linspace(0.0, 1.0, t_grid)
-    coarse = [*range(0, t_grid - 1, COARSE_STRIDE), t_grid - 1]
-    coarse_best = curve.evaluate(ts[coarse]).max()
+    coarse = ts[[*range(0, t_grid - 1, COARSE_STRIDE), t_grid - 1]]
+    coarse_best = curve.evaluate(twist_value, coarse).max()
     if coarse_best > goal + TIE_WINDOW + COARSE_SLACK:
         return True
-    vals = curve.evaluate(ts).tolist()
+    vals = curve.evaluate(twist_value, ts).tolist()
     idx = _grid_best(vals)
     if vals[idx] > goal:
         return True
-    return _refine(curve, ts, vals, idx)[1] > goal
+    ((_, value),) = _refine(curve, [twist_value], ts, [vals], [idx])
+    return value > goal

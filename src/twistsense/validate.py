@@ -48,9 +48,13 @@ from .spin_core import (
 )
 from .sweep_optimize import (
     BENCHMARK_MARGIN,
+    SweepSpec,
+    _curve,
+    _optimize,
     evaluate_point,
     find_threshold,
     optimize_t,
+    sweep_curve,
 )
 
 FD_STEP = 1e-5
@@ -804,6 +808,51 @@ def check_refinement_dominance(scheme, n, twist, engine, t_grid) -> str:
     return ""
 
 
+# Every scheme over several twists. B at N = 1000 takes 602 columns in
+# blocks of 523 (CURVE_BLOCK_AMPLITUDES // 1001), so its first call holds
+# the whole grid of one twist and part of the other's; the closed forms
+# refine one point per step.
+@over((
+    ("A", 12, "spin", (0.0, 1.0), 21),
+    ("B", 1000, "spin", (0.5, 1.0), 301),
+    ("C", 20, "spin", (0.5, 1.0, 2.0), 21),
+    ("Bprime", 30, "spin", (6.0, 8.0, 12.0), 21),
+    ("Cprime", 20, "spin", (2.0, 4.0, 8.0), 21),
+    ("Cprime", None, "closed_form", (1.0, 5.0), 21),
+))
+def check_batched_twists(scheme, n, engine, twists, t_grid) -> str:
+    # A sweep and an optimize of several twists equal those of each twist
+    # alone: values to 1e-15 relative, and each optimize visits the same
+    # points, in order, to the same t_opt.
+    spec = partial(SweepSpec, scheme, n, t_grid=t_grid, engine=engine)
+    together = sweep_curve(spec(twists))
+    alone = [record for x in twists for record in sweep_curve(spec((x,)))]
+    for a, b in zip(together, alone, strict=True):
+        gap = relative_difference(a.sensitivity, b.sensitivity)
+        if a.twist_strength != b.twist_strength or gap > 1e-15:
+            return f"swept together {a} differs from alone {b} ({gap:.2e})"
+    curve = _curve(scheme, n, engine)
+    visits = []
+
+    def recorded(xs, ts):
+        visits.extend(zip(np.broadcast_to(xs, ts.shape).tolist(), ts.tolist()))
+        return curve.evaluate(xs, ts)
+
+    recording = curve._replace(evaluate=recorded)
+    optima = _optimize(recording, twists, t_grid)
+    joint = [[t for x, t in visits if x == twist] for twist in twists]
+    for twist, optimum, points in zip(twists, optima, joint):
+        visits.clear()
+        (single,) = _optimize(recording, (twist,), t_grid)
+        gap = relative_difference(optimum.best_sensitivity, single.best_sensitivity)
+        same = (optimum.t_opt, optimum.boundary) == (single.t_opt, single.boundary)
+        if not same or gap > 1e-15:
+            return f"optimized together {optimum} differs from alone {single}"
+        if points != [t for _, t in visits]:
+            return f"{scheme} at twist {twist} visits other points together than alone"
+    return ""
+
+
 def check_tie_break_and_boundaries() -> str:
     flat = optimize_t("A", 5, 0.0, "spin")
     if (flat.t_opt, flat.boundary, flat.best_sensitivity) != (1.0, "right_edge", 1.0):
@@ -1018,6 +1067,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("bosonic.series_limit_c", check_series_limit_c),
     ("bosonic.fock_triangle", check_fock_triangle),
     ("sweep.refinement_dominance", check_refinement_dominance),
+    ("sweep.batched_twists", check_batched_twists),
     ("sweep.tie_break_and_boundaries", check_tie_break_and_boundaries),
     ("sweep.closed_form_thresholds", check_closed_form_thresholds),
     ("sweep.threshold_monotonicity", check_threshold_monotonicity),

@@ -268,3 +268,38 @@ def test_readout_takes_a_one_dimensional_grid():
 )
 def test_readout_of_no_sensing_fractions_is_empty(mode, scheme):
     assert readout(mode, scheme, 1.0, []).tolist() == []
+
+
+@pytest.mark.parametrize(
+    "twist",
+    [
+        np.array([1.0, -0.5]),
+        np.array([1.0, np.nan]),
+        np.array([True, False]),
+        np.ones((2, 1)),
+        np.array([0.5, 1.0, 2.0]),
+    ],
+    ids=["negative", "nan", "bool", "2-D", "mismatched-length"],
+)
+def test_readout_refuses_a_bad_twist_array(twist):
+    with pytest.raises(ValueError, match="twist.strength"):
+        readout(spin_mode(DickeSpace(4)), "B", twist, [0.25, 0.5])
+
+
+@pytest.mark.parametrize("scheme", ["A", "B", "C", "Bprime", "Cprime"])
+@pytest.mark.parametrize(
+    "mode", [spin_mode(DickeSpace(9)), fock_mode(FockSpace(60))], ids=["spin", "fock"]
+)
+def test_a_twist_per_column_equals_one_twist_per_call(mode, scheme):
+    # Columns of several twists side by side, and one sensing fraction
+    # broadcast over several twists, read as each twist does alone, to the
+    # 1e-12 that a curve agrees with its points.
+    twists = np.array([0.0, 0.3, 0.3, 2.0 if scheme in ("Bprime", "Cprime") else 0.1])
+    grid = np.array([0.5, 0.0, 0.8, 0.25])
+    together = readout(mode, scheme, twists, grid)
+    alone = [readout(mode, scheme, x, [s])[0] for x, s in zip(twists.tolist(), grid)]
+    assert together.shape == (4,)
+    assert max(map(relative_difference, together, alone)) <= 1e-12
+    shared = readout(mode, scheme, twists, [0.5])
+    alone = [readout(mode, scheme, x, [0.5])[0] for x in twists.tolist()]
+    assert max(map(relative_difference, shared, alone)) <= 1e-12

@@ -1,6 +1,7 @@
 """Curve sweeps, the grid-then-refine optimizer, and threshold search."""
 
 from functools import partial
+from itertools import zip_longest
 from math import ceil, floor, log
 
 import numpy as np
@@ -269,16 +270,35 @@ def _refinement_sizes(scheme, n, twist, t_grid, depth, engine="spin"):
 
 
 @pytest.mark.parametrize("t_grid", [3, 21, 201])
-def test_spin_grids_run_one_pipeline_per_twist(monkeypatch, t_grid):
+def test_spin_grids_of_all_twists_are_one_pipeline_call(monkeypatch, t_grid):
     sizes = _count_pipeline_sizes(monkeypatch)
     sweep_curve(SweepSpec("Bprime", 6, (2.0, 5.0, 8.0), t_grid=t_grid))
-    assert sizes == [t_grid] * 3
+    assert sizes == [3 * t_grid]
     expected = _refinement_sizes("B", 6, 1.0, t_grid, sweep_optimize.LOOKAHEAD)
     sizes.clear()
     # The grid is one call; the golden-section refinement evaluates the
     # candidates of LOOKAHEAD steps per call.
     optimize_t("B", 6, 1.0, "spin", t_grid)
     assert sizes == [t_grid] + expected
+
+
+@pytest.mark.parametrize("t_grid", [3, 21, 201])
+def test_the_refinements_of_several_twists_run_in_lockstep(monkeypatch, t_grid):
+    # One call for every grid, then one per round holding the candidates of
+    # every twist still refining; each twist makes the calls it makes alone
+    # (an edge optimum brackets one grid spacing, so it may take fewer).
+    twists = (0.5, 1.0, 2.0)
+    alone = [
+        _refinement_sizes("B", 6, x, t_grid, sweep_optimize.LOOKAHEAD) for x in twists
+    ]
+    sizes = _count_pipeline_sizes(monkeypatch)
+    together = sweep_optimize.optimize_sweep(SweepSpec("B", 6, twists, t_grid))
+    assert sizes == [3 * t_grid] + [sum(r) for r in zip_longest(*alone, fillvalue=0)]
+    for got, want in zip(together, [optimize_t("B", 6, x, "spin", t_grid) for x in twists]):
+        assert (got.twist_value, got.t_opt, got.boundary) == (
+            want.twist_value, want.t_opt, want.boundary
+        )
+        assert got.best_sensitivity == pytest.approx(want.best_sensitivity, rel=1e-15)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
