@@ -41,6 +41,11 @@ structured:
   Anal. B 2, 205, 1965). Every two-axis-twisting block is one, except an
   even-length mirror half, whose middle link sits on its diagonal; every
   other block takes one ``eigh``,
+* an even-length mirror chain with a zero diagonal (every two-axis chain
+  of even length, and the field chain at odd N) has a mirror-odd half
+  that is exactly -J_h T_even J_h, J_h = diag((-1)^i): only its
+  mirror-even half is solved, and the odd half is kept as the image J_h Q
+  of those vectors, with the values negated in the same order,
 * a mirror chain is kept as its two halves: its values are not
   ascending, and a product with its eigenvectors is two half-size
   products; any other chain is the same ``Chain`` with an empty mirror-odd
@@ -50,9 +55,11 @@ structured:
   rotation) is built by one tangent half-angle kernel, ``_tan_half``, from
   t = tan(x / 2) by quotients: numpy evaluates a tangent in SIMD lanes and
   a sine, cosine or complex exponential one value at a time,
-* a bipartite block's values come in exact +- pairs, and the kernel's
-  table of -x is the conjugate of its table of x to the bit (tan is odd),
-  so its phase tables are evaluated on half the values; a chain whose
+* each chain records the +- pairing its solver built, within each
+  bipartite SVD block or across the halves of a derived mirror chain, and
+  the kernel's table of -x is the conjugate of its table of x to the bit
+  (tan is odd), so a paired chain's phase tables are evaluated on half its
+  values and no value is compared to find a pair; a chain whose
   phases are all exactly 1, every one-axis chain, skips its phase
   products,
 * an operator that is i times a real antisymmetric band A (a zero
@@ -191,7 +198,9 @@ class Chain:
     elements e_h .. e_{n-1-h}, V is block diagonal: ``vectors`` holds the
     mirror-even block (n - h square) and ``odd`` the mirror-odd block (h
     square), both scaled by 1 / sqrt(2) on their first h rows. ``values``
-    holds the even block's values, then the odd block's, each ascending.
+    holds the even block's values, then the odd block's, each ascending
+    except a derived odd block (``_persymmetric_chain``), which holds the
+    even block's values negated, in the same order.
     V^T y folds y into the sums y_i + y_{n-1-i} (and the middle) and the
     differences y_i - y_{n-1-i} and makes one product with each block; V c
     makes the two products and unfolds them. A chain that is its own
@@ -200,24 +209,30 @@ class Chain:
     h = 0: ``vectors`` is the whole V, ``odd`` is empty and the values are
     ascending.
 
-    ``real`` marks phases that are all exactly 1 (every one-axis chain):
-    V_r = V, and no phase is multiplied or conjugated. The tables of turns
-    and of the derivative's f are built by the half-angle kernel
-    (``_tan_half``), once per +- pair of values (``_pairing``). A real
-    slice under an H that is i times a real antisymmetric band is turned
-    by ``rotate``, through the same vectors in real arithmetic.
+    ``pairs`` is the +- pairing the solver built: "within" when every
+    block has the layout of the bipartite SVD (``_tridiagonal_eigh``),
+    "across" when the odd block is the even block's image, column by
+    column, and None when the values are not paired. ``real`` marks
+    phases that are all exactly 1 (every one-axis chain): V_r = V, and no
+    phase is multiplied or conjugated. The tables of turns and of the
+    derivative's f are built by the half-angle kernel (``_tan_half``),
+    once per +- pair of values (``_pairing``). A real slice under an H
+    that is i times a real antisymmetric band is turned by ``rotate``,
+    through the same pairs in real arithmetic.
     """
 
     def __init__(
-        self, values: np.ndarray, vectors: np.ndarray, odd: np.ndarray, phases: np.ndarray
+        self, values: np.ndarray, vectors: np.ndarray, odd: np.ndarray, phases: np.ndarray,
+        pairs: str | None,
     ):
         self.values = values
         self.vectors = vectors
         self.phases = phases
         self.odd = odd
+        self.pairs = pairs
         self.largest = float(np.abs(values).max())
         self.real = bool(np.all(phases == 1))
-        self._evaluated, self._mirrored = _pairing(values, len(vectors))
+        self._evaluated, self._mirrored = _pairing(pairs, len(vectors), len(values))
         for arr in (values, vectors, phases, odd):
             arr.setflags(write=False)
 
@@ -346,28 +361,22 @@ class Chain:
     def _rotation(self) -> _Rotation | None:
         """How ``rotate`` pairs this chain's values, or None when it cannot.
 
-        The phases must be quarter turns, real at even positions and
-        imaginary at odd ones, as they are when no link is zero. A mirror
-        chain of even length pairs across its halves. Every other block
-        must keep the layout of its bipartite SVD (``_paired_layout``),
-        which a split or nearly split chain, solved by ``eigh``, does not.
+        The values must be paired (``pairs``), and the phases must be
+        quarter turns, real at even positions and imaginary at odd ones, as
+        they are when no link is zero.
         """
         n, h = len(self.values), len(self.odd)
         signs = self.phases * np.where(np.arange(n) % 2, 1j, 1.0)
-        if signs.imag.any() or not np.all(np.abs(signs.real) == 1):
+        if self.pairs is None or signs.imag.any() or not np.all(np.abs(signs.real) == 1):
             return None
         signs = signs.real[:, None]
-        if h and not n % 2:
-            # Each mirror-even vector v pairs with J_h v in the mirror-odd half.
-            flips = np.where(np.arange(h) % 2, -1.0, 1.0)[:, None]
+        if self.pairs == "across":
             whole = slice(0, h)
-            block = _Block(whole, h, self.vectors, (0, whole), self.vectors, (1, whole))
-            return _Rotation(signs, flips, 0.5 * self.values[:h], np.ones((h, 1)), (block,))
+            block = _Block(whole, h, self.vectors, (0, whole), self.odd, (1, whole))
+            return _Rotation(signs, 0.5 * self.values[:h], np.ones((h, 1)), (block,))
         blocks, half_values, scale, start = [], [], [], 0
         for half, vectors in enumerate((self.vectors, self.odd)[: 2 if h else 1]):
             size, lo = len(vectors), half * (n - h)
-            if not _paired_layout(self.values[lo : lo + size], vectors):
-                return None
             k = size // 2
             blocks.append(_Block(
                 slice(start, start + size - k), k,
@@ -379,8 +388,7 @@ class Chain:
             half_values.append(np.append(-0.5 * self.values[lo : lo + k], np.zeros(size % 2)))
             scale.append(np.append(np.full(k, 2.0), np.ones(size % 2)))
         return _Rotation(
-            signs, None, np.concatenate(half_values), np.concatenate(scale)[:, None],
-            tuple(blocks),
+            signs, np.concatenate(half_values), np.concatenate(scale)[:, None], tuple(blocks)
         )
 
     def rotate(self, x: np.ndarray, angles: np.ndarray, reach: float, out: np.ndarray):
@@ -410,11 +418,10 @@ class Chain:
           y_even and b = (-U / sqrt(2))^T y_odd, and the rotation of the
           angles theta sigma, doubled, takes them back through the same two
           half-size blocks. The zero mode keeps its coefficient.
-        * a mirror chain of even length has an ``eigh`` per half. J maps
-          the mirror-even half onto the mirror-odd one with the alternating
-          signs J_h = diag((-1)^i), so the mirror-odd block is
-          -J_h T_even J_h. Only the mirror-even vectors Q are used:
-          a = Q^T y_even and b = Q^T J_h y_odd.
+        * a mirror chain of even length keeps its mirror-odd half as the
+          image J_h Q of the mirror-even vectors Q (``_persymmetric_chain``),
+          J_h = diag((-1)^i), and J pairs each column of one half with the
+          same column of the other: a = Q^T y_even and b = (J_h Q)^T y_odd.
 
         A chain that cannot be paired (``_rotation`` is None) is turned as
         a complex slice and its real part kept, exact up to roundoff.
@@ -427,8 +434,6 @@ class Chain:
             return
         m = len(x) - len(self.odd)
         y = self._fold_rows(x * plan.signs)
-        if plan.flips is not None:
-            y[m:] *= plan.flips
         halves = (y[:m], y[m:])
         a, b = np.zeros((2, len(plan.half_values), y.shape[1]))
         for block in plan.blocks:
@@ -444,8 +449,6 @@ class Chain:
             (i, at), (j, bt) = block.even_rows, block.odd_rows
             np.matmul(block.even, a[block.rows], out=halves[i][at])
             np.matmul(block.odd, b[block.rows][: block.pairs], out=halves[j][bt])
-        if plan.flips is not None:
-            odd *= plan.flips
         if len(odd):
             self._unfold(out, odd)
         out *= plan.signs
@@ -470,34 +473,15 @@ class _Block(NamedTuple):
 class _Rotation(NamedTuple):
     """A chain's real rotation (``Chain.rotate``).
 
-    ``signs`` are the r_k, a (n, 1) column, and ``flips`` the J_h of a
-    mirror chain of even length (None otherwise). The coefficient rows of
-    all blocks are stacked: row j turns through the angle 2 theta
+    ``signs`` are the r_k, a (n, 1) column. The coefficient rows of all
+    blocks are stacked: row j turns through the angle 2 theta
     ``half_values[j]`` and is scaled by ``scale[j]``.
     """
 
     signs: np.ndarray
-    flips: np.ndarray | None
     half_values: np.ndarray
     scale: np.ndarray
     blocks: tuple[_Block, ...]
-
-
-def _paired_layout(values: np.ndarray, vectors: np.ndarray) -> bool:
-    """Whether a block's values and vectors have the layout of the
-    bipartite SVD in ``_tridiagonal_eigh``: for j < m // 2 the columns j
-    and m - 1 - j are equal on the even rows and opposite on the odd ones
-    (each is the other's image under the parity J) with opposite values,
-    and the middle column of an odd m has value 0 and no odd row."""
-    m = len(values)
-    k = m // 2
-    even, odd = vectors[0::2], vectors[1::2]
-    return (
-        np.array_equal(values[:k], -values[m - k :][::-1])
-        and np.array_equal(even[:, :k], even[:, m - k :][:, ::-1])
-        and np.array_equal(np.negative(odd[:, :k]), odd[:, m - k :][:, ::-1])
-        and not (m % 2 and (values[k] or odd[:, k].any()))
-    )
 
 
 def _tan_half(half: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -661,9 +645,11 @@ class BandedOperator:
         symmetric tridiagonal eigenproblems (see the module docstring),
         each solved when a propagation first needs it: as two half-size
         blocks, kept as the two halves, when its matrix equals its own
-        reverse, and whole otherwise. Each block is solved through a
-        half-size SVD when its diagonal is zero and by one ``eigh``
-        otherwise (``_tridiagonal_eigh``). Readers go through
+        reverse (one of them the other's image when its diagonal is zero
+        and its length even, ``_persymmetric_chain``), and whole
+        otherwise. Each block is solved through a half-size SVD when its
+        diagonal is zero and by one ``eigh`` otherwise
+        (``_tridiagonal_eigh``). Readers go through
         ``Chain.analyze`` and ``Chain.synthesize``. An operator with
         several off-diagonal bands is refused.
         """
@@ -691,8 +677,8 @@ class BandedOperator:
             p /= np.abs(p)
             if len(a) > 1 and _is_persymmetric(a, size):
                 return _persymmetric_chain(a, size, p)
-            values, vectors = _tridiagonal_eigh(a, size)
-            return Chain(values, vectors, np.zeros((0, 0)), p)
+            values, vectors, paired = _tridiagonal_eigh(a, size)
+            return Chain(values, vectors, np.zeros((0, 0)), p, "within" if paired else None)
 
         return Eigensystem(stride, solve)
 
@@ -733,27 +719,23 @@ def _band_product(bands: Mapping[int, np.ndarray], x: np.ndarray, dtype) -> np.n
     return out
 
 
-def _pairing(values: np.ndarray, m: int) -> tuple[list, list]:
+def _pairing(pairs: str | None, m: int, n: int) -> tuple[list, list]:
     """The row slices of a chain's tables to evaluate, and the (rows,
-    partners) slices to fill as the partners' conjugates.
-
-    The values are the mirror-even block's (the first m), then the
-    mirror-odd block's, each ascending. A block whose first half holds no
-    zero and is exactly the negative of its second half reversed (every
-    bipartite block) evaluates only its second half.
-    """
+    partners) slices to fill as the partners' conjugates, for a chain of n
+    values whose mirror-even block holds the first m and whose solver
+    built the ``pairs`` of ``Chain``: the second half of each block
+    ("within"), the mirror-even block ("across") or every row (None)."""
+    if pairs == "across":
+        return [slice(0, m)], [(slice(m, n), slice(0, m))]
+    if pairs is None:
+        return [slice(0, n)], []
     evaluated, mirrored = [], []
-    for lo, hi in ((0, m), (m, len(values))):
+    for lo, hi in ((0, m), (m, n)):
         k = (hi - lo) // 2
-        low, high = values[lo : lo + k], values[hi - k : hi][::-1]
-        if k and low.all() and np.array_equal(low, -high):
+        if k:
             mirrored.append((slice(lo, lo + k), slice(hi - 1, hi - k - 1, -1)))
-            lo += k
-        if lo == hi:
-            continue
-        if evaluated and evaluated[-1].stop == lo:
-            lo = evaluated.pop().start
-        evaluated.append(slice(lo, hi))
+        if hi > lo + k:
+            evaluated.append(slice(lo + k, hi))
     return evaluated, mirrored
 
 
@@ -765,22 +747,26 @@ def _is_persymmetric(diagonal: np.ndarray, off: np.ndarray) -> bool:
 
 def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
     """Ascending eigenvalues and orthogonal eigenvectors of the real symmetric
-    tridiagonal matrix T with this diagonal and off-diagonal.
+    tridiagonal matrix T with this diagonal and off-diagonal, and whether
+    they are laid out in +- pairs by the bipartite SVD.
 
     A T with a zero diagonal and no zero link is bipartite: its values are
     +-sigma, and a 0 at odd n, for the singular triples S v = sigma u of the
     square upper-bidiagonal S[i, i] = off[2i], S[i, i + 1] = off[2i + 1]
     (rows at the odd positions, a zero last row at odd n), with vectors
     (v, +-u) / sqrt(2) and (v_0, 0) (Golub & Kahan, SIAM J. Numer. Anal.
-    B 2, 205, 1965). LAPACK's SVD leaves such an S unrotated. Any other T
-    takes one dense ``eigh``; so does a split chain, where a second zero
-    singular value could take the padding row's direction. At odd n the
-    left singular vectors carry about eps / (sigma_min / sigma_max) of the
-    padding row, and dropping it leaves |V^T V - I| near the square of
-    that; a nearly split chain, whose vectors hold more than sqrt(eps) of
-    that row, takes the ``eigh`` after its SVD. The program's own chains,
-    measured up to N = 4002 and a Fock dimension of 2001, hold at most
-    1.2e-12 of it and keep the SVD.
+    B 2, 205, 1965). LAPACK's SVD leaves such an S unrotated. So for
+    j < n // 2 the columns j and n - 1 - j are each other's image under the
+    parity J = diag((-1)^i), with opposite values, and the middle column of
+    an odd n has value 0 and no odd row: the layout that ``Chain`` pairs
+    "within". Any other T takes one dense ``eigh`` and is not paired; so
+    does a split chain, where a second zero singular value could take the
+    padding row's direction. At odd n the left singular vectors carry
+    about eps / (sigma_min / sigma_max) of the padding row, and dropping it
+    leaves |V^T V - I| near the square of that; a nearly split chain, whose
+    vectors hold more than sqrt(eps) of that row, takes the ``eigh`` after
+    its SVD. The program's own chains, measured up to N = 4002 and a Fock
+    dimension of 2001, hold at most 1.2e-12 of it and keep the SVD.
     """
     n = len(diagonal)
     if not diagonal.any() and off.all():
@@ -803,11 +789,11 @@ def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
             if n % 2:
                 vectors[0::2, half] = vt[half]
             pairs = sigma[:half]
-            return np.concatenate((-pairs, np.zeros(n % 2), pairs[::-1])), vectors
+            return np.concatenate((-pairs, np.zeros(n % 2), pairs[::-1])), vectors, True
     tridiagonal = np.diag(diagonal)
     i = np.arange(len(off))
     tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
-    return np.linalg.eigh(tridiagonal)
+    return *np.linalg.eigh(tridiagonal), False
 
 
 def _persymmetric_chain(
@@ -829,25 +815,41 @@ def _persymmetric_chain(
     * odd n: the even block of size h + 1 keeps the middle element, joined
       by sqrt(2) b; the odd block of size h lacks it.
 
-    Two half-size solves cost about a quarter of one full-size solve, and
-    the ``Chain`` keeps the two halves: its even block's first h rows and
-    its whole odd block are scaled by 1 / sqrt(2).
+    With a zero diagonal at even n the odd block is exactly
+    -J_h T_even J_h, J_h = diag((-1)^i): only the even block is solved,
+    values lambda and vectors Q, and the odd block is kept as the vectors
+    J_h Q with the values -lambda in the same order, so its values descend.
+    Each odd vector is then the image of the even vector in its column
+    under the parity of the whole chain, and the chain pairs "across" its
+    halves. Any other chain solves both blocks, and pairs "within" them
+    when both are bipartite SVDs (odd n, zero diagonal). The ``Chain``
+    keeps the two halves: its even block's first h rows and its whole odd
+    block are scaled by 1 / sqrt(2).
     """
     n = len(diagonal)
     h = n // 2
     link = off[h - 1]
     inner = off[: h - 1]
     if n % 2:
-        even = _tridiagonal_eigh(diagonal[: h + 1], np.append(inner, sqrt(2.0) * link))
-        odd = _tridiagonal_eigh(diagonal[:h], inner)
+        values, vectors, paired = _tridiagonal_eigh(
+            diagonal[: h + 1], np.append(inner, sqrt(2.0) * link)
+        )
+        odd_values, odd, odd_paired = _tridiagonal_eigh(diagonal[:h], inner)
+        pairs = "within" if paired and odd_paired else None
     else:
         corner = np.zeros(h)
         corner[-1] = link
-        even = _tridiagonal_eigh(diagonal[:h] + corner, inner)
-        odd = _tridiagonal_eigh(diagonal[:h] - corner, inner)
-    even[1][:h] *= sqrt(0.5)
-    odd[1][:] *= sqrt(0.5)
-    return Chain(np.concatenate((even[0], odd[0])), even[1], odd[1], phases)
+        values, vectors, _ = _tridiagonal_eigh(diagonal[:h] + corner, inner)
+        if diagonal.any():
+            odd_values, odd, _ = _tridiagonal_eigh(diagonal[:h] - corner, inner)
+            pairs = None
+        else:
+            odd_values, odd = -values, vectors.copy()
+            odd[1::2] *= -1.0
+            pairs = "across"
+    vectors[:h] *= sqrt(0.5)
+    odd *= sqrt(0.5)
+    return Chain(np.concatenate((values, odd_values)), vectors, odd, phases, pairs)
 
 
 @dataclass(frozen=True, eq=False)

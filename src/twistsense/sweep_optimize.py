@@ -354,16 +354,6 @@ def _lockstep(f, searches: list[Generator]) -> list:
     return results
 
 
-def _golden_section_max(
-    f, a: float, b: float, tol: float, depth: int
-) -> tuple[float, float]:
-    """``_golden_section`` run alone: f maps a 1-D array of points to their
-    values."""
-    search = _golden_section(a, b, tol, depth)
-    (result,) = _lockstep(lambda asks: f(asks[0][1]), [search])
-    return result
-
-
 def _grid_best(vals: list[float]) -> int:
     """Index of the best grid sample: the largest index within TIE_WINDOW
     of the maximum (least preparation among equals)."""

@@ -336,15 +336,18 @@ def check_mirror_split() -> str:
     # A chain of a Dicke generator that is its own mirror image is solved and
     # kept as two halves, a half or chain with a zero diagonal (two-axis
     # twisting) through its bipartite SVD, any other by one eigh: each must
-    # reproduce a dense eigh of the same real tridiagonal matrix. The Fock
-    # chains have no mirror symmetry, so they are kept whole and their
-    # twisting chains take the SVD whole. The vectors are read as
-    # synthesize of the identity, phases included, so the folded and the
-    # whole chains are checked alike.
+    # reproduce a dense eigh of the same real tridiagonal matrix. An
+    # even-length chain with a zero diagonal solves one half and keeps the
+    # other as its mirror image: the field chain at odd N, the two-axis odd
+    # chain at N = 0 mod 4 and the probe's own chain at N = 2 mod 4 (302
+    # elements at N = 602). The Fock chains have no mirror symmetry, so they
+    # are kept whole and their twisting chains take the SVD whole. The
+    # vectors are read as synthesize of the identity, phases included, so
+    # the folded and the whole chains are checked alike.
     kinds = ("tat", "oat", "field")
     generators = [
         (f"N={n} {kind}", spin_mode(DickeSpace(n)).generators[kind])
-        for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600)
+        for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600, 602)
         for kind in kinds
     ] + [
         (f"Fock 400 {kind}", fock_mode(FockSpace(400)).generators[kind])

@@ -322,8 +322,9 @@ def _counting(monkeypatch, name: str) -> list:
         ("A", None, [], []),
         # B at N = 1000: the probe's chain (501) as two bipartite halves.
         ("B", 1000, [126, 125], []),
-        # N = 1002: a mirror chain of even length, one eigh per half.
-        ("B", 1002, [], [251, 251]),
+        # N = 1002: a mirror chain of even length, one eigh for one half,
+        # the other half its mirror image.
+        ("B", 1002, [], [251]),
         # N = 1001 and the Fock mode: one whole bipartite chain.
         ("B", 1001, [251], []),
         ("B", None, [100], []),

@@ -407,18 +407,19 @@ def test_derivative_batches_one_angle_per_column():
 def test_propagate_solves_only_the_chains_it_turns(solved_blocks):
     # The lowest-weight state lies in the even parity block of a twisting
     # generator, which never couples the blocks: the odd block is never solved.
-    # At N = 10 each block is its own mirror image, solved as two halves:
-    # the even block (6) as 3 + 3, the odd block (5) as 3 + 2.
+    # At N = 10 each block is its own mirror image, solved as its halves:
+    # the even block (6) as one half of 3 and its mirror image, the odd
+    # block (5) as 3 + 2.
     space = DickeSpace(10)
     H = BandedOperator(space.dim, generator(space, "tat").bands)
     psi = propagate(H, np.array([0.5, 1.0]), initial_state(space))
-    assert solved_blocks == [3, 3]
+    assert solved_blocks == [3]
     assert not psi.amplitudes[1::2].any()
     # An odd input needs the odd block too, solved once.
     G = generator(space, "field")
     propagate(H, 1.0, apply_operator(G, StateVector(psi.amplitudes[:, 0])))
     propagate(H, 2.0, apply_operator(G, StateVector(psi.amplitudes[:, 1])))
-    assert solved_blocks == [3, 3, 3, 2]
+    assert solved_blocks == [3, 3, 2]
 
 
 def _tridiagonal(diagonal: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -467,8 +468,9 @@ def test_a_zero_diagonal_chain_is_solved_through_its_bipartite_half(
     matrix = _tridiagonal(np.zeros(n), off)
     dense = np.linalg.eigh(matrix)[0]
     eighs, svds = _counting(monkeypatch, "eigh"), _counting(monkeypatch, "svd")
-    values, vectors = spin_core._tridiagonal_eigh(np.zeros(n), off)
+    values, vectors, paired = spin_core._tridiagonal_eigh(np.zeros(n), off)
     assert eighs == ([] if near_split_seed is None else [n])
+    assert paired == (near_split_seed is None)
     assert svds == [n - n // 2]
     assert np.all(np.diff(values) >= 0)
     if near_split_seed is None:
@@ -497,18 +499,19 @@ def test_a_zero_diagonal_chain_with_a_zero_link_keeps_eigh(monkeypatch, off):
     diagonal = np.zeros(len(off) + 1)
     dense = np.linalg.eigh(_tridiagonal(diagonal, off))
     svds = _counting(monkeypatch, "svd")
-    values, vectors = spin_core._tridiagonal_eigh(diagonal, off)
-    assert svds == []
+    values, vectors, paired = spin_core._tridiagonal_eigh(diagonal, off)
+    assert svds == [] and not paired
     assert np.array_equal(values, dense[0]) and np.array_equal(vectors, dense[1])
 
 
 @pytest.mark.parametrize(
     "space, kind, eighs, svds",
     [
-        # Even chain 11 as halves 6 and 5; odd chain 10 has a corner term.
-        (DickeSpace(20), "tat", [5, 5], [3, 3]),
-        # Even chain 12 has a corner term; odd chain 11 as halves 6 and 5.
-        (DickeSpace(22), "tat", [6, 6], [3, 3]),
+        # Even chain 11 as halves 6 and 5; odd chain 10 as one half with a
+        # corner term and its mirror image.
+        (DickeSpace(20), "tat", [5], [3, 3]),
+        # Even chain 12 as one half and its image; odd chain 11 as 6 and 5.
+        (DickeSpace(22), "tat", [6], [3, 3]),
         (DickeSpace(21), "tat", [], [6, 6]),  # whole chains 11 and 11
         (DickeSpace(20), "oat", [6, 5, 5, 5], []),  # a nonzero diagonal
         (FockSpace(30), "tat", [], [8, 8]),  # whole chains 15 and 15
@@ -525,17 +528,15 @@ def test_two_axis_twisting_chains_take_the_bipartite_branch(
     assert counted == (eighs, svds)
 
 
-def _mirror_chain_operator(n: int) -> BandedOperator:
+def _mirror_chain_operator(n: int, diagonal: bool) -> BandedOperator:
     # A random tridiagonal operator whose real form equals its own reverse,
     # with off-diagonal phases that are not mirror-symmetric; quarter turns
     # keep each |e_i| exact, so the mirror symmetry is exact too.
     rng = np.random.default_rng(n)
-    diagonal = rng.normal(size=n)
+    a = rng.normal(size=n) if diagonal else np.zeros(n)
     size = rng.uniform(0.5, 1.5, size=n - 1)
     phases = rng.choice(np.array([1, 1j, -1, -1j]), size=n - 1)
-    return BandedOperator.hermitian(
-        n, {1: (size + size[::-1]) * phases}, diagonal=diagonal + diagonal[::-1]
-    )
+    return BandedOperator.hermitian(n, {1: (size + size[::-1]) * phases}, diagonal=a + a[::-1])
 
 
 def _check_chain(H: BandedOperator, chain) -> None:
@@ -557,13 +558,19 @@ def _check_chain(H: BandedOperator, chain) -> None:
         assert np.abs(got - expected).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 21, 40, 41, 255, 256, 257])
-def test_mirror_chains_are_kept_folded(n):
-    # Every mirror-symmetric chain keeps its two halves, whatever its length.
-    H = _mirror_chain_operator(n)
+@pytest.mark.parametrize(
+    "n, diagonal",
+    [pytest.param(n, True, id=str(n)) for n in (2, 3, 4, 5, 21, 40, 41, 255, 256, 257)]
+    + [pytest.param(n, False, id=f"{n}-zero-diagonal") for n in (2, 3, 40, 41, 256, 257)],
+)
+def test_mirror_chains_are_kept_folded(n, diagonal):
+    # Every mirror-symmetric chain keeps its two halves, whatever its length;
+    # with a zero diagonal at even n the odd half is the even half's image.
+    H = _mirror_chain_operator(n, diagonal)
     chain = H.eigensystem.chain(0)
     assert chain.odd.shape == (n // 2, n // 2)
     assert chain.vectors.shape == (n - n // 2, n - n // 2)
+    assert chain.pairs == (None if diagonal else "within" if n % 2 else "across")
     _check_chain(H, chain)
 
 
@@ -663,17 +670,18 @@ def test_a_state_keeps_a_copy_of_the_callers_array():
             turned.amplitudes[0] = 1.0
 
 
-# Each chain's half blocks whose values are exact +- pairs, chain by chain:
-# a bipartite block pairs, any block with a diagonal does not. At N = 42
-# chain 0 is an even-length mirror chain (its halves carry the mirror link
-# on their diagonals) and chain 1 an odd-length one with two bipartite
-# halves, the shape scheme B meets at N = 302, 1002 and 10002.
+# The number of blocks each chain fills by conjugation, chain by chain: a
+# bipartite block within itself, and an even-length two-axis mirror chain
+# across its halves (its mirror-odd half is the image of its mirror-even
+# one); any block with a diagonal fills none. At N = 42 chain 0 is an
+# even-length mirror chain and chain 1 an odd-length one with two
+# bipartite halves, the shape scheme B meets at N = 302, 1002 and 10002.
 TURN_CHAINS = pytest.mark.parametrize(
     "space, kind, paired",
     [
-        (DickeSpace(40), "tat", (2, 0)),
+        (DickeSpace(40), "tat", (2, 1)),
         (DickeSpace(41), "tat", (1, 1)),
-        (DickeSpace(42), "tat", (0, 2)),
+        (DickeSpace(42), "tat", (1, 2)),
         (DickeSpace(40), "oat", (0, 0)),
         (DickeSpace(41), "oat", (0, 0)),
         (FockSpace(41), "tat", (1, 1)),

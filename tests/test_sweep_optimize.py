@@ -492,11 +492,13 @@ def test_batched_golden_section_replays_the_sequential_search(name, depth, a, b)
     f = GOLDEN_FUNCTIONS[name]
     calls = []
 
-    def batched(points):
+    def batched(asks):
+        ((_, points),) = asks
         calls.append(len(points))
         return [f(float(t)) for t in points]
 
-    got = sweep_optimize._golden_section_max(batched, a, b, 1e-6, depth)
+    search = sweep_optimize._golden_section(a, b, 1e-6, depth)
+    (got,) = sweep_optimize._lockstep(batched, [search])
     want = _sequential_golden_section(f, a, b, 1e-6)
     assert got == want
     if b - a <= 1e-6:
