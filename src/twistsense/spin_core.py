@@ -52,22 +52,19 @@ structured:
   half, one real orthogonal matrix and ascending values,
 * every phase table (the turns exp(-i x), the f = expm1(-i x) / theta of
   the derivative, its near-gap weights and the cos and sin of the real
-  rotation) is built by one tangent half-angle kernel, ``_tan_half``, from
-  t = tan(x / 2) by quotients: numpy evaluates a tangent in SIMD lanes and
-  a sine, cosine or complex exponential one value at a time,
-* each chain records the +- pairing its solver built, within each
-  bipartite SVD block or across the halves of a derived mirror chain, and
-  the kernel's table of -x is the conjugate of its table of x to the bit
-  (tan is odd), so a paired chain's phase tables are evaluated on half its
-  values and no value is compared to find a pair; a chain whose
-  phases are all exactly 1, every one-axis chain, skips its phase
-  products,
+  rotation) is built whole by one tangent half-angle kernel,
+  ``_tan_half``, from t = tan(x / 2) by quotients: numpy evaluates a
+  tangent in SIMD lanes and a sine, cosine or complex exponential one
+  value at a time; a chain whose phases are all exactly 1, every one-axis
+  chain, skips its phase products,
 * an operator that is i times a real antisymmetric band A (a zero
   diagonal and purely imaginary bands: the field generator and two-axis
   twisting) has exp(-i theta H) = exp(theta A), a real rotation. A real
   state propagated under it is turned in real arithmetic through the
-  +- pairs of each chain (``Chain.rotate``), and its image -i t H psi is
-  t A psi (``apply_generator``).
+  +- pairs of each chain (``Chain.rotate``), which its solver recorded
+  when it built them, within each bipartite SVD block or across the
+  halves of a derived mirror chain, so no value is compared to find a
+  pair; its image -i t H psi is t A psi (``apply_generator``).
 
 States are vectors (d,) or blocks (d, K) of K states side by side, with
 float64 amplitudes when they are real and complex128 otherwise: the probe
@@ -215,10 +212,10 @@ class Chain:
     column, and None when the values are not paired. ``real`` marks
     phases that are all exactly 1 (every one-axis chain): V_r = V, and no
     phase is multiplied or conjugated. The tables of turns and of the
-    derivative's f are built by the half-angle kernel (``_tan_half``),
-    once per +- pair of values (``_pairing``). A real slice under an H
-    that is i times a real antisymmetric band is turned by ``rotate``,
-    through the same pairs in real arithmetic.
+    derivative's f are built whole by the half-angle kernel
+    (``_tan_half``). A real slice under an H that is i times a real
+    antisymmetric band is turned by ``rotate``, through the ``pairs`` in
+    real arithmetic.
     """
 
     def __init__(
@@ -232,22 +229,8 @@ class Chain:
         self.pairs = pairs
         self.largest = float(np.abs(values).max())
         self.real = bool(np.all(phases == 1))
-        self._evaluated, self._mirrored = _pairing(pairs, len(vectors), len(values))
         for arr in (values, vectors, phases, odd):
             arr.setflags(write=False)
-
-    def _table(self, angles, fill: Callable) -> np.ndarray:
-        """g(lambda_j, angle_k), one column per angle (a vector for a scalar
-        angle), for a g with g(-lambda) = conj g(lambda) to the bit (each
-        ``fill`` is the half-angle kernel's):
-        ``fill(values, out)`` writes the rows ``_pairing`` evaluates, and
-        their partners are conjugated."""
-        table = np.empty((len(self.values), *np.shape(angles)), dtype=complex)
-        for rows in self._evaluated:
-            fill(self.values[rows], table[rows])
-        for rows, partners in self._mirrored:
-            np.conjugate(table[partners], out=table[rows])
-        return table
 
     def _fold(self, y: np.ndarray) -> np.ndarray:
         """The mirror sums of y over its mirror differences, as real pairs;
@@ -330,32 +313,27 @@ class Chain:
         """exp(-i angle_k lambda_j), one column per angle (a vector for a
         scalar angle), refused past MAX_PHASE (``_check_reach``)."""
         self._check_reach(reach)
-
-        def fill(values, out):
-            # exp(-i x) = cos x + i sin(-x), from the half angles -x / 2.
-            t, cos, inv = _tan_half(np.multiply.outer(-0.5 * values, angles), 1.0)
-            np.subtract(1.0, cos, out=cos)
-            np.multiply(cos, inv, out=out.real)
-            t *= inv
-            np.add(t, t, out=out.imag)
-
-        return self._table(angles, fill)
+        # exp(-i x) = cos x + i sin(-x), from the half angles -x / 2.
+        t, cos, inv = _tan_half(np.multiply.outer(-0.5 * self.values, angles), 1.0)
+        table = np.empty(t.shape, dtype=complex)
+        np.subtract(1.0, cos, out=cos)
+        np.multiply(cos, inv, out=table.real)
+        t *= inv
+        np.add(t, t, out=table.imag)
+        return table
 
     def expm1_table(self, angles, theta) -> np.ndarray:
         """expm1(-i angle_k lambda_j) / theta_k, the f of
         ``propagate_with_derivative``, one column per angle; taken after
         ``turns``, which checks the range."""
-        scale = 2.0 / theta
-
-        def fill(values, out):
-            # expm1(-i x) = -2 t^2 / (1 + t^2) + i 2 t / (1 + t^2) for
-            # t = tan(-x / 2): no cos x - 1 to cancel at small x.
-            t, square, inv = _tan_half(np.multiply.outer(-0.5 * values, angles), scale)
-            square *= inv
-            np.negative(square, out=out.real)
-            np.multiply(t, inv, out=out.imag)
-
-        return self._table(angles, fill)
+        # expm1(-i x) = -2 t^2 / (1 + t^2) + i 2 t / (1 + t^2) for
+        # t = tan(-x / 2): no cos x - 1 to cancel at small x.
+        t, square, inv = _tan_half(np.multiply.outer(-0.5 * self.values, angles), 2.0 / theta)
+        table = np.empty(t.shape, dtype=complex)
+        square *= inv
+        np.negative(square, out=table.real)
+        np.multiply(t, inv, out=table.imag)
+        return table
 
     @cached_property
     def _rotation(self) -> _Rotation | None:
@@ -498,11 +476,9 @@ def _tan_half(half: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.ndarr
     MAX_PHASE, cos x and sin x stay within 2.3e-16, and expm1(-i x) within
     6.8e-16, and within 6.8e-16 relative for |x| < 1e-3, where the real
     part -2 t^2 / (1 + t^2) keeps the digits that cos x - 1 cancels. An
-    angle of 0 gives exactly 1, 0 and 0. tan is odd, so -x gives -t and
-    the same t^2: the table of -x is the conjugate of the table of x to
-    the bit (``Chain._table``). ``scale``, the numerator of the quotient,
-    broadcasts over the table: a scalar, a row of one value per angle or a
-    column of one per value.
+    angle of 0 gives exactly 1, 0 and 0. ``scale``, the numerator of the
+    quotient, broadcasts over the table: a scalar, a row of one value per
+    angle or a column of one per value.
     """
     t = np.tan(half, out=half)
     square = t * t
@@ -717,26 +693,6 @@ def _band_product(bands: Mapping[int, np.ndarray], x: np.ndarray, dtype) -> np.n
             product = scratch[: min(step, hi - lo - start)]
             rows[part] += np.multiply(values[part], source[part], out=product)
     return out
-
-
-def _pairing(pairs: str | None, m: int, n: int) -> tuple[list, list]:
-    """The row slices of a chain's tables to evaluate, and the (rows,
-    partners) slices to fill as the partners' conjugates, for a chain of n
-    values whose mirror-even block holds the first m and whose solver
-    built the ``pairs`` of ``Chain``: the second half of each block
-    ("within"), the mirror-even block ("across") or every row (None)."""
-    if pairs == "across":
-        return [slice(0, m)], [(slice(m, n), slice(0, m))]
-    if pairs is None:
-        return [slice(0, n)], []
-    evaluated, mirrored = [], []
-    for lo, hi in ((0, m), (m, n)):
-        k = (hi - lo) // 2
-        if k:
-            mirrored.append((slice(lo, lo + k), slice(hi - 1, hi - k - 1, -1)))
-        if hi > lo + k:
-            evaluated.append(slice(lo + k, hi))
-    return evaluated, mirrored
 
 
 def _is_persymmetric(diagonal: np.ndarray, off: np.ndarray) -> bool:

@@ -63,13 +63,13 @@ BENCHMARK_MARGIN = 1e-9
 
 # Largest number of amplitudes in one (d, K) block of a spin curve call,
 # whose K columns are the concatenated grids of all the twists it
-# evaluates. A call holds at most about 1.2 such complex blocks at once for
-# schemes A and B (the state, its derivative and scratch, all real), 4.2
-# for Bprime, 7 for C and 10.2 for Cprime (tracemalloc peaks at N = 300,
-# 201 points), so this bounds its memory (8 MiB a complex block) whatever
-# the grid and the number of twists; wider sets take several pipeline
-# calls, which may split one twist's grid. One 201-point grid is one call
-# up to N = 2607.
+# evaluates. A call holds at most about 1.14 such complex blocks at once
+# for schemes A and B (the state, its derivative and scratch, all real),
+# 4.76 for Bprime, 7.27 for C and 10.83 for Cprime (tracemalloc peaks of a
+# warm call at N = 300, 201 points), so this bounds its memory (8 MiB a
+# complex block) whatever the grid and the number of twists; wider sets
+# take several pipeline calls, which may split one twist's grid. One
+# 201-point grid is one call up to N = 2607.
 CURVE_BLOCK_AMPLITUDES = 2**19
 
 # Most sensing fractions a grid may hold. Each point of a sweep keeps a

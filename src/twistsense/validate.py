@@ -1082,7 +1082,8 @@ CHECKS: tuple[tuple[str, object], ...] = (
 
 
 def run_validation(only: str | None = None, stream=None) -> int:
-    """Run the named checks, print one line each, return a process code."""
+    """Run the named checks, print one line each, return a process code;
+    a ValueError when no check's name contains ``only``."""
     import sys
 
     out = stream if stream is not None else sys.stdout
@@ -1090,8 +1091,7 @@ def run_validation(only: str | None = None, stream=None) -> int:
         (name, fn) for name, fn in CHECKS if only is None or only in name
     ]
     if not selected:
-        print(f"no checks match {only!r}", file=out)
-        return 2
+        raise ValueError(f"no checks match {only!r}")
     failures = 0
     for name, fn in selected:
         try:

@@ -387,8 +387,10 @@ class TestValidateSubcommand:
         assert lines[-1] == "1/1 checks passed"
 
     def test_unmatched_filter_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "validate", "--only", "no_such_check")
+        code, out, err = run_cli(capsys, "validate", "--only", "no_such_check")
         assert code == 2
+        assert out == ""
+        assert err == "error: no checks match 'no_such_check'\n"
 
 
 def test_module_entry_point_matches_main(capsys):

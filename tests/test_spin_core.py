@@ -1,6 +1,5 @@
 """Operator algebra, states, propagators, and exact derivatives."""
 
-import copy
 from fractions import Fraction
 from math import comb
 
@@ -670,74 +669,63 @@ def test_a_state_keeps_a_copy_of_the_callers_array():
             turned.amplitudes[0] = 1.0
 
 
-# The number of blocks each chain fills by conjugation, chain by chain: a
-# bipartite block within itself, and an even-length two-axis mirror chain
-# across its halves (its mirror-odd half is the image of its mirror-even
-# one); any block with a diagonal fills none. At N = 42 chain 0 is an
-# even-length mirror chain and chain 1 an odd-length one with two
-# bipartite halves, the shape scheme B meets at N = 302, 1002 and 10002.
+# The +- pairing each chain's solver recorded, chain by chain, which the
+# real rotation reads: a bipartite block pairs within itself, and an
+# even-length two-axis mirror chain across its halves (its mirror-odd half
+# is the image of its mirror-even one); a chain with a diagonal has none.
+# At N = 42 chain 0 is an even-length mirror chain and chain 1 an
+# odd-length one with two bipartite halves, the shape scheme B meets at
+# N = 302, 1002 and 10002.
 TURN_CHAINS = pytest.mark.parametrize(
-    "space, kind, paired",
+    "space, kind, pairs",
     [
-        (DickeSpace(40), "tat", (2, 1)),
-        (DickeSpace(41), "tat", (1, 1)),
-        (DickeSpace(42), "tat", (1, 2)),
-        (DickeSpace(40), "oat", (0, 0)),
-        (DickeSpace(41), "oat", (0, 0)),
-        (FockSpace(41), "tat", (1, 1)),
-        (FockSpace(41), "oat", (0, 0)),
+        (DickeSpace(40), "tat", ("within", "across")),
+        (DickeSpace(41), "tat", ("within", "within")),
+        (DickeSpace(42), "tat", ("across", "within")),
+        (DickeSpace(40), "oat", (None, None)),
+        (DickeSpace(41), "oat", (None, None)),
+        (FockSpace(41), "tat", ("within", "within")),
+        (FockSpace(41), "oat", (None, None)),
     ],
     ids=["tat-even-N", "tat-odd-N", "tat-N42", "oat-even-N", "oat-odd-N", "fock", "fock-oat"],
 )
 TURN_ANGLES = (0.37, -2.5, 0.0, np.array([0.0, 0.25, -0.25, 3.0, -7.5]))
 
 
-def _unpaired(chain):
-    """A copy of ``chain`` that evaluates every row of its phase tables,
-    none by conjugation."""
-    whole = copy.copy(chain)
-    whole._evaluated, whole._mirrored = [slice(0, len(chain.values))], []
-    return whole
-
-
 @TURN_CHAINS
-def test_chain_turns_are_the_complex_exponential_to_the_bit(space, kind, paired):
+def test_chain_turns_are_the_complex_exponential_to_the_bit(space, kind, pairs):
     # Both parity chains: mirror halves at even N, whole chains at odd N and
     # on a Fock mode. Scalar and vector angles, untwists (negative) included.
-    # The rows filled by conjugation are the kernel on the whole table, to
-    # the bit, and every entry is within 2.3e-16 of numpy's exponential.
+    # Every entry is within 2.3e-16 of numpy's exponential, and a zero angle
+    # turns by exactly 1.
     eig = generator(space, kind).eigensystem
     for r in (0, 1):
         chain = eig.chain(r)
-        assert len(chain._mirrored) == paired[r]
+        assert chain.pairs == pairs[r]
         for angles in TURN_ANGLES:
-            reach = np.abs(angles).max()
-            got = chain.turns(angles, reach)
-            whole = _unpaired(chain).turns(angles, reach)
+            got = chain.turns(angles, np.abs(angles).max())
             expected = np.exp(-1j * np.multiply.outer(chain.values, angles))
-            assert got.shape == whole.shape == expected.shape
-            assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+            assert got.shape == expected.shape
+            assert np.all(got[..., np.asarray(angles) == 0] == 1.0)
             assert np.abs(got.real - expected.real).max() <= 2.3e-16
             assert np.abs(got.imag - expected.imag).max() <= 2.3e-16
 
 
 @TURN_CHAINS
-def test_chain_expm1_table_is_the_quotient_to_the_bit(space, kind, paired):
-    # The f = expm1(-i theta lambda) / theta of the derivative, paired
-    # halves filled by conjugation, against the kernel on the whole table,
-    # to the bit, and within 8e-16 / |theta| of numpy's quotient. A zero
-    # angle divides by 1, as a still column does; the derivative does not
-    # use that column.
+def test_chain_expm1_table_is_the_quotient_to_the_bit(space, kind, pairs):
+    # The f = expm1(-i theta lambda) / theta of the derivative, within
+    # 8e-16 / |theta| of numpy's quotient. A zero angle divides by 1, as a
+    # still column does, and gives exactly 0; the derivative does not use
+    # that column.
     eig = generator(space, kind).eigensystem
     for r in (0, 1):
         chain = eig.chain(r)
         for angles in TURN_ANGLES:
             theta = np.where(np.asarray(angles) != 0, angles, 1.0)
             got = chain.expm1_table(angles, theta)
-            whole = _unpaired(chain).expm1_table(angles, theta)
             expected = np.expm1(np.multiply.outer(-1j * chain.values, angles)) / theta
-            assert got.shape == whole.shape == expected.shape
-            assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+            assert got.shape == expected.shape
+            assert np.all(got[..., np.asarray(angles) == 0] == 0.0)
             assert (np.abs(got - expected) * np.abs(theta)).max() <= 8e-16
 
 
