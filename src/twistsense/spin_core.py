@@ -269,6 +269,21 @@ class Chain:
         """V^T y, the coefficients of y in the real chain basis."""
         return self._fold_products(self._fold(y), np.empty(y.shape, dtype=complex))
 
+    def unfolded(self) -> np.ndarray:
+        """V itself, (n, n) and real: row i < h is the two blocks' row i,
+        row n - 1 - i the same with the mirror-odd half negated, and a middle
+        row has the mirror-even block's row only."""
+        n, h = len(self.values), len(self.odd)
+        if not h:
+            return self.vectors
+        m = n - h
+        out = np.zeros((n, n))
+        out[:m, :m] = self.vectors
+        out[m:, :m] = self.vectors[:h][::-1]
+        out[:h, m:] = self.odd
+        np.negative(self.odd[::-1], out=out[m:, m:])
+        return out
+
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """The coefficients V_r^dag x of this chain's slice x."""
         if self.real:
@@ -601,17 +616,21 @@ class BandedOperator:
         states to real states (``propagate``, ``apply_generator``)."""
         return not any(values.real.any() for values in self.bands.values())
 
-    def block(self, r: int, q: int, stride: int) -> np.ndarray:
-        """The rows r, r + stride, ... and columns q, q + stride, ..."""
+    def block_bands(self, r: int, q: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
+        """The diagonals of the block of rows r, r + stride, ... and columns
+        q, q + stride, ..., as (first, shift, values): its entries
+        (a, a + shift) are ``values``, for the rows a = first, first + 1,
+        ... that the band reaches."""
         d = self.dim
         rows = np.arange(r, d, stride)
-        out = np.zeros((len(rows), len(range(q, d, stride))), dtype=complex)
+        found = []
         for k, values in self.bands.items():
             if (r + k - q) % stride:
                 continue
             i = rows[(rows + k >= 0) & (rows + k < d)]
-            out[(i - r) // stride, (i + k - q) // stride] = values[np.minimum(i, i + k)]
-        return out
+            if len(i):
+                found.append(((i[0] - r) // stride, (r + k - q) // stride, values[np.minimum(i, i + k)]))
+        return found
 
     @cached_property
     def eigensystem(self) -> Eigensystem:
@@ -1047,17 +1066,31 @@ def _in_eigenbasis(
     around one unit-strength twisting generator (Cprime's untwist reuses it
     at a negative angle), and more would pin the blocks of generators no
     longer in use.
+
+    A block is built from G's bands, never from a dense copy of G: with
+    V_r = diag(p) V for chain r, each diagonal of G's block (r, q) scales
+    the rows of chain q's real V that it reaches by conj(p_a) g_a p_b,
+    the scaled rows are summed, and one real-by-complex product with
+    chain r's V^T (``analyze_real``) gives the block of V^dag G V.
     """
     eig = H0.eigensystem
     blocks = {}
     for r in range(eig.stride):
         for q in range(r, eig.stride):
-            sub = G.block(r, q, eig.stride)
-            if not sub.any():
+            bands = [band for band in G.block_bands(r, q, eig.stride) if band[2].any()]
+            if not bands:
                 continue
             row, col = eig.chain(r), eig.chain(q)
-            sub = row.phases.conj()[:, None] * sub * col.phases
-            divided = row.analyze_real(col.analyze_real(sub.T).T)
+            vectors = col.unfolded()
+            scaled = np.zeros((len(row.values), len(col.values)), dtype=complex)
+            for first, shift, values in bands:
+                a = slice(first, first + len(values))
+                b = slice(first + shift, first + shift + len(values))
+                weight = row.phases[a].conj() * values * col.phases[b]
+                scaled[a] += weight[:, None] * vectors[b]
+            del vectors
+            divided = row.analyze_real(scaled)
+            del scaled
             gaps = np.subtract.outer(row.values, col.values)
             near = np.abs(gaps) <= NEAR_GAP * max(row.largest, col.largest)
             rows, cols = np.nonzero(near)
@@ -1139,9 +1172,15 @@ def propagate_with_derivative(
     are computed once per (H0, G) pair and kept per nonzero chain block;
     the field generator flips parity, so that is one even-odd block.
 
-    Angles and states are batched as in ``propagate``. A chain block costs
-    two matrix products with D and two with its adjoint, whatever K. A real
-    psi is taken as complex amplitudes, and both results are complex.
+    Angles and states are batched as in ``propagate``, and, as there, only
+    the chains psi reaches are taken: a chain on which psi is exactly zero
+    is neither analyzed nor turned, its rows of phi are 0, and it feeds no
+    product with D; a chain that no block carries psi into gets its rows
+    of dphi as 0, with no synthesis. A block costs two matrix products with
+    D if psi reaches its column chain and two with its adjoint if psi
+    reaches its row chain, whatever K; every pipeline's psi sits in one
+    parity block, so the field's one even-odd block costs two. A real psi
+    is taken as complex amplitudes, and both results are complex.
     """
     if H0.dim != G.dim:
         raise DimensionMismatchError(
@@ -1161,21 +1200,44 @@ def propagate_with_derivative(
     dphi = np.empty_like(phi)
     if not still.all():
         reach = float(np.abs(angles).max())
-        chains = [eig.chain(r) for r in range(eig.stride)]
-        coeffs = [c.analyze(x[r :: eig.stride]) for r, c in enumerate(chains)]
-        turns = [c.turns(angles, reach) for c in chains]
-        # f = expm1(-i theta lambda) / theta; a still column's is unused.
+        # The coefficients of each chain psi reaches; phi is 0 on the others.
+        coeffs = {}
+        for r in range(eig.stride):
+            xr = x[r :: eig.stride]
+            if not xr.any():
+                phi[r :: eig.stride] = 0.0
+                continue
+            chain = eig.chain(r)
+            coeffs[r] = chain.analyze(xr)
+            turns = chain.turns(angles, reach)
+            np.multiply(turns, coeffs[r], out=turns)
+            chain._synthesize_into(turns, phi[r :: eig.stride])
+            del turns  # not held through the products with D
+        # f = expm1(-i theta lambda) / theta on both chains of each block
+        # that psi reaches; a still column's is unused. weighted holds
+        # (G~ * Gamma) c for each chain that a block carries psi into.
         theta = np.where(still, 1.0, angles)
-        f = [c.expm1_table(angles, theta) for c in chains]
-        weighted = [np.zeros(fr.shape, dtype=complex) for fr in f]
-        for (r, q), block in _in_eigenbasis(H0, G).items():
+        f = {}
+        blocks = [
+            (r, q, block) for (r, q), block in _in_eigenbasis(H0, G).items()
+            if r in coeffs or q in coeffs
+        ]
+        for r in {side for r, q, _ in blocks for side in (r, q)}:
+            chain = eig.chain(r)
+            chain._check_reach(reach)
+            f[r] = chain.expm1_table(angles, theta)
+        into = {r for r, q, _ in blocks if q in coeffs}
+        into |= {q for r, q, _ in blocks if r != q and r in coeffs}
+        weighted = {r: np.zeros(f[r].shape, dtype=complex) for r in into}
+        for r, q, block in blocks:
             D = block.divided
-            weighted[r] += f[r] * (D @ coeffs[q])
-            weighted[r] -= D @ (f[q] * coeffs[q])
             j, k = block.rows, block.cols
-            gamma = _near_weights(chains[r].values[j], chains[q].values[k], angles)
-            np.add.at(weighted[r], j, block.coupling[:, None] * gamma * coeffs[q][k])
-            if r != q:
+            gamma = _near_weights(eig.chain(r).values[j], eig.chain(q).values[k], angles)
+            if q in coeffs:
+                weighted[r] += f[r] * (D @ coeffs[q])
+                weighted[r] -= D @ (f[q] * coeffs[q])
+                np.add.at(weighted[r], j, block.coupling[:, None] * gamma * coeffs[q][k])
+            if r != q and r in coeffs:
                 # Block (q, r) is the adjoint: -D^dag, with D^dag y computed
                 # as conj(D^T conj(y)), and the conjugate near couplings
                 # (Gamma is symmetric in the pair).
@@ -1183,10 +1245,12 @@ def propagate_with_derivative(
                 weighted[q] += np.conj(D.T @ np.conj(f[r] * coeffs[r]))
                 near = np.conj(block.coupling)[:, None] * gamma
                 np.add.at(weighted[q], k, near * coeffs[r][j])
-        for r, chain in enumerate(chains):
-            np.multiply(turns[r], coeffs[r], out=turns[r])
-            chain._synthesize_into(turns[r], phi[r :: eig.stride])
-            chain._synthesize_into(weighted[r], dphi[r :: eig.stride])
+        # dphi is 0 on a chain that no block carries psi into.
+        for r in range(eig.stride):
+            if r in weighted:
+                eig.chain(r)._synthesize_into(weighted[r], dphi[r :: eig.stride])
+            else:
+                dphi[r :: eig.stride] = 0.0
     if still.any():
         start = np.broadcast_to(x, phi.shape)[:, still]
         phi[:, still] = start

@@ -65,7 +65,7 @@ BENCHMARK_MARGIN = 1e-9
 # whose K columns are the concatenated grids of all the twists it
 # evaluates. A call holds at most about 1.14 such complex blocks at once
 # for schemes A and B (the state, its derivative and scratch, all real),
-# 4.76 for Bprime, 7.27 for C and 10.83 for Cprime (tracemalloc peaks of a
+# 4.76 for Bprime, 5.26 for C and 8.33 for Cprime (tracemalloc peaks of a
 # warm call at N = 300, 201 points), so this bounds its memory (8 MiB a
 # complex block) whatever the grid and the number of twists; wider sets
 # take several pipeline calls, which may split one twist's grid. One
