@@ -57,6 +57,8 @@ class SensitivityRecord:
     ``n_spins`` is None for bosonic (infinite-N) evaluations. ``method``
     states which figure of merit produced the number: the scheme's
     ``SCHEME_METHOD`` for a simulation, closed_form for the analytic limits.
+    The point is checked as ``check_point`` checks it, and ``n_spins`` as
+    ``DickeSpace`` checks it.
     """
 
     scheme: str
@@ -75,8 +77,9 @@ class SensitivityRecord:
             raise WrongMethodError(
                 f"method {self.method} is undefined for scheme {self.scheme}"
             )
-        if self.n_spins is not None and self.n_spins < 1:
-            raise ValueError(f"n_spins must be >= 1 or None, got {self.n_spins}")
+        check_point(self.scheme, self.twist_strength, self.sensing_fraction)
+        if self.n_spins is not None:
+            DickeSpace(self.n_spins)
         if not self.sensitivity >= 0.0:
             raise ContractViolationError(
                 f"sensitivity must be >= 0, got {self.sensitivity}"

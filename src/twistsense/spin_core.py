@@ -23,10 +23,12 @@ structured:
 * the eigenvectors are kept as the real orthogonal eigenvectors of each
   chain plus its phase vector, so a propagation costs two real half-size
   matrix products per parity block, and a field generator that flips
-  parity has only even-odd blocks in the twisting eigenbasis,
-* each chain is solved on first use, and a propagation skips a chain on
-  which its input is exactly zero, so a state that stays in one parity
-  block never diagonalizes the other,
+  parity carries each parity chain only into the other in the twisting
+  eigenbasis: the field derivative builds the one block (r, q) that takes
+  a state on chain q into chain r, in the direction it is applied,
+* each chain is solved on first use (``BandedOperator.chain``), and a
+  propagation skips a chain on which its input is exactly zero, so a
+  state that stays in one parity block never diagonalizes the other,
 * the ladder elements of a Dicke sector are mirror-symmetric,
   l_k = l_{N-1-k} (the reflection m -> -m), so a chain whose real
   tridiagonal matrix is its own mirror image (every chain at even N, and
@@ -89,13 +91,13 @@ All public objects are immutable after construction and every operation is
 a pure function of its inputs, so values can be shared freely across
 threads. The only lazily computed pieces of state are the memoized chains
 of an operator's eigendecomposition and what is derived from them once
-(an operator's ``turns_reals``, a chain's rotation plan), which are
-idempotent and safe under concurrent access.
+(an operator's ``stride`` and ``turns_reals``, a chain's rotation plan),
+which are idempotent and safe under concurrent access.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import sqrt
@@ -213,9 +215,9 @@ class Chain:
     phases that are all exactly 1 (every one-axis chain): V_r = V, and no
     phase is multiplied or conjugated. The tables of turns and of the
     derivative's f are built whole by the half-angle kernel
-    (``_tan_half``). A real slice under an H that is i times a real
-    antisymmetric band is turned by ``rotate``, through the ``pairs`` in
-    real arithmetic.
+    (``_tan_half``). A complex slice is turned by ``turn``, and a real
+    slice under an H that is i times a real antisymmetric band by
+    ``rotate``, through the ``pairs`` in real arithmetic.
     """
 
     def __init__(
@@ -337,6 +339,17 @@ class Chain:
         np.add(t, t, out=table.imag)
         return table
 
+    def turn(self, x: np.ndarray, angles, reach: float, out: np.ndarray) -> np.ndarray:
+        """exp(-i angle_k H) x_k = V_r (exp(-i angle_k lambda) * V_r^dag x_k)
+        for a complex (n, 1) or (n, K) slice x, written into the complex
+        (n, K) ``out``, which may be a row-strided view; refused past
+        MAX_PHASE as ``turns`` is. Returns the coefficients V_r^dag x."""
+        coeffs = self.analyze(x)
+        turned = self.turns(angles, reach)
+        turned *= coeffs
+        self._synthesize_into(turned, out)
+        return coeffs
+
     def expm1_table(self, angles, theta) -> np.ndarray:
         """expm1(-i angle_k lambda_j) / theta_k, the f of
         ``propagate_with_derivative``, one column per angle; taken after
@@ -419,12 +432,13 @@ class Chain:
         A chain that cannot be paired (``_rotation`` is None) is turned as
         a complex slice and its real part kept, exact up to roundoff.
         """
-        self._check_reach(reach)
         plan = self._rotation
         if plan is None:
-            turned = self.turns(angles, reach) * self.analyze(x.astype(complex))
-            np.copyto(out, self.synthesize(turned).real)
+            turned = np.empty(out.shape, dtype=complex)
+            self.turn(x.astype(complex), angles, reach, turned)
+            np.copyto(out, turned.real)
             return
+        self._check_reach(reach)
         m = len(x) - len(self.odd)
         y = self._fold_rows(x * plan.signs)
         halves = (y[:m], y[m:])
@@ -521,28 +535,6 @@ def _turn_pairs(a, b, half_values, angles, scale) -> tuple[np.ndarray, np.ndarra
     return turned_a, turned_b
 
 
-class Eigensystem:
-    """H = V diag(lambda) V^dag, stored chain by chain.
-
-    Chain r holds the basis indices r, r + stride, r + 2 stride, ..., and H
-    has no entries between chains, so each chain is an eigenproblem of its
-    own. ``solve(r)`` returns chain r's ``Chain``; it runs on the first
-    ``chain(r)`` and its result is kept. H has at most one off-diagonal
-    band, at offset ``stride``.
-    """
-
-    def __init__(self, stride: int, solve: Callable[[int], Chain]) -> None:
-        self.stride = stride
-        self._solve = solve
-        self._chains: dict[int, Chain] = {}
-
-    def chain(self, r: int) -> Chain:
-        found = self._chains.get(r)
-        if found is None:
-            found = self._chains[r] = self._solve(r)
-        return found
-
-
 @dataclass(frozen=True, eq=False)
 class BandedOperator:
     """Hermitian square matrix stored by its nonzero diagonals.
@@ -554,6 +546,11 @@ class BandedOperator:
     both are verified at construction, and ``hermitian`` builds the lower
     bands from the upper ones. Compares and hashes by identity; the bands
     are read-only and the dense ``matrix`` is built only on request.
+
+    H = V diag(lambda) V^dag is kept chain by chain: an operator with at
+    most one off-diagonal band, at offset ``stride``, splits into that many
+    chains, and ``chain(r)`` solves chain r when it is first asked for and
+    keeps it.
     """
 
     dim: int
@@ -573,6 +570,7 @@ class BandedOperator:
                 )
             bands[int(k)] = values
         object.__setattr__(self, "bands", MappingProxyType(bands))
+        object.__setattr__(self, "_chains", {})
         if 0 in bands and np.any(bands[0].imag):
             raise ContractViolationError("operator has a non-real diagonal")
         for k in bands:
@@ -633,49 +631,51 @@ class BandedOperator:
         return found
 
     @cached_property
-    def eigensystem(self) -> Eigensystem:
-        """The eigendecomposition, memoized.
-
-        With at most one off-diagonal band, at offset b, this is b real
-        symmetric tridiagonal eigenproblems (see the module docstring),
-        each solved when a propagation first needs it: as two half-size
-        blocks, kept as the two halves, when its matrix equals its own
-        reverse (one of them the other's image when its diagonal is zero
-        and its length even, ``_persymmetric_chain``), and whole
-        otherwise. Each block is solved through a half-size SVD when its
-        diagonal is zero and by one ``eigh`` otherwise
-        (``_tridiagonal_eigh``). Readers go through
-        ``Chain.analyze`` and ``Chain.synthesize``. An operator with
-        several off-diagonal bands is refused.
-        """
+    def stride(self) -> int:
+        """The offset b of the one off-diagonal band (1 with none): chain r
+        holds the basis indices r, r + b, r + 2b, ..., and H has no entries
+        between chains. An operator with several off-diagonal bands has no
+        chains and is refused."""
         offsets = [k for k in self.bands if k > 0]
         if len(offsets) > 1:
             raise ContractViolationError(
                 f"operator has off-diagonal bands at offsets {offsets}; "
                 "only one can be propagated"
             )
-        d = self.dim
-        stride = offsets[0] if offsets else 1
-        diagonal = self.bands[0].real if 0 in self.bands else np.zeros(d)
-        upper = self.bands.get(stride, np.zeros(d - stride))
+        return offsets[0] if offsets else 1
 
-        def solve(r: int) -> tuple:
-            a = diagonal[r::stride]
-            e = upper[r::stride]
-            size = np.abs(e)
-            unit = np.ones(len(e), dtype=complex)
-            linked = size > 0
-            unit[linked] = e[linked].conj() / size[linked]
-            # p_{i+1} = p_i conj(e_i) / |e_i|, renormalized so that the
-            # running product's roundoff cannot make diag(p) non-unitary.
-            p = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-            p /= np.abs(p)
-            if len(a) > 1 and _is_persymmetric(a, size):
-                return _persymmetric_chain(a, size, p)
+    def chain(self, r: int) -> Chain:
+        """The eigensystem of chain r, solved on first use and memoized.
+
+        Each chain is a real symmetric tridiagonal eigenproblem (see the
+        module docstring), solved as two half-size blocks, kept as the two
+        halves, when its matrix equals its own reverse (one of them the
+        other's image when its diagonal is zero and its length even,
+        ``_persymmetric_chain``), and whole otherwise. Each block is solved
+        through a half-size SVD when its diagonal is zero and by one
+        ``eigh`` otherwise (``_tridiagonal_eigh``).
+        """
+        found = self._chains.get(r)
+        if found is not None:
+            return found
+        b = self.stride
+        a = self.bands[0].real[r::b] if 0 in self.bands else np.zeros(len(range(r, self.dim, b)))
+        e = self.bands[b][r::b] if b in self.bands else np.zeros(len(a) - 1)
+        size = np.abs(e)
+        unit = np.ones(len(e), dtype=complex)
+        linked = size > 0
+        unit[linked] = e[linked].conj() / size[linked]
+        # p_{i+1} = p_i conj(e_i) / |e_i|, renormalized so that the running
+        # product's roundoff cannot make diag(p) non-unitary.
+        p = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+        p /= np.abs(p)
+        if len(a) > 1 and _is_persymmetric(a, size):
+            found = _persymmetric_chain(a, size, p)
+        else:
             values, vectors, paired = _tridiagonal_eigh(a, size)
-            return Chain(values, vectors, np.zeros((0, 0)), p, "within" if paired else None)
-
-        return Eigensystem(stride, solve)
+            found = Chain(values, vectors, np.zeros((0, 0)), p, "within" if paired else None)
+        self._chains[r] = found
+        return found
 
 
 def _band_product(bands: Mapping[int, np.ndarray], x: np.ndarray, dtype) -> np.ndarray:
@@ -967,12 +967,13 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
 
     ``angle`` is a scalar or one angle theta_k per column: psi may be one
     state (shared by every angle) or a (d, K) block, and the result is a
-    block whenever either is. On each chain of H's eigensystem all K
-    columns cost one real matrix product with the eigenvectors and one with
-    their transpose, V (exp(-i theta_k lambda) * (V^dag psi_k)). Columns
-    with theta_k = 0 are copied from psi exactly, and a chain on which psi is
-    exactly zero is skipped and never solved: twisting the lowest-weight
-    state, or the vacuum, never diagonalizes the odd parity block.
+    block whenever either is. On each chain of H (``BandedOperator.chain``)
+    all K columns cost one real matrix product with the eigenvectors and
+    one with their transpose, V (exp(-i theta_k lambda) * (V^dag psi_k)),
+    ``Chain.turn``. Columns with theta_k = 0 are copied from psi exactly,
+    and a chain on which psi is exactly zero is skipped and never solved:
+    twisting the lowest-weight state, or the vacuum, never diagonalizes the
+    odd parity block.
 
     A real psi under an H that is i times a real antisymmetric band
     (``BandedOperator.turns_reals``: the two-axis twist and the field
@@ -980,7 +981,7 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     rotations of its +- pairs (``Chain.rotate``), and the result is real.
     Any other psi is propagated as complex amplitudes.
 
-    Exact up to roundoff; the eigensystem is memoized on the operator. The
+    Exact up to roundoff; the chains are memoized on the operator. The
     unitary itself is the propagation of the identity block,
     ``propagate(H, theta, StateVector(np.eye(d)))``. Unnormalized inputs
     (derivative vectors) are propagated linearly and stay unnormalized.
@@ -989,7 +990,7 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     with several off-diagonal bands, as does ``propagate_with_derivative``.
     """
     _require_matching(H, psi)
-    eig = H.eigensystem
+    b = H.stride
     angles, x, shape = _columns(angle, psi)
     still = angles == 0
     if still.all() and psi.amplitudes.shape == shape:
@@ -999,20 +1000,14 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
         x = x.astype(complex, copy=False)
     out = np.empty((psi.dim, angles.size), dtype=x.dtype)
     reach = float(np.abs(angles).max(initial=0.0))
-    for r in range(eig.stride):
-        xr = x[r :: eig.stride]
+    for r in range(b):
+        xr = x[r::b]
         if not reach or not xr.any():
-            out[r :: eig.stride] = 0.0
-            continue
-        chain = eig.chain(r)
-        if real:
-            chain.rotate(xr, angles, reach, out[r :: eig.stride])
-            continue
-        coeffs = chain.analyze(xr)
-        turns = chain.turns(angles, reach)
-        np.multiply(turns, coeffs, out=turns)
-        del coeffs  # not held through the products with V
-        chain._synthesize_into(turns, out[r :: eig.stride])
+            out[r::b] = 0.0
+        elif real:
+            H.chain(r).rotate(xr, angles, reach, out[r::b])
+        else:
+            H.chain(r).turn(xr, angles, reach, out[r::b])
     if still.any():
         np.copyto(out, x, where=still)
     return _built(out.reshape(shape), normalized=psi.normalized)
@@ -1055,17 +1050,18 @@ class _Coupling(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _in_eigenbasis(
-    H0: BandedOperator, G: BandedOperator
-) -> dict[tuple[int, int], _Coupling]:
-    """The nonzero chain blocks (r, q), r <= q, of V^dag G V for H0's V.
+def _in_eigenbasis(H0: BandedOperator, G: BandedOperator, q: int) -> dict[int, _Coupling]:
+    """The nonzero chain blocks (r, q) of V^dag G V for H0's V, by row
+    chain r: the blocks that carry a state on chain q into chain r, built
+    in the direction the derivative applies them.
 
-    The blocks below the diagonal are the adjoints of these. The field
-    generator flips parity, so in a twisting eigenbasis only the even-odd
-    block is nonzero. One entry is enough: every pipeline differentiates
-    around one unit-strength twisting generator (Cprime's untwist reuses it
-    at a negative angle), and more would pin the blocks of generators no
-    longer in use.
+    The field generator flips parity, so in a twisting eigenbasis the one
+    nonzero block has its rows on the other parity chain. Every pipeline
+    starts on chain 0 and differentiates around one unit-strength twisting
+    generator (Cprime's untwist reuses it at a negative angle), so one
+    entry is enough, and more would pin the blocks of generators no longer
+    in use; a state on both chains, which only tests make, builds both
+    columns' blocks on every call.
 
     A block is built from G's bands, never from a dense copy of G: with
     V_r = diag(p) V for chain r, each diagonal of G's block (r, q) scales
@@ -1073,34 +1069,34 @@ def _in_eigenbasis(
     the scaled rows are summed, and one real-by-complex product with
     chain r's V^T (``analyze_real``) gives the block of V^dag G V.
     """
-    eig = H0.eigensystem
+    stride = H0.stride
+    col = H0.chain(q)
     blocks = {}
-    for r in range(eig.stride):
-        for q in range(r, eig.stride):
-            bands = [band for band in G.block_bands(r, q, eig.stride) if band[2].any()]
-            if not bands:
-                continue
-            row, col = eig.chain(r), eig.chain(q)
-            vectors = col.unfolded()
-            scaled = np.zeros((len(row.values), len(col.values)), dtype=complex)
-            for first, shift, values in bands:
-                a = slice(first, first + len(values))
-                b = slice(first + shift, first + shift + len(values))
-                weight = row.phases[a].conj() * values * col.phases[b]
-                scaled[a] += weight[:, None] * vectors[b]
-            del vectors
-            divided = row.analyze_real(scaled)
-            del scaled
-            gaps = np.subtract.outer(row.values, col.values)
-            near = np.abs(gaps) <= NEAR_GAP * max(row.largest, col.largest)
-            rows, cols = np.nonzero(near)
-            coupling = divided[rows, cols]
-            gaps[near] = 1.0
-            divided /= gaps
-            divided[near] = 0.0
-            for arr in (divided, rows, cols, coupling):
-                arr.setflags(write=False)
-            blocks[r, q] = _Coupling(divided, rows, cols, coupling)
+    for r in range(stride):
+        bands = [band for band in G.block_bands(r, q, stride) if band[2].any()]
+        if not bands:
+            continue
+        row = H0.chain(r)
+        vectors = col.unfolded()
+        scaled = np.zeros((len(row.values), len(col.values)), dtype=complex)
+        for first, shift, values in bands:
+            a = slice(first, first + len(values))
+            b = slice(first + shift, first + shift + len(values))
+            weight = row.phases[a].conj() * values * col.phases[b]
+            scaled[a] += weight[:, None] * vectors[b]
+        del vectors
+        divided = row.analyze_real(scaled)
+        del scaled
+        gaps = np.subtract.outer(row.values, col.values)
+        near = np.abs(gaps) <= NEAR_GAP * max(row.largest, col.largest)
+        rows, cols = np.nonzero(near)
+        coupling = divided[rows, cols]
+        gaps[near] = 1.0
+        divided /= gaps
+        divided[near] = 0.0
+        for arr in (divided, rows, cols, coupling):
+            arr.setflags(write=False)
+        blocks[r] = _Coupling(divided, rows, cols, coupling)
     return blocks
 
 
@@ -1168,19 +1164,21 @@ def propagate_with_derivative(
 
     which stays exact on degenerate eigenvalues, where it tends to
     -i exp(-i theta lambda_j); one-axis twisting has exactly degenerate
-    pairs. theta = 0 gives (psi, -i G psi) exactly. D and the near pairs
-    are computed once per (H0, G) pair and kept per nonzero chain block;
-    the field generator flips parity, so that is one even-odd block.
+    pairs. theta = 0 gives (psi, -i G psi) exactly.
+
+    D and the near pairs are kept per nonzero chain block (r, q), built
+    for each chain q that psi reaches (``_in_eigenbasis``) and applied in
+    that direction only: block (r, q) adds f_r * (D c_q) - D (f_q * c_q)
+    and its near pairs into chain r, two matrix products with D whatever
+    K. The field generator flips parity and every pipeline's psi starts on
+    chain 0, so a call builds and applies the one block (1, 0).
 
     Angles and states are batched as in ``propagate``, and, as there, only
     the chains psi reaches are taken: a chain on which psi is exactly zero
     is neither analyzed nor turned, its rows of phi are 0, and it feeds no
     product with D; a chain that no block carries psi into gets its rows
-    of dphi as 0, with no synthesis. A block costs two matrix products with
-    D if psi reaches its column chain and two with its adjoint if psi
-    reaches its row chain, whatever K; every pipeline's psi sits in one
-    parity block, so the field's one even-odd block costs two. A real psi
-    is taken as complex amplitudes, and both results are complex.
+    of dphi as 0, with no synthesis. A real psi is taken as complex
+    amplitudes, and both results are complex.
     """
     if H0.dim != G.dim:
         raise DimensionMismatchError(
@@ -1191,7 +1189,7 @@ def propagate_with_derivative(
         raise ContractViolationError(
             "propagate_with_derivative expects a normalized input state"
         )
-    eig = H0.eigensystem
+    b = H0.stride
     angles, x, shape = _columns(angle, psi)
     x = x.astype(complex, copy=False)
     still = angles == 0
@@ -1202,55 +1200,37 @@ def propagate_with_derivative(
         reach = float(np.abs(angles).max())
         # The coefficients of each chain psi reaches; phi is 0 on the others.
         coeffs = {}
-        for r in range(eig.stride):
-            xr = x[r :: eig.stride]
-            if not xr.any():
-                phi[r :: eig.stride] = 0.0
-                continue
-            chain = eig.chain(r)
-            coeffs[r] = chain.analyze(xr)
-            turns = chain.turns(angles, reach)
-            np.multiply(turns, coeffs[r], out=turns)
-            chain._synthesize_into(turns, phi[r :: eig.stride])
-            del turns  # not held through the products with D
-        # f = expm1(-i theta lambda) / theta on both chains of each block
-        # that psi reaches; a still column's is unused. weighted holds
-        # (G~ * Gamma) c for each chain that a block carries psi into.
+        for q in range(b):
+            xq = x[q::b]
+            if xq.any():
+                coeffs[q] = H0.chain(q).turn(xq, angles, reach, phi[q::b])
+            else:
+                phi[q::b] = 0.0
+        blocks = [
+            (r, q, block) for q in coeffs for r, block in _in_eigenbasis(H0, G, q).items()
+        ]
+        # f = expm1(-i theta lambda) / theta on both chains of each block;
+        # a still column's is unused. weighted holds (G~ * Gamma) c for each
+        # chain that a block carries psi into.
         theta = np.where(still, 1.0, angles)
         f = {}
-        blocks = [
-            (r, q, block) for (r, q), block in _in_eigenbasis(H0, G).items()
-            if r in coeffs or q in coeffs
-        ]
         for r in {side for r, q, _ in blocks for side in (r, q)}:
-            chain = eig.chain(r)
+            chain = H0.chain(r)
             chain._check_reach(reach)
             f[r] = chain.expm1_table(angles, theta)
-        into = {r for r, q, _ in blocks if q in coeffs}
-        into |= {q for r, q, _ in blocks if r != q and r in coeffs}
-        weighted = {r: np.zeros(f[r].shape, dtype=complex) for r in into}
+        weighted = {r: np.zeros(f[r].shape, dtype=complex) for r, _, _ in blocks}
         for r, q, block in blocks:
-            D = block.divided
-            j, k = block.rows, block.cols
-            gamma = _near_weights(eig.chain(r).values[j], eig.chain(q).values[k], angles)
-            if q in coeffs:
-                weighted[r] += f[r] * (D @ coeffs[q])
-                weighted[r] -= D @ (f[q] * coeffs[q])
-                np.add.at(weighted[r], j, block.coupling[:, None] * gamma * coeffs[q][k])
-            if r != q and r in coeffs:
-                # Block (q, r) is the adjoint: -D^dag, with D^dag y computed
-                # as conj(D^T conj(y)), and the conjugate near couplings
-                # (Gamma is symmetric in the pair).
-                weighted[q] -= f[q] * np.conj(D.T @ np.conj(coeffs[r]))
-                weighted[q] += np.conj(D.T @ np.conj(f[r] * coeffs[r]))
-                near = np.conj(block.coupling)[:, None] * gamma
-                np.add.at(weighted[q], k, near * coeffs[r][j])
+            D, j, k, c = block.divided, block.rows, block.cols, coeffs[q]
+            gamma = _near_weights(H0.chain(r).values[j], H0.chain(q).values[k], angles)
+            weighted[r] += f[r] * (D @ c)
+            weighted[r] -= D @ (f[q] * c)
+            np.add.at(weighted[r], j, block.coupling[:, None] * gamma * c[k])
         # dphi is 0 on a chain that no block carries psi into.
-        for r in range(eig.stride):
+        for r in range(b):
             if r in weighted:
-                eig.chain(r)._synthesize_into(weighted[r], dphi[r :: eig.stride])
+                H0.chain(r)._synthesize_into(weighted[r], dphi[r::b])
             else:
-                dphi[r :: eig.stride] = 0.0
+                dphi[r::b] = 0.0
     if still.any():
         start = np.broadcast_to(x, phi.shape)[:, still]
         phi[:, still] = start

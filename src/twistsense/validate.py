@@ -356,12 +356,13 @@ def check_mirror_split() -> str:
         for kind in kinds
     ]
     for name, H in generators:
-        eig = BandedOperator(H.dim, H.bands).eigensystem
+        fresh = BandedOperator(H.dim, H.bands)
+        b = fresh.stride
         diagonal = H.bands[0].real if 0 in H.bands else np.zeros(H.dim)
-        for r in range(eig.stride):
-            chain = eig.chain(r)
-            off = np.abs(H.bands[eig.stride][r :: eig.stride])
-            tridiagonal = np.diag(diagonal[r :: eig.stride])
+        for r in range(b):
+            chain = fresh.chain(r)
+            off = np.abs(H.bands[b][r::b])
+            tridiagonal = np.diag(diagonal[r::b])
             i = np.arange(len(off))
             tridiagonal[i, i + 1] = tridiagonal[i + 1, i] = off
             dense = np.linalg.eigh(tridiagonal)[0]
@@ -371,7 +372,7 @@ def check_mirror_split() -> str:
             gap = np.abs(np.sort(values) - dense).max()
             if gap > 1e-12 * np.abs(dense).max():
                 return f"{where}: eigenvalues differ from eigh by {gap:.3e}"
-            block = H.matrix[r :: eig.stride, r :: eig.stride]
+            block = H.matrix[r::b, r::b]
             residual = np.abs(block @ vectors - vectors * values).max()
             if residual > 1e-12:
                 return f"{where}: max |HV - V Lambda| = {residual:.3e}"
@@ -412,50 +413,57 @@ def check_real_rotation(n: int | None) -> str:
 # 102 and 101) and the whole Fock chains (n_spins None, 400 levels).
 @over([(11,), (200,), (202,), (None,)])
 def check_coupling_blocks(n: int | None) -> str:
-    # Each block (r, q) of the field derivative, built from the field's
-    # bands, must match the dense V_r^dag G V_q divided by the gaps, with
-    # zeros and the listed couplings on the near pairs; one-axis blocks are
-    # purely imaginary. An input confined to one parity chain must give phi
-    # exactly 0 on the other and dphi exactly 0 on its own, as the field
-    # flips parity.
+    # For a state on parity chain q, the field derivative builds the blocks
+    # (r, q) that carry it into other chains, from the field's bands: the
+    # field flips parity, so there must be exactly the one with its rows on
+    # chain 1 - q. Each must match the dense V_r^dag G V_q divided by the
+    # gaps, with zeros and the listed couplings on the near pairs; one-axis
+    # blocks are purely imaginary. An input confined to one parity chain
+    # must give phi exactly 0 on the other and dphi exactly 0 on its own.
     mode = fock_mode(FockSpace(400)) if n is None else spin_mode(DickeSpace(n))
     G = mode.generators["field"]
     dense = G.matrix
     angles = np.array([0.0, 0.3, 1.0])
     for kind in ("tat", "oat"):
         H = mode.generators[kind]
-        eig = H.eigensystem
-        blocks = _in_eigenbasis(H, G)
-        if sorted(blocks) != [(0, 1)]:
-            return f"N={n} {kind}: blocks {sorted(blocks)}, expected the one (0, 1)"
-        row, col = eig.chain(0), eig.chain(1)
-        v_row = row.synthesize(np.eye(len(row.values)))
-        v_col = col.synthesize(np.eye(len(col.values)))
-        reference = v_row.conj().T @ dense[0::2, 1::2] @ v_col
-        gaps = np.subtract.outer(row.values, col.values)
-        near = np.abs(gaps) <= NEAR_GAP * max(row.largest, col.largest)
-        block = blocks[0, 1]
-        expected = np.where(near, 0.0, reference / np.where(near, 1.0, gaps))
-        where = f"N={n} {kind}"
-        if not np.array_equal(np.nonzero(near), (block.rows, block.cols)):
-            return f"{where}: near pairs differ from the dense gaps"
-        if np.any(block.divided[near]):
-            return f"{where}: D is nonzero on a near pair"
-        for name, got, want in (
-            ("D", block.divided, expected), ("coupling", block.coupling, reference[near]),
-        ):
-            err = np.abs(got - want).max(initial=0.0) / np.abs(want).max(initial=1.0)
-            if err > 1e-13:
-                return f"{where}: {name} off the dense reference by {err:.3e} relative (gate 1e-13)"
-        if kind == "oat" and block.divided.real.any():
-            return f"{where}: one-axis D has a nonzero real part"
+        for q in (0, 1):
+            r = 1 - q
+            where = f"N={n} {kind} block ({r}, {q})"
+            blocks = _in_eigenbasis(H, G, q)
+            if list(blocks) != [r]:
+                return f"{where}: blocks with rows on chains {sorted(blocks)}, expected [{r}]"
+            row, col = H.chain(r), H.chain(q)
+            v_row = row.synthesize(np.eye(len(row.values)))
+            v_col = col.synthesize(np.eye(len(col.values)))
+            reference = v_row.conj().T @ dense[r::2, q::2] @ v_col
+            gaps = np.subtract.outer(row.values, col.values)
+            near = np.abs(gaps) <= NEAR_GAP * max(row.largest, col.largest)
+            block = blocks[r]
+            expected = np.where(near, 0.0, reference / np.where(near, 1.0, gaps))
+            if block.divided.shape != expected.shape:
+                return f"{where}: D has shape {block.divided.shape}, expected {expected.shape}"
+            if not np.array_equal(np.nonzero(near), (block.rows, block.cols)):
+                return f"{where}: near pairs differ from the dense gaps"
+            if np.any(block.divided[near]):
+                return f"{where}: D is nonzero on a near pair"
+            for name, got, want in (
+                ("D", block.divided, expected), ("coupling", block.coupling, reference[near]),
+            ):
+                err = np.abs(got - want).max(initial=0.0) / np.abs(want).max(initial=1.0)
+                if err > 1e-13:
+                    return (
+                        f"{where}: {name} off the dense reference by {err:.3e} "
+                        "relative (gate 1e-13)"
+                    )
+            if kind == "oat" and block.divided.real.any():
+                return f"{where}: one-axis D has a nonzero real part"
         for r in (0, 1):
             start = np.zeros(G.dim)
             start[r::2] = np.random.default_rng(r).standard_normal(len(range(r, G.dim, 2)))
             psi = StateVector(start / np.linalg.norm(start))
             phi, dphi = propagate_with_derivative(H, G, angles, psi)
             if phi.amplitudes[1 - r :: 2].any() or dphi.amplitudes[r::2].any():
-                return f"{where}: an input on chain {r} leaks out of its parity pattern"
+                return f"N={n} {kind}: an input on chain {r} leaks out of its parity pattern"
     return ""
 
 

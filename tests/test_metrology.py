@@ -182,26 +182,47 @@ class TestSensitivityRecord:
                 method="echo",
             )
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("scheme", "D", ValueError),
+            ("method", "fisher", ValueError),
+            ("n_spins", 0, InvalidDimensionError),
+            ("n_spins", True, InvalidDimensionError),
+            ("n_spins", 2.5, InvalidDimensionError),
+            ("twist_strength", -0.5, ValueError),
+            ("twist_strength", float("nan"), ValueError),
+            ("sensing_fraction", 2.0, ValueError),
+        ],
+    )
+    def test_rejects_a_bad_field(self, field, value, error):
+        # The point is checked as every engine checks it, and the spin
+        # count as a Dicke sector checks it.
+        with pytest.raises(error, match=field.split("_")[0]):
+            _record(**{field: value})
+
     def test_rejects_negative_sensitivity(self):
         # A sensitivity is computed, not given: a bad one is a numerical
         # fault (exit 1 on the command line), not a usage error.
         with pytest.raises(ContractViolationError, match="sensitivity must be >= 0"):
-            _record_with_sensitivity(-0.1)
+            _record(sensitivity=-0.1)
 
     def test_rejects_nan_sensitivity(self):
         with pytest.raises(ContractViolationError, match="got nan"):
-            _record_with_sensitivity(float("nan"))
+            _record(sensitivity=float("nan"))
 
 
-def _record_with_sensitivity(value: float) -> SensitivityRecord:
-    return SensitivityRecord(
+def _record(**changes) -> SensitivityRecord:
+    """A valid scheme-A record with these fields changed."""
+    fields = dict(
         scheme="A",
         n_spins=4,
         twist_strength=0.0,
         sensing_fraction=0.5,
-        sensitivity=value,
+        sensitivity=1.0,
         method="qfi",
     )
+    return SensitivityRecord(**{**fields, **changes})
 
 
 def test_relative_difference_convention():
@@ -249,7 +270,7 @@ def test_one_leaking_column_fails_the_whole_curve():
 def test_one_column_past_the_phase_guard_fails_the_whole_curve():
     space = DickeSpace(4)
     tat = spin_mode(space).generators["tat"]
-    largest = np.abs(tat.eigensystem.chain(0).values).max()
+    largest = np.abs(tat.chain(0).values).max()
     # Only s = 0 turns the twisting generator through more than MAX_PHASE.
     twist = 1.5e6 / largest
     readout(spin_mode(space), "B", twist, [0.5, 1.0])

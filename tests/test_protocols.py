@@ -10,6 +10,7 @@ from twistsense import (
     closed_form_Bprime,
     evaluate_point,
     fock_simulate,
+    spin_core,
     sweep_curve,
 )
 from twistsense.bosonic_limit import fock_mode
@@ -299,6 +300,36 @@ def test_two_axis_schemes_run_in_real_arithmetic(carrier, scheme):
         state = run_pipeline(mode, scheme, 0.5, s)
         assert state.psi.amplitudes.dtype == expected
         assert state.dpsi.amplitudes.dtype == expected
+
+
+@pytest.mark.parametrize("scheme", ["C", "Cprime"])
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        lambda: spin_mode(DickeSpace(40)),
+        lambda: spin_mode(DickeSpace(41)),
+        lambda: fock_mode(FockSpace(400)),
+    ],
+    ids=["spin40", "spin41", "fock400"],
+)
+def test_the_field_derivative_builds_one_block_from_the_probe_chain(
+    monkeypatch, carrier, scheme
+):
+    # Every concurrent pipeline differentiates a state on chain 0, the
+    # probe's parity, so it asks only for the blocks of column chain 0, and
+    # the field, which flips parity, gives one of them, with rows on chain 1.
+    build = spin_core._in_eigenbasis
+    asked = []
+
+    def recorded(H0, G, q):
+        blocks = build(H0, G, q)
+        asked.append((q, list(blocks)))
+        return blocks
+
+    monkeypatch.setattr(spin_core, "_in_eigenbasis", recorded)
+    run_pipeline(carrier(), scheme, 0.5, np.linspace(0.0, 1.0, 5))
+    run_pipeline(carrier(), scheme, 0.5, 0.37)
+    assert asked and all(call == (0, [1]) for call in asked)
 
 
 def _counting(monkeypatch, name: str) -> list:
