@@ -21,10 +21,10 @@ of them together. The optimizer and the threshold search work on those
 values; a sweep and ``evaluate_point``, a curve of one point, make records
 of them. The golden-section refinements of the optimizer go through the
 same bound curve, every twist's in lockstep (``_lockstep``): on the spin
-engine, up to LOOKAHEAD_MAX_DIM levels, each call evaluates every point
-that any outcome of the next LOOKAHEAD steps of every twist can ask for,
-and each twist replays its own steps on those values, so it visits the
-same points as a search one point per step and one twist at a time.
+engine each call evaluates every point that any outcome of the next
+LOOKAHEAD steps of every twist can ask for, and each twist replays its
+own steps on those values, so it visits the same points as a search one
+point per step and one twist at a time.
 
 A bisection step needs one bit, whether the optimum beats the benchmark,
 and the optimum is never below the tie-broken grid best. So a step stops
@@ -63,13 +63,13 @@ BENCHMARK_MARGIN = 1e-9
 
 # Largest number of amplitudes in one (d, K) block of a spin curve call,
 # whose K columns are the concatenated grids of all the twists it
-# evaluates. A call holds at most about 1.14 such complex blocks at once
-# for schemes A and B (the state, its derivative and scratch, all real),
-# 4.76 for Bprime, 5.26 for C and 8.33 for Cprime (tracemalloc peaks of a
-# warm call at N = 300, 201 points), so this bounds its memory (8 MiB a
-# complex block) whatever the grid and the number of twists; wider sets
-# take several pipeline calls, which may split one twist's grid. One
-# 201-point grid is one call up to N = 2607.
+# evaluates; wider sets take several calls, which may split one twist's
+# grid. One 201-point grid is one call up to N = 2607. Under tracemalloc a
+# warm 201-point call peaks at about 1.14 complex blocks (8 MiB each) for A
+# and B (all real), 4.76 for Bprime and 5.8-6.0 for C at N = 300-2000. Not
+# so Cprime: its one-axis near-gap weights take a row per near pair (186,
+# 1,209 and 4,526 at N = 300, 1000 and 2000, up to 45 per level), and it
+# peaks at 8.83, 11.52 and 16.33 blocks, so this does not bound its memory.
 CURVE_BLOCK_AMPLITUDES = 2**19
 
 # Most sensing fractions a grid may hold. Each point of a sweep keeps a
@@ -93,16 +93,16 @@ COARSE_STRIDE = 10
 COARSE_SLACK = 1e-13
 
 # Golden-section steps whose candidate points a spin refinement evaluates in
-# one curve call (2^LOOKAHEAD - 1 points per call), on sectors of at most
-# LOOKAHEAD_MAX_DIM levels. A call costs a fixed part plus a part per
-# column. Measured on one BLAS thread (warm refinements of all four
-# twisted schemes), a refinement at depth 3 takes 0.42-0.76x the time of
-# depth 1 up to N = 300 and 0.67-0.99x at N = 1000; at N = 2000 the extra
-# columns cost more than the calls saved for the echo schemes (Bprime
-# 1.08x, Cprime 1.12x), so larger sectors evaluate the one point each
-# step asks for.
+# one curve call (2^LOOKAHEAD - 1 points per call), whatever the sector's
+# size. Depth 3 over depth 1, warm refinements from a 201-point grid (B, C
+# at twist 1, echoes at 8; one BLAS thread, median of 15 runs):
+#   N       40    300   1001  2000  3000  4000
+#   B       0.44  0.50  0.65  0.60  0.62  0.79
+#   C       0.43  0.57  0.92  0.87  0.68  0.62
+#   Bprime  0.42  0.49  1.11  1.06  0.58  0.62
+#   Cprime  0.43  0.59  1.07  1.34  0.89  0.75
+# The echoes lose only at N = 1001-2000, above every benchmark workload.
 LOOKAHEAD = 3
-LOOKAHEAD_MAX_DIM = 1001
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - sqrt(5.0)) / 2.0
@@ -228,9 +228,9 @@ def _curve(scheme: str, n_spins: int | None, engine: str) -> _Curve:
     The spin engine runs any set of columns, one twist per column, through
     one pipeline call per CURVE_BLOCK_AMPLITUDES block (one call for all
     but huge sets), so its refinement evaluates LOOKAHEAD steps' candidates
-    at a time, up to LOOKAHEAD_MAX_DIM levels. The Fock and closed-form
-    engines evaluate point by point, so theirs gains nothing from batching
-    and evaluates the one point each step asks for; the Fock engine runs on
+    at a time. The Fock and closed-form engines evaluate point by point, so
+    a speculative point would cost a whole simulation: theirs evaluates the
+    one point each step asks for. The Fock engine runs on
     ``fock_simulate``'s default space. Every engine hands back bare values;
     records are made only where a caller asks for them.
     """
@@ -262,7 +262,7 @@ def _curve(scheme: str, n_spins: int | None, engine: str) -> _Curve:
 
     return _Curve(
         curve,
-        LOOKAHEAD if space.dim <= LOOKAHEAD_MAX_DIM else 1,
+        LOOKAHEAD,
         partial(SensitivityRecord, scheme, space.n_spins, method=method),
     )
 
@@ -408,16 +408,14 @@ def optimize_sweep(spec: SweepSpec) -> list[OptimumResult]:
     first-class candidates) brackets each maximum; the grids of all twists
     are one set of columns, as ``sweep_curve`` evaluates them.
     Golden-section refinement then narrows each bracket to a
-    sensing-fraction width of 1e-6, every twist's in lockstep, several
-    steps' candidates per curve call on spin sectors of up to
-    LOOKAHEAD_MAX_DIM levels (see ``_golden_section``). Each twist visits
-    the points it visits alone. Curves can be multimodal for over-squeezed
-    finite-N regimes, which is what the grid stage guards against. If
-    several grid points tie within 1e-12 the largest sensing fraction wins
-    (least preparation among equals); the refined point replaces the grid
-    best only when strictly better, so exact grid optima (edges included)
-    survive untouched. The returned value is never below the best grid
-    sample.
+    sensing-fraction width of 1e-6, every twist's in lockstep (``_refine``);
+    each twist visits the points it visits alone. Curves can be multimodal
+    for over-squeezed finite-N regimes, which is what the grid stage guards
+    against. If several grid points tie within 1e-12 the largest sensing
+    fraction wins (least preparation among equals); the refined point
+    replaces the grid best only when strictly better, so exact grid optima
+    (edges included) survive untouched. The returned value is never below
+    the best grid sample.
     """
     curve = _curve(spec.scheme, spec.n_spins, spec.engine)
     return _optimize(curve, spec.twist_values, spec.t_grid)

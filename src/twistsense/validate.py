@@ -618,19 +618,20 @@ def check_benchmark_scheme_a(n: int, s: float = 1.0) -> str:
 
 
 def check_qfi_bounds() -> str:
-    for scheme, twist in (("B", 1.0), ("B", 3.0), ("C", 0.5), ("C", 2.0)):
-        for n in (2, 6, 15):
-            for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-                state = run_pipeline(spin_mode(DickeSpace(n)), scheme, twist, s)
-                f_val = qfi(state)
-                grad2 = float(
-                    np.vdot(state.dpsi.amplitudes, state.dpsi.amplitudes).real
+    # 0 <= F <= 4<dpsi|dpsi>, and the Heisenberg bound sqrt(F) <= e sqrt(N):
+    # the field generator Jy / sqrt(N) has norm sqrt(N) / 2 and acts for
+    # e = s of the budget in scheme B, all of it in A and C. A NaN fails.
+    ts = np.linspace(0.0, 1.0, 11)
+    for scheme, n, twist in product("ABC", (1, 2, 6, 15, 20, 40), (0.0, 0.5, 1.0, 2.0, 3.0, 6.0)):
+        state = run_pipeline(spin_mode(DickeSpace(n)), scheme, twist, ts)
+        grad2 = (np.abs(state.dpsi.amplitudes) ** 2).sum(axis=0)
+        for s, f_val, g in zip(ts, qfi(state), grad2):
+            bound = (s if scheme == "B" else 1.0) * sqrt(n) * (1.0 + 1e-12)
+            if not (0.0 <= f_val <= 4.0 * g + 1e-12 and sqrt(f_val) <= bound):
+                return (
+                    f"{scheme} (N={n}, twist {twist}, s={s}): F={f_val} is outside "
+                    f"[0, 4<d|d> = {4 * g}] or sqrt(F) above e sqrt(N) = {bound}"
                 )
-                if f_val < 0.0 or f_val > 4.0 * grad2 + 1e-12:
-                    return (
-                        f"Fisher information out of bounds for {scheme} "
-                        f"(N={n}, s={s}): F={f_val}, 4<d|d>={4 * grad2}"
-                    )
     return ""
 
 

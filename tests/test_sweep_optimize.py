@@ -316,17 +316,12 @@ def test_spin_refinement_batches_follow_the_lookahead(monkeypatch, depth):
     )
 
 
-def test_a_large_sector_refines_one_point_per_step(monkeypatch):
-    # Past LOOKAHEAD_MAX_DIM levels a column costs more than a call saves.
-    one = _refinement_sizes("B", 6, 1.0, 21, 1)
-    batched = _refinement_sizes("B", 6, 1.0, 21, sweep_optimize.LOOKAHEAD)
-    assert one[1:] == [1] * (len(one) - 1)
+def test_a_large_sector_refines_lookahead_steps_per_call(monkeypatch):
+    # Every spin sector batches its refinement, however many levels it has.
+    expected = _refinement_sizes("B", 1001, 1.0, 21, sweep_optimize.LOOKAHEAD)
     sizes = _count_pipeline_sizes(monkeypatch)
-    for max_dim, expected in ((6, one), (7, batched)):
-        monkeypatch.setattr(sweep_optimize, "LOOKAHEAD_MAX_DIM", max_dim)
-        sizes.clear()
-        optimize_t("B", 6, 1.0, "spin", 21)
-        assert sizes == [21] + expected
+    optimize_t("B", 1001, 1.0, "spin", 21)
+    assert sizes == [21] + expected
 
 
 def test_fock_refinement_is_one_simulation_per_point(monkeypatch):
