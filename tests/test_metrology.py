@@ -42,6 +42,15 @@ class TestQfiSensitivity:
         b = evaluate_point("B", 12, 3.0, 1.0, "spin").sensitivity
         assert b == pytest.approx(a, abs=1e-12)
 
+    @pytest.mark.parametrize("scheme", ["B", "C"])
+    def test_heisenberg_scaling_bound(self, scheme):
+        # sqrt(F)/tau can never exceed sqrt(N) times the benchmark times
+        # the sensing-window aperture; check the loose version sqrt(N).
+        n = 20
+        for twist in (0.5, 2.0, 6.0):
+            rec = evaluate_point(scheme, n, twist, 0.5, "spin")
+            assert rec.sensitivity <= np.sqrt(n) + 1e-9
+
     def test_twisting_beats_benchmark(self):
         rec = evaluate_point("C", 40, 2.0, 0.5, "spin")
         assert rec.sensitivity > 1.0
