@@ -9,10 +9,11 @@ Subcommands:
   validate   run the library invariant battery
 
 Curves default to CSV with the fixed header
-scheme,n_spins,twist_times_tau,t_over_tau,sensitivity,method,engine and
-floats printed to 12 significant digits; scalar results are JSON with keys
-matching the record field names. There is no randomness anywhere, so
-identical invocations produce byte-identical output. Exit codes: 0 on
+scheme,n_spins,twist_times_tau,t_over_tau,sensitivity,method,engine;
+scalar results are JSON with keys matching the record field names. Every
+printed field goes through ``_cell``, so every float of every command, CSV
+or JSON, carries 12 significant digits. There is no randomness anywhere,
+so identical invocations produce byte-identical output. Exit codes: 0 on
 success, 1 on computation errors, 2 on usage errors.
 """
 
@@ -23,13 +24,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 from .bosonic_limit import closed_form, closed_form_optimum
 from .errors import TwistsenseError
 from .protocols import SCHEMES
 from .sweep_optimize import (
     ENGINES,
+    OptimumResult,
     SweepSpec,
     find_threshold,
     optimize_sweep,
@@ -54,30 +56,25 @@ def _spin_count(text: str) -> int | None:
     return value
 
 
-def _cell(value: float) -> str:
-    return format(value, ".12g")
+def _cell(value) -> str:
+    """One printed field: a float to 12 significant digits, a missing spin
+    count as inf, anything else as str."""
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return "inf" if value is None else str(value)
 
 
-def _infer_engine(engine: str | None, n_spins: int | None) -> str:
-    if engine is not None:
-        return engine
-    return "spin" if n_spins is not None else "closed_form"
+def _head(args: argparse.Namespace) -> dict:
+    """The scheme, spin count and engine a result is for: --engine, else
+    spin for a finite --n and closed_form for inf."""
+    engine = args.engine or ("spin" if args.n is not None else "closed_form")
+    return {"scheme": args.scheme, "n_spins": args.n, "engine": engine}
 
 
-def _write_output(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as handle:
-            handle.write(text)
-
-
-def _emit(
-    args: argparse.Namespace, engine: str, payload: dict, header=(), rows=()
-) -> int:
-    """Write a command's result to --out: the (header, rows) table as CSV
-    for --format csv, otherwise JSON, the head (scheme, n_spins, engine)
-    followed by the payload, whose records are written field by field."""
+def _emit(args: argparse.Namespace, payload: dict, header=(), rows=()) -> int:
+    """Write a command's result to --out: the (header, rows) table of
+    ``_cell`` fields as CSV for --format csv, otherwise the payload as JSON,
+    records field by field and each float read back from its ``_cell``."""
     if getattr(args, "format", "json") == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -85,9 +82,14 @@ def _emit(
         writer.writerows(rows)
         text = buffer.getvalue()
     else:
-        head = {"scheme": args.scheme, "n_spins": args.n, "engine": engine}
-        text = json.dumps({**head, **payload}, indent=2, default=asdict) + "\n"
-    _write_output(args.out, text)
+        exact = json.dumps(payload, default=vars)
+        printed = json.loads(exact, parse_float=lambda s: float(_cell(float(s))))
+        text = json.dumps(printed, indent=2) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as handle:
+            handle.write(text)
     return 0
 
 
@@ -103,39 +105,25 @@ def _spec(args: argparse.Namespace, engine: str) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    engine = _infer_engine(args.engine, args.n)
-    records = sweep_curve(_spec(args, engine))
-    rows = (
-        [
-            rec.scheme,
-            "inf" if rec.n_spins is None else str(rec.n_spins),
-            _cell(rec.twist_strength),
-            _cell(rec.sensing_fraction),
-            _cell(rec.sensitivity),
-            rec.method,
-            engine,
-        ]
-        for rec in records
-    )
-    return _emit(args, engine, {"records": records}, CSV_HEADER.split(","), rows)
+    head = _head(args)
+    records = sweep_curve(_spec(args, head["engine"]))
+    # The record's fields in order are the CSV columns but the last.
+    rows = ([*map(_cell, vars(rec).values()), head["engine"]] for rec in records)
+    return _emit(args, {**head, "records": records}, CSV_HEADER.split(","), rows)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    engine = _infer_engine(args.engine, args.n)
-    results = optimize_sweep(_spec(args, engine))
-    header = ["twist_value", "best_sensitivity", "t_opt", "boundary"]
-    rows = (
-        [_cell(r.twist_value), _cell(r.best_sensitivity), _cell(r.t_opt), r.boundary]
-        for r in results
-    )
-    return _emit(args, engine, {"results": results}, header, rows)
+    head = _head(args)
+    results = optimize_sweep(_spec(args, head["engine"]))
+    header = [field.name for field in fields(OptimumResult)]
+    rows = (map(_cell, vars(result).values()) for result in results)
+    return _emit(args, {**head, "results": results}, header, rows)
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    engine = _infer_engine(args.engine, args.n)
-    lo, hi = args.interval
-    value = find_threshold(args.scheme, args.n, engine, (lo, hi))
-    return _emit(args, engine, {"search_interval": [lo, hi], "threshold": value})
+    head = _head(args)
+    value = find_threshold(args.scheme, args.n, head["engine"], args.interval)
+    return _emit(args, {**head, "search_interval": args.interval, "threshold": value})
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -145,8 +133,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     else:
         payload["sensing_fraction"] = args.t
         payload["value"] = closed_form(args.scheme, args.twist, args.t)
-    _write_output(args.out, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return _emit(args, payload)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -78,9 +78,13 @@ CURVE_BLOCK_AMPLITUDES = 2**19
 # would buy nothing.
 MAX_T_GRID = 1_000_001
 
-# Grid samples within this much of the grid maximum tie; the largest sensing
-# fraction among them wins.
+# Grid samples within TIE_WINDOW of the grid maximum, relative to it, tie;
+# the largest sensing fraction among them wins. The window is TIE_WINDOW
+# times the maximum plus TIE_FLOOR, so it never falls below 1e-15 and a
+# curve made only of roundoff (Bprime and Cprime at N = 1, below 2e-16)
+# still ties to the right edge.
 TIE_WINDOW = 1e-12
+TIE_FLOOR = 1e-3
 
 # Stride of the coarse first pass of a bisection step over the grid (every
 # 10th point, both endpoints included), and a bound on how far a sample of
@@ -354,10 +358,16 @@ def _lockstep(f, searches: list[Generator]) -> list:
     return results
 
 
+def _tie(value: float) -> float:
+    """How far a sample may sit below ``value`` and still tie with it."""
+    return TIE_WINDOW * (abs(value) + TIE_FLOOR)
+
+
 def _grid_best(vals: list[float]) -> int:
-    """Index of the best grid sample: the largest index within TIE_WINDOW
-    of the maximum (least preparation among equals)."""
-    floor = max(vals) - TIE_WINDOW
+    """Index of the best grid sample: the largest index within ``_tie`` of
+    the maximum (least preparation among equals)."""
+    top = max(vals)
+    floor = top - _tie(top)
     return next(i for i in range(len(vals) - 1, -1, -1) if vals[i] >= floor)
 
 
@@ -375,8 +385,8 @@ def _refine(
 
     ``grids`` holds each twist's values on ``ts`` and ``bests`` the index
     of its grid best (``_grid_best``). Returns (t, value) per twist. The
-    refined point replaces the grid best only when strictly better than it
-    by TIE_WINDOW, so the value is never below the grid best.
+    refined point replaces the grid best only when better than it by more
+    than ``_tie`` of it, so the value is never below the grid best.
     """
     searches = []
     for idx in bests:
@@ -395,7 +405,9 @@ def _refine(
 
     refined = _lockstep(f, searches)
     return [
-        (t, value) if value > vals[idx] + TIE_WINDOW else (float(ts[idx]), vals[idx])
+        (t, value)
+        if value > vals[idx] + _tie(vals[idx])
+        else (float(ts[idx]), vals[idx])
         for vals, idx, (t, value) in zip(grids, bests, refined)
     ]
 
@@ -411,11 +423,11 @@ def optimize_sweep(spec: SweepSpec) -> list[OptimumResult]:
     sensing-fraction width of 1e-6, every twist's in lockstep (``_refine``);
     each twist visits the points it visits alone. Curves can be multimodal
     for over-squeezed finite-N regimes, which is what the grid stage guards
-    against. If several grid points tie within 1e-12 the largest sensing
-    fraction wins (least preparation among equals); the refined point
-    replaces the grid best only when strictly better, so exact grid optima
-    (edges included) survive untouched. The returned value is never below
-    the best grid sample.
+    against. If several grid points tie within 1e-12 of the maximum,
+    relative to it, the largest sensing fraction wins (least preparation
+    among equals); the refined point replaces the grid best only when
+    better by more than that, so exact grid optima (edges included) survive
+    untouched. The returned value is never below the best grid sample.
     """
     curve = _curve(spec.scheme, spec.n_spins, spec.engine)
     return _optimize(curve, spec.twist_values, spec.t_grid)
@@ -521,11 +533,11 @@ def _beats_benchmark(
     evaluating only what decides it.
 
     ``optimize_t`` never returns less than its tie-broken grid best, which
-    is within TIE_WINDOW of the grid maximum. So, in three stages:
+    is within ``_tie`` of the grid maximum. So, in three stages:
 
     1. a coarse pass over every COARSE_STRIDE-th grid point and both
-       endpoints, as one curve: a sample above the goal by more than
-       TIE_WINDOW + COARSE_SLACK puts the tie-broken grid best above it;
+       endpoints, as one curve: a sample above the goal by more than its
+       ``_tie`` and COARSE_SLACK puts the tie-broken grid best above it;
     2. the full grid, as ``optimize_t`` evaluates it: its tie-broken best
        above the goal decides;
     3. ``optimize_t``'s refinement from that grid, compared with the goal.
@@ -535,7 +547,7 @@ def _beats_benchmark(
     ts = np.linspace(0.0, 1.0, t_grid)
     coarse = ts[[*range(0, t_grid - 1, COARSE_STRIDE), t_grid - 1]]
     coarse_best = curve.evaluate(twist_value, coarse).max()
-    if coarse_best > goal + TIE_WINDOW + COARSE_SLACK:
+    if coarse_best > goal + _tie(coarse_best) + COARSE_SLACK:
         return True
     vals = curve.evaluate(twist_value, ts).tolist()
     idx = _grid_best(vals)

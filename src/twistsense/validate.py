@@ -12,6 +12,9 @@ check over a list of inputs is stated for one input and decorated with
 
 from __future__ import annotations
 
+import csv
+import json
+import re
 import tempfile
 from collections.abc import Callable, Iterable
 from contextlib import redirect_stdout
@@ -1104,6 +1107,46 @@ def check_cli_csv_schema() -> str:
     return ""
 
 
+def check_cli_output_precision() -> str:
+    # Every number that sweep, optimize, threshold and oracle print, CSV or
+    # JSON, reads back unchanged at 12 significant digits, and the CSV and
+    # the JSON of one sweep or optimize carry equal numbers.
+    from . import cli as _cli  # deferred: cli imports this module
+
+    tables = {
+        "sweep --scheme Bprime --n 6 --twist 1.3 8 --t-points 7": "records",
+        "optimize --scheme C --n 8 --twist 0.7 2 --t-points 11": "results",
+    }
+    outputs = {}
+    for command in (
+        *(f"{table} --format {kind}" for table in tables for kind in ("csv", "json")),
+        "threshold --scheme B --n inf --interval 0.01 2",
+        "oracle --scheme C --twist 1 --t 0.2",
+        "oracle --scheme B --twist 2 --optimum",
+    ):
+        printed = StringIO()
+        with redirect_stdout(printed):
+            code = _cli.main(command.split())
+        if code != 0:
+            return f"{command!r} exited with {code}"
+        for number in re.findall(r"-?\d[\d.]*(?:e[-+]\d+)?", printed.getvalue()):
+            if float(format(float(number), ".12g")) != float(number):
+                return f"{command!r} printed {number}, past 12 significant digits"
+        outputs[command] = printed.getvalue()
+    for table, key in tables.items():
+        rows = list(csv.reader(outputs[f"{table} --format csv"].splitlines()))[1:]
+        records = json.loads(outputs[f"{table} --format json"])[key]
+        pairs = [
+            (cell, value)
+            for row, record in zip(rows, records)
+            for cell, value in zip(row, record.values())
+            if isinstance(value, float)
+        ]
+        if len(rows) != len(records) or any(float(c) != v for c, v in pairs):
+            return f"the CSV and the JSON of {table!r} carry different numbers"
+    return ""
+
+
 CHECKS: tuple[tuple[str, object], ...] = (
     ("spin_core.su2_commutators", check_su2_commutators),
     ("spin_core.casimir", check_casimir),
@@ -1142,6 +1185,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("sweep.t_opt_convergence", check_t_opt_convergence),
     ("cli.determinism", check_cli_determinism),
     ("cli.csv_schema", check_cli_csv_schema),
+    ("cli.output_precision", check_cli_output_precision),
 )
 
 

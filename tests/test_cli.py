@@ -232,7 +232,8 @@ class TestOracle:
             "sensing_fraction": 0.0,
             "value": payload["value"],
         }
-        assert payload["value"] == pytest.approx(3.1945280494653248, rel=1e-14)
+        # (e^2 - 1) / 2 to the 12 significant digits every float prints with.
+        assert payload["value"] == 3.19452804947
 
     def test_optimum_value(self, capsys):
         code, out, _ = run_cli(
@@ -246,9 +247,9 @@ class TestOracle:
     @pytest.mark.parametrize(
         "scheme, twist, expected",
         [
-            # e^711 / 712 and (e^710 - 1) / 710, to 15 digits.
-            ("B", "356", 8.52897103613763e305),
-            ("C", "355", 3.14647150163621e305),
+            # e^711 / 712 and (e^710 - 1) / 710, to the 12 printed digits.
+            ("B", "356", 8.52897103614e305),
+            ("C", "355", 3.14647150164e305),
         ],
     )
     def test_optimum_just_past_the_exp_range(self, capsys, scheme, twist, expected):
@@ -259,8 +260,7 @@ class TestOracle:
         )
         assert code == 0
         value = json.loads(out)["value"]
-        assert np.isfinite(value)
-        assert value == pytest.approx(expected, rel=1e-12)
+        assert value == expected
 
     def test_concurrent_zero_twist_is_the_benchmark(self, capsys):
         code, out, _ = run_cli(

@@ -171,6 +171,15 @@ class TestOptimizeT:
         assert result.t_opt == pytest.approx(exact.t_opt, abs=2e-6)
         assert result.best_sensitivity == pytest.approx(exact.value, rel=1e-9)
 
+    def test_a_small_curve_ties_relative_to_its_maximum(self):
+        # The whole Bprime curve at twist 1e-9 is about 1e-10, so grid
+        # samples 1e-12 apart are not ties: the optimum is the exact one.
+        result = optimize_t("Bprime", None, 1e-9, "closed_form")
+        exact = closed_form_optimum("Bprime", 1e-9)
+        assert result.boundary == "interior"
+        assert result.t_opt == pytest.approx(exact.t_opt, abs=2e-6)
+        assert result.best_sensitivity == pytest.approx(exact.value, rel=1e-9)
+
     def test_spin_interior_optimum_matches_dense_scan(self):
         result = optimize_t("Bprime", 10, 12.0, "spin")
         ts = np.linspace(0.0, 1.0, 2001)
