@@ -25,7 +25,7 @@ from .errors import (
     TwistsenseError,
     WrongMethodError,
 )
-from .metrology import SensitivityRecord, closed_form_Bprime
+from .metrology import SensitivityRecord, closed_form_Bprime, closed_form_Cprime
 from .protocols import SCHEMES
 from .sweep_optimize import (
     ENGINES,
@@ -60,6 +60,7 @@ __all__ = [
     "WrongMethodError",
     "closed_form",
     "closed_form_Bprime",
+    "closed_form_Cprime",
     "closed_form_optimum",
     "enhancement_ratio",
     "evaluate_point",

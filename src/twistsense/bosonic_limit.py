@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import e, exp, expm1, isfinite, log
 from numbers import Real
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import InvalidDimensionError, PrecisionLossError, TruncationError
 from .metrology import SCHEME_METHOD, SensitivityRecord, readout
 from .protocols import Mode, check_point, check_twist, ladder_generators
-from .spin_core import StateVector
+from .spin_core import BandedOperator, StateVector
 
 
 # A Fock simulation is rejected whenever any of its normalized states
@@ -235,13 +236,17 @@ def _check_tail(space: FockSpace, state: StateVector, stage: str) -> None:
 
 @lru_cache(maxsize=32)
 def fock_mode(space: FockSpace) -> Mode:
-    """The truncated Fock mode: the vacuum and a tail guard.
+    """The truncated Fock mode: the vacuum, the probe of both twist kinds,
+    and a tail guard.
 
-    Its generators, built from the bands of a by ``ladder_generators``
-    (norm 1), are the large-N images of the unit-strength spin generators
-    under J-/sqrt(N) -> a: field -> P / 2 with P = i(a - a^dag),
-    tat -> i(a^2 - a^dag^2) and oat -> (a + a^dag)^2 / 4, with the 1/2 and
-    1/4 of the spin normalization. A strength enters as the propagation
+    Its generators, built from the bands of a (``ladder_generators``, norm
+    1, for the first two), are the large-N images of the unit-strength spin
+    generators under J-/sqrt(N) -> a: field -> P / 2 with P = i(a - a^dag),
+    tat -> i(a^2 - a^dag^2) and oat -> X^2 with X = (a + a^dag) / 2, with
+    the 1/2 and 1/4 of the spin normalization. X^2 is the product of the
+    matrices as stored: diagonal (k + (k + 1)) / 4, except the top entry,
+    which the truncation leaves with k / 4 alone, and offset-2 band
+    sqrt((k + 1)(k + 2)) / 4. A strength enters as the propagation
     angle. The echo is read out along P / 2, whose vacuum spread is 1/2;
     the gate, 5e-7, is 1e-6 on the scale of P. Memoized per space, as
     ``spin_mode`` is, so a sweep shares one vacuum and one eigensystem per
@@ -249,11 +254,18 @@ def fock_mode(space: FockSpace) -> Mode:
     """
     d = space.truncation_dim
     lowering = np.sqrt(np.arange(1, d))  # <k| a |k+1> = sqrt(k + 1)
+    square = np.zeros(d)
+    square[1:] += lowering**2
+    square[:-1] += lowering**2
+    generators = ladder_generators(lowering, 1.0)
+    generators["oat"] = BandedOperator.hermitian(
+        d, {2: lowering[:-1] * lowering[1:] / 4.0}, diagonal=square / 4.0
+    )
     vacuum = np.zeros(d)
     vacuum[0] = 1.0
     return Mode(
-        generators=ladder_generators(lowering, 1.0),
-        initial=StateVector(vacuum),
+        generators=MappingProxyType(generators),
+        probes=MappingProxyType(dict.fromkeys(("tat", "oat"), StateVector(vacuum))),
         guard=partial(_check_tail, space),
         spread_tolerance=5e-7,
     )

@@ -12,15 +12,15 @@ field uncertainty per unit time and per shot, (sqrt(nu) tau delta_omega)^-1:
   echo guarantees std(G) = 1/2 exactly (asserted, not assumed). G is
   Jy / sqrt(N) on a Dicke sector and P / 2 on a Fock mode.
 
-Also here: the exact finite-N closed form for the one-axis-twist echo and
-the second-moment oracle used to cross-check it against dense matrix
+Also here: the exact finite-N closed forms of the two one-axis-twist echoes
+and the second-moment oracle used to cross-check them against dense matrix
 algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, isfinite, sin
+from math import cos, expm1, isfinite, log1p, sin
 
 import numpy as np
 
@@ -176,6 +176,38 @@ def closed_form_Bprime(
         return 0.0
     theta = chi_tau * (1.0 - sensing_fraction) / (2.0 * n)
     return sensing_fraction * (n - 1) * abs(sin(theta) * cos(theta) ** (n - 2))
+
+
+def closed_form_Cprime(
+    n_spins: int, chi_tau: float, sensing_fraction: float
+) -> float:
+    """Exact finite-N sensitivity of the concurrent one-axis-twist echo.
+
+    |s (N - 1) sin(theta) cos(theta)^(N-2) + (2N / x)(1 - cos(theta)^(N-1))|
+    with x = chi*tau, s = t/tau and theta = x (1 - s) / (2N). At zero field
+    the echo is the identity, so a field kick given after a twist angle phi
+    adds f(phi) = (N - 1) sin(phi/N) cos(phi/N)^(N-2) to the slope
+    (``closed_form_Bprime`` is the sensing window's s f(x (1 - s) / 2)),
+    and the two concurrent windows add (2 / x) times the integral of f from
+    0 to x (1 - s) / 2, which is the second term. 1 - cos(theta)^(N-1) is
+    taken as -expm1((N - 1) log1p(-2 sin^2(theta / 2))) where cos(theta)
+    > 0, without the cancellation of a power near 1, and directly where it
+    has none. Vanishes at theta = 0 (no twisting, or no time left to twist)
+    and, as for ``closed_form_Bprime``, is identically 0 for N = 1. Tends
+    to x (1 - s^2) / 4, the infinite-N form, as N grows.
+    """
+    n = DickeSpace(n_spins).n_spins
+    check_point("Cprime", chi_tau, sensing_fraction)
+    theta = chi_tau * (1.0 - sensing_fraction) / (2.0 * n)
+    if n == 1 or theta == 0.0:
+        return 0.0
+    c = cos(theta)
+    if c > 0.0:
+        rest = -expm1((n - 1) * log1p(-2.0 * sin(theta / 2.0) ** 2))
+    else:
+        rest = 1.0 - c ** (n - 1)
+    kick = sensing_fraction * (n - 1) * sin(theta) * c ** (n - 2)
+    return abs(kick + 2.0 * n / chi_tau * rest)
 
 
 def moment_oracle(n_spins: int, phase: float) -> complex:

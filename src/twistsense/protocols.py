@@ -21,7 +21,10 @@ internally, so every input is dimensionless):
 A scheme is its shape, one ``SHAPES`` entry: the twist kind, whether an
 echo untwists before readout, and whether the field rides along the
 twist. So C is B with the field on during the twist, Cprime is Bprime
-with it on, and A is B sensing for the whole budget.
+with it on, and A is B sensing for the whole budget. The one-axis
+schemes run in the twist's own frame, where Jx^2 / N is the diagonal
+m^2 / N, G is the same operator and the probe is the x-polarized
+coherent state (``spin_mode``); so they solve no eigensystem.
 
 Every number is read at zero field, so the states are built at omega = 0
 only. Each comes with the exact derivative of the state with respect to
@@ -121,73 +124,93 @@ class Mode:
     """The carrier the five pipelines run on: a Dicke sector or a Fock mode.
 
     ``generators`` holds the field, tat and oat generators at unit
-    strength, each memoizing its own eigensystem, and ``initial`` is the
-    probe before any evolution. ``guard(state, stage)`` vets each
-    normalized state along the way (stages "initial", "post-twist",
-    "post-echo") and raises if it cannot be trusted. The field generator is
-    also the echo readout; on the echoed zero-field state its spread must
-    be 1/2, its value on the probe, to within ``spread_tolerance``.
+    strength, each memoizing its own eigensystem, and ``probes`` holds, by
+    twist kind ("tat", "oat"), the probe a scheme of that kind starts from.
+    A carrier may write each kind in its own basis, so long as the field
+    generator is the same operator in both: the Dicke sector writes the
+    one-axis twist in the frame where it is diagonal (``spin_mode``).
+    ``guard(state, stage)`` vets each normalized state along the way
+    (stages "initial", "post-twist", "post-echo") and raises if it cannot
+    be trusted. The field generator is also the echo readout; on the
+    echoed zero-field state its spread must be 1/2, its value on the probe,
+    to within ``spread_tolerance``.
     """
 
     generators: Mapping[str, BandedOperator]
-    initial: StateVector
+    probes: Mapping[str, StateVector]
     guard: Callable[[StateVector, str], None]
     spread_tolerance: float
 
 
-def ladder_generators(
-    lowering: np.ndarray, norm: float
-) -> Mapping[str, BandedOperator]:
-    """The field, tat and oat generators, built in O(d) from a lowering
-    operator, once for the mode that holds them.
+def ladder_generators(lowering: np.ndarray, norm: float) -> dict[str, BandedOperator]:
+    """The field and tat generators, built in O(d) from a lowering
+    operator, once for the mode that holds them; each mode adds its own
+    oat generator, in the basis it runs the one-axis schemes in.
 
     ``lowering`` holds l_k = <k| L |k+1>, the one band of the lowering
     operator L: J- on a Dicke sector (``norm`` N) or the annihilation
-    operator a on a Fock mode (``norm`` 1). With X = (L + L^dag) / 2 the
-    unit-strength generators are
+    operator a on a Fock mode (``norm`` 1). The unit-strength generators
+    are
 
       field  i (L - L^dag) / (2 sqrt(norm)): upper band i l_k / (2 sqrt(norm)),
-      tat    i (L^2 - L^dag^2) / norm: offset-2 band i l_k l_{k+1} / norm,
-      oat    X^2 / norm: diagonal (l_{k-1}^2 + l_k^2) / (4 norm) and
-             offset-2 band l_k l_{k+1} / (4 norm).
+      tat    i (L^2 - L^dag^2) / norm: offset-2 band i l_k l_{k+1} / norm.
 
-    X^2 is the product of the matrices as stored, so on a truncated Fock
-    space its top diagonal entry has only the l_{k-1}^2 term. The lower
-    bands are the exact conjugates of the upper ones
+    The lower bands are the exact conjugates of the upper ones
     (``BandedOperator.hermitian``), so each result is Hermitian exactly.
     """
     d = len(lowering) + 1
-    pairs = lowering[:-1] * lowering[1:]
-    square = np.zeros(d)
-    square[1:] += lowering**2
-    square[:-1] += lowering**2
     # Divided last: (0.5 / sqrt(N)) * sqrt(N) rounds to 0.49999999999999994
     # at some N, so the separable benchmark would read 1 - 1.1e-16 there.
     field = BandedOperator.hermitian(d, {1: 1j * (0.5 * lowering / sqrt(norm))})
-    tat = BandedOperator.hermitian(d, {2: 1j * pairs / norm})
-    oat = BandedOperator.hermitian(
-        d, {2: (pairs / 4.0) / norm}, diagonal=(square / 4.0) / norm
-    )
-    return MappingProxyType({"field": field, "tat": tat, "oat": oat})
+    tat = BandedOperator.hermitian(d, {2: 1j * (lowering[:-1] * lowering[1:]) / norm})
+    return {"field": field, "tat": tat}
 
 
 @lru_cache(maxsize=32)
 def spin_mode(space: DickeSpace) -> Mode:
     """The Dicke sector, read out along its field generator Jy / sqrt(N).
 
-    Its generators are Jy / sqrt(N), i (J-^2 - J+^2) / N and Jx^2 / N,
-    built from the bands of J- by ``ladder_generators``; a strength is part
-    of the propagation angle. The echo spread gate, 1e-9 / sqrt(N), is
-    1e-9 on the scale of Jy. The sector is complete, not truncated, so its
-    guard has nothing to vet. Memoized per space, so a sweep builds its
-    initial state and generators once, and each eigensystem lives as long
-    as the mode.
+    Its field and two-axis generators are Jy / sqrt(N) and
+    i (J-^2 - J+^2) / N in the Jz basis, built from the bands of J- by
+    ``ladder_generators``, and two-axis schemes start from |j, -j>. The
+    one-axis schemes run in the twist's own frame, where a state psi of the
+    Jz basis is R psi with R = exp(i (pi / 2) Jy): there Jx^2 / N is the
+    diagonal m^2 / N, Jy / sqrt(N) is the same banded operator, and the
+    probe R |j, -j> is the x-polarized coherent state, with the amplitudes
+    sqrt(C(N, k)) / 2^(N/2) (Kitagawa & Ueda, PRA 47, 5138, 1993). The echo
+    reads out along the field, which R leaves as it is, so its sensitivity
+    is the same number in either basis, and no one-axis eigensystem is ever
+    solved. A strength
+    is part of the propagation angle. The echo spread gate, 1e-9 / sqrt(N),
+    is 1e-9 on the scale of Jy. The sector is complete, not truncated, so
+    its guard has nothing to vet. Memoized per space, so a sweep builds its
+    probes and generators once, and each eigensystem lives as long as the
+    mode.
     """
+    n = space.n_spins
+    m = space.m_values()
+    generators = ladder_generators(space.ladder_elements(), n)
+    generators["oat"] = BandedOperator.hermitian(space.dim, {}, diagonal=m * m / n)
+    # log(a_{k+1} / a_k) = log((N - k) / (k + 1)) / 2, summed outward from
+    # the largest amplitude, a_{N // 2} = 1 before normalizing. Against the
+    # exact binomials (``validate.plus_state``) every amplitude above 1e-3
+    # of the largest is within 2.7e-15 relative up to N = 10^4, where a
+    # log-gamma form, a difference of terms near N log N, loses 1.1e-12 at
+    # N = 2000 and 8.5e-12 at N = 10^4.
+    steps = 0.5 * np.log((n - np.arange(n)) / np.arange(1.0, n + 1))
+    half = n // 2
+    logs = np.zeros(space.dim)
+    logs[half + 1 :] = np.cumsum(steps[half:])
+    logs[:half] = -np.cumsum(steps[:half][::-1])[::-1]
+    coherent = np.exp(logs)
+    coherent /= np.sqrt(coherent @ coherent)
     return Mode(
-        generators=ladder_generators(space.ladder_elements(), space.n_spins),
-        initial=initial_state(space),
+        generators=MappingProxyType(generators),
+        probes=MappingProxyType(
+            {"tat": initial_state(space), "oat": StateVector(coherent)}
+        ),
         guard=lambda state, stage: None,
-        spread_tolerance=1e-9 / sqrt(space.n_spins),
+        spread_tolerance=1e-9 / sqrt(n),
     )
 
 
@@ -223,16 +246,19 @@ def run_pipeline(
     omega, so a concurrent untwist contributes too. The mode's guard sees
     the initial state, the twisted state and the echoed state.
 
-    The probe is real, and the field and two-axis generators are i times
+    The probes are real, and the field and two-axis generators are i times
     real antisymmetric matrices, so A and B run in real arithmetic
     (``spin_core.propagate``, ``spin_core.apply_generator``): their psi and
     dpsi are float64 blocks. C (whose concurrent derivative is complex),
-    Bprime and Cprime (whose one-axis twist is real symmetric) are complex.
+    Bprime and Cprime (whose one-axis twist, real symmetric, turns the
+    amplitudes by complex phases) are complex. On a Dicke sector the
+    one-axis twist is diagonal (``spin_mode``), so Bprime and Cprime turn
+    each amplitude by its phase and solve no eigensystem.
     """
     kind, echo, concurrent = SHAPES[scheme]
     G = mode.generators["field"]
     H = mode.generators[kind]
-    psi0 = mode.initial
+    psi0 = mode.probes[kind]
     mode.guard(psi0, "initial")
     s = np.asarray(sensing_fraction, dtype=float)
     x = _twist_columns(scheme, twist_strength, s)

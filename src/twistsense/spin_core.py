@@ -12,6 +12,11 @@ at zero field, so an operator that is propagated has at most one
 off-diagonal band (one with several is refused), and its eigensystem is
 structured:
 
+* an operator with no off-diagonal band (``BandedOperator.diagonal``; the
+  one-axis twist m^2 / N, which ``protocols.spin_mode`` writes in its own
+  frame) is its own eigensystem: a propagation turns each amplitude by its
+  own phase, and the field derivative weights each entry of the field's
+  bands (``_weighted_bands``), with no solve and no dense matrix,
 * an operator whose only off-diagonal band sits at offset b splits into b
   interleaved chains, the basis indices r, r + b, r + 2b, ..., with no
   entries between chains; for the twisting generators (b = 2) these are
@@ -30,12 +35,13 @@ structured:
   propagation skips a chain on which its input is exactly zero, so a
   state that stays in one parity block never diagonalizes the other,
 * the ladder elements of a Dicke sector are mirror-symmetric,
-  l_k = l_{N-1-k} (the reflection m -> -m), so a chain whose real
-  tridiagonal matrix is its own mirror image (every chain at even N, and
-  the one chain of a field generator) is solved as two half-size
-  eigenproblems; this is detected by exact equality, so a Fock chain
-  (l_k = sqrt(k + 1)) and each parity block at odd N (the two blocks are
-  each other's mirror images) are solved whole,
+  l_k = l_{N-1-k} (the reflection m -> -m), so a chain with a zero
+  diagonal whose real tridiagonal matrix is its own mirror image (every
+  two-axis chain at even N, and the one chain of a field generator) is
+  solved as two half-size eigenproblems; this is detected by exact
+  equality, so a Fock chain (l_k = sqrt(k + 1)) and each parity block at
+  odd N (the two blocks are each other's mirror images) are solved whole,
+  and so is any chain with a diagonal, the Fock one-axis chains,
 * a real block, whole chain or mirror half, whose diagonal is exactly zero
   and whose links are all nonzero couples only its even positions to its
   odd ones; such a bipartite block is solved through the SVD of its
@@ -57,7 +63,7 @@ structured:
   rotation) is built whole by one tangent half-angle kernel,
   ``_tan_half``, from t = tan(x / 2) by quotients: numpy evaluates a
   tangent in SIMD lanes and a sine, cosine or complex exponential one
-  value at a time; a chain whose phases are all exactly 1, every one-axis
+  value at a time; a chain whose phases are all exactly 1, a Fock one-axis
   chain, skips its phase products,
 * an operator that is i times a real antisymmetric band A (a zero
   diagonal and purely imaginary bands: the field generator and two-axis
@@ -212,7 +218,7 @@ class Chain:
     block has the layout of the bipartite SVD (``_tridiagonal_eigh``),
     "across" when the odd block is the even block's image, column by
     column, and None when the values are not paired. ``real`` marks
-    phases that are all exactly 1 (every one-axis chain): V_r = V, and no
+    phases that are all exactly 1 (a Fock one-axis chain): V_r = V, and no
     phase is multiplied or conjugated. The tables of turns and of the
     derivative's f are built whole by the half-angle kernel
     (``_tan_half``). A complex slice is turned by ``turn``, and a real
@@ -316,28 +322,11 @@ class Chain:
             out *= _per_row(self.phases, out)
         return out
 
-    def _check_reach(self, reach: float) -> None:
-        """Refuse turns past MAX_PHASE; ``reach`` is max|angle_k|, which a
-        caller turning several chains takes once."""
-        phase = reach * self.largest
-        if not phase <= MAX_PHASE:
-            raise PrecisionLossError(
-                f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
-                "the propagator phases would be lost to roundoff"
-            )
-
     def turns(self, angles, reach: float) -> np.ndarray:
         """exp(-i angle_k lambda_j), one column per angle (a vector for a
         scalar angle), refused past MAX_PHASE (``_check_reach``)."""
-        self._check_reach(reach)
-        # exp(-i x) = cos x + i sin(-x), from the half angles -x / 2.
-        t, cos, inv = _tan_half(np.multiply.outer(-0.5 * self.values, angles), 1.0)
-        table = np.empty(t.shape, dtype=complex)
-        np.subtract(1.0, cos, out=cos)
-        np.multiply(cos, inv, out=table.real)
-        t *= inv
-        np.add(t, t, out=table.imag)
-        return table
+        _check_reach(reach, self.largest)
+        return _turns(self.values, angles)
 
     def turn(self, x: np.ndarray, angles, reach: float, out: np.ndarray) -> np.ndarray:
         """exp(-i angle_k H) x_k = V_r (exp(-i angle_k lambda) * V_r^dag x_k)
@@ -438,7 +427,7 @@ class Chain:
             self.turn(x.astype(complex), angles, reach, turned)
             np.copyto(out, turned.real)
             return
-        self._check_reach(reach)
+        _check_reach(reach, self.largest)
         m = len(x) - len(self.odd)
         y = self._fold_rows(x * plan.signs)
         halves = (y[:m], y[m:])
@@ -514,6 +503,31 @@ def _tan_half(half: np.ndarray, scale) -> tuple[np.ndarray, np.ndarray, np.ndarr
     inv = 1.0 + square
     np.divide(scale, inv, out=inv)
     return t, square, inv
+
+
+def _check_reach(reach: float, largest: float) -> None:
+    """Refuse turns past MAX_PHASE: ``reach`` is max|angle_k|, which a
+    caller turning several chains takes once, and ``largest`` the
+    operator's max|eigenvalue| on what it turns."""
+    phase = reach * largest
+    if not phase <= MAX_PHASE:
+        raise PrecisionLossError(
+            f"|duration| * max|eigenvalue| = {phase:.3e} exceeds {MAX_PHASE:.0e}; "
+            "the propagator phases would be lost to roundoff"
+        )
+
+
+def _turns(values: np.ndarray, angles) -> np.ndarray:
+    """exp(-i angle_k lambda_j) for the eigenvalues ``values``, one column
+    per angle (a vector for a scalar angle)."""
+    # exp(-i x) = cos x + i sin(-x), from the half angles -x / 2.
+    t, cos, inv = _tan_half(np.multiply.outer(-0.5 * values, angles), 1.0)
+    table = np.empty(t.shape, dtype=complex)
+    np.subtract(1.0, cos, out=cos)
+    np.multiply(cos, inv, out=table.real)
+    t *= inv
+    np.add(t, t, out=table.imag)
+    return table
 
 
 def _turn_pairs(a, b, half_values, angles, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -614,6 +628,16 @@ class BandedOperator:
         states to real states (``propagate``, ``apply_generator``)."""
         return not any(values.real.any() for values in self.bands.values())
 
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The real diagonal of an operator with no off-diagonal band, None
+        for any other. Such an operator is its own eigensystem: the values
+        are its diagonal in basis order and the vectors the basis, so it is
+        propagated by elementwise phases and never solved."""
+        if any(self.bands.keys() - {0}):
+            return None
+        return self.bands[0].real if 0 in self.bands else np.zeros(self.dim)
+
     def block_bands(self, r: int, q: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
         """The diagonals of the block of rows r, r + stride, ... and columns
         q, q + stride, ..., as (first, shift, values): its entries
@@ -649,16 +673,19 @@ class BandedOperator:
 
         Each chain is a real symmetric tridiagonal eigenproblem (see the
         module docstring), solved as two half-size blocks, kept as the two
-        halves, when its matrix equals its own reverse (one of them the
-        other's image when its diagonal is zero and its length even,
+        halves, when its diagonal is zero and its matrix equals its own
+        reverse (one of them the other's image when its length is even,
         ``_persymmetric_chain``), and whole otherwise. Each block is solved
         through a half-size SVD when its diagonal is zero and by one
-        ``eigh`` otherwise (``_tridiagonal_eigh``).
+        ``eigh`` otherwise (``_tridiagonal_eigh``). An r that names no
+        chain, outside 0 <= r < ``stride``, is refused.
         """
         found = self._chains.get(r)
         if found is not None:
             return found
         b = self.stride
+        if not 0 <= r < b:
+            raise InvalidDimensionError(f"chain {r} of an operator with {b} chains")
         a = self.bands[0].real[r::b] if 0 in self.bands else np.zeros(len(range(r, self.dim, b)))
         e = self.bands[b][r::b] if b in self.bands else np.zeros(len(a) - 1)
         size = np.abs(e)
@@ -669,8 +696,8 @@ class BandedOperator:
         # product's roundoff cannot make diag(p) non-unitary.
         p = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
         p /= np.abs(p)
-        if len(a) > 1 and _is_persymmetric(a, size):
-            found = _persymmetric_chain(a, size, p)
+        if len(a) > 1 and not a.any() and np.array_equal(size, size[::-1]):
+            found = _persymmetric_chain(size, p)
         else:
             values, vectors, paired = _tridiagonal_eigh(a, size)
             found = Chain(values, vectors, np.zeros((0, 0)), p, "within" if paired else None)
@@ -712,12 +739,6 @@ def _band_product(bands: Mapping[int, np.ndarray], x: np.ndarray, dtype) -> np.n
             product = scratch[: min(step, hi - lo - start)]
             rows[part] += np.multiply(values[part], source[part], out=product)
     return out
-
-
-def _is_persymmetric(diagonal: np.ndarray, off: np.ndarray) -> bool:
-    """Whether the symmetric tridiagonal matrix T with this diagonal and
-    off-diagonal is exactly its own reverse J T J."""
-    return np.array_equal(diagonal, diagonal[::-1]) and np.array_equal(off, off[::-1])
 
 
 def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
@@ -771,11 +792,10 @@ def _tridiagonal_eigh(diagonal: np.ndarray, off: np.ndarray) -> tuple:
     return *np.linalg.eigh(tridiagonal), False
 
 
-def _persymmetric_chain(
-    diagonal: np.ndarray, off: np.ndarray, phases: np.ndarray
-) -> Chain:
-    """The chain of a tridiagonal matrix that is its own reverse,
-    T = J T J with n >= 2, solved as its mirror-even and mirror-odd halves.
+def _persymmetric_chain(off: np.ndarray, phases: np.ndarray) -> Chain:
+    """The chain of a tridiagonal matrix with a zero diagonal that is its
+    own reverse, T = J T J with n >= 2, solved as its mirror-even and
+    mirror-odd halves.
 
     T commutes with the reversal J, so its eigenvectors can be taken
     mirror-even (x = J x) or mirror-odd (x = -J x), and T is exactly block
@@ -790,38 +810,35 @@ def _persymmetric_chain(
     * odd n: the even block of size h + 1 keeps the middle element, joined
       by sqrt(2) b; the odd block of size h lacks it.
 
-    With a zero diagonal at even n the odd block is exactly
-    -J_h T_even J_h, J_h = diag((-1)^i): only the even block is solved,
-    values lambda and vectors Q, and the odd block is kept as the vectors
-    J_h Q with the values -lambda in the same order, so its values descend.
-    Each odd vector is then the image of the even vector in its column
-    under the parity of the whole chain, and the chain pairs "across" its
-    halves. Any other chain solves both blocks, and pairs "within" them
-    when both are bipartite SVDs (odd n, zero diagonal). The ``Chain``
-    keeps the two halves: its even block's first h rows and its whole odd
-    block are scaled by 1 / sqrt(2).
+    At even n the odd block is exactly -J_h T_even J_h, J_h = diag((-1)^i):
+    only the even block is solved, values lambda and vectors Q, and the odd
+    block is kept as the vectors J_h Q with the values -lambda in the same
+    order, so its values descend. Each odd vector is then the image of the
+    even vector in its column under the parity of the whole chain, and the
+    chain pairs "across" its halves. At odd n both blocks are solved, and
+    the chain pairs "within" them when both are bipartite SVDs (no zero
+    link). The ``Chain`` keeps the two halves: its even block's first h rows
+    and its whole odd block are scaled by 1 / sqrt(2). A chain with a
+    nonzero diagonal is solved whole: no operator of the program has a
+    mirror-symmetric one.
     """
-    n = len(diagonal)
+    n = len(off) + 1
     h = n // 2
     link = off[h - 1]
     inner = off[: h - 1]
     if n % 2:
         values, vectors, paired = _tridiagonal_eigh(
-            diagonal[: h + 1], np.append(inner, sqrt(2.0) * link)
+            np.zeros(h + 1), np.append(inner, sqrt(2.0) * link)
         )
-        odd_values, odd, odd_paired = _tridiagonal_eigh(diagonal[:h], inner)
+        odd_values, odd, odd_paired = _tridiagonal_eigh(np.zeros(h), inner)
         pairs = "within" if paired and odd_paired else None
     else:
         corner = np.zeros(h)
         corner[-1] = link
-        values, vectors, _ = _tridiagonal_eigh(diagonal[:h] + corner, inner)
-        if diagonal.any():
-            odd_values, odd, _ = _tridiagonal_eigh(diagonal[:h] - corner, inner)
-            pairs = None
-        else:
-            odd_values, odd = -values, vectors.copy()
-            odd[1::2] *= -1.0
-            pairs = "across"
+        values, vectors, _ = _tridiagonal_eigh(corner, inner)
+        odd_values, odd = -values, vectors.copy()
+        odd[1::2] *= -1.0
+        pairs = "across"
     vectors[:h] *= sqrt(0.5)
     odd *= sqrt(0.5)
     return Chain(np.concatenate((values, odd_values)), vectors, odd, phases, pairs)
@@ -973,7 +990,10 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     ``Chain.turn``. Columns with theta_k = 0 are copied from psi exactly,
     and a chain on which psi is exactly zero is skipped and never solved:
     twisting the lowest-weight state, or the vacuum, never diagonalizes the
-    odd parity block.
+    odd parity block. An H with no off-diagonal band
+    (``BandedOperator.diagonal``, the one-axis twist of a Dicke sector) is
+    its own eigensystem: each amplitude is turned by its own phase
+    exp(-i theta_k H_jj), with no solve and no matrix product.
 
     A real psi under an H that is i times a real antisymmetric band
     (``BandedOperator.turns_reals``: the two-axis twist and the field
@@ -998,16 +1018,21 @@ def propagate(H: BandedOperator, angle, psi: StateVector) -> StateVector:
     real = x.dtype.kind == "f" and H.turns_reals
     if not real:
         x = x.astype(complex, copy=False)
-    out = np.empty((psi.dim, angles.size), dtype=x.dtype)
     reach = float(np.abs(angles).max(initial=0.0))
-    for r in range(b):
-        xr = x[r::b]
-        if not reach or not xr.any():
-            out[r::b] = 0.0
-        elif real:
-            H.chain(r).rotate(xr, angles, reach, out[r::b])
-        else:
-            H.chain(r).turn(xr, angles, reach, out[r::b])
+    if H.diagonal is not None and not real:
+        _check_reach(reach, np.abs(H.diagonal).max())
+        out = _turns(H.diagonal, angles)
+        out *= x
+    else:
+        out = np.empty((psi.dim, angles.size), dtype=x.dtype)
+        for r in range(b):
+            xr = x[r::b]
+            if not reach or not xr.any():
+                out[r::b] = 0.0
+            elif real:
+                H.chain(r).rotate(xr, angles, reach, out[r::b])
+            else:
+                H.chain(r).turn(xr, angles, reach, out[r::b])
     if still.any():
         np.copyto(out, x, where=still)
     return _built(out.reshape(shape), normalized=psi.normalized)
@@ -1058,7 +1083,7 @@ def _in_eigenbasis(H0: BandedOperator, G: BandedOperator, q: int) -> dict[int, _
     The field generator flips parity, so in a twisting eigenbasis the one
     nonzero block has its rows on the other parity chain. Every pipeline
     starts on chain 0 and differentiates around one unit-strength twisting
-    generator (Cprime's untwist reuses it at a negative angle), so one
+    generator (a Fock Cprime's untwist reuses it at a negative angle), so one
     entry is enough, and more would pin the blocks of generators no longer
     in use; a state on both chains, which only tests make, builds both
     columns' blocks on every call.
@@ -1127,6 +1152,59 @@ def _near_weights(
     return gamma
 
 
+def _weighted_bands(
+    values: np.ndarray,
+    G: BandedOperator,
+    angles: np.ndarray,
+    turns: np.ndarray,
+    x: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """(G * Gamma) x, written into ``out``, for an H0 that is diagonal with
+    these ``values`` and so is its own eigenbasis: each entry G_{i, i+k} of
+    a band of G takes the weight Gamma(lambda_i, lambda_{i+k}) of
+    ``_near_weights``, one column per angle, and no divided difference is
+    split. Gamma is symmetric, so band -k takes band k's table.
+
+    ``turns`` is the table exp(-i theta lambda) that turned phi. With
+    g = theta (lambda_{i+k} - lambda_i) / 2 the midpoint phase is
+    exp(-i theta lambda_i) exp(-i g), so one half-angle tangent t =
+    tan(g / 2) per entry gives the rest of the weight:
+
+        Gamma = exp(-i theta lambda_i) (-sin g - i cos g) sin(g) / g
+              = turns_i (-2 t - i (1 - t^2)) u,  u = t / ((1 + t^2)^2 g / 2),
+
+    and u = 1 at g = 0.
+    """
+    d = len(values)
+    out[...] = 0.0
+    for k, band in G.bands.items():
+        if k < 0:
+            continue
+        half_gap = np.multiply.outer((values[k:] - values[: d - k]) / 4, angles)
+        t, square, u = _tan_half(half_gap.copy(), 1.0)
+        u *= u
+        u *= t
+        degenerate = half_gap == 0
+        np.divide(u, half_gap, out=u, where=~degenerate)
+        u[degenerate] = 1.0
+        gamma = np.empty(t.shape, dtype=complex)
+        t *= u
+        np.multiply(t, -2.0, out=gamma.real)
+        square -= 1.0
+        np.multiply(square, u, out=gamma.imag)
+        del half_gap, t, square, u
+        gamma *= turns[: d - k]
+        if k:
+            lower = np.multiply(gamma, x[: d - k])
+            lower *= G.bands[-k][:, None]
+            out[k:] += lower
+            del lower
+        gamma *= band[:, None]
+        gamma *= x[k:]
+        out[: d - k] += gamma
+
+
 def propagate_with_derivative(
     H0: BandedOperator,
     G: BandedOperator,
@@ -1163,8 +1241,15 @@ def propagate_with_derivative(
                    * sinc(theta (lambda_j - lambda_k) / 2),
 
     which stays exact on degenerate eigenvalues, where it tends to
-    -i exp(-i theta lambda_j); one-axis twisting has exactly degenerate
-    pairs. theta = 0 gives (psi, -i G psi) exactly.
+    -i exp(-i theta lambda_j); the one-axis twist m^2 / N of a Dicke
+    sector at odd N has a degenerate pair of neighbours, m = -1/2 and 1/2.
+    theta = 0 gives (psi, -i G psi) exactly.
+
+    An H0 with no off-diagonal band (``BandedOperator.diagonal``: the
+    one-axis twist of a Dicke sector) is its own eigensystem, V = I, so
+    G~ = G keeps G's bands and every entry takes this sinc weight
+    (``_weighted_bands``): for the field, a tridiagonal product per column,
+    with no D, no solve and no near-gap split.
 
     D and the near pairs are kept per nonzero chain block (r, q), built
     for each chain q that psi reaches (``_in_eigenbasis``) and applied in
@@ -1196,8 +1281,14 @@ def propagate_with_derivative(
     # Every row of every column is written: by its chain, or as a still column.
     phi = np.empty((psi.dim, angles.size), dtype=complex)
     dphi = np.empty_like(phi)
-    if not still.all():
-        reach = float(np.abs(angles).max())
+    reach = float(np.abs(angles).max(initial=0.0))
+    moving = not still.all()
+    if moving and H0.diagonal is not None:
+        _check_reach(reach, np.abs(H0.diagonal).max())
+        turns = _turns(H0.diagonal, angles)
+        np.multiply(turns, x, out=phi)
+        _weighted_bands(H0.diagonal, G, angles, turns, x, dphi)
+    elif moving:
         # The coefficients of each chain psi reaches; phi is 0 on the others.
         coeffs = {}
         for q in range(b):
@@ -1216,7 +1307,7 @@ def propagate_with_derivative(
         f = {}
         for r in {side for r, q, _ in blocks for side in (r, q)}:
             chain = H0.chain(r)
-            chain._check_reach(reach)
+            _check_reach(reach, chain.largest)
             f[r] = chain.expm1_table(angles, theta)
         weighted = {r: np.zeros(f[r].shape, dtype=complex) for r, _, _ in blocks}
         for r, q, block in blocks:

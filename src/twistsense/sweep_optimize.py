@@ -66,10 +66,8 @@ BENCHMARK_MARGIN = 1e-9
 # evaluates; wider sets take several calls, which may split one twist's
 # grid. One 201-point grid is one call up to N = 2607. Under tracemalloc a
 # warm 201-point call peaks at about 1.14 complex blocks (8 MiB each) for A
-# and B (all real), 4.76 for Bprime and 5.8-6.0 for C at N = 300-2000. Not
-# so Cprime: its one-axis near-gap weights take a row per near pair (186,
-# 1,209 and 4,526 at N = 300, 1000 and 2000, up to 45 per level), and it
-# peaks at 8.83, 11.52 and 16.33 blocks, so this does not bound its memory.
+# and B (all real), 4.50 for Bprime, 5.8-6.0 for C and 8.06 for Cprime at
+# N = 300-2000, so the peak of a call is a fixed multiple of this bound.
 CURVE_BLOCK_AMPLITUDES = 2**19
 
 # Most sensing fractions a grid may hold. Each point of a sweep keeps a
@@ -99,13 +97,15 @@ COARSE_SLACK = 1e-13
 # Golden-section steps whose candidate points a spin refinement evaluates in
 # one curve call (2^LOOKAHEAD - 1 points per call), whatever the sector's
 # size. Depth 3 over depth 1, warm refinements from a 201-point grid (B, C
-# at twist 1, echoes at 8; one BLAS thread, median of 15 runs):
+# at twist 1, echoes at 8; one BLAS thread, median of 15 runs). An echo
+# call in the one-axis frame costs in proportion to its columns:
 #   N       40    300   1001  2000  3000  4000
 #   B       0.44  0.50  0.65  0.60  0.62  0.79
 #   C       0.43  0.57  0.92  0.87  0.68  0.62
-#   Bprime  0.42  0.49  1.11  1.06  0.58  0.62
-#   Cprime  0.43  0.59  1.07  1.34  0.89  0.75
-# The echoes lose only at N = 1001-2000, above every benchmark workload.
+#   Bprime  0.42  0.56  0.76  0.92  1.31  1.42
+#   Cprime  0.43  0.62  0.94  1.35  1.71  1.78
+# The echoes lose from N = 2000-3000, above every benchmark workload, by
+# at most 9 ms a refinement (20.6 against 11.6 ms for Cprime at 4000).
 LOOKAHEAD = 3
 
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0

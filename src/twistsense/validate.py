@@ -37,8 +37,14 @@ from .bosonic_limit import (
     fock_simulate,
 )
 from .errors import BracketingError
-from .metrology import closed_form_Bprime, moment_oracle, qfi, relative_difference
-from .protocols import SCHEMES, run_pipeline, spin_mode
+from .metrology import (
+    closed_form_Bprime,
+    closed_form_Cprime,
+    moment_oracle,
+    qfi,
+    relative_difference,
+)
+from .protocols import SCHEMES, SHAPES, run_pipeline, spin_mode
 from .spin_core import (
     NEAR_GAP,
     BandedOperator,
@@ -46,7 +52,6 @@ from .spin_core import (
     StateVector,
     _in_eigenbasis,
     apply_generator,
-    initial_state,
     propagate,
     propagate_with_derivative,
     variance,
@@ -80,15 +85,16 @@ def banded(matrix: np.ndarray) -> BandedOperator:
 
 
 def random_banded_hermitian(
-    rng: np.random.Generator, dim: int, zero_diagonal: bool = False
+    rng: np.random.Generator, dim: int, zero_diagonal: bool = False, band: bool = True
 ) -> BandedOperator:
     """A Gaussian real diagonal and one complex Gaussian band at a random
     offset 1 <= b < dim: the shape of operator a propagation accepts. With
-    ``zero_diagonal`` every chain is bipartite and takes the SVD."""
+    ``zero_diagonal`` every chain is bipartite and takes the SVD; without
+    ``band`` the operator is its diagonal alone, propagated by phases."""
     b = int(rng.integers(1, dim))
-    band = rng.standard_normal(dim - b) + 1j * rng.standard_normal(dim - b)
+    upper = rng.standard_normal(dim - b) + 1j * rng.standard_normal(dim - b)
     diagonal = None if zero_diagonal else rng.standard_normal(dim)
-    return BandedOperator.hermitian(dim, {b: band}, diagonal)
+    return BandedOperator.hermitian(dim, {b: upper} if band else {}, diagonal)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -178,10 +184,20 @@ def reference_state(lowering, norm, scheme, x, s, w) -> np.ndarray:
     return products[scheme]()
 
 
+def one_axis_frame(n_spins: int) -> np.ndarray:
+    """The dense R = exp(i (pi / 2) Jy) = exp(-i (-(pi / 2) sqrt(N)) G) of a
+    Dicke sector, G = Jy / sqrt(N): the map R psi of a Jz-basis state into
+    the frame where ``spin_mode`` writes the one-axis twist as a diagonal."""
+    field = reference_generators(DickeSpace(n_spins).ladder_elements(), n_spins)["field"]
+    return dense_propagator(field, -0.5 * np.pi * sqrt(n_spins))
+
+
 def reference_gaps(scheme, n_spins, twist, s) -> tuple[float, float]:
     """max |psi - psi_ref| of ``run_pipeline`` at zero field, and its
     |dpsi - fd| / max(|dpsi|, 1) against the reference's finite difference
-    in the field. ``n_spins`` None is a 160-level Fock mode."""
+    in the field. ``n_spins`` None is a 160-level Fock mode. The reference
+    is in the Jz basis; a one-axis scheme on a Dicke sector runs in the
+    twist's frame, so its reference is mapped there by ``one_axis_frame``."""
     if n_spins is None:
         mode, lowering, norm = fock_mode(FockSpace(160)), np.sqrt(np.arange(1, 160)), 1
     else:
@@ -189,7 +205,14 @@ def reference_gaps(scheme, n_spins, twist, s) -> tuple[float, float]:
         mode, lowering, norm = spin_mode(space), space.ladder_elements(), n_spins
     state = run_pipeline(mode, scheme, twist, s)
     dpsi = state.dpsi.amplitudes
-    ref = partial(reference_state, lowering, norm, scheme, twist, s)
+    z_basis = partial(reference_state, lowering, norm, scheme, twist, s)
+    ref = z_basis
+    if n_spins is not None and SHAPES[scheme][0] == "oat":
+        frame = one_axis_frame(n_spins)
+
+        def ref(w):
+            return frame @ z_basis(w)
+
     fd = richardson_derivative(ref)
     return (
         np.abs(state.psi.amplitudes - ref(0.0)).max(),
@@ -295,20 +318,23 @@ def check_propagator_composition(seed, cases, zero_diagonal) -> str:
 
 
 # Each case is a seeded draw: (seed, cases, dimension range, duration range,
-# zero diagonal). phi stays a unit vector and, so, Re <phi|dphi> = 0.
+# zero diagonal, and, last, a diagonal H0 with no band, whose derivative
+# weights every band of a dense G). phi stays a unit vector and, so,
+# Re <phi|dphi> = 0.
 @over((
     (1234, 20, (3, 22), (0.2, 1.5), False),
     (2026, 50, (2, 22), (0.1, 2.0), False),
     (2027, 10, (2, 22), (0.1, 2.0), True),
+    (2028, 20, (2, 22), (0.1, 2.0), False, False),
 ))
 def check_derivative_vs_finite_difference(
-    seed, cases, dims, durations, zero_diagonal
+    seed, cases, dims, durations, zero_diagonal, band=True
 ) -> str:
     worst = 0.0
     rng = np.random.default_rng(seed)
     for _ in range(cases):
         dim = int(rng.integers(*dims))
-        H0 = random_banded_hermitian(rng, dim, zero_diagonal)
+        H0 = random_banded_hermitian(rng, dim, zero_diagonal, band)
         G = banded(random_hermitian(rng, dim))
         psi = random_state(rng, dim)
         duration = float(rng.uniform(*durations))
@@ -339,24 +365,27 @@ def check_derivative_vs_finite_difference(
 
 def check_mirror_split() -> str:
     # A chain of a Dicke generator that is its own mirror image is solved and
-    # kept as two halves, a half or chain with a zero diagonal (two-axis
-    # twisting) through its bipartite SVD, any other by one eigh: each must
-    # reproduce a dense eigh of the same real tridiagonal matrix. An
-    # even-length chain with a zero diagonal solves one half and keeps the
-    # other as its mirror image: the field chain at odd N, the two-axis odd
-    # chain at N = 0 mod 4 and the probe's own chain at N = 2 mod 4 (302
-    # elements at N = 602). The Fock chains have no mirror symmetry, so they
-    # are kept whole and their twisting chains take the SVD whole. The
+    # kept as two halves, a half with a zero diagonal through its bipartite
+    # SVD, any other by one eigh: each must reproduce a dense eigh of the
+    # same real tridiagonal matrix. An even-length chain solves one half and
+    # keeps the other as its mirror image: the field chain at odd N, the
+    # two-axis odd chain at N = 0 mod 4 and the probe's own chain at
+    # N = 2 mod 4 (302 elements at N = 602). The Fock chains have no mirror
+    # symmetry, so they are kept whole, their two-axis chains take the SVD
+    # whole and their one-axis chains, with a diagonal, one eigh. The
     # vectors are read as synthesize of the identity, phases included, so
-    # the folded and the whole chains are checked alike.
-    kinds = ("tat", "oat", "field")
+    # the folded and the whole chains are checked alike. A Dicke sector's
+    # one-axis twist must be diagonal in its frame, with no chain to solve.
+    for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600, 602):
+        if spin_mode(DickeSpace(n)).generators["oat"].diagonal is None:
+            return f"N={n}: the one-axis twist is not diagonal"
     generators = [
         (f"N={n} {kind}", spin_mode(DickeSpace(n)).generators[kind])
         for n in (1, 2, 3, 4, 5, 8, 9, 40, 41, 201, 600, 602)
-        for kind in kinds
+        for kind in ("tat", "field")
     ] + [
         (f"Fock 400 {kind}", fock_mode(FockSpace(400)).generators[kind])
-        for kind in kinds
+        for kind in ("tat", "oat", "field")
     ]
     for name, H in generators:
         fresh = BandedOperator(H.dim, H.bands)
@@ -397,10 +426,10 @@ def check_real_rotation(n: int | None) -> str:
     # the complex eigen-form propagation. The two must agree, on the probe
     # and on its normalized field image, at twists of either sign.
     mode = fock_mode(FockSpace(400)) if n is None else spin_mode(DickeSpace(n))
-    H, G = mode.generators["tat"], mode.generators["field"]
-    image = apply_generator(G, mode.initial, 1.0).amplitudes
+    H, G, probe = mode.generators["tat"], mode.generators["field"], mode.probes["tat"]
+    image = apply_generator(G, probe, 1.0).amplitudes
     angles = np.array([-1.3, 0.05, 0.5, 1.0, 2.5, 8.0])
-    for start in (mode.initial.amplitudes, image / np.linalg.norm(image)):
+    for start in (probe.amplitudes, image / np.linalg.norm(image)):
         real = propagate(H, angles, StateVector(start)).amplitudes
         reference = propagate(H, angles, StateVector(start.astype(complex))).amplitudes
         if real.dtype != float or reference.dtype != complex:
@@ -413,7 +442,9 @@ def check_real_rotation(n: int | None) -> str:
 
 # The chain shapes D joins: whole parity chains (N = 11), bipartite mirror
 # halves and a derived mirror-odd half (N = 200: 101 and 100 elements; 202:
-# 102 and 101) and the whole Fock chains (n_spins None, 400 levels).
+# 102 and 101) and the whole Fock chains (n_spins None, 400 levels), of
+# the two-axis twist and, on the Fock mode, of the one-axis twist; a
+# Dicke sector's one-axis twist is diagonal and has no chains to join.
 @over([(11,), (200,), (202,), (None,)])
 def check_coupling_blocks(n: int | None) -> str:
     # For a state on parity chain q, the field derivative builds the blocks
@@ -427,7 +458,7 @@ def check_coupling_blocks(n: int | None) -> str:
     G = mode.generators["field"]
     dense = G.matrix
     angles = np.array([0.0, 0.3, 1.0])
-    for kind in ("tat", "oat"):
+    for kind in ("tat", "oat") if n is None else ("tat",):
         H = mode.generators[kind]
         for q in (0, 1):
             r = 1 - q
@@ -493,14 +524,14 @@ def check_full_sensing_reduction(n: int) -> str:
 
 @over((n,) for n in (1, 2, 6, 10, 50))
 def check_zero_twist_reduction(n: int) -> str:
-    # Without twisting every scheme keeps the initial state psi0, as scheme
-    # A does, and its derivative is -i exposure G psi0: the field is felt
-    # for the sensing window s in B and Bprime, the whole budget in C and
-    # Cprime (and A).
+    # Without twisting every scheme keeps its probe psi0, as scheme A does,
+    # and its derivative is -i exposure G psi0: the field is felt for the
+    # sensing window s in B and Bprime, the whole budget in C and Cprime
+    # (and A).
     mode = spin_mode(DickeSpace(n))
-    psi0 = mode.initial.amplitudes
-    kick = -1j * mode.generators["field"].matvec(psi0)
     for scheme in SCHEMES:
+        psi0 = mode.probes[SHAPES[scheme][0]].amplitudes
+        kick = -1j * mode.generators["field"].matvec(psi0)
         for s in (0.0, 0.3, 0.35, 0.4, 0.8, 1.0):
             state = run_pipeline(mode, scheme, 0.0, s)
             exposure = s if scheme in ("B", "Bprime") else 1.0
@@ -518,18 +549,15 @@ def check_zero_twist_reduction(n: int) -> str:
 
 def check_single_spin_degeneracy() -> str:
     # One spin never twists (tat = 0, oat = I/4): C and Cprime sense for the
-    # whole budget as A does, B and Bprime give (psi0, -i s G psi0).
-    space = DickeSpace(1)
-    mode = spin_mode(space)
-    psi0 = initial_state(space).amplitudes
-    kick = -1j * mode.generators["field"].matvec(psi0)
-    ref = run_pipeline(mode, "A", 0.0, 1.0)
-    whole = (ref.psi.amplitudes, ref.dpsi.amplitudes)
+    # whole budget from their probes, B and Bprime give (psi0, -i s G psi0).
+    mode = spin_mode(DickeSpace(1))
     for scheme in ("C", "Cprime", "B", "Bprime"):
+        psi0 = mode.probes[SHAPES[scheme][0]].amplitudes
+        kick = -1j * mode.generators["field"].matvec(psi0)
         for s in (0.0, 0.4, 1.0):
             state = run_pipeline(mode, scheme, 3.0, s)
             got = (state.psi.amplitudes, state.dpsi.amplitudes)
-            expected = whole if "C" in scheme else (psi0, s * kick)
+            expected = (psi0, (1.0 if "C" in scheme else s) * kick)
             dev = max(np.abs(a - b).max() for a, b in zip(got, expected))
             if dev > 1e-10:
                 return f"{scheme} on a single spin deviates by {dev:.3e} (s={s})"
@@ -545,11 +573,12 @@ def check_single_spin_degeneracy() -> str:
     + [("Bprime", 14, 3.0, 0.4), ("Cprime", 14, 3.0, 0.4), ("Bprime", 10, 4.0, 0.2)]
 )
 def check_echo_cancellation(scheme: str, n: int, twist: float, s: float) -> str:
-    # At zero field the untwist undoes the twist, through the same
-    # eigensystem, so the echo returns the initial state to rounding.
+    # At zero field the untwist undoes the twist, through the same phases
+    # taken at the opposite angles, so the echo returns the probe to
+    # rounding.
     mode = spin_mode(DickeSpace(n))
     psi = run_pipeline(mode, scheme, twist, s).psi
-    dev = np.abs(psi.amplitudes - mode.initial.amplitudes).max()
+    dev = np.abs(psi.amplitudes - mode.probes["oat"].amplitudes).max()
     if dev > 1e-13:
         return (
             f"{scheme} echo fails to cancel at N={n}, twist={twist}, s={s} "
@@ -562,10 +591,9 @@ def check_dimensionless_scaling() -> str:
     # A strength x is only a factor on the angle: exp(-i d (x H)) equals
     # exp(-i (x d) H), the identity the unit-strength generators rely on.
     for n in (3, 12):
-        space = DickeSpace(n)
-        psi0 = initial_state(space)
+        mode = spin_mode(DickeSpace(n))
         for kind in ("tat", "oat"):
-            H = spin_mode(space).generators[kind]
+            H, psi0 = mode.generators[kind], mode.probes[kind]
             for x, dur in ((0.8, 0.6), (2.5, 0.3)):
                 diagonal = x * H.bands[0] if 0 in H.bands else None
                 upper = {k: x * band for k, band in H.bands.items() if k > 0}
@@ -604,6 +632,29 @@ def check_dense_reference(scheme: str, n: int | None, twist: float, s: float) ->
     return ""
 
 
+@over((n,) for n in (1, 2, 3, 4, 5, 6, 41, 100))
+def check_one_axis_frame(n: int) -> str:
+    # The one-axis schemes of a Dicke sector run in the frame R psi,
+    # R = exp(i (pi / 2) Jy) (``one_axis_frame``, a dense eigh of the field):
+    # R must carry the dense Jz-basis one-axis twist Jx^2 / N onto the mode's
+    # diagonal one, leave the field generator as it is, and take |j, -j> to
+    # the mode's one-axis probe, all to roundoff: 1e-15 N on the matrices,
+    # whose dense eigh errors grow with N (3.3e-14 at N = 100), 1e-14 on
+    # the probe.
+    mode = spin_mode(DickeSpace(n))
+    dense = reference_generators(DickeSpace(n).ladder_elements(), n)
+    R = one_axis_frame(n)
+    for what, got, want, gate in (
+        ("one-axis twist", mode.generators["oat"].matrix, R @ dense["oat"] @ R.conj().T, 1e-15 * n),
+        ("field", mode.generators["field"].matrix, R @ dense["field"] @ R.conj().T, 1e-15 * n),
+        ("probe", mode.probes["oat"].amplitudes, R[:, 0], 1e-14),
+    ):
+        gap = np.abs(got - want).max()
+        if not gap <= gate:
+            return f"N={n}: the frame's {what} is off R's image by {gap:.3e} (gate {gate:.0e})"
+    return ""
+
+
 @over(
     [
         *((n,) for n in (*range(1, 101), 128)),
@@ -638,19 +689,38 @@ def check_qfi_bounds() -> str:
     return ""
 
 
+# Each echo on a grid of small N, then at N = 2000, 2001 and 10^4. The
+# spin route's error grows with its phases, about 7e-18 N x relative at
+# most (floor 1), measured on 11-point curves at N = 2000-10^5 and x =
+# 0.5-30: 4.1e-13 at N = 10^4 and 5.3e-12 at N = 10^5 (x = 8). Up to
+# N = 4000 the gate is 1e-10; above it, 2e-17 N x.
 @over(
     [
         *product((2, 5, 10, 50), (1.0, 4.0, 11.5, 50.0), (0.1, 0.3, 0.5, 0.7, 0.9)),
         *product((2, 5, 12, 40), (0.5, 3.0, 10.0), (0.1, 0.5, 0.9)),
     ]
+    + [
+        (*point, "Cprime")
+        for point in (
+            *product((1, 2, 5, 10, 50), (1.0, 4.0, 11.5, 50.0), (0.0, 0.1, 0.5, 0.9)),
+            *product((41, 301), (0.5, 8.0, 200.0), (0.1, 0.5, 0.9)),
+        )
+    ]
+    + [
+        (*point, scheme)
+        for scheme in ("Bprime", "Cprime")
+        for point in product((2000, 2001, 10_000), (0.5, 8.0, 30.0), (0.1, 0.5, 0.9))
+    ]
 )
-def check_echo_matches_closed_form(n: int, twist: float, s: float) -> str:
-    rec = evaluate_point("Bprime", n, twist, s, "spin")
-    gap = relative_difference(rec.sensitivity, closed_form_Bprime(n, twist, s))
-    if gap > 1e-10:
+def check_echo_matches_closed_form(n: int, twist: float, s: float, scheme="Bprime") -> str:
+    rec = evaluate_point(scheme, n, twist, s, "spin")
+    exact = (closed_form_Bprime if scheme == "Bprime" else closed_form_Cprime)(n, twist, s)
+    gap = relative_difference(rec.sensitivity, exact)
+    gate = 1e-10 if n <= 4000 else 2e-17 * n * twist
+    if gap > gate:
         return (
-            f"echo sensitivity vs closed form differs by {gap:.3e} "
-            f"(N={n}, twist {twist}, s={s})"
+            f"{scheme} echo sensitivity vs closed form differs by {gap:.3e} "
+            f"(gate {gate:.1e}; N={n}, twist {twist}, s={s})"
         )
     return ""
 
@@ -1162,6 +1232,7 @@ CHECKS: tuple[tuple[str, object], ...] = (
     ("protocols.echo_cancellation", check_echo_cancellation),
     ("protocols.dimensionless_scaling", check_dimensionless_scaling),
     ("protocols.dense_reference", check_dense_reference),
+    ("protocols.one_axis_frame", check_one_axis_frame),
     ("metrology.benchmark_scheme_a", check_benchmark_scheme_a),
     ("metrology.qfi_bounds", check_qfi_bounds),
     ("metrology.echo_matches_closed_form", check_echo_matches_closed_form),

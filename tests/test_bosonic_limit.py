@@ -165,7 +165,8 @@ class TestFockOperators:
         space = FockSpace()
         mode = fock_mode(space)
         # P is twice the field generator, so its variance is four times.
-        assert 4.0 * variance(mode.generators["field"], mode.initial) == (
+        assert mode.probes["tat"] is mode.probes["oat"]
+        assert 4.0 * variance(mode.generators["field"], mode.probes["oat"]) == (
             pytest.approx(1.0, abs=1e-12)
         )
 

@@ -265,6 +265,9 @@ def test_derivative_matches_finite_difference_for_twisting():
         # sinc weight) and one just above it (the split through D, where it
         # cancels most); see test_near_gap_cases_straddle_the_cutoff.
         (100, "tat", 1.3),
+        pytest.param(FockSpace(104), "oat", 6.0, id="fock104-oat-6.0"),
+        # A Dicke sector's one-axis twist is diagonal: the sinc weight of
+        # every link, with no split at all.
         (126, "oat", 6.0),
         # Fock spaces of odd size: parity blocks of unequal size.
         pytest.param(FockSpace(3), "oat", 0.7, id="fock3-oat-0.7"),
@@ -284,7 +287,7 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
         space = n or FockSpace()
         mixed = np.zeros(space.truncation_dim, dtype=complex)
         mixed[:2] = (1.0, 1j)
-        starts = (fock_mode(space).initial, StateVector(mixed / np.sqrt(2.0)))
+        starts = (fock_mode(space).probes[kind], StateVector(mixed / np.sqrt(2.0)))
     else:
         space = DickeSpace(n)
         starts = (initial_state(space), plus_state(space))
@@ -312,12 +315,16 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
 
 
 @pytest.mark.parametrize(
-    "n, kind, lo, hi", [(100, "tat", 0.99, 1.0), (126, "oat", 1.0, 1.01)]
+    "space, kind, lo, hi",
+    [
+        pytest.param(DickeSpace(100), "tat", 0.99, 1.0, id="100-tat-0.99-1.0"),
+        pytest.param(FockSpace(104), "oat", 1.0, 1.01, id="fock104-oat-1.0-1.01"),
+    ],
 )
-def test_near_gap_cases_straddle_the_cutoff(n, kind, lo, hi):
+def test_near_gap_cases_straddle_the_cutoff(space, kind, lo, hi):
     # The two oracle cases above have a gap within 1% of the cutoff, on the
     # named side of it.
-    H = generator(DickeSpace(n), kind)
+    H = generator(space, kind)
     even, odd = H.chain(0), H.chain(1)
     cutoff = NEAR_GAP * max(even.largest, odd.largest)
     gaps = np.abs(np.subtract.outer(even.values, odd.values)) / cutoff
@@ -512,7 +519,7 @@ def test_a_zero_diagonal_chain_with_a_zero_link_keeps_eigh(monkeypatch, off):
         # Even chain 12 as one half and its image; odd chain 11 as 6 and 5.
         (DickeSpace(22), "tat", [6], [3, 3]),
         (DickeSpace(21), "tat", [], [6, 6]),  # whole chains 11 and 11
-        (DickeSpace(20), "oat", [6, 5, 5, 5], []),  # a nonzero diagonal
+        (FockSpace(30), "oat", [15, 15], []),  # a nonzero diagonal, chains whole
         (FockSpace(30), "tat", [], [8, 8]),  # whole chains 15 and 15
     ],
 )
@@ -562,20 +569,27 @@ def _check_chain(H: BandedOperator, chain) -> None:
     [pytest.param(n, True, id=str(n)) for n in (2, 3, 4, 5, 21, 40, 41, 255, 256, 257)]
     + [pytest.param(n, False, id=f"{n}-zero-diagonal") for n in (2, 3, 40, 41, 256, 257)],
 )
-def test_mirror_chains_are_kept_folded(n, diagonal):
-    # Every mirror-symmetric chain keeps its two halves, whatever its length;
-    # with a zero diagonal at even n the odd half is the even half's image.
+def test_mirror_chains_fold_only_with_a_zero_diagonal(n, diagonal):
+    # Every mirror-symmetric chain with a zero diagonal keeps its two halves,
+    # whatever its length, and at even n the odd half is the even half's
+    # image. One with a diagonal, which no generator of the program has (a
+    # Dicke sector's one-axis twist is diagonal and has no chains), is kept
+    # whole, as any other chain is: one eigh, ascending values.
     H = _mirror_chain_operator(n, diagonal)
     chain = H.chain(0)
-    assert chain.odd.shape == (n // 2, n // 2)
-    assert chain.vectors.shape == (n - n // 2, n - n // 2)
+    h = 0 if diagonal else n // 2
+    assert chain.odd.shape == (h, h)
+    assert chain.vectors.shape == (n - h, n - h)
     assert chain.pairs == (None if diagonal else "within" if n % 2 else "across")
+    if diagonal:
+        assert np.all(np.diff(chain.values) >= 0)
     _check_chain(H, chain)
 
 
-@pytest.mark.parametrize("kind", ["tat", "oat"])
 @pytest.mark.parametrize(
-    "space", [DickeSpace(41), FockSpace(41)], ids=["odd-N", "fock"]
+    "space, kind",
+    [(DickeSpace(41), "tat"), (FockSpace(41), "tat"), (FockSpace(41), "oat")],
+    ids=["odd-N-tat", "fock-tat", "fock-oat"],
 )
 def test_other_chains_are_the_fold_without_mirror_pairs(space, kind):
     # A parity block at odd N (each block is the other's mirror image) and a
@@ -672,22 +686,22 @@ def test_a_state_keeps_a_copy_of_the_callers_array():
 # The +- pairing each chain's solver recorded, chain by chain, which the
 # real rotation reads: a bipartite block pairs within itself, and an
 # even-length two-axis mirror chain across its halves (its mirror-odd half
-# is the image of its mirror-even one); a chain with a diagonal has none.
-# At N = 42 chain 0 is an even-length mirror chain and chain 1 an
-# odd-length one with two bipartite halves, the shape scheme B meets at
-# N = 302, 1002 and 10002.
+# is the image of its mirror-even one); a chain with a diagonal, a Fock
+# one-axis chain of either parity size, has none. At N = 42 chain 0 is an
+# even-length mirror chain and chain 1 an odd-length one with two bipartite
+# halves, the shape scheme B meets at N = 302, 1002 and 10002. A Dicke
+# sector's one-axis twist has no chains (see the diagonal tests below).
 TURN_CHAINS = pytest.mark.parametrize(
     "space, kind, pairs",
     [
         (DickeSpace(40), "tat", ("within", "across")),
         (DickeSpace(41), "tat", ("within", "within")),
         (DickeSpace(42), "tat", ("across", "within")),
-        (DickeSpace(40), "oat", (None, None)),
-        (DickeSpace(41), "oat", (None, None)),
+        (FockSpace(40), "oat", (None, None)),
         (FockSpace(41), "tat", ("within", "within")),
         (FockSpace(41), "oat", (None, None)),
     ],
-    ids=["tat-even-N", "tat-odd-N", "tat-N42", "oat-even-N", "oat-odd-N", "fock", "fock-oat"],
+    ids=["tat-even-N", "tat-odd-N", "tat-N42", "fock-oat-even", "fock", "fock-oat"],
 )
 TURN_ANGLES = (0.37, -2.5, 0.0, np.array([0.0, 0.25, -0.25, 3.0, -7.5]))
 
@@ -729,6 +743,65 @@ def test_chain_expm1_table_is_the_quotient_to_the_bit(space, kind, pairs):
             assert (np.abs(got - expected) * np.abs(theta)).max() <= 8e-16
 
 
+@pytest.mark.parametrize("n", [40, 41], ids=["oat-even-N", "oat-odd-N"])
+def test_diagonal_turns_are_the_complex_exponential_to_the_bit(n):
+    # A Dicke sector's one-axis twist is the diagonal m^2 / N, its own
+    # eigensystem: propagate multiplies each amplitude by its phase, the
+    # table of the chains' kernel, within 2.3e-16 of numpy's exponential and
+    # exactly 1 at a zero angle, with no chain solved.
+    space = DickeSpace(n)
+    H = BandedOperator(space.dim, generator(space, "oat").bands)
+    assert np.array_equal(H.diagonal, space.m_values() ** 2 / n)
+    psi = spin_mode(space).probes["oat"]
+    for angles in TURN_ANGLES:
+        table = spin_core._turns(H.diagonal, angles)
+        expected = np.exp(-1j * np.multiply.outer(H.diagonal, angles))
+        assert np.all(table[..., np.asarray(angles) == 0] == 1.0)
+        assert np.abs(table.real - expected.real).max() <= 2.3e-16
+        assert np.abs(table.imag - expected.imag).max() <= 2.3e-16
+        probe = psi.amplitudes[:, None] if table.ndim == 2 else psi.amplitudes
+        assert np.array_equal(propagate(H, angles, psi).amplitudes, table * probe)
+    assert H._chains == {}
+
+
+@pytest.mark.parametrize("kind", ["oat", "tat"])
+def test_a_diagonal_twist_is_refused_past_the_phase_guard_as_a_chain_is(kind):
+    # The one-axis twist of a Dicke sector reaches |theta| N / 4, as the
+    # eigenvalues of Jx^2 / N do; past MAX_PHASE its phases are refused by
+    # the PrecisionLossError a chain raises, in propagate and in the
+    # concurrent derivative alike.
+    space = DickeSpace(40)
+    H, G = generator(space, kind), generator(space, "field")
+    psi = spin_mode(space).probes[kind]
+    if kind == "oat":
+        largest = np.abs(H.diagonal).max()
+        assert largest == space.n_spins / 4
+    else:
+        largest = max(H.chain(r).largest for r in (0, 1))
+    # Just within the guard, then just past it, in one column of two.
+    within = 0.999 * MAX_PHASE / largest
+    propagate(H, np.array([0.5, -1.0]) * within, psi)
+    propagate_with_derivative(H, G, within, psi)
+    message = r"max\|eigenvalue\| = .* exceeds 1e\+06"
+    for angle in (1.01 * MAX_PHASE / largest, np.array([0.5, -1.01]) * MAX_PHASE / largest):
+        with pytest.raises(PrecisionLossError, match=message):
+            propagate(H, angle, psi)
+        with pytest.raises(PrecisionLossError, match=message):
+            propagate_with_derivative(H, G, angle, psi)
+
+
+def test_a_chain_index_outside_the_stride_is_refused():
+    # A diagonal operator has one chain, a two-axis twist two; any other
+    # index names no chain of the operator and would solve a slice of it.
+    space = DickeSpace(8)
+    for kind, chains in (("oat", 1), ("tat", 2), ("field", 1)):
+        H = generator(space, kind)
+        H.chain(chains - 1)
+        for r in (chains, -1):
+            with pytest.raises(InvalidDimensionError, match=f"chain {r} of an operator"):
+                H.chain(r)
+
+
 def test_the_half_angle_kernel_meets_its_stated_bounds():
     # A fixed sample of |x| from 1e-12 to MAX_PHASE, both signs, and 0:
     # cos x and sin x within 2.3e-16 of numpy's, expm1(-i x) within 6.8e-16,
@@ -757,7 +830,7 @@ def test_an_empty_batch_gives_empty_blocks(space):
     # No angles: a (d, 0) block is normalized vacuously, and each
     # propagator returns (d, 0) blocks.
     H, G = generator(space, "tat"), generator(space, "field")
-    psi = fock_mode(space).initial if isinstance(space, FockSpace) else initial_state(space)
+    psi = fock_mode(space).probes["tat"] if isinstance(space, FockSpace) else initial_state(space)
     none = np.array([])
     assert propagate(H, none, psi).amplitudes.shape == (H.dim, 0)
     phi, dphi = propagate_with_derivative(H, G, none, psi)
