@@ -16,7 +16,8 @@ structured:
   one-axis twist m^2 / N, which ``protocols.spin_mode`` writes in its own
   frame) is its own eigensystem: a propagation turns each amplitude by its
   own phase, and the field derivative weights each entry of the field's
-  bands (``_weighted_bands``), with no solve and no dense matrix,
+  bands by the sinc weight (``_sinc_weights``), with no solve and no dense
+  matrix,
 * an operator whose only off-diagonal band sits at offset b splits into b
   interleaved chains, the basis indices r, r + b, r + 2b, ..., with no
   entries between chains; for the twisting generators (b = 2) these are
@@ -59,12 +60,11 @@ structured:
   products; any other chain is the same ``Chain`` with an empty mirror-odd
   half, one real orthogonal matrix and ascending values,
 * every phase table (the turns exp(-i x), the f = expm1(-i x) / theta of
-  the derivative, its near-gap weights and the cos and sin of the real
+  the derivative, its sinc weights and the cos and sin of the real
   rotation) is built whole by one tangent half-angle kernel,
   ``_tan_half``, from t = tan(x / 2) by quotients: numpy evaluates a
   tangent in SIMD lanes and a sine, cosine or complex exponential one
-  value at a time; a chain whose phases are all exactly 1, a Fock one-axis
-  chain, skips its phase products,
+  value at a time,
 * an operator that is i times a real antisymmetric band A (a zero
   diagonal and purely imaginary bands: the field generator and two-axis
   twisting) has exp(-i theta H) = exp(theta A), a real rotation. A real
@@ -132,7 +132,10 @@ MAX_PHASE = 1e6
 # Relative gap below which an eigenvalue pair of ``propagate_with_derivative``
 # takes the sinc weight instead of the divided difference split through D.
 # The split loses about eps * max|lambda| / gap relative, so at 1e-3 it stays
-# near 1e-13.
+# near 1e-13. The two-axis twist's parity chains share most of their values
+# (the field's (1, 0) block has 6 near pairs at N = 11, 502 at N = 1000 and
+# 1,072 at N = 2000, the closest at a gap of 0.0 in floating point), and so
+# do the Fock one-axis chains (334 near pairs, down to 0.0).
 NEAR_GAP = 1e-3
 
 
@@ -217,10 +220,8 @@ class Chain:
     ``pairs`` is the +- pairing the solver built: "within" when every
     block has the layout of the bipartite SVD (``_tridiagonal_eigh``),
     "across" when the odd block is the even block's image, column by
-    column, and None when the values are not paired. ``real`` marks
-    phases that are all exactly 1 (a Fock one-axis chain): V_r = V, and no
-    phase is multiplied or conjugated. The tables of turns and of the
-    derivative's f are built whole by the half-angle kernel
+    column, and None when the values are not paired. The tables of turns
+    and of the derivative's f are built whole by the half-angle kernel
     (``_tan_half``). A complex slice is turned by ``turn``, and a real
     slice under an H that is i times a real antisymmetric band by
     ``rotate``, through the ``pairs`` in real arithmetic.
@@ -236,7 +237,6 @@ class Chain:
         self.odd = odd
         self.pairs = pairs
         self.largest = float(np.abs(values).max())
-        self.real = bool(np.all(phases == 1))
         for arr in (values, vectors, phases, odd):
             arr.setflags(write=False)
 
@@ -294,8 +294,6 @@ class Chain:
 
     def analyze(self, x: np.ndarray) -> np.ndarray:
         """The coefficients V_r^dag x of this chain's slice x."""
-        if self.real:
-            return self.analyze_real(x)
         # y holds p * conj(x), then, once folded, the coefficients; with no
         # mirror pairs the fold is y itself, so they take a block of their own.
         y = np.conj(x)
@@ -318,8 +316,7 @@ class Chain:
         np.matmul(self.vectors, pairs[:m], out=dest[:m])
         if h:
             self._unfold(dest, np.matmul(self.odd, pairs[m:]))
-        if not self.real:
-            out *= _per_row(self.phases, out)
+        out *= _per_row(self.phases, out)
         return out
 
     def turns(self, angles, reach: float) -> np.ndarray:
@@ -1125,84 +1122,38 @@ def _in_eigenbasis(H0: BandedOperator, G: BandedOperator, q: int) -> dict[int, _
     return blocks
 
 
-def _near_weights(
-    lam: np.ndarray, mu: np.ndarray, angles: np.ndarray
-) -> np.ndarray:
-    """Gamma_jk = -i exp(-i theta (lam + mu) / 2) sinc(theta (lam - mu) / 2)
-    for pairs (lam_p, mu_p), one row per pair and one column per angle.
+def _sinc_weights(base: np.ndarray, gaps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Gamma = -i exp(-i theta (lambda + mu) / 2) sinc(theta (lambda - mu) / 2),
+    the divided difference of exp(-i theta x) / theta at (lambda, mu), one
+    row per pair and one column per angle, from ``base`` = exp(-i theta mu)
+    (rows of a table of turns) and ``gaps`` = (lambda - mu) / 4.
 
-    With m = theta (lam + mu) / 2 and g = theta (lam - mu) / 2 this is
-    (-sin m - i cos m) sin(g) / g, every factor from ``_tan_half``: sin g
-    / g = tan(g / 2) / ((1 + tan^2(g / 2)) g / 2), and 1 at g = 0.
+    With g = theta (lambda - mu) / 2 the midpoint phase is base exp(-i g),
+    so one half-angle tangent t = tan(g / 2) per entry (``_tan_half``)
+    gives the rest of the weight:
+
+        Gamma = base (-sin g - i cos g) sin(g) / g
+              = base (-2 t - i (1 - t^2)) u,  u = t / ((1 + t^2)^2 g / 2),
+
+    and u = 1 at g = 0, where Gamma is exactly -i base. Measured against
+    numpy's -i exp(-i theta (lambda + mu) / 2) sinc(theta (lambda - mu) / 2)
+    over |theta (lambda - mu)| from 1e-12 to MAX_PHASE, both signs, it
+    stays within 7.1e-16 (|Gamma| <= 1).
     """
-    t, cos, inv = _tan_half(np.multiply.outer(-(lam + mu) / 4, angles), 1.0)
-    half_gap = np.multiply.outer((lam - mu) / 4, angles)
-    u, _, sinc = _tan_half(half_gap.copy(), 1.0)
-    sinc *= u
+    half_gap = np.multiply.outer(gaps, angles)
+    t, square, u = _tan_half(half_gap.copy(), 1.0)
+    u *= u
+    u *= t
     degenerate = half_gap == 0
-    np.divide(sinc, half_gap, out=sinc, where=~degenerate)
-    sinc[degenerate] = 1.0
+    np.divide(u, half_gap, out=u, where=~degenerate)
+    u[degenerate] = 1.0
     gamma = np.empty(t.shape, dtype=complex)
-    t *= inv
-    t += t
-    np.multiply(t, sinc, out=gamma.real)
-    np.subtract(cos, 1.0, out=cos)
-    cos *= inv
-    np.multiply(cos, sinc, out=gamma.imag)
+    t *= u
+    np.multiply(t, -2.0, out=gamma.real)
+    square -= 1.0
+    np.multiply(square, u, out=gamma.imag)
+    gamma *= base
     return gamma
-
-
-def _weighted_bands(
-    values: np.ndarray,
-    G: BandedOperator,
-    angles: np.ndarray,
-    turns: np.ndarray,
-    x: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """(G * Gamma) x, written into ``out``, for an H0 that is diagonal with
-    these ``values`` and so is its own eigenbasis: each entry G_{i, i+k} of
-    a band of G takes the weight Gamma(lambda_i, lambda_{i+k}) of
-    ``_near_weights``, one column per angle, and no divided difference is
-    split. Gamma is symmetric, so band -k takes band k's table.
-
-    ``turns`` is the table exp(-i theta lambda) that turned phi. With
-    g = theta (lambda_{i+k} - lambda_i) / 2 the midpoint phase is
-    exp(-i theta lambda_i) exp(-i g), so one half-angle tangent t =
-    tan(g / 2) per entry gives the rest of the weight:
-
-        Gamma = exp(-i theta lambda_i) (-sin g - i cos g) sin(g) / g
-              = turns_i (-2 t - i (1 - t^2)) u,  u = t / ((1 + t^2)^2 g / 2),
-
-    and u = 1 at g = 0.
-    """
-    d = len(values)
-    out[...] = 0.0
-    for k, band in G.bands.items():
-        if k < 0:
-            continue
-        half_gap = np.multiply.outer((values[k:] - values[: d - k]) / 4, angles)
-        t, square, u = _tan_half(half_gap.copy(), 1.0)
-        u *= u
-        u *= t
-        degenerate = half_gap == 0
-        np.divide(u, half_gap, out=u, where=~degenerate)
-        u[degenerate] = 1.0
-        gamma = np.empty(t.shape, dtype=complex)
-        t *= u
-        np.multiply(t, -2.0, out=gamma.real)
-        square -= 1.0
-        np.multiply(square, u, out=gamma.imag)
-        del half_gap, t, square, u
-        gamma *= turns[: d - k]
-        if k:
-            lower = np.multiply(gamma, x[: d - k])
-            lower *= G.bands[-k][:, None]
-            out[k:] += lower
-            del lower
-        gamma *= band[:, None]
-        gamma *= x[k:]
-        out[: d - k] += gamma
 
 
 def propagate_with_derivative(
@@ -1241,15 +1192,16 @@ def propagate_with_derivative(
                    * sinc(theta (lambda_j - lambda_k) / 2),
 
     which stays exact on degenerate eigenvalues, where it tends to
-    -i exp(-i theta lambda_j); the one-axis twist m^2 / N of a Dicke
-    sector at odd N has a degenerate pair of neighbours, m = -1/2 and 1/2.
-    theta = 0 gives (psi, -i G psi) exactly.
+    -i exp(-i theta lambda_j) (``_sinc_weights``): the two parity chains
+    of the two-axis twist, and those of the Fock one-axis twist, share
+    values up to the last bit (see NEAR_GAP). theta = 0 gives
+    (psi, -i G psi) exactly.
 
     An H0 with no off-diagonal band (``BandedOperator.diagonal``: the
     one-axis twist of a Dicke sector) is its own eigensystem, V = I, so
-    G~ = G keeps G's bands and every entry takes this sinc weight
-    (``_weighted_bands``): for the field, a tridiagonal product per column,
-    with no D, no solve and no near-gap split.
+    G~ = G keeps G's bands and every entry takes this sinc weight, from
+    the table of turns that turns phi: for the field, a tridiagonal product
+    per column, with no D, no solve and no near-gap split.
 
     D and the near pairs are kept per nonzero chain block (r, q), built
     for each chain q that psi reaches (``_in_eigenbasis``) and applied in
@@ -1284,10 +1236,25 @@ def propagate_with_derivative(
     reach = float(np.abs(angles).max(initial=0.0))
     moving = not still.all()
     if moving and H0.diagonal is not None:
-        _check_reach(reach, np.abs(H0.diagonal).max())
-        turns = _turns(H0.diagonal, angles)
+        values, d = H0.diagonal, psi.dim
+        _check_reach(reach, np.abs(values).max())
+        turns = _turns(values, angles)
         np.multiply(turns, x, out=phi)
-        _weighted_bands(H0.diagonal, G, angles, turns, x, dphi)
+        # Each entry G_{i, i+k} of band k takes the weight of the pair
+        # (lambda_{i+k}, lambda_i), and band -k the same: Gamma is symmetric.
+        dphi[...] = 0.0
+        for k, band in G.bands.items():
+            if k < 0:
+                continue
+            gamma = _sinc_weights(turns[: d - k], (values[k:] - values[: d - k]) / 4, angles)
+            if k:
+                lower = np.multiply(gamma, x[: d - k])
+                lower *= G.bands[-k][:, None]
+                dphi[k:] += lower
+                del lower
+            gamma *= band[:, None]
+            gamma *= x[k:]
+            dphi[: d - k] += gamma
     elif moving:
         # The coefficients of each chain psi reaches; phi is 0 on the others.
         coeffs = {}
@@ -1312,7 +1279,8 @@ def propagate_with_derivative(
         weighted = {r: np.zeros(f[r].shape, dtype=complex) for r, _, _ in blocks}
         for r, q, block in blocks:
             D, j, k, c = block.divided, block.rows, block.cols, coeffs[q]
-            gamma = _near_weights(H0.chain(r).values[j], H0.chain(q).values[k], angles)
+            mu = H0.chain(q).values[k]
+            gamma = _sinc_weights(_turns(mu, angles), (H0.chain(r).values[j] - mu) / 4, angles)
             weighted[r] += f[r] * (D @ c)
             weighted[r] -= D @ (f[q] * c)
             np.add.at(weighted[r], j, block.coupling[:, None] * gamma * c[k])

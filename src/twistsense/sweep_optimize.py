@@ -66,7 +66,7 @@ BENCHMARK_MARGIN = 1e-9
 # evaluates; wider sets take several calls, which may split one twist's
 # grid. One 201-point grid is one call up to N = 2607. Under tracemalloc a
 # warm 201-point call peaks at about 1.14 complex blocks (8 MiB each) for A
-# and B (all real), 4.50 for Bprime, 5.8-6.0 for C and 8.06 for Cprime at
+# and B (all real), 4.50 for Bprime, 5.5-5.7 for C and 8.06 for Cprime at
 # N = 300-2000, so the peak of a call is a fixed multiple of this bound.
 CURVE_BLOCK_AMPLITUDES = 2**19
 

@@ -280,9 +280,12 @@ def test_derivative_matches_block_exponential_oracle(n, kind, strength):
     # [[-i d x H, -i d G], [0, -i d x H]] holds exp(-i d x H) and the
     # derivative along the field w of exp(-i d (x H + w G)), which is d
     # times the engine's derivative along the field angle w d, taken at the
-    # twist angle x d on the unit generator H. One-axis twisting has
-    # exactly degenerate pairs. Each case starts from a state inside the
-    # even parity block and from one spread over both blocks.
+    # twist angle x d on the unit generator H. The parity chains of the
+    # two-axis twist, and those of the Fock one-axis twist, share values to
+    # the last bit, so their near pairs take the sinc weight at a gap of 0;
+    # on a Dicke sector's diagonal one-axis twist every entry takes it. Each
+    # case starts from a state inside the even parity block and from one
+    # spread over both blocks.
     if n is None or isinstance(n, FockSpace):
         space = n or FockSpace()
         mixed = np.zeros(space.truncation_dim, dtype=complex)
@@ -823,6 +826,43 @@ def test_the_half_angle_kernel_meets_its_stated_bounds():
     # the bit.
     assert np.array_equal(spin_core._tan_half(x / 2, 2.0)[2], 2.0 * inv)
     assert np.array_equal(np.tan(-x / 2), -np.tan(x / 2))
+
+
+def test_the_sinc_weight_meets_its_stated_bound():
+    # theta (lambda - mu) over a fixed sample of magnitudes from 1e-12 to
+    # MAX_PHASE, both signs, and 0, at base phases theta mu in [-3, 3]:
+    # Gamma is within 7.5e-16 of numpy's -i exp(-i theta (lambda + mu) / 2)
+    # sinc(theta (lambda - mu) / 2) (measured 7.1e-16; |Gamma| <= 1), and
+    # exactly -i times the base at a gap of 0.
+    size = np.geomspace(1e-12, spin_core.MAX_PHASE, 20_001)
+    gap = np.concatenate((-size[::-1], [0.0], size))
+    mu = np.random.default_rng(7).uniform(-3.0, 3.0, len(gap))
+    lam = mu + gap
+    angles = np.array([1.0, -1.0, 0.37])
+    base = np.exp(-1j * np.multiply.outer(mu, angles))
+    got = spin_core._sinc_weights(base, (lam - mu) / 4, angles)
+    mid = np.multiply.outer((lam + mu) / 2, angles)
+    half = np.multiply.outer((lam - mu) / 2, angles)
+    expected = -1j * np.exp(-1j * mid) * np.sinc(half / np.pi)
+    assert np.abs(got - expected).max() <= 7.5e-16
+    zero = len(size)
+    assert np.array_equal(got[zero], -1j * base[zero])
+    # The two call forms: a diagonal H0 passes the slices of its own table
+    # of turns, a chain H0 the turns of mu on its near pairs. For the same
+    # pairs (lambda_{i+k}, lambda_i) they give the same Gamma, to the bit,
+    # here on the one-axis twist m^2 / N with its degenerate pairs (odd N).
+    values = DickeSpace(41).m_values() ** 2 / 41
+    d = len(values)
+    turns = spin_core._turns(values, angles)
+    for k in (1, 2):
+        lam, mu = values[k:], values[: d - k]
+        diagonal = spin_core._sinc_weights(turns[: d - k], (lam - mu) / 4, angles)
+        near = spin_core._sinc_weights(spin_core._turns(mu, angles), (lam - mu) / 4, angles)
+        assert np.array_equal(diagonal, near)
+        # Gamma is symmetric: taken from the other value of each pair, it
+        # agrees within the same bound.
+        swapped = spin_core._sinc_weights(spin_core._turns(lam, angles), (mu - lam) / 4, angles)
+        assert np.abs(swapped - near).max() <= 7.5e-16
 
 
 @pytest.mark.parametrize("space", [DickeSpace(4), FockSpace(12)], ids=["spin", "fock"])
